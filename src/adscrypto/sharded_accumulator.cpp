@@ -1,5 +1,7 @@
 #include "adscrypto/sharded_accumulator.hpp"
 
+#include <algorithm>
+
 #include "adscrypto/multiset_hash.hpp"
 #include "common/env.hpp"
 #include "common/errors.hpp"
@@ -11,6 +13,16 @@ namespace slicer::adscrypto {
 
 using bigint::BigUint;
 using bigint::Montgomery;
+
+namespace {
+
+/// A generic sliding-window modexp costs about this many times the
+/// fixed-base comb per exponent bit (bench/baselines/BENCH_micro.json:
+/// 16.2 vs 2.97 ms at 16384 bits), so a stale frontier run folds its
+/// backlog only while that stays cheaper than recomputing it from g.
+constexpr std::size_t kGenericPerCombBit = 5;
+
+}  // namespace
 
 std::size_t default_shard_count() {
   // 256 shards is already far past the useful range for one process; the
@@ -59,6 +71,7 @@ ShardedAccumulator::ShardedAccumulator(AccumulatorParams params,
   primes_.resize(k);
   values_.assign(k, params_.generator);
   exponents_.assign(k, BigUint(1));
+  frontiers_ = std::vector<Frontier>(k);
 }
 
 ShardedAccumulator::Batch ShardedAccumulator::route(
@@ -192,10 +205,77 @@ const BigUint& ShardedAccumulator::shard_value(std::size_t shard) const {
 }
 
 BigUint ShardedAccumulator::witness(Pos pos) const {
+  static metrics::Histogram& witness_ns =
+      metrics::histogram("adscrypto.accumulator.witness_ns");
+  static metrics::Histogram& refresh_ns =
+      metrics::histogram("adscrypto.sharded.refresh_ns");
+  static metrics::Counter& fills =
+      metrics::counter("adscrypto.sharded.frontier.fills");
+  static metrics::Counter& folds =
+      metrics::counter("adscrypto.sharded.frontier.folds");
+  static metrics::Counter& recomputes =
+      metrics::counter("adscrypto.sharded.frontier.recomputes");
+  const metrics::ScopedTimer timer(witness_ns);
   if (pos.shard >= shards_.size() ||
       pos.index >= primes_[pos.shard].size())
     throw CryptoError("witness position out of range");
-  return shards_[pos.shard].witness(primes_[pos.shard], pos.index);
+  const std::span<const BigUint> primes = primes_[pos.shard];
+  const std::size_t n = primes.size();
+  // Run c holds primes [lo, lo + C); [lo, hi) of them have arrived so far.
+  const std::size_t c = pos.index / kFrontierRun;
+  const std::size_t lo = c * kFrontierRun;
+  const std::size_t hi = std::min(lo + kFrontierRun, n);
+  Frontier& frontier = frontiers_[pos.shard];
+
+  BigUint value;
+  std::size_t covered = 0;
+  {
+    const std::lock_guard lock(frontier.mu);
+    if (c < frontier.runs.size()) {
+      value = frontier.runs[c].value;
+      covered = frontier.runs[c].covered;
+    }
+  }
+
+  if (covered < n) {
+    // Everything W_c still owes: the primes that arrived after it was last
+    // brought up to date, minus run c's own (which it never carries).
+    const std::size_t from = std::max(covered, lo + kFrontierRun);
+    const std::size_t backlog = from < n ? n - from : 0;
+    const auto from_g = [&] {
+      const BigUint exponent = product_tree(primes.subspan(0, lo)) *
+                               product_tree(primes.subspan(hi));
+      return shards_[pos.shard].pow_generator(exponent);
+    };
+    if (covered == 0) {
+      fills.add();
+      value = from_g();
+    } else if (backlog > 0) {
+      const metrics::ScopedTimer refresh_timer(refresh_ns);
+      // Folding the backlog is a generic modexp over `backlog` primes;
+      // recomputing is a comb over every prime outside the run.
+      if (kGenericPerCombBit * backlog <= n - (hi - lo)) {
+        folds.add();
+        value = mont_.pow(value, product_tree(primes.subspan(from)));
+      } else {
+        recomputes.add();
+        value = from_g();
+      }
+    }
+    const std::lock_guard lock(frontier.mu);
+    if (frontier.runs.size() <= c) frontier.runs.resize(c + 1);
+    Frontier::Run& run = frontier.runs[c];
+    if (run.covered < n) {
+      run.value = value;
+      run.covered = n;
+    }
+  }
+
+  // The run's other primes: C − 1 at most, so one small generic modexp.
+  if (hi - lo == 1) return value;
+  return mont_.pow(value, product_tree(primes.subspan(lo, pos.index - lo)) *
+                              product_tree(primes.subspan(
+                                  pos.index + 1, hi - pos.index - 1)));
 }
 
 std::vector<std::vector<BigUint>> ShardedAccumulator::all_witnesses() const {

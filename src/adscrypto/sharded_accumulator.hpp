@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -114,8 +115,21 @@ class ShardedAccumulator {
   /// The published chain digest: fold_shard_digests over current values.
   bigint::BigUint digest() const { return fold_shard_digests(values_); }
 
+  /// Run length C of the witness frontier. Each shard's arrival-order prime
+  /// list is cut into fixed runs of C primes; runs never shift as primes
+  /// are appended, so a run's cached complement value only ever owes the
+  /// primes that arrived after it (DESIGN.md §3g).
+  static constexpr std::size_t kFrontierRun = 16;
+
   /// On-demand membership witness for the element at `pos`, against its
-  /// shard's current value.
+  /// shard's current value — the same group element as
+  /// RsaAccumulator::witness over shard_primes(pos.shard). Served through
+  /// the shard's witness frontier: run c = pos.index / C caches
+  /// W_c = g^(∏ p_j, j ∉ c) over the primes it has seen, filled on first
+  /// touch, folded forward (or recomputed from g, whichever is cheaper)
+  /// when primes arrived since, then raised to the run's other primes.
+  /// Safe to call from many threads at once; not concurrently with an
+  /// insert.
   bigint::BigUint witness(Pos pos) const;
 
   /// From-scratch witness cache: per-shard root-factor batch (the result
@@ -199,6 +213,21 @@ class ShardedAccumulator {
   bool exponents_valid_ = true;
   std::unordered_map<bigint::BigUint, Pos> index_;
   std::size_t total_ = 0;
+
+  /// One shard's witness frontier. runs[c].value is W_c over the shard's
+  /// first runs[c].covered primes (0 = not filled yet). The mutex guards
+  /// only the copy in and out of `runs`; every modexp runs outside it, so
+  /// concurrent misses on one run may both compute — the values they store
+  /// are identical, and the wider coverage wins.
+  struct Frontier {
+    struct Run {
+      bigint::BigUint value;
+      std::size_t covered = 0;
+    };
+    std::mutex mu;
+    std::vector<Run> runs;
+  };
+  mutable std::vector<Frontier> frontiers_;
 };
 
 }  // namespace slicer::adscrypto

@@ -328,6 +328,14 @@ void Montgomery::FixedBase::ensure_digits(std::size_t digits) const {
   if (digits_ >= digits) return;
   const std::size_t k = mont_.k_;
   std::vector<u64> t(2 * k + 2);
+  // Exponents creep up a few digits at a time (the accumulator's witness
+  // frontier raises g to slightly different prime counts), so reserve 1/8
+  // headroom: a small growth then fills reserved, still untouched capacity
+  // instead of reallocating and freeing the whole table. Freeing a table
+  // that size raises glibc's dynamic mmap threshold, which kept later large
+  // buffers on the heap (+2.7 MiB peak RSS on perfbench plan_spill).
+  if (table_.capacity() < digits * k)
+    table_.reserve((digits + digits / 8) * k);
   table_.resize(digits * k);
   for (std::size_t i = digits_; i < digits; ++i) {
     // G[i] = G[i−1]^(2^w): copy the previous entry and square w times.

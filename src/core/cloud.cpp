@@ -1,6 +1,5 @@
 #include "core/cloud.hpp"
 
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <utility>
@@ -33,34 +32,13 @@ CloudServer::CloudServer(adscrypto::TrapdoorPublicKey trapdoor_pk,
                          adscrypto::AccumulatorParams accumulator_params,
                          std::size_t prime_bits, std::size_t shard_count)
     : perm_(std::move(trapdoor_pk)),
-      sharded_(std::make_unique<adscrypto::ShardedAccumulator>(
-          std::move(accumulator_params), shard_count)),
+      sharded_(std::move(accumulator_params), shard_count),
       prime_bits_(prime_bits),
       wit_(std::make_unique<WitnessState>()),
       pcache_(std::make_unique<ProofCache>()),
-      ac_(sharded_->digest()) {
-  const char* async_env = std::getenv("SLICER_WITNESS_ASYNC");
-  async_refresh_ = async_env != nullptr && async_env[0] == '1';
+      ac_(sharded_.digest()) {
   pcache_->capacity = proof_cache_capacity();
-  pcache_->shard_epochs.assign(sharded_->shard_count(), 0);
-}
-
-CloudServer::~CloudServer() {
-  // A background refresh holds pointers into this object's heap state;
-  // never let it outlive the owning unique_ptrs.
-  if (wit_) join_refresh();
-}
-
-void CloudServer::join_refresh() const {
-  const std::lock_guard lock(wit_->task_mu);
-  if (wit_->task.valid()) wit_->task.get();
-}
-
-void CloudServer::wait_for_witness_refresh() const { join_refresh(); }
-
-void CloudServer::set_async_witness_refresh(bool async) {
-  join_refresh();
-  async_refresh_ = async;
+  pcache_->shard_epochs.assign(sharded_.shard_count(), 0);
 }
 
 void CloudServer::apply(const UpdateOutput& update) {
@@ -72,10 +50,6 @@ void CloudServer::apply(const UpdateOutput& update) {
       metrics::counter("core.cloud.apply.refresh_skips");
   const metrics::ScopedTimer timer(apply_ns);
   const trace::Span span("cloud.apply");
-
-  // One update at a time: a refresh still in flight from the previous batch
-  // must land before this batch's pre-state is captured.
-  join_refresh();
 
   for (const auto& [l, d] : update.entries) index_.put(l, d);
   entries_applied.add(update.entries.size());
@@ -97,13 +71,13 @@ void CloudServer::apply(const UpdateOutput& update) {
   std::vector<BigUint> legacy_values;
   std::span<const BigUint> values_after = update.shard_values;
   if (values_after.empty()) {
-    if (sharded_->shard_count() != 1)
+    if (sharded_.shard_count() != 1)
       throw ProtocolError("update lacks per-shard values for sharded cloud");
     legacy_values.push_back(update.accumulator_value);
     values_after = legacy_values;
   }
   adscrypto::ShardedAccumulator::Batch batch =
-      sharded_->insert_with_values(update.new_primes, values_after);
+      sharded_.insert_with_values(update.new_primes, values_after);
   ac_ = update.accumulator_value;
 
   // Shards that gained primes invalidate their cached proof-cache
@@ -116,40 +90,23 @@ void CloudServer::apply(const UpdateOutput& update) {
       if (!batch.routed[s].empty()) ++pcache_->shard_epochs[s];
   }
 
-  if (!witness_autorefresh_) {
-    std::unique_lock lock(wit_->mu);
-    wit_->cache.clear();
-    return;
-  }
-
-  // Steal the cache: until the refreshed one commits, prove() sees a cold
-  // cache and falls back to exact on-demand witnesses — correctness never
-  // depends on the refresh having finished. The task captures stable heap
-  // pointers (not `this`), so a moved CloudServer stays safe.
+  // Take the cache out while it refreshes: a refresh that throws leaves
+  // the cache cold, and prove() falls back to exact on-demand witnesses.
   std::vector<std::vector<BigUint>> caches;
   {
     std::unique_lock lock(wit_->mu);
     caches = std::exchange(wit_->cache, {});
   }
-  auto work = [acc = sharded_.get(), st = wit_.get(),
-               caches = std::move(caches),
-               batch = std::move(batch)]() mutable {
-    if (caches.size() == acc->shard_count()) {
-      acc->refresh_witnesses(caches, batch);
-    } else {
-      // Cache was cold (precompute never ran against this layout): build
-      // from scratch once; subsequent batches refresh incrementally.
-      caches = acc->all_witnesses();
-    }
-    std::unique_lock lock(st->mu);
-    st->cache = std::move(caches);
-  };
-  if (async_refresh_) {
-    const std::lock_guard lk(wit_->task_mu);
-    wit_->task = std::async(std::launch::async, std::move(work));
+  if (!witness_autorefresh_) return;
+  if (caches.size() == sharded_.shard_count()) {
+    sharded_.refresh_witnesses(caches, batch);
   } else {
-    work();
+    // Cache was cold (precompute never ran against this layout): build
+    // from scratch once; subsequent batches refresh incrementally.
+    caches = sharded_.all_witnesses();
   }
+  std::unique_lock lock(wit_->mu);
+  wit_->cache = std::move(caches);
 }
 
 std::vector<std::vector<Bytes>> CloudServer::plan_walks(
@@ -265,13 +222,13 @@ CloudServer::ProvenToken CloudServer::prove_parts(
   if (have_witness) return out;
 
   if (!have_prime) out.prime = token_prime(token, h, prime_bits_);
-  const auto pos = sharded_->find(out.prime);
+  const auto pos = sharded_.find(out.prime);
   if (!pos.has_value())
     throw ProtocolError("derived prime not in X: index out of sync");
   out.pos = *pos;
 
-  // The cache may lag the prime list (a background refresh in flight steals
-  // it); any prime it does not cover gets an exact on-demand witness.
+  // A cold full cache (the default) covers nothing: the witness comes from
+  // the accumulator's frontier.
   bool from_wit_cache = false;
   {
     const std::shared_lock lock(wit_->mu);
@@ -285,7 +242,7 @@ CloudServer::ProvenToken CloudServer::prove_parts(
     cache_hits.add();
   } else {
     cache_misses.add();
-    out.witness = sharded_->witness(out.pos);
+    out.witness = sharded_.witness(out.pos);
   }
 
   if (cache_on) {
@@ -407,8 +364,8 @@ QueryReply CloudServer::search_aggregated(
       elements.push_back(prime);
       witnesses.push_back(witness);
     }
-    out.witnesses.push_back(
-        AggregateWitness{shard, sharded_->aggregate_witnesses(elements, witnesses)});
+    out.witnesses.push_back(AggregateWitness{
+        shard, sharded_.aggregate_witnesses(elements, witnesses)});
     witnesses_shipped.add();
   }
   return out;
@@ -444,8 +401,7 @@ void CloudServer::precompute_witnesses() {
   static metrics::Histogram& precompute_ns =
       metrics::histogram("core.cloud.precompute_witnesses_ns");
   const metrics::ScopedTimer timer(precompute_ns);
-  join_refresh();
-  auto caches = sharded_->all_witnesses();
+  auto caches = sharded_.all_witnesses();
   {
     std::unique_lock lock(wit_->mu);
     wit_->cache = std::move(caches);

@@ -9,7 +9,6 @@
 // checked against the prime's shard.
 #pragma once
 
-#include <future>
 #include <list>
 #include <map>
 #include <memory>
@@ -36,12 +35,9 @@ class CloudServer {
   CloudServer(adscrypto::TrapdoorPublicKey trapdoor_pk,
               adscrypto::AccumulatorParams accumulator_params,
               std::size_t prime_bits = 64, std::size_t shard_count = 0);
-  ~CloudServer();
 
-  /// Move-constructible (the accumulator and witness state live behind
-  /// stable heap pointers, so an in-flight background refresh never
-  /// dangles); assignment would drop a possibly-live witness state, so it
-  /// stays deleted along with copying.
+  /// Move-constructible (the mutex-guarded cache state lives behind heap
+  /// pointers); assignment and copying stay deleted.
   CloudServer(CloudServer&&) noexcept = default;
   CloudServer& operator=(CloudServer&&) = delete;
 
@@ -97,43 +93,32 @@ class CloudServer {
   /// Precomputes all membership witnesses with the product-tree algorithm;
   /// afterwards prove() is an O(1) lookup, and every subsequent apply()
   /// refreshes the cache incrementally against the batch automatically.
-  /// (Ablation C: amortized vs per-query VO generation.)
+  /// (Ablation C: amortized vs per-query VO generation.) Without it, a
+  /// proof-cache miss takes its witness from the accumulator's witness
+  /// frontier (ShardedAccumulator::witness).
   void precompute_witnesses();
   bool witnesses_precomputed() const;
 
-  /// Opts the incremental refresh into a background pool task. apply()
-  /// returns as soon as the index and accumulator are updated; prove()
-  /// serves on-demand witnesses until the refreshed cache lands. Defaults
-  /// to synchronous (or the SLICER_WITNESS_ASYNC=1 environment knob).
-  void set_async_witness_refresh(bool async);
-
-  /// Blocks until any in-flight background witness refresh has committed.
-  void wait_for_witness_refresh() const;
-
   const EncryptedIndex& index() const { return index_; }
   const adscrypto::AccumulatorParams& accumulator_params() const {
-    return sharded_->params();
+    return sharded_.params();
   }
   /// The published chain digest (the raw shard value at K = 1).
   const bigint::BigUint& accumulator_value() const { return ac_; }
   /// Per-shard accumulation values behind accumulator_value().
   const std::vector<bigint::BigUint>& shard_values() const {
-    return sharded_->shard_values();
+    return sharded_.shard_values();
   }
-  std::size_t shard_count() const { return sharded_->shard_count(); }
+  std::size_t shard_count() const { return sharded_.shard_count(); }
   std::size_t prime_count() const { return primes_.size(); }
 
  private:
-  /// Witness cache (per shard, parallel to each shard's prime list) plus
-  /// the synchronization for the optional background refresh. Boxed so
-  /// CloudServer stays movable.
+  /// Full witness cache (per shard, parallel to each shard's prime list).
+  /// Boxed so CloudServer stays movable.
   struct WitnessState {
     mutable std::shared_mutex mu;
     /// Empty outer vector = cold cache; size-K outer vector = warm.
     std::vector<std::vector<bigint::BigUint>> cache;
-    /// Serializes join_refresh() racers (future::get is single-shot).
-    std::mutex task_mu;
-    std::future<void> task;
   };
 
   /// Hot-token proof cache: (serialized token) → everything prove derives
@@ -197,13 +182,8 @@ class CloudServer {
   /// replaces the accumulator state wholesale).
   void reset_proof_cache();
 
-  /// Joins wit_->task if one is in flight (non-locking helper).
-  void join_refresh() const;
-
   adscrypto::TrapdoorPermutation perm_;
-  /// Boxed: the background refresh task holds a pointer to the accumulator,
-  /// so its address must survive a CloudServer move.
-  std::unique_ptr<adscrypto::ShardedAccumulator> sharded_;
+  adscrypto::ShardedAccumulator sharded_;
   std::size_t prime_bits_;
 
   EncryptedIndex index_;
@@ -211,7 +191,6 @@ class CloudServer {
   std::unique_ptr<WitnessState> wit_;
   std::unique_ptr<ProofCache> pcache_;
   bool witness_autorefresh_ = false;  // refresh cache on apply()
-  bool async_refresh_ = false;
   bigint::BigUint ac_;
 };
 

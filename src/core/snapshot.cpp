@@ -260,15 +260,15 @@ void CloudServer::restore_state(BytesView snapshot) {
     primes_.push_back(read_biguint(r));
   ac_ = read_biguint(r);
   r.expect_end();
-  if (sharded_->shard_count() == 1) {
+  if (sharded_.shard_count() == 1) {
     // Legacy layout: the digest IS the single shard value — adopt it
     // verbatim, exactly as the unsharded cloud did (no recomputation).
     const std::vector<bigint::BigUint> values{ac_};
-    sharded_->insert_with_values(primes_, values);
+    sharded_.insert_with_values(primes_, values);
   } else {
     // The snapshot format is shard-agnostic (flat prime list + folded
     // digest); a sharded cloud recomputes its per-shard values publicly.
-    sharded_->rebuild(primes_, nullptr);
+    sharded_.rebuild(primes_, nullptr);
   }
   // The accumulator state was replaced wholesale: no cached proof (prime,
   // position or witness) from before the restore may survive it.

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "adscrypto/hash_to_prime.hpp"
 #include "common/errors.hpp"
+#include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
 
 namespace slicer::adscrypto {
@@ -353,6 +357,185 @@ TEST_F(ShardedAccumulatorTest, RefreshBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(acc.shard_values(), serial_values) << "k=" << k;
     EXPECT_EQ(caches, serial_caches) << "k=" << k;
   }
+}
+
+// --- witness frontier -----------------------------------------------------
+//
+// ShardedAccumulator::witness serves misses from a per-shard frontier of
+// run complements (one cached value per run of kFrontierRun primes). Every
+// witness it returns must be byte-equal to the from-scratch witness over
+// the shard's current prime list, whatever the insert history, whichever
+// branch (fill, fold, recompute) brought the run up to date, and however
+// many threads miss at once.
+
+class ShardedWitnessFrontier : public ShardedAccumulatorTest {
+ protected:
+  /// Asserts acc.witness at (shard, index) equals the from-scratch witness
+  /// and proves the element against its shard value.
+  void expect_exact(const ShardedAccumulator& acc, std::size_t shard,
+                    std::size_t index, const std::string& where) {
+    const auto primes = acc.shard_primes(shard);
+    const BigUint w = acc.witness({static_cast<std::uint32_t>(shard),
+                                   static_cast<std::uint32_t>(index)});
+    EXPECT_EQ(w, scratch_.witness(primes, index))
+        << where << " shard=" << shard << " index=" << index;
+    EXPECT_TRUE(RsaAccumulator::verify(params_, acc.shard_value(shard),
+                                       primes[index], w))
+        << where << " shard=" << shard << " index=" << index;
+  }
+
+  static std::uint64_t frontier_count(const char* branch) {
+    return metrics::counter(std::string("adscrypto.sharded.frontier.") +
+                            branch)
+        .value();
+  }
+
+  RsaAccumulator scratch_{params_};
+};
+
+TEST_F(ShardedWitnessFrontier, MatchesFromScratchUnderRandomInterleavings) {
+  // Random schedules of the three insert paths (public, trapdoor, adopted
+  // owner values), re-inserted primes and bursts of misses, at every shard
+  // count and with a serial and a 4-lane pool.
+  const metrics::ScopedMetrics scoped;
+  const std::uint64_t folds = frontier_count("folds");
+  const std::uint64_t recomputes = frontier_count("recomputes");
+  for (const std::size_t threads : {1u, 4u}) {
+    std::optional<ThreadPool::ScopedSerial> serial;
+    std::optional<ThreadPool::ScopedPool> pool;
+    if (threads == 1)
+      serial.emplace();
+    else
+      pool.emplace(threads);
+    for (const std::size_t k : {1u, 2u, 4u, 8u}) {
+      crypto::Drbg rng(str_bytes("frontier-" + std::to_string(k) + "-" +
+                                 std::to_string(threads)));
+      const auto draw = [&](std::size_t bound) {
+        return static_cast<std::size_t>(read_be64(rng.generate(8)) % bound);
+      };
+      ShardedAccumulator acc(params_, k);
+      ShardedAccumulator owner(params_, k);  // publishes values_after
+      std::vector<BigUint> inserted;
+      std::uint64_t salt = 1000 * k + threads;
+      for (std::size_t step = 0; step < 24; ++step) {
+        const std::string where = "k=" + std::to_string(k) + " threads=" +
+                                  std::to_string(threads) +
+                                  " step=" + std::to_string(step);
+        // Mostly small batches (the fold branch), sometimes a burst large
+        // enough to force recomputes, sometimes a re-inserted prime.
+        std::vector<BigUint> batch =
+            sample_primes(draw(4) == 0 ? 40 + draw(40) : 1 + draw(8), ++salt);
+        if (!inserted.empty() && draw(3) == 0)
+          batch.push_back(inserted[draw(inserted.size())]);
+        inserted.insert(inserted.end(), batch.begin(), batch.end());
+        owner.insert(batch, trapdoor_);
+        switch (draw(3)) {
+          case 0: acc.insert(batch); break;
+          case 1: acc.insert(batch, trapdoor_); break;
+          default: acc.insert_with_values(batch, owner.shard_values());
+        }
+        ASSERT_EQ(acc.shard_values(), owner.shard_values()) << where;
+        for (std::size_t miss = draw(6); miss > 0; --miss) {
+          const std::size_t s = draw(k);
+          if (acc.shard_primes(s).empty()) continue;
+          expect_exact(acc, s, draw(acc.shard_primes(s).size()), where);
+        }
+        // The newest copy of a re-inserted prime proves too.
+        const auto pos = acc.find(batch.back());
+        ASSERT_TRUE(pos.has_value()) << where;
+        expect_exact(acc, pos->shard, pos->index, where);
+      }
+    }
+  }
+  // The schedules reached both ways of bringing a stale run up to date.
+  EXPECT_GT(frontier_count("folds"), folds);
+  EXPECT_GT(frontier_count("recomputes"), recomputes);
+}
+
+TEST_F(ShardedWitnessFrontier, PartialRunAndAppendsIntoTheServedRun) {
+  constexpr std::size_t C = ShardedAccumulator::kFrontierRun;
+  ShardedAccumulator acc(params_, 1);
+  // One full run plus a partly filled second run.
+  acc.insert(sample_primes(C + 3, 71));
+  for (std::size_t i : {C, C + 2, std::size_t{0}, C - 1})
+    expect_exact(acc, 0, i, "partial");
+  // Primes appended into the run being served change the in-run exponent,
+  // not the run's cached complement.
+  acc.insert(sample_primes(2, 72));
+  for (std::size_t i = C; i < C + 5; ++i) expect_exact(acc, 0, i, "appended");
+  // Filling the run and spilling into a third one makes the first run owe
+  // every newer prime.
+  acc.insert(sample_primes(C, 73));
+  for (std::size_t i : {std::size_t{3}, C + 1, 2 * C + 4, 2 * C - 1})
+    expect_exact(acc, 0, i, "spilled");
+}
+
+TEST_F(ShardedWitnessFrontier, FoldAndRecomputeBranchesAreExact) {
+  const metrics::ScopedMetrics scoped;
+  ShardedAccumulator acc(params_, 1);
+  acc.insert(sample_primes(200, 81));
+  const std::uint64_t fills = frontier_count("fills");
+  expect_exact(acc, 0, 5, "fill");
+  EXPECT_EQ(frontier_count("fills"), fills + 1);
+
+  // A backlog of 4 primes folds (5·4 ≤ 200); the run's cached value is then
+  // current, so a second miss on the same run costs no refresh at all.
+  const std::uint64_t folds = frontier_count("folds");
+  acc.insert(sample_primes(4, 82));
+  expect_exact(acc, 0, 7, "fold");
+  EXPECT_EQ(frontier_count("folds"), folds + 1);
+  expect_exact(acc, 0, 6, "current");
+  EXPECT_EQ(frontier_count("folds"), folds + 1);
+
+  // A backlog of 100 primes costs more to fold than to recompute from g.
+  const std::uint64_t recomputes = frontier_count("recomputes");
+  acc.insert(sample_primes(100, 83));
+  expect_exact(acc, 0, 2, "recompute");
+  EXPECT_EQ(frontier_count("recomputes"), recomputes + 1);
+  EXPECT_EQ(frontier_count("folds"), folds + 1);
+  EXPECT_EQ(frontier_count("fills"), fills + 1);
+}
+
+TEST_F(ShardedWitnessFrontier, OneWitnessSamplePerMiss) {
+  // perfbench counts witnesses from this histogram; the frontier's nested
+  // fold/recompute timers must not add samples to it.
+  const metrics::ScopedMetrics scoped;
+  const metrics::Histogram& witness_ns =
+      metrics::histogram("adscrypto.accumulator.witness_ns");
+  ShardedAccumulator acc(params_, 2);
+  acc.insert(sample_primes(60, 91));
+  const std::uint64_t before = witness_ns.count();
+  std::size_t misses = 0;
+  for (std::uint32_t s = 0; s < 2; ++s)
+    for (std::uint32_t i = 0; i < acc.shard_primes(s).size(); i += 7, ++misses)
+      acc.witness({s, i});
+  acc.insert(sample_primes(9, 92));
+  acc.witness({0, 0});
+  ++misses;
+  EXPECT_EQ(witness_ns.count(), before + misses);
+}
+
+TEST_F(ShardedWitnessFrontier, ConcurrentMissesOnOneRun) {
+  // Two threads race fill and then fold of the same run; both must return
+  // exact witnesses, and the frontier must stay exact afterwards.
+  constexpr std::size_t C = ShardedAccumulator::kFrontierRun;
+  ShardedAccumulator acc(params_, 1);
+  acc.insert(sample_primes(5 * C, 101));
+  for (std::size_t round = 0; round < 3; ++round) {
+    const auto primes = acc.shard_primes(0);
+    std::vector<BigUint> got(2);
+    std::vector<std::thread> racers;
+    for (std::size_t t = 0; t < 2; ++t)
+      racers.emplace_back([&, t] {
+        got[t] = acc.witness({0, static_cast<std::uint32_t>(C + 3 + t)});
+      });
+    for (std::thread& r : racers) r.join();
+    for (std::size_t t = 0; t < 2; ++t)
+      EXPECT_EQ(got[t], scratch_.witness(primes, C + 3 + t))
+          << "round=" << round << " t=" << t;
+    acc.insert(sample_primes(3, 102 + round));
+  }
+  expect_exact(acc, 0, C + 9, "after races");
 }
 
 TEST(ShardedAccumulatorEnv, DefaultShardCountClampsAndParses) {
