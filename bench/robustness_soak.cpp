@@ -73,7 +73,7 @@ bool soak_detection(BenchJson& json) {
       const auto t0 = std::chrono::steady_clock::now();
       const auto out = mal.search(tokens);
       const bool accepted = core::verify_query(
-          world.acc_params, world.cloud->accumulator_value(), tokens,
+          world.acc_params, world.cloud->shard_values(), tokens,
           out.replies, world.config.prime_bits);
       tamper_ms += ms_since(t0);
       if (!out.tampered) continue;

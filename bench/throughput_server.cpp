@@ -1,7 +1,7 @@
 // Wire-protocol throughput: N concurrent loopback clients driving one
 // SlicerServer, measuring end-to-end request latency (client send → reply
-// decoded) for the legacy per-token read path (SEARCH) and the aggregated
-// one (SEARCH_AGGREGATED) at K ∈ {1, 4, 8} tokens per request.
+// decoded) for single-clause QUERY_PLAN requests on the legacy per-token
+// read path and on the aggregated one, at K ∈ {1, 4, 8} tokens per request.
 //
 // Emits BENCH_throughput.json with one row per (mode, K): qps plus p50/p99
 // latency in milliseconds. Custom main (no google-benchmark): the unit of
@@ -66,10 +66,10 @@ struct RunResult {
 };
 
 /// Drives `clients` concurrent channels, each issuing `per_client` requests
-/// round-robin over its pre-generated token batches.
-RunResult run_fleet(std::uint16_t port, bool aggregated, std::size_t clients,
+/// round-robin over its pre-built requests.
+RunResult run_fleet(std::uint16_t port, std::size_t clients,
                     std::size_t per_client,
-                    const std::vector<std::vector<core::SearchToken>>& batches) {
+                    const std::vector<net::QueryPlanRequest>& requests) {
   std::vector<std::vector<double>> latencies(clients);
   std::vector<std::thread> fleet;
   fleet.reserve(clients);
@@ -80,13 +80,9 @@ RunResult run_fleet(std::uint16_t port, bool aggregated, std::size_t clients,
       auto& out = latencies[c];
       out.reserve(per_client);
       for (std::size_t i = 0; i < per_client; ++i) {
-        const auto& tokens = batches[(c * per_client + i) % batches.size()];
+        const auto& request = requests[(c * per_client + i) % requests.size()];
         const auto start = Clock::now();
-        if (aggregated) {
-          (void)channel.search_aggregated(tokens);
-        } else {
-          (void)channel.search(tokens);
-        }
+        (void)channel.query_plan(request);
         out.push_back(std::chrono::duration<double, std::milli>(Clock::now() -
                                                                 start)
                           .count());
@@ -131,29 +127,30 @@ int throughput_main() {
         make_request_batches(*world, k, std::max<std::size_t>(per_client, 16));
     if (batches.empty()) continue;
 
-    // Correctness gate before timing: one request per mode must verify
-    // against the owner's trusted digests.
-    {
-      net::SlicerClientChannel probe(port, "bench");
-      const auto replies = probe.search(batches.front());
-      if (!core::verify_query(world->acc_params, shard_values, batches.front(),
-                              replies, world->config.prime_bits)) {
-        std::fprintf(stderr, "throughput: legacy VO failed verification\n");
-        return 1;
-      }
-      const auto agg = probe.search_aggregated(batches.front());
-      if (!core::verify_query_aggregated(world->acc_params, shard_values,
-                                         batches.front(), agg,
-                                         world->config.prime_bits)) {
-        std::fprintf(stderr, "throughput: aggregated VO failed verification\n");
-        return 1;
-      }
-    }
-
     for (const bool aggregated : {false, true}) {
       const char* mode = aggregated ? "aggregated" : "legacy";
-      const RunResult r = run_fleet(port, aggregated, clients, per_client,
-                                    batches);
+      // One single-clause plan per batch, on this mode's read path.
+      std::vector<net::QueryPlanRequest> requests(batches.size());
+      for (std::size_t i = 0; i < batches.size(); ++i)
+        requests[i].clauses.push_back(
+            {.aggregated = aggregated, .tokens = batches[i]});
+
+      // Correctness gate before timing: one request per mode must verify
+      // against the owner's trusted digests.
+      {
+        net::SlicerClientChannel probe(port, "bench");
+        const net::QueryPlanReply reply = probe.query_plan(requests.front());
+        if (!core::verify_plan(world->acc_params, shard_values,
+                               requests.front().clauses, reply.clauses,
+                               world->config.prime_bits)
+                 .verified) {
+          std::fprintf(stderr, "throughput: %s VO failed verification\n",
+                       mode);
+          return 1;
+        }
+      }
+
+      const RunResult r = run_fleet(port, clients, per_client, requests);
       std::printf("%-28s K=%zu  %8.1f qps  p50 %7.3f ms  p99 %7.3f ms\n",
                   mode, k, r.qps, r.p50_ms, r.p99_ms);
       BenchRow row;

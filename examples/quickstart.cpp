@@ -43,7 +43,7 @@ int main() {
   auto run = [&](std::uint64_t v, core::MatchCondition mc, const char* desc) {
     const auto tokens = user.make_tokens(v, mc);
     const auto replies = cloud.search(tokens);
-    const bool ok = core::verify_query(acc_params, cloud.accumulator_value(),
+    const bool ok = core::verify_query(acc_params, cloud.shard_values(),
                                        tokens, replies, config.prime_bits);
     auto ids = user.decrypt(replies);
     std::sort(ids.begin(), ids.end());

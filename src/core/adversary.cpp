@@ -15,16 +15,207 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Indices of replies that have at least `min_results` encrypted results.
-std::vector<std::size_t> candidates(const std::vector<TokenReply>& replies,
-                                    std::size_t min_results) {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < replies.size(); ++i)
-    if (replies[i].encrypted_results.size() >= min_results) out.push_back(i);
+bool aggregate_only(Tamper t) {
+  return t == Tamper::kForgeAggregateWitness ||
+         t == Tamper::kSwapAggregateWitnesses ||
+         t == Tamper::kDropAggregateShard ||
+         t == Tamper::kStaleAggregateReplay;
+}
+
+bool token_only(Tamper t) {
+  return t == Tamper::kSwapWitnesses || t == Tamper::kForgeWitness ||
+         t == Tamper::kStaleReplay || t == Tamper::kWrongAccumulator;
+}
+
+/// Every token's result list in one clause reply, on either read path.
+std::vector<std::vector<Bytes>*> result_lists(ClauseReply& reply) {
+  std::vector<std::vector<Bytes>*> out;
+  if (reply.aggregated) {
+    for (std::vector<Bytes>& er : reply.query_reply.token_results)
+      out.push_back(&er);
+  } else {
+    for (TokenReply& tr : reply.replies) out.push_back(&tr.encrypted_results);
+  }
   return out;
 }
 
+/// The witnesses of one clause reply: one per token on the legacy path,
+/// one per touched shard on the aggregated path.
+std::vector<bigint::BigUint*> witnesses(ClauseReply& reply) {
+  std::vector<bigint::BigUint*> out;
+  if (reply.aggregated) {
+    for (AggregateWitness& aw : reply.query_reply.witnesses)
+      out.push_back(&aw.witness);
+  } else {
+    for (TokenReply& tr : reply.replies) out.push_back(&tr.witness);
+  }
+  return out;
+}
+
+/// One single-reply operation on one clause reply; true iff it bit. The
+/// result operations act on either read path — the digest fold is shared —
+/// and the witness operations on that path's witness list.
+bool tamper_clause(Tamper tamper, ClauseReply& reply,
+                   const bigint::BigUint& modulus, const bigint::BigUint& ac,
+                   TamperRng& rng) {
+  const std::vector<std::vector<Bytes>*> lists = result_lists(reply);
+  if (lists.empty()) return false;  // no tokens: nothing to act on
+  // A seeded pick among the result lists holding at least `min` results.
+  const auto pick = [&](std::size_t min) -> std::vector<Bytes>* {
+    std::vector<std::vector<Bytes>*> c;
+    for (std::vector<Bytes>* er : lists)
+      if (er->size() >= min) c.push_back(er);
+    return c.empty() ? nullptr : c[rng(c.size())];
+  };
+  const std::vector<bigint::BigUint*> ws = witnesses(reply);
+
+  switch (tamper) {
+    case Tamper::kDropResult: {
+      std::vector<Bytes>* er = pick(1);
+      if (er == nullptr) return false;
+      er->erase(er->begin() + static_cast<std::ptrdiff_t>(rng(er->size())));
+      return true;
+    }
+
+    case Tamper::kDuplicateResult: {
+      std::vector<Bytes>* er = pick(1);
+      if (er == nullptr) return false;
+      er->push_back((*er)[rng(er->size())]);
+      return true;
+    }
+
+    case Tamper::kReorderResults: {
+      std::vector<Bytes>* er = pick(2);
+      if (er == nullptr) return false;
+      std::rotate(er->begin(),
+                  er->begin() + 1 +
+                      static_cast<std::ptrdiff_t>(rng(er->size() - 1)),
+                  er->end());
+      return true;  // tampered, but benign: must still verify
+    }
+
+    case Tamper::kForgeCiphertext: {
+      std::vector<Bytes>* er = pick(1);
+      if (er == nullptr) return false;
+      Bytes& victim = (*er)[rng(er->size())];
+      if (victim.empty()) return false;
+      victim[rng(victim.size())] ^= static_cast<std::uint8_t>(
+          1 + rng(255));  // non-zero mask: guaranteed to change the byte
+      return true;
+    }
+
+    case Tamper::kTruncateCiphertext: {
+      std::vector<Bytes>* er = pick(1);
+      if (er == nullptr) return false;
+      Bytes& victim = (*er)[rng(er->size())];
+      if (victim.empty()) return false;
+      victim.pop_back();
+      return true;
+    }
+
+    case Tamper::kInjectResult: {
+      // Bites even on empty result lists — a fabricated 16-byte record.
+      Bytes fake(16);
+      for (auto& b : fake) b = static_cast<std::uint8_t>(rng(256));
+      lists[rng(lists.size())]->push_back(std::move(fake));
+      return true;
+    }
+
+    case Tamper::kEmptyClaim: {
+      std::vector<Bytes>* er = pick(1);
+      if (er == nullptr) return false;
+      er->clear();
+      return true;
+    }
+
+    case Tamper::kSwapWitnesses:
+    case Tamper::kSwapAggregateWitnesses: {
+      if (ws.size() < 2) return false;
+      const std::size_t i = rng(ws.size());
+      std::size_t k = rng(ws.size() - 1);
+      if (k >= i) ++k;
+      if (*ws[i] == *ws[k]) return false;  // no-op swap
+      // Only the values move: an aggregate shard list stays canonical, so
+      // the forgery must be caught by the modexp, not the shape check.
+      std::swap(*ws[i], *ws[k]);
+      return true;
+    }
+
+    case Tamper::kForgeWitness:
+    case Tamper::kForgeAggregateWitness: {
+      if (ws.empty()) return false;
+      bigint::BigUint& w = *ws[rng(ws.size())];
+      w = bigint::BigUint::add_mod(w, bigint::BigUint(1), modulus);
+      return true;
+    }
+
+    case Tamper::kWrongAccumulator: {
+      // The "lazy cloud": presents the accumulator value itself as the
+      // witness — i.e. a witness computed against the wrong (trivial)
+      // accumulator. Verification needs witness^p == value, so this never
+      // passes for a non-degenerate modulus.
+      if (ws.empty()) return false;
+      bigint::BigUint& w = *ws[rng(ws.size())];
+      w = w == ac ? bigint::BigUint::add_mod(ac, bigint::BigUint(1), modulus)
+                  : ac;
+      return true;
+    }
+
+    case Tamper::kDropAggregateShard: {
+      std::vector<AggregateWitness>& aws = reply.query_reply.witnesses;
+      if (aws.empty()) return false;
+      aws.erase(aws.begin() + static_cast<std::ptrdiff_t>(rng(aws.size())));
+      return true;
+    }
+
+    default:
+      // kNone, the clause-batch operations and the stale replays.
+      return false;
+  }
+}
+
 }  // namespace
+
+std::uint64_t TamperRng::operator()(std::uint64_t bound) {
+  const std::uint64_t v = splitmix64(seed_ ^ splitmix64(++draws_));
+  return bound == 0 ? v : v % bound;
+}
+
+bool tamper_replies(Tamper tamper, std::vector<ClauseReply>& replies,
+                    const bigint::BigUint& modulus, const bigint::BigUint& ac,
+                    TamperRng& rng) {
+  switch (tamper) {
+    case Tamper::kDropClause:
+      if (replies.empty()) return false;
+      replies.erase(replies.begin() +
+                    static_cast<std::ptrdiff_t>(rng(replies.size())));
+      return true;
+
+    case Tamper::kSwapClauseReplies: {
+      if (replies.size() < 2) return false;
+      const std::size_t i = rng(replies.size());
+      std::size_t k = rng(replies.size() - 1);
+      if (k >= i) ++k;
+      if (replies[i] == replies[k]) return false;  // no-op swap
+      std::swap(replies[i], replies[k]);
+      return true;
+    }
+
+    default: {
+      // One victim clause of a read path the operation can act on; every
+      // other clause stays honest.
+      std::vector<std::size_t> victims;
+      for (std::size_t i = 0; i < replies.size(); ++i) {
+        if (aggregate_only(tamper) && !replies[i].aggregated) continue;
+        if (token_only(tamper) && replies[i].aggregated) continue;
+        victims.push_back(i);
+      }
+      if (victims.empty()) return false;
+      return tamper_clause(tamper, replies[victims[rng(victims.size())]],
+                           modulus, ac, rng);
+    }
+  }
+}
 
 std::string_view tamper_name(Tamper t) {
   switch (t) {
@@ -51,11 +242,9 @@ std::string_view tamper_name(Tamper t) {
   return "unknown";
 }
 
-std::uint64_t MaliciousCloud::rand(std::uint64_t bound) const {
-  // Deterministic stream keyed by (seed, draw#); bound is small (indices,
-  // byte offsets), so the modulo bias is irrelevant here.
-  const std::uint64_t v = splitmix64(seed_ ^ splitmix64(++draws_));
-  return bound == 0 ? v : v % bound;
+bool MaliciousCloud::apply_tamper(std::vector<ClauseReply>& replies) const {
+  return tamper_replies(tamper_, replies, honest_.accumulator_params().modulus,
+                        honest_.accumulator_value(), rng_);
 }
 
 void MaliciousCloud::record_stale(std::span<const SearchToken> tokens) {
@@ -67,372 +256,76 @@ void MaliciousCloud::record_stale_aggregated(
   stale_agg_ = honest_.search_aggregated(tokens);
 }
 
-MaliciousCloud::AggregateOutput MaliciousCloud::search_aggregated(
-    std::span<const SearchToken> tokens) const {
-  AggregateOutput out;
-  out.reply = honest_.search_aggregated(tokens);
-  std::vector<std::vector<Bytes>>& results = out.reply.token_results;
-  std::vector<AggregateWitness>& witnesses = out.reply.witnesses;
-  if (results.empty()) return out;
-
-  // Indices of token result lists with at least `min` ciphertexts.
-  const auto result_candidates = [&](std::size_t min) {
-    std::vector<std::size_t> c;
-    for (std::size_t i = 0; i < results.size(); ++i)
-      if (results[i].size() >= min) c.push_back(i);
-    return c;
-  };
-
-  switch (tamper_) {
-    case Tamper::kNone:
-      break;
-
-    case Tamper::kDropResult: {
-      const auto c = result_candidates(1);
-      if (c.empty()) break;
-      auto& er = results[c[rand(c.size())]];
-      er.erase(er.begin() + static_cast<std::ptrdiff_t>(rand(er.size())));
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kDuplicateResult: {
-      const auto c = result_candidates(1);
-      if (c.empty()) break;
-      auto& er = results[c[rand(c.size())]];
-      er.push_back(er[rand(er.size())]);
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kReorderResults: {
-      const auto c = result_candidates(2);
-      if (c.empty()) break;
-      auto& er = results[c[rand(c.size())]];
-      std::rotate(er.begin(), er.begin() + 1 + static_cast<std::ptrdiff_t>(
-                                                  rand(er.size() - 1)),
-                  er.end());
-      out.tampered = true;  // tampered, but benign: must still verify
-      break;
-    }
-
-    case Tamper::kForgeCiphertext: {
-      const auto c = result_candidates(1);
-      if (c.empty()) break;
-      auto& er = results[c[rand(c.size())]];
-      Bytes& victim = er[rand(er.size())];
-      if (victim.empty()) break;
-      victim[rand(victim.size())] ^= static_cast<std::uint8_t>(1 + rand(255));
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kTruncateCiphertext: {
-      const auto c = result_candidates(1);
-      if (c.empty()) break;
-      auto& er = results[c[rand(c.size())]];
-      Bytes& victim = er[rand(er.size())];
-      if (victim.empty()) break;
-      victim.pop_back();
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kInjectResult: {
-      Bytes fake(16);
-      for (auto& b : fake) b = static_cast<std::uint8_t>(rand(256));
-      results[rand(results.size())].push_back(std::move(fake));
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kEmptyClaim: {
-      const auto c = result_candidates(1);
-      if (c.empty()) break;
-      results[c[rand(c.size())]].clear();
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kForgeAggregateWitness: {
-      if (witnesses.empty()) break;
-      bigint::BigUint& w = witnesses[rand(witnesses.size())].witness;
-      w = bigint::BigUint::add_mod(w, bigint::BigUint(1),
-                                   honest_.accumulator_params().modulus);
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kSwapAggregateWitnesses: {
-      if (witnesses.size() < 2) break;
-      const std::size_t i = rand(witnesses.size());
-      std::size_t k = rand(witnesses.size() - 1);
-      if (k >= i) ++k;
-      if (witnesses[i].witness == witnesses[k].witness) break;  // no-op swap
-      // Swap only the witness values: the shard list stays canonical, so
-      // the forgery must be caught by the modexp, not the shape check.
-      std::swap(witnesses[i].witness, witnesses[k].witness);
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kDropAggregateShard: {
-      if (witnesses.empty()) break;
-      witnesses.erase(witnesses.begin() +
-                      static_cast<std::ptrdiff_t>(rand(witnesses.size())));
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kStaleAggregateReplay: {
-      if (stale_agg_.token_results.size() != results.size())
-        break;  // record_stale_aggregated not run for this query shape
-      if (stale_agg_ == out.reply) break;  // nothing changed: not stale
-      out.reply = stale_agg_;
-      out.tampered = true;
-      break;
-    }
-
-    default:
-      // Per-token-only operations (kSwapWitnesses, kForgeWitness,
-      // kWrongAccumulator, kStaleReplay) have no aggregate analogue to act
-      // on: honest passthrough, tampered stays false so soaks skip them.
-      break;
-  }
-  return out;
-}
-
-MaliciousCloud::Output MaliciousCloud::search(
-    std::span<const SearchToken> tokens) const {
-  Output out;
-  out.replies = honest_.search(tokens);
-  std::vector<TokenReply>& replies = out.replies;
-  if (replies.empty()) return out;
-
-  switch (tamper_) {
-    case Tamper::kNone:
-      break;
-
-    case Tamper::kDropResult: {
-      const auto c = candidates(replies, 1);
-      if (c.empty()) break;
-      auto& er = replies[c[rand(c.size())]].encrypted_results;
-      er.erase(er.begin() + static_cast<std::ptrdiff_t>(rand(er.size())));
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kDuplicateResult: {
-      const auto c = candidates(replies, 1);
-      if (c.empty()) break;
-      auto& er = replies[c[rand(c.size())]].encrypted_results;
-      er.push_back(er[rand(er.size())]);
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kReorderResults: {
-      const auto c = candidates(replies, 2);
-      if (c.empty()) break;
-      auto& er = replies[c[rand(c.size())]].encrypted_results;
-      std::rotate(er.begin(), er.begin() + 1 + static_cast<std::ptrdiff_t>(
-                                                  rand(er.size() - 1)),
-                  er.end());
-      out.tampered = true;  // tampered, but benign: must still verify
-      break;
-    }
-
-    case Tamper::kForgeCiphertext: {
-      const auto c = candidates(replies, 1);
-      if (c.empty()) break;
-      auto& er = replies[c[rand(c.size())]].encrypted_results;
-      Bytes& victim = er[rand(er.size())];
-      if (victim.empty()) break;
-      victim[rand(victim.size())] ^= static_cast<std::uint8_t>(
-          1 + rand(255));  // non-zero mask: guaranteed to change the byte
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kTruncateCiphertext: {
-      const auto c = candidates(replies, 1);
-      if (c.empty()) break;
-      auto& er = replies[c[rand(c.size())]].encrypted_results;
-      Bytes& victim = er[rand(er.size())];
-      if (victim.empty()) break;
-      victim.pop_back();
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kInjectResult: {
-      // Bites even on empty result lists — a fabricated 16-byte record.
-      Bytes fake(16);
-      for (auto& b : fake) b = static_cast<std::uint8_t>(rand(256));
-      replies[rand(replies.size())].encrypted_results.push_back(
-          std::move(fake));
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kEmptyClaim: {
-      const auto c = candidates(replies, 1);
-      if (c.empty()) break;
-      replies[c[rand(c.size())]].encrypted_results.clear();
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kSwapWitnesses: {
-      if (replies.size() < 2) break;
-      const std::size_t i = rand(replies.size());
-      std::size_t k = rand(replies.size() - 1);
-      if (k >= i) ++k;
-      if (replies[i].witness == replies[k].witness) break;  // no-op swap
-      std::swap(replies[i].witness, replies[k].witness);
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kForgeWitness: {
-      bigint::BigUint& w = replies[rand(replies.size())].witness;
-      w = bigint::BigUint::add_mod(w, bigint::BigUint(1),
-                                   honest_.accumulator_params().modulus);
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kStaleReplay: {
-      if (stale_.size() != replies.size()) break;  // record_stale not run
-      bool differs = false;
-      for (std::size_t i = 0; i < replies.size(); ++i)
-        if (!(stale_[i].witness == replies[i].witness) ||
-            stale_[i].encrypted_results != replies[i].encrypted_results)
-          differs = true;
-      if (!differs) break;  // nothing changed since the recording: not stale
-      replies = stale_;
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kWrongAccumulator: {
-      // The "lazy cloud": presents the accumulator value itself as the
-      // witness — i.e. a witness computed against the wrong (trivial)
-      // accumulator. Verification needs witness^p == ac, so this only
-      // passes if ac^p == ac (never, for a non-degenerate modulus).
-      bigint::BigUint& w = replies[rand(replies.size())].witness;
-      const bigint::BigUint& ac = honest_.accumulator_value();
-      w = (w == ac) ? bigint::BigUint::add_mod(
-                          ac, bigint::BigUint(1),
-                          honest_.accumulator_params().modulus)
-                    : ac;
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kForgeAggregateWitness:
-    case Tamper::kSwapAggregateWitnesses:
-    case Tamper::kDropAggregateShard:
-    case Tamper::kStaleAggregateReplay:
-    case Tamper::kDropClause:
-    case Tamper::kSwapClauseReplies:
-    case Tamper::kStaleClauseVO:
-      // Aggregate-only and plan-only operations have no per-token reply to
-      // act on: honest passthrough, tampered stays false so soaks skip them.
-      break;
-  }
-  return out;
-}
-
 void MaliciousCloud::record_stale_plan(
     std::span<const ClauseRequest> requests) {
   stale_plan_ = honest_.search_plan(requests);
 }
 
+MaliciousCloud::Output MaliciousCloud::search(
+    std::span<const SearchToken> tokens) const {
+  Output out;
+  if (tamper_ == Tamper::kStaleReplay) {
+    out.replies = honest_.search(tokens);
+    // Replay only a genuinely stale recording of this query's shape.
+    if (stale_.size() != out.replies.size()) return out;
+    bool differs = false;
+    for (std::size_t i = 0; i < stale_.size(); ++i)
+      if (!(stale_[i].witness == out.replies[i].witness) ||
+          stale_[i].encrypted_results != out.replies[i].encrypted_results)
+        differs = true;
+    if (!differs) return out;
+    out.replies = stale_;
+    out.tampered = true;
+    return out;
+  }
+  std::vector<ClauseReply> batch(1);
+  batch[0].replies = honest_.search(tokens);
+  out.tampered = apply_tamper(batch);
+  out.replies = std::move(batch[0].replies);
+  return out;
+}
+
+MaliciousCloud::AggregateOutput MaliciousCloud::search_aggregated(
+    std::span<const SearchToken> tokens) const {
+  AggregateOutput out;
+  if (tamper_ == Tamper::kStaleAggregateReplay) {
+    out.reply = honest_.search_aggregated(tokens);
+    // Replay only a genuinely stale recording of this query's shape.
+    if (out.reply.token_results.empty() ||
+        stale_agg_.token_results.size() != out.reply.token_results.size() ||
+        stale_agg_ == out.reply)
+      return out;
+    out.reply = stale_agg_;
+    out.tampered = true;
+    return out;
+  }
+  std::vector<ClauseReply> batch(1);
+  batch[0].aggregated = true;
+  batch[0].query_reply = honest_.search_aggregated(tokens);
+  out.tampered = apply_tamper(batch);
+  out.reply = std::move(batch[0].query_reply);
+  return out;
+}
+
 MaliciousCloud::PlanOutput MaliciousCloud::search_plan(
     std::span<const ClauseRequest> requests) const {
   PlanOutput out;
-  switch (tamper_) {
-    case Tamper::kDropClause: {
-      out.replies = honest_.search_plan(requests);
-      if (out.replies.empty()) break;
-      out.replies.erase(out.replies.begin() + static_cast<std::ptrdiff_t>(
-                                                  rand(out.replies.size())));
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kSwapClauseReplies: {
-      out.replies = honest_.search_plan(requests);
-      if (out.replies.size() < 2) break;
-      const std::size_t i = rand(out.replies.size());
-      std::size_t k = rand(out.replies.size() - 1);
-      if (k >= i) ++k;
-      if (out.replies[i] == out.replies[k]) break;  // no-op swap
-      std::swap(out.replies[i], out.replies[k]);
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kStaleClauseVO: {
-      out.replies = honest_.search_plan(requests);
-      if (stale_plan_.size() != out.replies.size())
-        break;  // record_stale_plan not run for this plan shape
-      // Serve ONE clause from the pre-update recording — the other clauses
-      // stay fresh, so only per-clause verification can catch it.
-      std::vector<std::size_t> changed;
-      for (std::size_t i = 0; i < out.replies.size(); ++i)
-        if (!(stale_plan_[i] == out.replies[i])) changed.push_back(i);
-      if (changed.empty()) break;  // nothing changed since recording
-      const std::size_t victim = changed[rand(changed.size())];
-      out.replies[victim] = stale_plan_[victim];
-      out.tampered = true;
-      break;
-    }
-
-    default: {
-      // Route a single-reply taxonomy member into one victim clause of a
-      // read path it can act on; every other clause answers honestly.
-      const bool aggregate_only = tamper_ == Tamper::kForgeAggregateWitness ||
-                                  tamper_ == Tamper::kSwapAggregateWitnesses ||
-                                  tamper_ == Tamper::kDropAggregateShard ||
-                                  tamper_ == Tamper::kStaleAggregateReplay;
-      const bool token_only = tamper_ == Tamper::kSwapWitnesses ||
-                              tamper_ == Tamper::kForgeWitness ||
-                              tamper_ == Tamper::kStaleReplay ||
-                              tamper_ == Tamper::kWrongAccumulator;
-      std::vector<std::size_t> victims;
-      for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (aggregate_only && !requests[i].aggregated) continue;
-        if (token_only && requests[i].aggregated) continue;
-        victims.push_back(i);
-      }
-      const std::size_t victim =
-          victims.empty() ? requests.size() : victims[rand(victims.size())];
-      out.replies.reserve(requests.size());
-      for (std::size_t i = 0; i < requests.size(); ++i) {
-        ClauseReply reply;
-        reply.aggregated = requests[i].aggregated;
-        if (i == victim) {
-          if (requests[i].aggregated) {
-            AggregateOutput agg = search_aggregated(requests[i].tokens);
-            reply.query_reply = std::move(agg.reply);
-            out.tampered = agg.tampered;
-          } else {
-            Output tok = search(requests[i].tokens);
-            reply.replies = std::move(tok.replies);
-            out.tampered = tok.tampered;
-          }
-        } else if (requests[i].aggregated) {
-          reply.query_reply = honest_.search_aggregated(requests[i].tokens);
-        } else {
-          reply.replies = honest_.search(requests[i].tokens);
-        }
-        out.replies.push_back(std::move(reply));
-      }
-      break;
-    }
+  out.replies = honest_.search_plan(requests);
+  if (tamper_ != Tamper::kStaleClauseVO) {
+    out.tampered = apply_tamper(out.replies);
+    return out;
   }
+  if (stale_plan_.size() != out.replies.size())
+    return out;  // record_stale_plan not run for this plan shape
+  // Serve ONE clause from the pre-update recording — the other clauses stay
+  // fresh, so only per-clause verification can catch it.
+  std::vector<std::size_t> changed;
+  for (std::size_t i = 0; i < out.replies.size(); ++i)
+    if (!(stale_plan_[i] == out.replies[i])) changed.push_back(i);
+  if (changed.empty()) return out;  // nothing changed since recording
+  const std::size_t victim = changed[rng_(changed.size())];
+  out.replies[victim] = stale_plan_[victim];
+  out.tampered = true;
   return out;
 }
 

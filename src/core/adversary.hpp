@@ -18,7 +18,10 @@
 //              order, which the paper does not require.
 //
 // All choices (which token, which result, which byte) derive from a seed so
-// a failing soak case replays exactly.
+// a failing soak case replays exactly. The reply-only operations live in
+// one function, tamper_replies(), which the wire-level soak
+// (tests/net/byzantine_wire_test.cpp) applies to decoded QUERY_PLAN reply
+// frames — one taxonomy implementation for both boundaries.
 #pragma once
 
 #include <array>
@@ -82,9 +85,9 @@ inline constexpr std::array<Tamper, 11> kAggregateTampers = {
 };
 
 /// Taxonomy members that act on the clause batch of a plan search rather
-/// than on any single reply. Every member of kAllTampers/kAggregateTampers
-/// also applies on the plan path — search_plan routes it into one victim
-/// clause of the matching read path.
+/// than on any single reply. Every other member of kAllTampers and
+/// kAggregateTampers except the stale replays also applies on the plan path
+/// — search_plan routes it into one victim clause of the matching read path.
 inline constexpr std::array<Tamper, 3> kPlanTampers = {
     Tamper::kDropClause,
     Tamper::kSwapClauseReplies,
@@ -98,6 +101,34 @@ inline constexpr bool tamper_is_benign(Tamper t) {
   return t == Tamper::kNone || t == Tamper::kReorderResults;
 }
 
+/// The seeded choice stream behind every tamper (which clause, token,
+/// result, byte): deterministic in (seed, draw#).
+class TamperRng {
+ public:
+  explicit TamperRng(std::uint64_t seed) : seed_(seed) {}
+  /// The next draw in [0, bound) — the full 64-bit range for bound 0.
+  /// Bounds are small (indices, byte offsets), so modulo bias is moot.
+  std::uint64_t operator()(std::uint64_t bound);
+
+ private:
+  std::uint64_t seed_;
+  std::uint64_t draws_ = 0;
+};
+
+/// Applies one taxonomy operation to an already-computed clause reply
+/// batch, in place, using nothing but the replies and the public
+/// accumulator state (`modulus` keeps forged witnesses in range; `ac` is
+/// the value kWrongAccumulator presents as a witness). kDropClause and
+/// kSwapClauseReplies act on the batch; every single-reply operation is
+/// routed into one seeded victim clause of a read path it can act on.
+/// Returns false — batch untouched — when the operation had nothing to act
+/// on, and always for kNone and the stale replays, which need a recording
+/// (MaliciousCloud::record_stale*). MaliciousCloud and the wire soak
+/// (tampering decoded QUERY_PLAN reply frames) share this one function.
+bool tamper_replies(Tamper tamper, std::vector<ClauseReply>& replies,
+                    const bigint::BigUint& modulus, const bigint::BigUint& ac,
+                    TamperRng& rng);
+
 /// A cloud that answers honestly, then lies in one specific way.
 class MaliciousCloud {
  public:
@@ -110,7 +141,7 @@ class MaliciousCloud {
   };
 
   MaliciousCloud(const CloudServer& honest, Tamper tamper, std::uint64_t seed)
-      : honest_(honest), tamper_(tamper), seed_(seed) {}
+      : honest_(honest), tamper_(tamper), rng_(seed) {}
 
   struct AggregateOutput {
     QueryReply reply;
@@ -131,10 +162,8 @@ class MaliciousCloud {
     bool tampered = false;
   };
 
-  /// Plan-search counterpart. A kPlanTampers operation acts on the clause
-  /// batch itself (drop/swap/stale-replace whole clause replies); any other
-  /// taxonomy member is routed into one randomly chosen victim clause of a
-  /// read path it can act on, with the remaining clauses answered honestly.
+  /// Plan-search counterpart: honest search_plan, then tamper_replies (or,
+  /// for kStaleClauseVO, one clause served from the recording).
   PlanOutput search_plan(std::span<const ClauseRequest> requests) const;
 
   /// Captures the honest clause replies for `requests` now; a later
@@ -153,12 +182,12 @@ class MaliciousCloud {
   Tamper tamper() const { return tamper_; }
 
  private:
-  std::uint64_t rand(std::uint64_t bound) const;
+  /// tamper_replies with this cloud's operation, public state and stream.
+  bool apply_tamper(std::vector<ClauseReply>& replies) const;
 
   const CloudServer& honest_;
   Tamper tamper_;
-  std::uint64_t seed_;
-  mutable std::uint64_t draws_ = 0;
+  mutable TamperRng rng_;
   std::vector<TokenReply> stale_;
   QueryReply stale_agg_;
   std::vector<ClauseReply> stale_plan_;

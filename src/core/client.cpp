@@ -15,16 +15,6 @@ namespace slicer::core {
 
 namespace {
 
-/// Merges b's verification detail into a (the deprecated unverified set
-/// helpers concatenate the detail of their operands in submission order).
-void merge_detail(QueryResult& a, QueryResult& b) {
-  a.verified = a.verified && b.verified;
-  a.token_count += b.token_count;
-  a.tokens_verified += b.tokens_verified;
-  a.token_detail.insert(a.token_detail.end(), b.token_detail.begin(),
-                        b.token_detail.end());
-}
-
 std::vector<RecordId> set_and(const std::vector<RecordId>& a,
                               const std::vector<RecordId>& b) {
   std::vector<RecordId> out;
@@ -48,8 +38,6 @@ std::uint64_t domain_max(std::size_t value_bits) {
 }
 
 }  // namespace
-
-bool default_aggregated_vo() { return env::flag_knob("SLICER_AGGREGATE_VO"); }
 
 QueryClient::QueryClient(DataUser& user, CloudServer& cloud,
                          std::size_t prime_bits, bool aggregated_vo)
@@ -306,20 +294,6 @@ QueryResult QueryClient::between_inclusive(std::string_view attribute,
                                            std::uint64_t lo,
                                            std::uint64_t hi) {
   return query(Pred::attr(std::string(attribute)).between_inclusive(lo, hi));
-}
-
-// --- deprecated unverified set helpers -----------------------------------
-
-QueryResult QueryClient::intersect(QueryResult a, QueryResult b) {
-  a.ids = set_and(a.ids, b.ids);
-  merge_detail(a, b);
-  return a;
-}
-
-QueryResult QueryClient::unite(QueryResult a, QueryResult b) {
-  a.ids = set_or(a.ids, b.ids);
-  merge_detail(a, b);
-  return a;
 }
 
 // --- verified aggregates -------------------------------------------------

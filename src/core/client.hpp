@@ -63,11 +63,6 @@ struct QueryResult {
   std::size_t cached_clauses = 0;  // clauses served from the combiner cache
 };
 
-/// Picks the client's default VO mode from the SLICER_AGGREGATE_VO
-/// environment knob ("1" switches every QueryClient constructed without an
-/// explicit choice onto the aggregated read path).
-bool default_aggregated_vo();
-
 /// High-level query front end over one (user, cloud) pair.
 class QueryClient {
  public:
@@ -79,8 +74,10 @@ class QueryClient {
   /// search+verify; true requests one aggregate witness per touched shard
   /// and the O(K)-modexp verify_query_aggregated check. Either can be
   /// overridden per query (and per clause) via QueryOptions / run_plan.
+  /// The default is QueryOptions::defaults()'s (the SLICER_AGGREGATE_VO
+  /// knob).
   QueryClient(DataUser& user, CloudServer& cloud, std::size_t prime_bits = 64,
-              bool aggregated_vo = default_aggregated_vo());
+              bool aggregated_vo = QueryOptions::defaults().aggregated_vo);
 
   bool aggregated_vo() const { return aggregated_vo_; }
 
@@ -183,21 +180,6 @@ class QueryClient {
   TopKResult top_k(std::string_view attribute, const QuerySpec& spec,
                    std::size_t k, const QueryOptions& options);
   TopKResult top_k(const QuerySpec& spec, std::size_t k);
-
-  // --- deprecated unverified set helpers --------------------------------
-
-  /// Unverified client-side set combination of two results. Deprecated:
-  /// these merge ids regardless of whether either side verified — express
-  /// the combination as a QuerySpec instead and let the planner combine
-  /// only clause-verified sets.
-  [[deprecated(
-      "unverified set combination; compose a QuerySpec (a && b) so the "
-      "planner combines clause-verified sets")]]
-  static QueryResult intersect(QueryResult a, QueryResult b);
-  [[deprecated(
-      "unverified set combination; compose a QuerySpec (a || b) so the "
-      "planner combines clause-verified sets")]]
-  static QueryResult unite(QueryResult a, QueryResult b);
 
  private:
   /// A memoized clause outcome: everything run_plan needs to reuse a

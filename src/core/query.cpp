@@ -123,7 +123,6 @@ QueryOptions QueryOptions::defaults() {
   QueryOptions o;
   o.aggregated_vo = env::flag_knob("SLICER_AGGREGATE_VO");
   o.strict_intervals = env::flag_knob("SLICER_STRICT_INTERVALS");
-  o.finality_depth = env::size_knob("SLICER_FINALITY_DEPTH", 3, 0, 32);
   return o;
 }
 
@@ -216,8 +215,8 @@ struct Compiler {
         const bool empty = s.hi <= s.lo || s.hi - s.lo < 2;
         if (!negate) {
           if (empty) return empty_node("between");
-          // (v > lo) AND (v < hi) — clause order matches the legacy
-          // intersect(run(> lo), run(< hi)) token_detail concatenation.
+          // (v > lo) AND (v < hi) — clause order fixes the token_detail
+          // order: the > lo tokens, then the < hi tokens.
           std::vector<std::size_t> kids;
           kids.push_back(clause_node(attribute, s.lo, MatchCondition::kGreater));
           kids.push_back(clause_node(attribute, s.hi, MatchCondition::kLess));
@@ -241,8 +240,8 @@ struct Compiler {
             return clause_node(attribute, s.lo, MatchCondition::kEqual);
           }
           // [lo, hi] = (lo, hi) OR {lo} OR {hi}; the open core is dropped
-          // when provably empty (hi = lo + 1). Clause order matches the
-          // legacy between + unite(eq lo) + unite(eq hi) concatenation.
+          // when provably empty (hi = lo + 1). Clause order fixes the
+          // token_detail order: the open core, then = lo, then = hi.
           std::vector<std::size_t> kids;
           if (s.hi - s.lo >= 2) {
             std::vector<std::size_t> core;

@@ -110,8 +110,8 @@ class Pred {
 /// Per-query knobs, replacing the ctor-flag / SLICER_AGGREGATE_VO /
 /// SLICER_STRICT_INTERVALS split: every query resolves one QueryOptions and
 /// nothing below it consults the environment. defaults() reads the env
-/// knobs through env::flag_knob / env::size_knob exactly once per call, so
-/// the environment stays a *default*, not a hidden override.
+/// knobs through env::flag_knob exactly once per call, so the environment
+/// stays a *default*, not a hidden override.
 struct QueryOptions {
   /// Read path per clause: false = legacy per-token VOs, true = one
   /// aggregated witness per touched shard (SLICER_AGGREGATE_VO default).
@@ -119,12 +119,6 @@ struct QueryOptions {
   /// Throw CryptoError on a provably empty interval instead of compiling
   /// it to a verified-empty clause (SLICER_STRICT_INTERVALS default).
   bool strict_intervals = false;
-  /// Chain-anchor burial depth for callers that verify against an on-chain
-  /// digest via chain::FinalityReader (SLICER_FINALITY_DEPTH default, 3).
-  /// QueryClient's local-trust mode reads the digest off the cloud and
-  /// does not consult it; it is resolved here so chain-anchored deployments
-  /// configure one struct instead of three env knobs.
-  std::size_t finality_depth = 3;
 
   /// The environment-resolved defaults (see above).
   static QueryOptions defaults();

@@ -16,82 +16,14 @@ namespace slicer::core {
 
 namespace {
 
-/// Shared body of verify_reply/verify_query: recomputes the multiset hash
-/// and prime representative (served from the process-wide prime cache when
-/// the owner or cloud already derived it), routes the prime to its shard
-/// and checks the witness against a caller-provided Montgomery context. A
-/// one-element `shard_values` is the unsharded check (everything routes to
-/// shard 0).
-bool verify_reply_with(const bigint::Montgomery& mont,
-                       std::span<const bigint::BigUint> shard_values,
-                       const SearchToken& token, const TokenReply& reply,
-                       std::size_t prime_bits) {
-  const bigint::BigUint x = token_prime(
-      token, results_digest(reply.encrypted_results), prime_bits);
-  return adscrypto::ShardedAccumulator::verify(mont, shard_values, x,
-                                               reply.witness);
-}
-
-}  // namespace
-
-bool verify_reply(const adscrypto::AccumulatorParams& params,
-                  const bigint::BigUint& ac, const SearchToken& token,
-                  const TokenReply& reply, std::size_t prime_bits) {
-  return verify_reply(params, std::span(&ac, 1), token, reply, prime_bits);
-}
-
-bool verify_reply(const adscrypto::AccumulatorParams& params,
-                  std::span<const bigint::BigUint> shard_values,
-                  const SearchToken& token, const TokenReply& reply,
-                  std::size_t prime_bits) {
-  const bigint::Montgomery mont(params.modulus);
-  return verify_reply_with(mont, shard_values, token, reply, prime_bits);
-}
-
-bool verify_query(const adscrypto::AccumulatorParams& params,
-                  const bigint::BigUint& ac,
-                  std::span<const SearchToken> tokens,
-                  std::span<const TokenReply> replies,
-                  std::size_t prime_bits) {
-  return verify_query(params, std::span(&ac, 1), tokens, replies, prime_bits);
-}
-
-bool verify_query(const adscrypto::AccumulatorParams& params,
-                  std::span<const bigint::BigUint> shard_values,
-                  std::span<const SearchToken> tokens,
-                  std::span<const TokenReply> replies,
-                  std::size_t prime_bits) {
-  static metrics::Histogram& query_ns =
-      metrics::histogram("core.verify.query_ns");
-  static metrics::Counter& failures = metrics::counter("core.verify.failures");
-  const metrics::ScopedTimer timer(query_ns);
-  if (tokens.size() != replies.size()) {
-    failures.add();
-    return false;
-  }
-  if (tokens.empty()) return true;
-  // One Montgomery context (R² mod n, −n⁻¹) amortized across every reply of
-  // the query instead of re-derived per witness.
-  const bigint::Montgomery mont(params.modulus);
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    if (!verify_reply_with(mont, shard_values, tokens[i], replies[i],
-                           prime_bits)) {
-      failures.add();
-      return false;
-    }
-  }
-  return true;
-}
-
-QueryVerification verify_query_detailed(
-    const adscrypto::AccumulatorParams& params, const bigint::BigUint& ac,
-    std::span<const SearchToken> tokens, std::span<const TokenReply> replies,
-    std::size_t prime_bits) {
-  return verify_query_detailed(params, std::span(&ac, 1), tokens, replies,
-                               prime_bits);
-}
-
-QueryVerification verify_query_detailed(
+/// The one per-token loop behind verify_query and the legacy clause check.
+/// For every (token, reply) pair it recomputes the multiset hash and prime
+/// representative (served from the process-wide prime cache when the owner
+/// or cloud already derived it), routes the prime to its shard and checks
+/// the witness — one accumulator verify per token, all under one Montgomery
+/// context. Every pair is checked (no early exit), so callers see exactly
+/// which tokens failed.
+ClauseVerification verify_tokens(
     const adscrypto::AccumulatorParams& params,
     std::span<const bigint::BigUint> shard_values,
     std::span<const SearchToken> tokens, std::span<const TokenReply> replies,
@@ -104,7 +36,7 @@ QueryVerification verify_query_detailed(
   const metrics::ScopedTimer timer(query_ns);
   const trace::Span span("verify.query");
 
-  QueryVerification out;
+  ClauseVerification out;
   if (tokens.size() != replies.size()) {
     failures.add();
     return out;
@@ -115,8 +47,10 @@ QueryVerification verify_query_detailed(
     const trace::Span token_span("verify.token");
     const auto start = std::chrono::steady_clock::now();
     TokenVerification tv;
-    tv.ok =
-        verify_reply_with(mont, shard_values, tokens[i], replies[i], prime_bits);
+    const bigint::BigUint x = token_prime(
+        tokens[i], results_digest(replies[i].encrypted_results), prime_bits);
+    tv.ok = adscrypto::ShardedAccumulator::verify(mont, shard_values, x,
+                                                  replies[i].witness);
     tv.duration_ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start)
@@ -133,28 +67,21 @@ QueryVerification verify_query_detailed(
   return out;
 }
 
-bool verify_query_aggregated(const adscrypto::AccumulatorParams& params,
-                             const bigint::BigUint& ac,
-                             std::span<const SearchToken> tokens,
-                             const QueryReply& reply, std::size_t prime_bits) {
-  return verify_query_aggregated(params, std::span(&ac, 1), tokens, reply,
-                                 prime_bits);
+}  // namespace
+
+bool verify_query(const adscrypto::AccumulatorParams& params,
+                  std::span<const bigint::BigUint> shard_values,
+                  std::span<const SearchToken> tokens,
+                  std::span<const TokenReply> replies,
+                  std::size_t prime_bits) {
+  return verify_tokens(params, shard_values, tokens, replies, prime_bits)
+      .verified;
 }
 
 bool verify_query_aggregated(const adscrypto::AccumulatorParams& params,
                              std::span<const bigint::BigUint> shard_values,
                              std::span<const SearchToken> tokens,
                              const QueryReply& reply, std::size_t prime_bits) {
-  return verify_query_aggregated_detailed(params, shard_values, tokens, reply,
-                                          prime_bits)
-      .verified;
-}
-
-AggregateVerification verify_query_aggregated_detailed(
-    const adscrypto::AccumulatorParams& params,
-    std::span<const bigint::BigUint> shard_values,
-    std::span<const SearchToken> tokens, const QueryReply& reply,
-    std::size_t prime_bits) {
   static metrics::Histogram& query_ns =
       metrics::histogram("core.verify.aggregate_query_ns");
   static metrics::Counter& shard_checks =
@@ -164,18 +91,15 @@ AggregateVerification verify_query_aggregated_detailed(
   const metrics::ScopedTimer timer(query_ns);
   const trace::Span span("verify.aggregate");
 
-  AggregateVerification out;
-  out.tokens = tokens.size();
   if (reply.token_results.size() != tokens.size() || shard_values.empty()) {
     failures.add();
-    return out;
+    return false;
   }
   if (tokens.empty()) {
     // No tokens, no touched shards: a VO entry for an untouched shard is a
     // forgery, not an optimization.
-    out.verified = reply.witnesses.empty();
-    if (!out.verified) failures.add();
-    return out;
+    if (!reply.witnesses.empty()) failures.add();
+    return reply.witnesses.empty();
   }
 
   // Every token's prime re-derived from ITS OWN result list — digest fold
@@ -219,7 +143,7 @@ AggregateVerification verify_query_aggregated_detailed(
     if (!buckets[s].empty() && !covered[s]) shape_ok = false;
   if (!shape_ok) {
     failures.add();
-    return out;
+    return false;
   }
 
   // One modexp per touched shard, all sharing one Montgomery context,
@@ -234,14 +158,17 @@ AggregateVerification verify_query_aggregated_detailed(
                    ? char{1}
                    : char{0};
       });
-  out.shard_checks = reply.witnesses.size();
-  shard_checks.add(out.shard_checks);
-  out.verified = std::all_of(oks.begin(), oks.end(),
-                             [](char ok) { return ok != 0; });
-  if (!out.verified) failures.add();
-  return out;
+  shard_checks.add(reply.witnesses.size());
+  const bool verified =
+      std::all_of(oks.begin(), oks.end(), [](char ok) { return ok != 0; });
+  if (!verified) failures.add();
+  return verified;
 }
 
+namespace {
+
+/// Verifies one ClauseReply against the ClauseRequest it answers (the
+/// per-clause check of verify_plan).
 ClauseVerification verify_clause_reply(
     const adscrypto::AccumulatorParams& params,
     std::span<const bigint::BigUint> shard_values, const ClauseRequest& request,
@@ -261,14 +188,13 @@ ClauseVerification verify_clause_reply(
     if (!reply.query_reply.token_results.empty() ||
         !reply.query_reply.witnesses.empty())
       return out;
-    QueryVerification v = verify_query_detailed(
-        params, shard_values, request.tokens, reply.replies, prime_bits);
-    out.verified = v.verified;
-    out.tokens_verified = v.tokens_verified;
-    out.tokens = std::move(v.tokens);
+    out = verify_tokens(params, shard_values, request.tokens, reply.replies,
+                        prime_bits);
   }
   return out;
 }
+
+}  // namespace
 
 PlanVerification verify_plan(const adscrypto::AccumulatorParams& params,
                              std::span<const bigint::BigUint> shard_values,

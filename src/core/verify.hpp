@@ -2,8 +2,8 @@
 //
 // Pure functions, deliberately free of any cloud/owner state: the verifier
 // sees only the search tokens, the returned encrypted results, the VOs and
-// the on-chain accumulator value. The same code runs standalone (local
-// verification) and inside the simulated smart contract (public
+// the on-chain per-shard accumulator values. The same code runs standalone
+// (local verification) and inside the simulated smart contract (public
 // verification), which is the paper's fairness argument.
 #pragma once
 
@@ -17,71 +17,18 @@
 
 namespace slicer::core {
 
-/// Verifies one (token, reply) pair against the accumulator value `ac`:
-/// recomputes the multiset hash of the results, re-derives the prime
-/// representative and checks the membership witness.
-bool verify_reply(const adscrypto::AccumulatorParams& params,
-                  const bigint::BigUint& ac, const SearchToken& token,
-                  const TokenReply& reply, std::size_t prime_bits = 64);
-
-/// Shard-aware variant: the derived prime is routed with shard_of() and its
-/// witness checked against that shard's accumulation value. A one-element
-/// span is exactly the unsharded check above.
-bool verify_reply(const adscrypto::AccumulatorParams& params,
-                  std::span<const bigint::BigUint> shard_values,
-                  const SearchToken& token, const TokenReply& reply,
-                  std::size_t prime_bits = 64);
-
-/// Verifies a whole query (one reply per token). False on size mismatch or
-/// any failing pair — the contract refunds in that case.
-bool verify_query(const adscrypto::AccumulatorParams& params,
-                  const bigint::BigUint& ac,
-                  std::span<const SearchToken> tokens,
-                  std::span<const TokenReply> replies,
-                  std::size_t prime_bits = 64);
-
-/// Shard-aware whole-query check.
+/// Verifies a whole legacy-path query (one TokenReply per token). Each
+/// token's multiset hash and prime representative are recomputed, the prime
+/// is routed with shard_of() and its witness checked against that shard's
+/// value in `shard_values` (a one-element span is the unsharded check).
+/// False on size mismatch or any failing pair — the contract refunds in
+/// that case. Every pair is checked, so each token costs exactly one
+/// accumulator verify.
 bool verify_query(const adscrypto::AccumulatorParams& params,
                   std::span<const bigint::BigUint> shard_values,
                   std::span<const SearchToken> tokens,
                   std::span<const TokenReply> replies,
                   std::size_t prime_bits = 64);
-
-/// Per-token outcome of a detailed verification pass.
-struct TokenVerification {
-  bool ok = false;
-  std::uint64_t duration_ns = 0;  ///< wall time of this token's check
-};
-
-/// Whole-query verification with per-token attribution. Unlike
-/// verify_query (which may stop at the first failing pair), every pair is
-/// checked so callers see exactly which tokens failed and what each check
-/// cost — the detail QueryClient surfaces in QueryResult.
-struct QueryVerification {
-  bool verified = false;           ///< sizes matched and every token passed
-  std::size_t tokens_verified = 0; ///< number of tokens whose proof held
-  std::vector<TokenVerification> tokens;  ///< one entry per token
-};
-
-QueryVerification verify_query_detailed(
-    const adscrypto::AccumulatorParams& params, const bigint::BigUint& ac,
-    std::span<const SearchToken> tokens, std::span<const TokenReply> replies,
-    std::size_t prime_bits = 64);
-
-/// Shard-aware detailed check (what QueryClient runs: every reply verifies
-/// against its prime's shard value).
-QueryVerification verify_query_detailed(
-    const adscrypto::AccumulatorParams& params,
-    std::span<const bigint::BigUint> shard_values,
-    std::span<const SearchToken> tokens, std::span<const TokenReply> replies,
-    std::size_t prime_bits = 64);
-
-/// Outcome of an aggregated-VO verification pass.
-struct AggregateVerification {
-  bool verified = false;       ///< shapes matched and every shard check held
-  std::size_t tokens = 0;      ///< tokens whose primes were derived + folded
-  std::size_t shard_checks = 0;  ///< modexps performed (one per touched shard)
-};
 
 /// Verifies an aggregated query reply (QueryReply from
 /// CloudServer::search_aggregated): derives every token's prime from its
@@ -93,23 +40,16 @@ struct AggregateVerification {
 /// surplus shard entries) fails. O(K) modexps per query instead of
 /// O(tokens) — the aggregated read path's verification cost.
 bool verify_query_aggregated(const adscrypto::AccumulatorParams& params,
-                             const bigint::BigUint& ac,
-                             std::span<const SearchToken> tokens,
-                             const QueryReply& reply,
-                             std::size_t prime_bits = 64);
-
-/// Shard-aware form (what QueryClient runs in aggregated mode).
-bool verify_query_aggregated(const adscrypto::AccumulatorParams& params,
                              std::span<const bigint::BigUint> shard_values,
                              std::span<const SearchToken> tokens,
                              const QueryReply& reply,
                              std::size_t prime_bits = 64);
 
-AggregateVerification verify_query_aggregated_detailed(
-    const adscrypto::AccumulatorParams& params,
-    std::span<const bigint::BigUint> shard_values,
-    std::span<const SearchToken> tokens, const QueryReply& reply,
-    std::size_t prime_bits = 64);
+/// Per-token outcome of a legacy-path clause check.
+struct TokenVerification {
+  bool ok = false;
+  std::uint64_t duration_ns = 0;  ///< wall time of this token's check
+};
 
 /// Outcome of verifying one clause of a batched plan search.
 struct ClauseVerification {
@@ -120,18 +60,6 @@ struct ClauseVerification {
   std::vector<TokenVerification> tokens;
 };
 
-/// Verifies one ClauseReply against the ClauseRequest it answers. The reply
-/// must echo the request's read path and carry exactly one reply shape
-/// (legacy per-token replies XOR an aggregated QueryReply); a mode or shape
-/// mismatch fails without touching the crypto. Each clause binds to its own
-/// tokens — every derived prime commits to (token, results), so a reply
-/// swapped in from another clause fails here even if it verifies in
-/// isolation.
-ClauseVerification verify_clause_reply(
-    const adscrypto::AccumulatorParams& params,
-    std::span<const bigint::BigUint> shard_values, const ClauseRequest& request,
-    const ClauseReply& reply, std::size_t prime_bits = 64);
-
 /// Outcome of verifying a whole clause plan's reply batch.
 struct PlanVerification {
   bool verified = false;             ///< counts matched, every clause held
@@ -141,8 +69,13 @@ struct PlanVerification {
 
 /// Verifies a batched plan search: the reply batch must answer every
 /// request (a dropped or surplus clause fails), and each clause verifies
-/// independently via verify_clause_reply — so the verified set combiner
-/// above this only ever operates on clause-verified result sets.
+/// independently — so the verified set combiner above this only ever
+/// operates on clause-verified result sets. A clause reply must echo its
+/// request's read path and carry exactly that path's shape (legacy
+/// per-token replies XOR an aggregated QueryReply); a mode or shape
+/// mismatch fails without touching the crypto. Each clause binds to its own
+/// tokens — every derived prime commits to (token, results), so a reply
+/// swapped in from another clause fails even if it verifies in isolation.
 PlanVerification verify_plan(const adscrypto::AccumulatorParams& params,
                              std::span<const bigint::BigUint> shard_values,
                              std::span<const ClauseRequest> requests,

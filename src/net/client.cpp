@@ -142,44 +142,11 @@ std::uint64_t SlicerClientChannel::apply(const core::UpdateOutput& update) {
   return ApplyReply::deserialize(reply).prime_count;
 }
 
-std::vector<core::TokenReply> SlicerClientChannel::search(
-    const std::vector<core::SearchToken>& tokens) {
-  SearchRequest req;
-  req.tokens = tokens;
-  const Bytes reply = roundtrip_idempotent(Op::kSearch, req.serialize());
-  return SearchReply::deserialize(reply).replies;
-}
-
-core::QueryReply SlicerClientChannel::search_aggregated(
-    const std::vector<core::SearchToken>& tokens) {
-  SearchRequest req;
-  req.tokens = tokens;
-  const Bytes reply =
-      roundtrip_idempotent(Op::kSearchAggregated, req.serialize());
-  return core::QueryReply::deserialize(reply);
-}
-
 QueryPlanReply SlicerClientChannel::query_plan(
     const QueryPlanRequest& request) {
   const Bytes reply =
       roundtrip_idempotent(Op::kQueryPlan, request.serialize());
   return QueryPlanReply::deserialize(reply);
-}
-
-std::vector<Bytes> SlicerClientChannel::fetch(const core::SearchToken& token) {
-  FetchRequest req;
-  req.token = token;
-  const Bytes reply = roundtrip_idempotent(Op::kFetch, req.serialize());
-  return FetchReply::deserialize(reply).results;
-}
-
-core::TokenReply SlicerClientChannel::prove(
-    const core::SearchToken& token, const std::vector<Bytes>& results) {
-  ProveRequest req;
-  req.token = token;
-  req.results = results;
-  const Bytes reply = roundtrip_idempotent(Op::kProve, req.serialize());
-  return core::TokenReply::deserialize(reply);
 }
 
 void SlicerClientChannel::ping() {

@@ -3,7 +3,7 @@
 // One channel = one TCP connection to a SlicerServer, bound to one tenant
 // by the HELLO handshake. Requests are synchronous (send frame, wait for
 // the matching reply opcode); transport failures on idempotent requests
-// (search / fetch / prove / ping — all read-only) are retried with the
+// (query_plan / ping — both read-only) are retried with the
 // same capped-exponential-backoff policy shape as chain::TxSubmitter,
 // reconnecting and re-issuing HELLO between attempts. APPLY is NOT
 // auto-retried: it mutates the tenant, and a timeout does not reveal
@@ -84,25 +84,11 @@ class SlicerClientChannel {
   /// returns the tenant's post-apply prime count.
   std::uint64_t apply(const core::UpdateOutput& update);
 
-  /// Legacy per-token search (results + one VO per token). Retried.
-  std::vector<core::TokenReply> search(
-      const std::vector<core::SearchToken>& tokens);
-
-  /// Aggregated search (one folded witness per touched shard). Retried.
-  core::QueryReply search_aggregated(
-      const std::vector<core::SearchToken>& tokens);
-
-  /// Whole-plan clause batch: every clause of a compiled boolean query in
-  /// one round trip, each served on its requested read path. Read-only,
-  /// so retried like search.
+  /// The one search verb: every clause of a compiled boolean query in one
+  /// round trip, each served on its requested read path (a single-clause
+  /// request is a plain legacy or aggregated search). Read-only, so
+  /// retried.
   QueryPlanReply query_plan(const QueryPlanRequest& request);
-
-  /// Results only (no VO). Retried.
-  std::vector<Bytes> fetch(const core::SearchToken& token);
-
-  /// VO for previously fetched results. Retried.
-  core::TokenReply prove(const core::SearchToken& token,
-                         const std::vector<Bytes>& results);
 
   /// Liveness probe. Retried.
   void ping();

@@ -9,18 +9,10 @@ std::string_view op_name(Op op) {
   switch (op) {
     case Op::kHello: return "hello";
     case Op::kApply: return "apply";
-    case Op::kSearch: return "search";
-    case Op::kSearchAggregated: return "search_aggregated";
-    case Op::kFetch: return "fetch";
-    case Op::kProve: return "prove";
     case Op::kPing: return "ping";
     case Op::kQueryPlan: return "query_plan";
     case Op::kHelloOk: return "hello_ok";
     case Op::kApplyOk: return "apply_ok";
-    case Op::kSearchReply: return "search_reply";
-    case Op::kSearchAggregatedReply: return "search_aggregated_reply";
-    case Op::kFetchReply: return "fetch_reply";
-    case Op::kProveReply: return "prove_reply";
     case Op::kPong: return "pong";
     case Op::kQueryPlanReply: return "query_plan_reply";
     case Op::kError: return "error";
@@ -73,92 +65,6 @@ ApplyReply ApplyReply::deserialize(BytesView data) {
   Reader r(data);
   ApplyReply out;
   out.prime_count = r.u64();
-  r.expect_end();
-  return out;
-}
-
-Bytes SearchRequest::serialize() const {
-  Writer w;
-  w.u32(static_cast<std::uint32_t>(tokens.size()));
-  for (const core::SearchToken& t : tokens) w.bytes(t.serialize());
-  return std::move(w).take();
-}
-
-SearchRequest SearchRequest::deserialize(BytesView data) {
-  Reader r(data);
-  SearchRequest out;
-  const std::uint32_t n = r.count(4);
-  out.tokens.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i)
-    out.tokens.push_back(core::SearchToken::deserialize(r.bytes()));
-  r.expect_end();
-  return out;
-}
-
-Bytes SearchReply::serialize() const {
-  Writer w;
-  w.u32(static_cast<std::uint32_t>(replies.size()));
-  for (const core::TokenReply& reply : replies) w.bytes(reply.serialize());
-  return std::move(w).take();
-}
-
-SearchReply SearchReply::deserialize(BytesView data) {
-  Reader r(data);
-  SearchReply out;
-  const std::uint32_t n = r.count(4);
-  out.replies.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i)
-    out.replies.push_back(core::TokenReply::deserialize(r.bytes()));
-  r.expect_end();
-  return out;
-}
-
-Bytes FetchRequest::serialize() const {
-  Writer w;
-  w.bytes(token.serialize());
-  return std::move(w).take();
-}
-
-FetchRequest FetchRequest::deserialize(BytesView data) {
-  Reader r(data);
-  FetchRequest out;
-  out.token = core::SearchToken::deserialize(r.bytes());
-  r.expect_end();
-  return out;
-}
-
-Bytes FetchReply::serialize() const {
-  Writer w;
-  w.u32(static_cast<std::uint32_t>(results.size()));
-  for (const Bytes& er : results) w.bytes(er);
-  return std::move(w).take();
-}
-
-FetchReply FetchReply::deserialize(BytesView data) {
-  Reader r(data);
-  FetchReply out;
-  const std::uint32_t n = r.count(4);
-  out.results.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) out.results.push_back(r.bytes());
-  r.expect_end();
-  return out;
-}
-
-Bytes ProveRequest::serialize() const {
-  Writer w;
-  w.bytes(token.serialize());
-  w.u32(static_cast<std::uint32_t>(results.size()));
-  for (const Bytes& er : results) w.bytes(er);
-  return std::move(w).take();
-}
-
-ProveRequest ProveRequest::deserialize(BytesView data) {
-  Reader r(data);
-  ProveRequest out;
-  out.token = core::SearchToken::deserialize(r.bytes());
-  const std::uint32_t n = r.count(4);
-  out.results.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) out.results.push_back(r.bytes());
   r.expect_end();
   return out;
 }

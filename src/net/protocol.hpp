@@ -28,25 +28,21 @@
 namespace slicer::net {
 
 /// Protocol magic carried in the HELLO payload (bump on breaking change).
-inline constexpr std::string_view kProtocolMagic = "slicer.net.v1";
+inline constexpr std::string_view kProtocolMagic = "slicer.net.v2";
 
-/// Wire opcodes. Replies = request | 0x80.
+/// Wire opcodes. Replies = request | 0x80. QUERY_PLAN is the one search
+/// verb: a single-clause plan is a plain (legacy or aggregated) search.
+/// 0x03–0x06 (SEARCH, SEARCH_AGGREGATED, FETCH, PROVE in slicer.net.v1) are
+/// retired and never reused; the server answers them like any unknown
+/// opcode (kError "protocol" + misbehavior score).
 enum class Op : std::uint8_t {
   kHello = 0x01,
   kApply = 0x02,
-  kSearch = 0x03,
-  kSearchAggregated = 0x04,
-  kFetch = 0x05,
-  kProve = 0x06,
   kPing = 0x07,
   kQueryPlan = 0x08,
 
   kHelloOk = 0x81,
   kApplyOk = 0x82,
-  kSearchReply = 0x83,
-  kSearchAggregatedReply = 0x84,
-  kFetchReply = 0x85,
-  kProveReply = 0x86,
   kPong = 0x87,
   kQueryPlanReply = 0x88,
 
@@ -93,51 +89,6 @@ struct ApplyReply {
   Bytes serialize() const;
   static ApplyReply deserialize(BytesView data);
   bool operator==(const ApplyReply&) const = default;
-};
-
-/// SEARCH / SEARCH_AGGREGATED request: the query's token list.
-struct SearchRequest {
-  std::vector<core::SearchToken> tokens;
-
-  Bytes serialize() const;
-  static SearchRequest deserialize(BytesView data);
-  bool operator==(const SearchRequest&) const = default;
-};
-
-/// SEARCH reply: one TokenReply per token, in submission order.
-struct SearchReply {
-  std::vector<core::TokenReply> replies;
-
-  Bytes serialize() const;
-  static SearchReply deserialize(BytesView data);
-};
-
-/// FETCH request: one token (results only, no VO — the Fig. 5a/5c split).
-struct FetchRequest {
-  core::SearchToken token;
-
-  Bytes serialize() const;
-  static FetchRequest deserialize(BytesView data);
-  bool operator==(const FetchRequest&) const = default;
-};
-
-/// FETCH reply: the token's encrypted results in traversal order.
-struct FetchReply {
-  std::vector<Bytes> results;
-
-  Bytes serialize() const;
-  static FetchReply deserialize(BytesView data);
-  bool operator==(const FetchReply&) const = default;
-};
-
-/// PROVE request: a token plus the (possibly re-ordered) results to prove.
-struct ProveRequest {
-  core::SearchToken token;
-  std::vector<Bytes> results;
-
-  Bytes serialize() const;
-  static ProveRequest deserialize(BytesView data);
-  bool operator==(const ProveRequest&) const = default;
 };
 
 /// QUERY_PLAN request: the clause batch of one compiled query plan. Each

@@ -232,34 +232,6 @@ struct SlicerServer::Impl {
           out.prime_count = tenant.cloud->prime_count();
           return encode_frame(reply, out.serialize(), max);
         }
-        case Op::kSearch: {
-          const SearchRequest req = SearchRequest::deserialize(frame.payload);
-          std::shared_lock lock(tenant.mu);
-          SearchReply out;
-          out.replies = tenant.cloud->search(req.tokens);
-          return encode_frame(reply, out.serialize(), max);
-        }
-        case Op::kSearchAggregated: {
-          const SearchRequest req = SearchRequest::deserialize(frame.payload);
-          std::shared_lock lock(tenant.mu);
-          const core::QueryReply out =
-              tenant.cloud->search_aggregated(req.tokens);
-          return encode_frame(reply, out.serialize(), max);
-        }
-        case Op::kFetch: {
-          const FetchRequest req = FetchRequest::deserialize(frame.payload);
-          std::shared_lock lock(tenant.mu);
-          FetchReply out;
-          out.results = tenant.cloud->fetch_results(req.token);
-          return encode_frame(reply, out.serialize(), max);
-        }
-        case Op::kProve: {
-          ProveRequest req = ProveRequest::deserialize(frame.payload);
-          std::shared_lock lock(tenant.mu);
-          const core::TokenReply out =
-              tenant.cloud->prove(req.token, std::move(req.results));
-          return encode_frame(reply, out.serialize(), max);
-        }
         case Op::kQueryPlan: {
           const QueryPlanRequest req =
               QueryPlanRequest::deserialize(frame.payload);
@@ -358,10 +330,8 @@ struct SlicerServer::Impl {
                         error_frame("banned", "tenant is banned", max));
       return false;
     }
-    const bool known_op = op == Op::kPing || op == Op::kApply ||
-                          op == Op::kSearch || op == Op::kSearchAggregated ||
-                          op == Op::kFetch || op == Op::kProve ||
-                          op == Op::kQueryPlan;
+    const bool known_op =
+        op == Op::kPing || op == Op::kApply || op == Op::kQueryPlan;
     if (!known_op) {
       const bool banned = record_misbehavior(tenant, kUnknownOpcodePoints);
       conn->stage_reply(conn->next_seq++,

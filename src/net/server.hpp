@@ -14,7 +14,7 @@
 //
 // Requests are decoded on the connection's reader thread and dispatched to
 // the process-wide ThreadPool, so an expensive request (a bulk APPLY, a
-// many-token aggregated search) from one tenant never blocks another
+// many-clause QUERY_PLAN) from one tenant never blocks another
 // tenant's reader. Replies are staged in a per-connection sequence-ordered
 // queue drained by a dedicated writer thread: handlers complete in any
 // order, but each connection observes replies in request order, and a slow
@@ -23,8 +23,8 @@
 // its replies are staged, not when they hit the wire).
 //
 // Tenancy: every connection starts with a HELLO frame naming a tenant; the
-// tenant's CloudServer is guarded by a shared_mutex — searches/fetches/
-// proofs run concurrently (CloudServer is internally thread-safe for const
+// tenant's CloudServer is guarded by a shared_mutex — QUERY_PLAN searches
+// run concurrently (CloudServer is internally thread-safe for const
 // access), APPLY takes the tenant exclusively. Tenants are registered
 // before start() and never share state.
 //

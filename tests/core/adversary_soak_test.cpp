@@ -46,14 +46,14 @@ TEST(AdversarySoak, FullTaxonomyAcrossSeeds) {
       // Honest baseline for this combo: verification accepts, and its
       // decryption is the ground truth for the benign-tamper comparison.
       const auto honest = rig.cloud->search(tokens);
-      ASSERT_TRUE(verify_query(rig.acc_params, rig.cloud->accumulator_value(),
+      ASSERT_TRUE(verify_query(rig.acc_params, rig.cloud->shard_values(),
                                tokens, honest, rig.config.prime_bits));
       auto honest_ids = rig.user->decrypt(honest);
       std::sort(honest_ids.begin(), honest_ids.end());
 
       auto soak_case = [&](Tamper tamper, const MaliciousCloud::Output& out) {
         const bool accepted =
-            verify_query(rig.acc_params, rig.cloud->accumulator_value(),
+            verify_query(rig.acc_params, rig.cloud->shard_values(),
                          tokens, out.replies, rig.config.prime_bits);
         if (!out.tampered || tamper_is_benign(tamper)) {
           // False-reject check: honest or benign replies MUST verify.
@@ -93,13 +93,13 @@ TEST(AdversarySoak, FullTaxonomyAcrossSeeds) {
         rig.ingest({{next_id++, pivot + 1}});
         const auto honest_after = rig.cloud->search(tokens);
         ASSERT_TRUE(verify_query(rig.acc_params,
-                                 rig.cloud->accumulator_value(), tokens,
+                                 rig.cloud->shard_values(), tokens,
                                  honest_after, rig.config.prime_bits))
             << "old tokens must stay verifiable after an update";
         const auto out = mal.search(tokens);
         ASSERT_TRUE(out.tampered);
         EXPECT_FALSE(verify_query(rig.acc_params,
-                                  rig.cloud->accumulator_value(), tokens,
+                                  rig.cloud->shard_values(), tokens,
                                   out.replies, rig.config.prime_bits))
             << "false accept: stale_replay seed=" << seed;
         ++bite_count[Tamper::kStaleReplay];
@@ -219,7 +219,7 @@ TEST(AdversarySoak, EmptyResultQueriesStillSoak) {
   // No record matches: every reply has an empty result list.
   const auto tokens = rig.user->make_tokens(250, MatchCondition::kGreater);
   const auto honest = rig.cloud->search(tokens);
-  ASSERT_TRUE(verify_query(rig.acc_params, rig.cloud->accumulator_value(),
+  ASSERT_TRUE(verify_query(rig.acc_params, rig.cloud->shard_values(),
                            tokens, honest, rig.config.prime_bits));
 
   for (const Tamper tamper : kAllTampers) {
@@ -227,7 +227,7 @@ TEST(AdversarySoak, EmptyResultQueriesStillSoak) {
     MaliciousCloud mal(*rig.cloud, tamper, /*seed=*/99);
     const auto out = mal.search(tokens);
     const bool accepted =
-        verify_query(rig.acc_params, rig.cloud->accumulator_value(), tokens,
+        verify_query(rig.acc_params, rig.cloud->shard_values(), tokens,
                      out.replies, rig.config.prime_bits);
     if (!out.tampered || tamper_is_benign(tamper)) {
       EXPECT_TRUE(accepted) << tamper_name(tamper);

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <map>
+#include <string>
+
 #include "common/errors.hpp"
 
 namespace slicer::core {
@@ -156,6 +160,55 @@ TEST(Dual, BatchInsertAndMixedWorkload) {
   const auto r = dual.query(50, MatchCondition::kLess);
   EXPECT_TRUE(r.verified);
   EXPECT_EQ(sorted(r.ids), expect);
+}
+
+// Each instance verifies against its own cloud's per-shard values, so the
+// dual construction works at any shard count (the knob is read when the
+// instances are built).
+TEST(Dual, QueriesVerifyWhenSharded) {
+  const char* prior = std::getenv("SLICER_SHARDS");
+  const std::string saved = prior == nullptr ? "" : prior;
+  ::setenv("SLICER_SHARDS", "4", /*overwrite=*/1);
+  DualSlicer dual = make_dual(8, "sharded");
+  if (prior == nullptr) {
+    ::unsetenv("SLICER_SHARDS");
+  } else {
+    ::setenv("SLICER_SHARDS", saved.c_str(), /*overwrite=*/1);
+  }
+
+  std::map<RecordId, std::uint64_t> live;  // the plaintext oracle
+  for (RecordId id = 1; id <= 24; ++id) {
+    dual.insert(Record{id, id * 37 % 256});
+    live[id] = id * 37 % 256;
+  }
+  for (const RecordId id : {3, 8, 19}) {
+    dual.erase(id);
+    live.erase(id);
+  }
+  for (const RecordId id : {4, 11}) {
+    dual.update(id, 200);
+    live[id] = 200;
+  }
+
+  const auto oracle = [&](std::uint64_t v, MatchCondition mc) {
+    std::vector<RecordId> out;
+    for (const auto& [id, value] : live) {
+      if ((mc == MatchCondition::kEqual && value == v) ||
+          (mc == MatchCondition::kGreater && value > v) ||
+          (mc == MatchCondition::kLess && value < v))
+        out.push_back(id);
+    }
+    return out;
+  };
+  for (const std::uint64_t v : {0, 111, 200, 255}) {
+    for (const MatchCondition mc :
+         {MatchCondition::kEqual, MatchCondition::kGreater,
+          MatchCondition::kLess}) {
+      const auto r = dual.query(v, mc);
+      EXPECT_TRUE(r.verified) << v;
+      EXPECT_EQ(sorted(r.ids), oracle(v, mc)) << v;
+    }
+  }
 }
 
 }  // namespace

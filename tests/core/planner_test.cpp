@@ -370,18 +370,6 @@ TEST_F(PlannerTest, VerifiedTopK) {
   EXPECT_EQ(all.groups[1].value, 35u);
 }
 
-TEST_F(PlannerTest, DeprecatedSetHelpersStillCombine) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const QueryResult a = client_->query(Pred::attr("dept").eq(7));
-  const QueryResult b = client_->query(Pred::attr("age").gt(33));
-  const QueryResult both = QueryClient::intersect(a, b);
-  EXPECT_EQ(both.ids, (std::vector<RecordId>{2, 4}));
-  const QueryResult either = QueryClient::unite(a, b);
-  EXPECT_EQ(either.ids, (std::vector<RecordId>{1, 2, 3, 4, 5}));
-#pragma GCC diagnostic pop
-}
-
 // The single-attribute default path (Pred::value) against the classic rig.
 TEST(PlannerDefaultAttr, DefaultAttributeSpecs) {
   Rig rig = Rig::make(8, "planner-default");

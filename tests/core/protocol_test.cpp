@@ -174,13 +174,13 @@ TEST(Protocol, FreshnessStaleProofFailsAgainstNewAccumulator) {
   rig.ingest({{1, 42}});
   const auto tokens = rig.user->make_tokens(42, MatchCondition::kEqual);
   const auto stale_replies = rig.cloud->search(tokens);
-  ASSERT_TRUE(verify_query(rig.acc_params, rig.cloud->accumulator_value(),
+  ASSERT_TRUE(verify_query(rig.acc_params, rig.cloud->shard_values(),
                            tokens, stale_replies, rig.config.prime_bits));
 
   rig.ingest({{2, 99}});  // updates Ac on the "blockchain"
 
   // The stale reply (token now also stale) fails against the fresh Ac.
-  EXPECT_FALSE(verify_query(rig.acc_params, rig.cloud->accumulator_value(),
+  EXPECT_FALSE(verify_query(rig.acc_params, rig.cloud->shard_values(),
                             tokens, stale_replies, rig.config.prime_bits));
 }
 
@@ -196,7 +196,7 @@ class MaliciousCloud : public ::testing::Test {
   }
 
   bool honest_verifies() const {
-    return verify_query(rig_.acc_params, rig_.cloud->accumulator_value(),
+    return verify_query(rig_.acc_params, rig_.cloud->shard_values(),
                         tokens_, replies_, rig_.config.prime_bits);
   }
 
@@ -267,7 +267,7 @@ TEST(Protocol, MultiAttributeSearch) {
   auto run = [&](std::string_view attr, std::uint64_t v, MatchCondition mc) {
     const auto tokens = rig.user->make_tokens(attr, v, mc);
     const auto replies = rig.cloud->search(tokens);
-    EXPECT_TRUE(verify_query(rig.acc_params, rig.cloud->accumulator_value(),
+    EXPECT_TRUE(verify_query(rig.acc_params, rig.cloud->shard_values(),
                              tokens, replies, rig.config.prime_bits));
     auto ids = rig.user->decrypt(replies);
     std::sort(ids.begin(), ids.end());

@@ -3,6 +3,8 @@
 // never false accepts.
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "common/errors.hpp"
 #include "tests/core/test_rig.hpp"
 
@@ -70,13 +72,15 @@ TEST(Robustness, MutatedTokenNeverVerifiesAsDifferentQuery) {
   for (std::size_t i = 0; i < 16; ++i) {
     SearchToken mutated = tokens[0];
     mutated.g1[i % mutated.g1.size()] ^= 0x01;
-    EXPECT_FALSE(verify_reply(rig.acc_params, rig.cloud->accumulator_value(),
-                              mutated, replies[0], rig.config.prime_bits));
+    EXPECT_FALSE(verify_query(rig.acc_params, rig.cloud->shard_values(),
+                              std::span(&mutated, 1), replies,
+                              rig.config.prime_bits));
   }
   SearchToken wrong_j = tokens[0];
   wrong_j.j += 1;
-  EXPECT_FALSE(verify_reply(rig.acc_params, rig.cloud->accumulator_value(),
-                            wrong_j, replies[0], rig.config.prime_bits));
+  EXPECT_FALSE(verify_query(rig.acc_params, rig.cloud->shard_values(),
+                            std::span(&wrong_j, 1), replies,
+                            rig.config.prime_bits));
 }
 
 TEST(Robustness, GarbageTokenYieldsEmptyResultsNotCrash) {
@@ -112,7 +116,7 @@ TEST(Robustness, DecryptRejectsForeignCiphertexts) {
 TEST(Robustness, VerifyWithEmptyTokenListIsVacuouslyTrue) {
   Rig rig = Rig::make(8, "robust7");
   rig.ingest({{1, 42}});
-  EXPECT_TRUE(verify_query(rig.acc_params, rig.cloud->accumulator_value(), {},
+  EXPECT_TRUE(verify_query(rig.acc_params, rig.cloud->shard_values(), {},
                            {}, rig.config.prime_bits));
 }
 

@@ -35,7 +35,7 @@ std::vector<Record> golden_batch2() {
 // sharding landed. The K = 1 layout is contractually bit-identical: these
 // values are what the chain stored, so they may never drift.
 TEST(ShardedProtocol, GoldenK1BitIdenticalToPreShardingCode) {
-  Rig rig = Rig::make(8, "shard-golden");
+  Rig rig = Rig::make(8, "shard-golden", {}, 1);
   ASSERT_EQ(rig.cloud->shard_count(), 1u);
 
   rig.cloud->apply(rig.owner->insert(golden_batch1()));

@@ -35,7 +35,7 @@ TEST(WireProtocol, FullSearchOverSerializedMessages) {
   std::vector<TokenReply> replies;
   for (const Bytes& b : token_wire) tokens.push_back(SearchToken::deserialize(b));
   for (const Bytes& b : reply_wire) replies.push_back(TokenReply::deserialize(b));
-  EXPECT_TRUE(verify_query(rig.acc_params, rig.cloud->accumulator_value(),
+  EXPECT_TRUE(verify_query(rig.acc_params, rig.cloud->shard_values(),
                            tokens, replies, rig.config.prime_bits));
 
   // User side: decode replies, decrypt.
@@ -54,7 +54,7 @@ TEST(WireProtocol, UserOnboardingViaSerializedState) {
                     crypto::Drbg(str_bytes("new-user")));
   const auto tokens = new_user.make_tokens(100, MatchCondition::kGreater);
   const auto replies = rig.cloud->search(tokens);
-  EXPECT_TRUE(verify_query(rig.acc_params, rig.cloud->accumulator_value(),
+  EXPECT_TRUE(verify_query(rig.acc_params, rig.cloud->shard_values(),
                            tokens, replies, rig.config.prime_bits));
   EXPECT_EQ(new_user.decrypt(replies), (std::vector<RecordId>{2}));
 }
@@ -72,7 +72,7 @@ TEST(WireProtocol, CloudMigrationMidProtocol) {
 
   const auto replies = replacement.cloud->search(tokens);
   EXPECT_TRUE(verify_query(rig.acc_params,
-                           replacement.cloud->accumulator_value(), tokens,
+                           replacement.cloud->shard_values(), tokens,
                            replies, rig.config.prime_bits));
   EXPECT_EQ(rig.user->decrypt(replies), (std::vector<RecordId>{1}));
 }

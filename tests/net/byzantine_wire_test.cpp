@@ -1,9 +1,10 @@
 // Byzantine soak at the protocol boundary: a tampering hook on the
 // server's writer thread mutates serialized reply frames — frame-level
 // corruption (dropped, truncated, oversized-length, unknown-opcode,
-// duplicated frames) and semantic payload tampering (the MaliciousCloud
-// taxonomy re-staged on wire bytes: flipped/dropped/injected results,
-// swapped/forged witnesses, empty claims, replayed replies). Across 20
+// duplicated frames, replayed replies) and semantic payload tampering
+// (flipped/dropped/injected results, swapped/forged witnesses, empty
+// claims: the MaliciousCloud taxonomy, applied to decoded QUERY_PLAN reply
+// frames by the same core::tamper_replies MaliciousCloud runs). Across 20
 // (rig × adversary) seed combinations the client must detect every bite —
 // a transport/decode error or a failed Algorithm 5 verification — with
 // zero false accepts, and the benign cases (honest passthrough, reordered
@@ -17,189 +18,129 @@
 #include <string>
 #include <vector>
 
+#include "core/adversary.hpp"
 #include "core/verify.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
-#include "tests/core/test_rig.hpp"
+#include "tests/net/net_test_util.hpp"
 
 namespace slicer::net {
 namespace {
 
 using core::MatchCondition;
 using core::testing::Rig;
+using testing::search;
+using testing::take_cloud;
 
-enum class WireTamper {
+/// Frame-level tampers: only the wire has them. The semantic (payload)
+/// tampers are core::Tamper operations applied by core::tamper_replies —
+/// the same code MaliciousCloud runs in process.
+enum class FrameTamper {
   kNone,
-  kReorderResults,  // benign: MSet-Mu-Hash is order-insensitive
   kDropFrame,
   kTruncateFrame,
   kOversizeLength,
   kUnknownOpcode,
   kDuplicateFrame,
-  kFlipResultByte,
-  kDropResult,
-  kInjectResult,
-  kSwapWitness,
-  kEmptyClaim,
-  kForgeWitness,
   kReplyReplay,
 };
 
-constexpr WireTamper kAllWireTampers[] = {
-    WireTamper::kReorderResults, WireTamper::kDropFrame,
-    WireTamper::kTruncateFrame,  WireTamper::kOversizeLength,
-    WireTamper::kUnknownOpcode,  WireTamper::kDuplicateFrame,
-    WireTamper::kFlipResultByte, WireTamper::kDropResult,
-    WireTamper::kInjectResult,   WireTamper::kSwapWitness,
-    WireTamper::kEmptyClaim,     WireTamper::kForgeWitness,
-    WireTamper::kReplyReplay,
+/// One soak case: a frame tamper, or a semantic tamper on the decoded
+/// QUERY_PLAN reply (exactly one of the two is set).
+struct WireTamper {
+  FrameTamper frame = FrameTamper::kNone;
+  core::Tamper reply = core::Tamper::kNone;
+  auto operator<=>(const WireTamper&) const = default;
 };
 
-const char* tamper_name(WireTamper t) {
-  switch (t) {
-    case WireTamper::kNone: return "none";
-    case WireTamper::kReorderResults: return "reorder_results";
-    case WireTamper::kDropFrame: return "drop_frame";
-    case WireTamper::kTruncateFrame: return "truncate_frame";
-    case WireTamper::kOversizeLength: return "oversize_length";
-    case WireTamper::kUnknownOpcode: return "unknown_opcode";
-    case WireTamper::kDuplicateFrame: return "duplicate_frame";
-    case WireTamper::kFlipResultByte: return "flip_result_byte";
-    case WireTamper::kDropResult: return "drop_result";
-    case WireTamper::kInjectResult: return "inject_result";
-    case WireTamper::kSwapWitness: return "swap_witness";
-    case WireTamper::kEmptyClaim: return "empty_claim";
-    case WireTamper::kForgeWitness: return "forge_witness";
-    case WireTamper::kReplyReplay: return "reply_replay";
+/// kReplyReplay stays last: a kDuplicateFrame case leaves its second reply
+/// in flight, and the replay recorder must not capture it.
+constexpr WireTamper kAllWireTampers[] = {
+    {FrameTamper::kNone, core::Tamper::kReorderResults},
+    {FrameTamper::kDropFrame},
+    {FrameTamper::kTruncateFrame},
+    {FrameTamper::kOversizeLength},
+    {FrameTamper::kUnknownOpcode},
+    {FrameTamper::kDuplicateFrame},
+    {FrameTamper::kNone, core::Tamper::kForgeCiphertext},
+    {FrameTamper::kNone, core::Tamper::kDropResult},
+    {FrameTamper::kNone, core::Tamper::kInjectResult},
+    {FrameTamper::kNone, core::Tamper::kSwapWitnesses},
+    {FrameTamper::kNone, core::Tamper::kEmptyClaim},
+    {FrameTamper::kNone, core::Tamper::kForgeWitness},
+    {FrameTamper::kReplyReplay},
+};
+
+std::string tamper_name(WireTamper t) {
+  switch (t.frame) {
+    case FrameTamper::kNone: return std::string(core::tamper_name(t.reply));
+    case FrameTamper::kDropFrame: return "drop_frame";
+    case FrameTamper::kTruncateFrame: return "truncate_frame";
+    case FrameTamper::kOversizeLength: return "oversize_length";
+    case FrameTamper::kUnknownOpcode: return "unknown_opcode";
+    case FrameTamper::kDuplicateFrame: return "duplicate_frame";
+    case FrameTamper::kReplyReplay: return "reply_replay";
   }
   return "?";
 }
 
 bool tamper_is_benign(WireTamper t) {
-  return t == WireTamper::kNone || t == WireTamper::kReorderResults;
+  return t.frame == FrameTamper::kNone && core::tamper_is_benign(t.reply);
 }
 
 /// Shared mutable tamper state: the hook is installed once (before
 /// start()), the soak loop flips the mode per case.
 struct TamperState {
   std::mutex mu;
-  WireTamper mode = WireTamper::kNone;
+  WireTamper mode;
   std::uint64_t seed = 0;
-  Bytes recorded;  // kReplyReplay: the previously sent search reply
+  bigint::BigUint modulus;  // public accumulator state for forged witnesses
+  bigint::BigUint ac;
+  Bytes recorded;  // kReplyReplay: the previously sent plan reply
   std::map<WireTamper, int> bites;
 };
 
-/// The writer-thread hook: only kSearchReply frames are tampered; the
+/// The writer-thread hook: only kQueryPlanReply frames are tampered; the
 /// handshake and APPLY path stay honest (the soak targets the read path).
 std::vector<Bytes> tamper_frame(TamperState& st, const Bytes& frame) {
   const Frame f = decode_frame(frame);
-  if (static_cast<Op>(f.opcode) != Op::kSearchReply) return {frame};
+  if (static_cast<Op>(f.opcode) != Op::kQueryPlanReply) return {frame};
   std::lock_guard lock(st.mu);
-  const auto reencode = [&](const SearchReply& reply) {
-    return encode_frame(static_cast<std::uint8_t>(Op::kSearchReply),
-                        reply.serialize());
-  };
   const auto bite = [&] { ++st.bites[st.mode]; };
-  switch (st.mode) {
-    case WireTamper::kNone:
-      return {frame};
-    case WireTamper::kReorderResults: {
-      SearchReply reply = SearchReply::deserialize(f.payload);
-      bool changed = false;
-      for (core::TokenReply& tr : reply.replies) {
-        if (tr.encrypted_results.size() >= 2) {
-          std::reverse(tr.encrypted_results.begin(),
-                       tr.encrypted_results.end());
-          changed = true;
-        }
-      }
-      if (changed) bite();
-      return {reencode(reply)};
+  switch (st.mode.frame) {
+    case FrameTamper::kNone: {
+      if (st.mode.reply == core::Tamper::kNone) return {frame};
+      QueryPlanReply reply = QueryPlanReply::deserialize(f.payload);
+      core::TamperRng rng(st.seed);
+      if (core::tamper_replies(st.mode.reply, reply.clauses, st.modulus, st.ac,
+                               rng))
+        bite();
+      return {encode_frame(static_cast<std::uint8_t>(Op::kQueryPlanReply),
+                           reply.serialize())};
     }
-    case WireTamper::kDropFrame:
+    case FrameTamper::kDropFrame:
       bite();
       return {};
-    case WireTamper::kTruncateFrame: {
+    case FrameTamper::kTruncateFrame: {
       bite();
       return {Bytes(frame.begin(), frame.begin() + frame.size() / 2)};
     }
-    case WireTamper::kOversizeLength: {
+    case FrameTamper::kOversizeLength: {
       Bytes forged = frame;
       forged[0] = forged[1] = forged[2] = forged[3] = 0xFF;
       bite();
       return {forged};
     }
-    case WireTamper::kUnknownOpcode: {
+    case FrameTamper::kUnknownOpcode: {
       Bytes forged = frame;
       forged[4] = 0x7F;
       bite();
       return {forged};
     }
-    case WireTamper::kDuplicateFrame:
+    case FrameTamper::kDuplicateFrame:
       bite();
       return {frame, frame};
-    case WireTamper::kFlipResultByte: {
-      SearchReply reply = SearchReply::deserialize(f.payload);
-      for (core::TokenReply& tr : reply.replies) {
-        if (!tr.encrypted_results.empty()) {
-          Bytes& er = tr.encrypted_results.front();
-          er[st.seed % er.size()] ^= 0x01;
-          bite();
-          break;
-        }
-      }
-      return {reencode(reply)};
-    }
-    case WireTamper::kDropResult: {
-      SearchReply reply = SearchReply::deserialize(f.payload);
-      for (core::TokenReply& tr : reply.replies) {
-        if (!tr.encrypted_results.empty()) {
-          tr.encrypted_results.pop_back();
-          bite();
-          break;
-        }
-      }
-      return {reencode(reply)};
-    }
-    case WireTamper::kInjectResult: {
-      SearchReply reply = SearchReply::deserialize(f.payload);
-      if (!reply.replies.empty()) {
-        Bytes forged(16, static_cast<std::uint8_t>(st.seed));
-        reply.replies.front().encrypted_results.push_back(std::move(forged));
-        bite();
-      }
-      return {reencode(reply)};
-    }
-    case WireTamper::kSwapWitness: {
-      SearchReply reply = SearchReply::deserialize(f.payload);
-      if (reply.replies.size() >= 2 &&
-          !(reply.replies[0].witness == reply.replies[1].witness)) {
-        std::swap(reply.replies[0].witness, reply.replies[1].witness);
-        bite();
-      }
-      return {reencode(reply)};
-    }
-    case WireTamper::kEmptyClaim: {
-      SearchReply reply = SearchReply::deserialize(f.payload);
-      for (core::TokenReply& tr : reply.replies) {
-        if (!tr.encrypted_results.empty()) {
-          tr.encrypted_results.clear();
-          bite();
-          break;
-        }
-      }
-      return {reencode(reply)};
-    }
-    case WireTamper::kForgeWitness: {
-      SearchReply reply = SearchReply::deserialize(f.payload);
-      if (!reply.replies.empty()) {
-        reply.replies.front().witness =
-            reply.replies.front().witness + bigint::BigUint(1);
-        bite();
-      }
-      return {reencode(reply)};
-    }
-    case WireTamper::kReplyReplay: {
+    case FrameTamper::kReplyReplay: {
       if (st.recorded.empty()) {
         st.recorded = frame;  // record the honest reply, pass it through
         return {frame};
@@ -227,18 +168,18 @@ TEST(ByzantineWire, FullTaxonomyAcrossSeeds) {
     rig.user->refresh(rig.owner->export_user_state());
 
     SlicerServer server;
-    server.add_tenant("soak", std::make_unique<core::CloudServer>(
-                                  std::move(*rig.cloud)));
-    rig.cloud.reset();
+    server.add_tenant("soak", take_cloud(rig));
     server.set_frame_tamper(
         [state](const Bytes& frame) { return tamper_frame(*state, frame); });
     server.start();
 
-    // Ship the database honestly (only kSearchReply frames are tampered,
-    // but keep the mode at kNone during setup regardless).
+    // Ship the database honestly (only kQueryPlanReply frames are tampered,
+    // but keep the mode honest during setup regardless).
     {
       std::lock_guard lock(state->mu);
-      state->mode = WireTamper::kNone;
+      state->mode = {};
+      state->modulus = rig.acc_params.modulus;
+      state->ac = rig.owner->accumulator_value();
     }
     ChannelConfig one_shot;
     one_shot.max_attempts = 1;
@@ -262,12 +203,12 @@ TEST(ByzantineWire, FullTaxonomyAcrossSeeds) {
       // Honest baseline over the wire for this combo.
       {
         std::lock_guard lock(state->mu);
-        state->mode = WireTamper::kNone;
+        state->mode = {};
       }
       std::vector<core::RecordId> honest_ids;
       {
         SlicerClientChannel ch(server.port(), "soak", one_shot);
-        const auto honest = ch.search(tokens);
+        const auto honest = search(ch, tokens);
         ASSERT_TRUE(core::verify_query(rig.acc_params,
                                        rig.owner->shard_values(), tokens,
                                        honest, rig.config.prime_bits));
@@ -287,24 +228,24 @@ TEST(ByzantineWire, FullTaxonomyAcrossSeeds) {
         // kDuplicateFrame poisons the NEXT read; kReplyReplay records the
         // first reply and replays it for the second query. Both need a
         // two-query script where the SECOND query is the attacked one.
-        const bool two_phase = tamper == WireTamper::kDuplicateFrame ||
-                               tamper == WireTamper::kReplyReplay;
+        const bool two_phase = tamper.frame == FrameTamper::kDuplicateFrame ||
+                               tamper.frame == FrameTamper::kReplyReplay;
         bool detected = false;
         bool verified = false;
         std::vector<core::RecordId> ids;
         try {
           if (two_phase) {
-            const auto first = ch.search(tokens);
+            const auto first = search(ch, tokens);
             ASSERT_TRUE(core::verify_query(rig.acc_params,
                                            rig.owner->shard_values(), tokens,
                                            first, rig.config.prime_bits))
                 << "setup query of " << tamper_name(tamper);
-            const auto second = ch.search(tokens2);
+            const auto second = search(ch, tokens2);
             verified = core::verify_query(rig.acc_params,
                                           rig.owner->shard_values(), tokens2,
                                           second, rig.config.prime_bits);
           } else {
-            const auto replies = ch.search(tokens);
+            const auto replies = search(ch, tokens);
             verified = core::verify_query(rig.acc_params,
                                           rig.owner->shard_values(), tokens,
                                           replies, rig.config.prime_bits);
@@ -333,7 +274,7 @@ TEST(ByzantineWire, FullTaxonomyAcrossSeeds) {
     }
     {
       std::lock_guard lock(state->mu);
-      state->mode = WireTamper::kNone;
+      state->mode = {};
     }
     server.stop();
   }
@@ -360,9 +301,7 @@ TEST(ByzantineWire, StaleReplayAcrossUpdate) {
 
   auto state = std::make_shared<TamperState>();
   SlicerServer server;
-  server.add_tenant("soak",
-                    std::make_unique<core::CloudServer>(std::move(*rig.cloud)));
-  rig.cloud.reset();
+  server.add_tenant("soak", take_cloud(rig));
   server.set_frame_tamper(
       [state](const Bytes& frame) { return tamper_frame(*state, frame); });
   server.start();
@@ -373,32 +312,32 @@ TEST(ByzantineWire, StaleReplayAcrossUpdate) {
   const auto tokens = rig.user->make_tokens(40, MatchCondition::kGreater);
   {
     std::lock_guard lock(state->mu);
-    state->mode = WireTamper::kReplyReplay;  // records the first reply
+    state->mode = {FrameTamper::kReplyReplay};  // records the first reply
   }
-  const auto before = ch.search(tokens);
+  const auto before = search(ch, tokens);
   ASSERT_TRUE(core::verify_query(rig.acc_params, rig.owner->shard_values(),
                                  tokens, before, rig.config.prime_bits));
 
   // The owner inserts; the accumulator (and every witness) moves.
   {
     std::lock_guard lock(state->mu);
-    state->mode = WireTamper::kNone;
+    state->mode = {};
   }
   const std::vector<core::Record> extra = {{100, 41}};
   const core::UpdateOutput growth = rig.owner->insert(extra);
   ch.apply(growth);
 
   // Honest answer for the OLD tokens under the NEW accumulator verifies...
-  const auto honest_after = ch.search(tokens);
+  const auto honest_after = search(ch, tokens);
   EXPECT_TRUE(core::verify_query(rig.acc_params, rig.owner->shard_values(),
                                  tokens, honest_after, rig.config.prime_bits));
 
   // ...but the recorded pre-update reply, replayed on the wire, must fail.
   {
     std::lock_guard lock(state->mu);
-    state->mode = WireTamper::kReplyReplay;
+    state->mode = {FrameTamper::kReplyReplay};
   }
-  const auto replayed = ch.search(tokens);
+  const auto replayed = search(ch, tokens);
   EXPECT_FALSE(core::verify_query(rig.acc_params, rig.owner->shard_values(),
                                   tokens, replayed, rig.config.prime_bits))
       << "stale replayed reply verified against the advanced accumulator";

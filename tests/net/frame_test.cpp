@@ -163,51 +163,26 @@ TEST(Protocol, HelloRoundTrip) {
 }
 
 TEST(Protocol, HelloRejectsWrongMagic) {
-  Writer w;
-  w.str("slicer.net.v0");  // stale version string
-  w.str("tenant");
-  EXPECT_THROW(HelloRequest::deserialize(std::move(w).take()), DecodeError);
+  // Stale version strings, including v1 (which carried the retired
+  // SEARCH/SEARCH_AGGREGATED/FETCH/PROVE opcodes), fail as a "hello" error.
+  for (const char* magic : {"slicer.net.v0", "slicer.net.v1"}) {
+    Writer w;
+    w.str(magic);
+    w.str("tenant");
+    try {
+      HelloRequest::deserialize(std::move(w).take());
+      ADD_FAILURE() << magic << " accepted";
+    } catch (const DecodeError& e) {
+      EXPECT_NE(std::string_view(e.what()).find("hello:"), std::string::npos)
+          << magic;
+    }
+  }
 }
 
 TEST(Protocol, ReplyOpcodeMapping) {
   EXPECT_EQ(reply_op(Op::kHello), Op::kHelloOk);
   EXPECT_EQ(reply_op(Op::kApply), Op::kApplyOk);
-  EXPECT_EQ(reply_op(Op::kSearch), Op::kSearchReply);
-  EXPECT_EQ(reply_op(Op::kSearchAggregated), Op::kSearchAggregatedReply);
-  EXPECT_EQ(reply_op(Op::kFetch), Op::kFetchReply);
-  EXPECT_EQ(reply_op(Op::kProve), Op::kProveReply);
   EXPECT_EQ(reply_op(Op::kPing), Op::kPong);
-}
-
-TEST(Protocol, SearchRequestRoundTrip) {
-  SearchRequest req;
-  core::SearchToken token;
-  token.trapdoor = str_bytes("trapdoor-bytes");
-  token.j = 3;
-  token.g1 = str_bytes("g1-subkey-bytes!");
-  token.g2 = str_bytes("g2-subkey-bytes!");
-  req.tokens = {token, token};
-  EXPECT_EQ(SearchRequest::deserialize(req.serialize()), req);
-}
-
-TEST(Protocol, FetchAndProveRoundTrip) {
-  core::SearchToken token;
-  token.trapdoor = str_bytes("t");
-  token.g1 = str_bytes("g1");
-  token.g2 = str_bytes("g2");
-
-  FetchRequest fetch;
-  fetch.token = token;
-  EXPECT_EQ(FetchRequest::deserialize(fetch.serialize()), fetch);
-
-  FetchReply fetched;
-  fetched.results = {str_bytes("er-0"), str_bytes("er-1")};
-  EXPECT_EQ(FetchReply::deserialize(fetched.serialize()), fetched);
-
-  ProveRequest prove;
-  prove.token = token;
-  prove.results = fetched.results;
-  EXPECT_EQ(ProveRequest::deserialize(prove.serialize()), prove);
 }
 
 TEST(Protocol, ErrorReplyRoundTrip) {
@@ -229,13 +204,6 @@ TEST(Protocol, PayloadDecodersRejectTrailingBytes) {
   EXPECT_THROW(HelloReply::deserialize(with_trailer(HelloReply{}.serialize())),
                DecodeError);
   EXPECT_THROW(ApplyReply::deserialize(with_trailer(ApplyReply{}.serialize())),
-               DecodeError);
-  EXPECT_THROW(
-      SearchRequest::deserialize(with_trailer(SearchRequest{}.serialize())),
-      DecodeError);
-  EXPECT_THROW(SearchReply::deserialize(with_trailer(SearchReply{}.serialize())),
-               DecodeError);
-  EXPECT_THROW(FetchReply::deserialize(with_trailer(FetchReply{}.serialize())),
                DecodeError);
   EXPECT_THROW(ErrorReply::deserialize(with_trailer(ErrorReply{}.serialize())),
                DecodeError);

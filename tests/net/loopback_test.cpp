@@ -1,18 +1,19 @@
-// Loopback round-trips of the full wire protocol: every opcode against a
-// live SlicerServer, under a single-lane and a multi-lane thread pool,
+// Loopback round-trips of the full wire protocol: every opcode (HELLO,
+// PING, APPLY, QUERY_PLAN) against a live SlicerServer, under a single-lane and a multi-lane thread pool,
 // plus the protocol-state machine (hello-first, duplicate hello, unknown
-// tenant), connection limits, idle timeout + client reconnect, tenant
+// tenant, retired opcodes), connection limits, idle timeout + client reconnect, tenant
 // isolation, and reply ordering under pipelining.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 
+#include "common/serial.hpp"
 #include "common/thread_pool.hpp"
 #include "core/verify.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
-#include "tests/core/test_rig.hpp"
+#include "tests/net/net_test_util.hpp"
 
 namespace slicer::net {
 namespace {
@@ -21,46 +22,15 @@ using core::MatchCondition;
 using core::Record;
 using core::testing::plain_query;
 using core::testing::Rig;
+using testing::RawClient;
+using testing::search;
+using testing::take_cloud;
 
 std::vector<Record> sample_records() {
   std::vector<Record> out;
   for (std::uint64_t i = 0; i < 24; ++i) out.push_back({i + 1, (i * 53) % 256});
   return out;
 }
-
-/// Moves the rig's cloud out for server-side hosting (the rig keeps the
-/// owner/user roles; verification uses the owner's trusted shard values).
-std::unique_ptr<core::CloudServer> take_cloud(Rig& rig) {
-  auto cloud = std::make_unique<core::CloudServer>(std::move(*rig.cloud));
-  rig.cloud.reset();
-  return cloud;
-}
-
-void send_frame(Socket& sock, Op op, BytesView payload) {
-  sock.send_all(encode_frame(static_cast<std::uint8_t>(op), payload));
-}
-
-/// A raw protocol endpoint: one socket plus the stream decoder that MUST
-/// persist across reads (one recv chunk can carry several frames).
-struct RawClient {
-  Socket sock;
-  FrameDecoder decoder;
-
-  explicit RawClient(std::uint16_t port)
-      : sock(connect_loopback(port, std::chrono::seconds(2))) {}
-
-  void send(Op op, BytesView payload) { send_frame(sock, op, payload); }
-
-  Frame read_frame() {
-    for (;;) {
-      std::optional<Frame> frame = decoder.next();
-      if (frame.has_value()) return std::move(*frame);
-      const Bytes chunk = sock.recv_some();
-      if (chunk.empty()) throw NetError("closed");
-      decoder.feed(chunk);
-    }
-  }
-};
 
 void run_every_opcode(std::size_t threads) {
   ThreadPool::ScopedPool pool(threads);
@@ -85,36 +55,14 @@ void run_every_opcode(std::size_t threads) {
   EXPECT_EQ(ch.apply(update), rig.owner->primes().size());
   EXPECT_EQ(server.tenant("alpha").prime_count(), rig.owner->primes().size());
 
-  const auto tokens = rig.user->make_tokens(42, MatchCondition::kGreater);
-
-  // kSearch: legacy per-token replies, verified against the owner's
-  // (trusted) shard values exactly as an in-process deployment would.
-  const auto replies = ch.search(tokens);
-  EXPECT_TRUE(core::verify_query(rig.acc_params, rig.owner->shard_values(),
-                                 tokens, replies, rig.config.prime_bits));
-  auto ids = rig.user->decrypt(replies);
-  std::sort(ids.begin(), ids.end());
-  EXPECT_EQ(ids, plain_query(records, 42, MatchCondition::kGreater));
-
-  // kSearchAggregated: the O(K)-witness reply.
-  const core::QueryReply agg = ch.search_aggregated(tokens);
-  EXPECT_TRUE(core::verify_query_aggregated(
-      rig.acc_params, rig.owner->shard_values(), tokens, agg,
-      rig.config.prime_bits));
-
-  // kFetch + kProve: the split read path.
-  const std::vector<Bytes> results = ch.fetch(tokens[0]);
-  const core::TokenReply proof = ch.prove(tokens[0], results);
-  EXPECT_EQ(proof.encrypted_results, results);
-  EXPECT_TRUE(core::verify_reply(rig.acc_params, rig.owner->shard_values(),
-                                 tokens[0], proof, rig.config.prime_bits));
-
   // kQueryPlan: a whole clause batch (one legacy, one aggregated clause) in
-  // one round trip, verified per clause through verify_plan.
+  // one round trip, verified per clause through verify_plan against the
+  // owner's (trusted) shard values exactly as an in-process deployment
+  // would.
   QueryPlanRequest plan;
   plan.clauses.resize(2);
   plan.clauses[0].aggregated = false;
-  plan.clauses[0].tokens = tokens;
+  plan.clauses[0].tokens = rig.user->make_tokens(42, MatchCondition::kGreater);
   plan.clauses[1].aggregated = true;
   plan.clauses[1].tokens = rig.user->make_tokens(42, MatchCondition::kLess);
   const QueryPlanReply plan_reply = ch.query_plan(plan);
@@ -124,9 +72,16 @@ void run_every_opcode(std::size_t threads) {
                         rig.config.prime_bits);
   EXPECT_TRUE(pv.verified);
   ASSERT_EQ(plan_reply.clauses.size(), 2u);
-  auto plan_ids = rig.user->decrypt(plan_reply.clauses[0].replies);
-  std::sort(plan_ids.begin(), plan_ids.end());
-  EXPECT_EQ(plan_ids, ids);  // clause 0 answers the same gt-42 query
+  auto gt_ids = rig.user->decrypt(plan_reply.clauses[0].replies);
+  std::sort(gt_ids.begin(), gt_ids.end());
+  EXPECT_EQ(gt_ids, plain_query(records, 42, MatchCondition::kGreater));
+  std::vector<core::RecordId> lt_ids;
+  for (const auto& results : plan_reply.clauses[1].query_reply.token_results) {
+    const auto part = rig.user->decrypt_results(results);
+    lt_ids.insert(lt_ids.end(), part.begin(), part.end());
+  }
+  std::sort(lt_ids.begin(), lt_ids.end());
+  EXPECT_EQ(lt_ids, plain_query(records, 42, MatchCondition::kLess));
 
   server.stop();
 }
@@ -158,7 +113,7 @@ TEST(Loopback, TenantIsolation) {
 
   // Alpha still answers verified queries with beta connected.
   const auto tokens = alpha.user->make_tokens(100, MatchCondition::kLess);
-  const auto replies = ch_a.search(tokens);
+  const auto replies = search(ch_a, tokens);
   EXPECT_TRUE(core::verify_query(alpha.acc_params, alpha.owner->shard_values(),
                                  tokens, replies, alpha.config.prime_bits));
 }
@@ -278,23 +233,58 @@ TEST(Loopback, PipelinedRepliesKeepRequestOrder) {
   server.start();
 
   RawClient raw(server.port());
-  HelloRequest req;
-  req.tenant = "alpha";
-  raw.send(Op::kHello, req.serialize());
-  ASSERT_EQ(static_cast<Op>(raw.read_frame().opcode), Op::kHelloOk);
+  raw.hello("alpha");
 
-  // A burst of pings followed by a malformed SEARCH payload: the replies
+  // A burst of pings followed by a malformed QUERY_PLAN payload: the replies
   // must arrive strictly in request order (pongs first, then the error)
   // even though the handlers run concurrently on the pool.
   constexpr int kPings = 8;
   for (int i = 0; i < kPings; ++i) raw.send(Op::kPing, BytesView{});
-  raw.send(Op::kSearch, str_bytes("not a search payload"));
+  raw.send(Op::kQueryPlan, str_bytes("not a query plan payload"));
   for (int i = 0; i < kPings; ++i) {
     EXPECT_EQ(static_cast<Op>(raw.read_frame().opcode), Op::kPong) << i;
   }
   const Frame last = raw.read_frame();
   ASSERT_EQ(static_cast<Op>(last.opcode), Op::kError);
   EXPECT_EQ(ErrorReply::deserialize(last.payload).code, "decode");
+}
+
+// slicer.net.v1's SEARCH, SEARCH_AGGREGATED, FETCH and PROVE (0x03-0x06)
+// are retired: a v1 HELLO is refused, and on a v2 connection each retired
+// opcode is answered like any unknown opcode — kError "protocol", +10 on
+// the tenant's misbehavior score, connection kept.
+TEST(Loopback, RetiredOpcodesAreUnknown) {
+  Rig rig = Rig::make(8, "net-retired");
+  SlicerServer server;
+  server.add_tenant("alpha", take_cloud(rig));
+  server.start();
+
+  {
+    RawClient v1(server.port());
+    Writer w;
+    w.str("slicer.net.v1");
+    w.str("alpha");
+    v1.send(Op::kHello, std::move(w).take());
+    const Frame reply = v1.read_frame();
+    ASSERT_EQ(static_cast<Op>(reply.opcode), Op::kError);
+    EXPECT_EQ(ErrorReply::deserialize(reply.payload).code, "hello");
+    EXPECT_TRUE(v1.sock.recv_some().empty());
+  }
+
+  RawClient raw(server.port());
+  raw.hello("alpha");
+  std::uint64_t score = 0;
+  for (const std::uint8_t retired : {0x03, 0x04, 0x05, 0x06}) {
+    raw.send(static_cast<Op>(retired), str_bytes("v1 payload"));
+    const Frame reply = raw.read_frame();
+    ASSERT_EQ(static_cast<Op>(reply.opcode), Op::kError) << int{retired};
+    EXPECT_EQ(ErrorReply::deserialize(reply.payload).code, "protocol")
+        << int{retired};
+    score += 10;
+    EXPECT_EQ(server.tenant_misbehavior("alpha"), score) << int{retired};
+  }
+  raw.send(Op::kPing, BytesView{});  // still served
+  EXPECT_EQ(static_cast<Op>(raw.read_frame().opcode), Op::kPong);
 }
 
 TEST(Loopback, ConcurrentClientsAllVerify) {
@@ -327,7 +317,7 @@ TEST(Loopback, ConcurrentClientsAllVerify) {
       SlicerClientChannel ch(server.port(), "alpha");
       for (int q = 0; q < kQueriesPerClient; ++q) {
         const auto& tokens = queries[c * kQueriesPerClient + q];
-        const auto replies = ch.search(tokens);
+        const auto replies = search(ch, tokens);
         if (core::verify_query(rig.acc_params, rig.owner->shard_values(),
                                tokens, replies, rig.config.prime_bits)) {
           verified.fetch_add(1);

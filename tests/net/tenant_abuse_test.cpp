@@ -13,58 +13,16 @@
 #include "common/thread_pool.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
-#include "tests/core/test_rig.hpp"
+#include "tests/net/net_test_util.hpp"
 
 namespace slicer::net {
 namespace {
 
 using core::Record;
 using core::testing::Rig;
-
-std::unique_ptr<core::CloudServer> take_cloud(Rig& rig) {
-  auto cloud = std::make_unique<core::CloudServer>(std::move(*rig.cloud));
-  rig.cloud.reset();
-  return cloud;
-}
-
-/// Raw endpoint (frame decoder persists across reads).
-struct RawClient {
-  Socket sock;
-  FrameDecoder decoder;
-
-  explicit RawClient(std::uint16_t port)
-      : sock(connect_loopback(port, std::chrono::seconds(2))) {
-    sock.set_recv_timeout(std::chrono::seconds(5));
-  }
-
-  void send(Op op, BytesView payload) {
-    sock.send_all(encode_frame(static_cast<std::uint8_t>(op), payload));
-  }
-
-  Frame read_frame() {
-    for (;;) {
-      std::optional<Frame> frame = decoder.next();
-      if (frame.has_value()) return std::move(*frame);
-      const Bytes chunk = sock.recv_some();
-      if (chunk.empty()) throw NetError("closed");
-      decoder.feed(chunk);
-    }
-  }
-
-  void hello(const std::string& tenant) {
-    HelloRequest req;
-    req.tenant = tenant;
-    send(Op::kHello, req.serialize());
-    const Frame reply = read_frame();
-    ASSERT_EQ(static_cast<Op>(reply.opcode), Op::kHelloOk);
-  }
-};
-
-ErrorReply expect_error(RawClient& raw) {
-  const Frame reply = raw.read_frame();
-  EXPECT_EQ(static_cast<Op>(reply.opcode), Op::kError);
-  return ErrorReply::deserialize(reply.payload);
-}
+using testing::expect_error;
+using testing::RawClient;
+using testing::take_cloud;
 
 // --- token-bucket throttling --------------------------------------------
 
@@ -212,7 +170,7 @@ TEST(TenantAbuse, UndecodablePayloadScoresOnTheTenant) {
 
   RawClient raw(server.port());
   raw.hello("alpha");
-  raw.send(Op::kSearch, str_bytes("not a search payload"));
+  raw.send(Op::kQueryPlan, str_bytes("not a query plan payload"));
   EXPECT_EQ(expect_error(raw).code, "decode");
   EXPECT_EQ(server.tenant_misbehavior("alpha"), 20u);
   EXPECT_FALSE(server.tenant_banned("alpha"));
@@ -280,7 +238,7 @@ TEST(TenantAbuse, IdleTimeoutStrikesMidFrame) {
   RawClient raw(server.port());
   raw.hello("alpha");
   const Bytes full =
-      encode_frame(static_cast<std::uint8_t>(Op::kSearch), Bytes(64, 0x01));
+      encode_frame(static_cast<std::uint8_t>(Op::kQueryPlan), Bytes(64, 0x01));
   raw.sock.send_all(BytesView(full.data(), full.size() / 2));  // stall here
   // The server times the connection out and closes it without a reply.
   EXPECT_THROW(raw.read_frame(), NetError);
