@@ -46,10 +46,6 @@ int main() {
   for (const std::size_t bits : {8, 16}) {
     for (const std::size_t count : record_counts()) {
       World& world = cached_world(bits, count);
-      // Fig. 6 measures sizes, not proving time — let the cloud amortize
-      // witness generation so the sweep completes quickly.
-      if (!world.cloud->witnesses_precomputed())
-        world.cloud->precompute_witnesses();
       const auto queries = query_values(bits, 10, "fig6");
       // Equality queries hit existing values (like the paper's), otherwise
       // the 16-bit equality curve is identically zero.
@@ -114,7 +110,6 @@ int main() {
     const auto world_ptr =
         make_world(bits, record_counts().front(), true, /*shard_count=*/4);
     World& world = *world_ptr;
-    world.cloud->precompute_witnesses();
     // A two-sided interval is the many-token query the aggregation targets:
     // a between(lo, hi) submits the greater(lo) and less(hi) token sets as
     // one batch, so the per-query VO folds all of them. Pick the widest

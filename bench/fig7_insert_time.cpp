@@ -37,41 +37,7 @@ void BM_Insert(benchmark::State& state) {
   state.counters["inserted"] = static_cast<double>(insert_count);
 }
 
-/// Insert against a warm witness cache, per shard count: the timed region
-/// covers owner ingest plus cloud apply, whose incremental cache refresh
-/// dominates — and scales down ~K× as the batch product splits across
-/// shards (see bench/mixed_workload.cpp for the throughput acceptance).
-void BM_InsertSharded(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const std::size_t preload =
-      std::max<std::size_t>(256, static_cast<std::size_t>(1000.0 * scale()));
-  const std::size_t insert_count =
-      std::max<std::size_t>(32, static_cast<std::size_t>(500.0 * scale()));
-
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto world = make_world(8, preload, /*ingest=*/true, /*shard_count=*/k);
-    world->cloud->precompute_witnesses();
-    const auto batch =
-        gen_records(8, insert_count, /*id_base=*/preload + 1, "fig7-sharded");
-    state.ResumeTiming();
-
-    world->cloud->apply(world->owner->insert(batch));
-  }
-  state.counters["shards"] = static_cast<double>(k);
-  state.counters["preload"] = static_cast<double>(preload);
-  state.counters["inserted"] = static_cast<double>(insert_count);
-}
-
 void register_all() {
-  for (const std::size_t k : {1, 2, 4, 8}) {
-    benchmark::RegisterBenchmark(
-        ("Fig7/InsertSharded/8bit/K" + std::to_string(k)).c_str(),
-        BM_InsertSharded)
-        ->Args({static_cast<long>(k)})
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-  }
   for (const std::size_t bits : {8, 16, 24}) {
     for (const double base : {500.0, 1000.0, 2000.0, 4000.0}) {
       const auto count = static_cast<std::size_t>(base * scale());

@@ -1,19 +1,21 @@
 // Mixed insert/query workload against the sharded accumulator: for each
-// shard count K the owner preloads a corpus, the cloud warms its witness
-// cache, and then alternating insert batches (with the incremental cache
-// refresh inside apply) and range queries run against the deployment.
+// shard count K the owner preloads a corpus, insert batches run against the
+// deployment, and verified range queries follow. The writes do no witness
+// work in the cloud (apply only adopts the new primes and shard values);
+// the reads after them take every proof-cache miss from the accumulator's
+// witness frontier.
 //
 // Emits BENCH_mixed_workload.json with, per K:
 //   * MixedWorkload/Insert/K=<k> — wall time of the insert rounds and
-//     records_per_s throughput (owner insert + cloud apply incl. refresh)
+//     records_per_s throughput (owner insert + cloud apply)
 //   * MixedWorkload/Query/K=<k>  — p50/p99 end-to-end search latency taken
-//     from the core.cloud.search_ns metrics histogram
+//     from the core.cloud.search_ns metrics histogram, plus the frontier's
+//     fills, folds and recomputes over the query phase
 //
-// The refresh dominates the insert path once the cache holds a few hundred
-// witnesses: each cached witness absorbs the batch's routed prime product
-// into its exponent, and routing splits that product (and the shards' work)
-// K ways — so insert throughput is expected to scale superlinearly in K on
-// multi-core and close to K× even on two CI cores.
+// The first reads after the writes pay the frontier: one comb from g per
+// run of shard primes they touch. Routing splits each shard's prime list K
+// ways, so each fill's exponent shrinks with K while the number of runs
+// stays the same.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -57,11 +59,8 @@ void run_shard_count(BenchJson& json, std::size_t k) {
   const metrics::ScopedMetrics scoped;
 
   auto world = make_world(kBits, preload, /*ingest=*/true, /*shard_count=*/k);
-  world->cloud->precompute_witnesses();
-  const std::size_t cache_size = world->cloud->prime_count();
 
-  // Insert rounds: owner ingest + cloud apply, which refreshes the witness
-  // cache incrementally against each batch.
+  // Insert rounds: owner ingest + cloud apply.
   std::size_t inserted = 0;
   const auto insert_start = std::chrono::steady_clock::now();
   for (std::size_t r = 0; r < rounds; ++r) {
@@ -77,7 +76,14 @@ void run_shard_count(BenchJson& json, std::size_t k) {
   const double throughput =
       insert_ms > 0 ? static_cast<double>(inserted) / (insert_ms / 1e3) : 0;
 
-  // Query phase: verified range searches against the refreshed deployment.
+  // Query phase: verified range searches against the updated deployment.
+  const auto& fills = metrics::counter("adscrypto.sharded.frontier.fills");
+  const auto& folds = metrics::counter("adscrypto.sharded.frontier.folds");
+  const auto& recomputes =
+      metrics::counter("adscrypto.sharded.frontier.recomputes");
+  const std::uint64_t fills_before = fills.value();
+  const std::uint64_t folds_before = folds.value();
+  const std::uint64_t recomputes_before = recomputes.value();
   world->user = std::make_unique<core::DataUser>(
       world->owner->export_user_state(),
       crypto::Drbg(str_bytes("mixed-user-" + std::to_string(k))));
@@ -95,11 +101,16 @@ void run_shard_count(BenchJson& json, std::size_t k) {
   const auto& search_ns = metrics::histogram("core.cloud.search_ns");
   const double p50 = histogram_quantile_ms(search_ns, 0.50);
   const double p99 = histogram_quantile_ms(search_ns, 0.99);
+  const auto frontier_fills = static_cast<double>(fills.value() - fills_before);
+  const auto frontier_folds = static_cast<double>(folds.value() - folds_before);
+  const auto frontier_recomputes =
+      static_cast<double>(recomputes.value() - recomputes_before);
 
   std::printf(
-      "K=%zu  insert %8.1f ms (%7.1f rec/s, %zu witnesses)  "
-      "query p50 %.2f ms p99 %.2f ms  (%zu/%zu verified)\n",
-      k, insert_ms, throughput, cache_size, p50, p99, verified, values.size());
+      "K=%zu  insert %8.1f ms (%7.1f rec/s)  query p50 %.2f ms p99 %.2f ms  "
+      "(%zu/%zu verified; frontier %.0f fills %.0f folds %.0f recomputes)\n",
+      k, insert_ms, throughput, p50, p99, verified, values.size(),
+      frontier_fills, frontier_folds, frontier_recomputes);
 
   json.add({"MixedWorkload/Insert/K=" + std::to_string(k),
             insert_ms,
@@ -107,15 +118,17 @@ void run_shard_count(BenchJson& json, std::size_t k) {
             {{"shards", static_cast<double>(k)},
              {"records_per_s", throughput},
              {"inserted", static_cast<double>(inserted)},
-             {"preload", static_cast<double>(preload)},
-             {"witness_cache", static_cast<double>(cache_size)}}});
+             {"preload", static_cast<double>(preload)}}});
   json.add({"MixedWorkload/Query/K=" + std::to_string(k),
             p50,
             static_cast<std::int64_t>(values.size()),
             {{"shards", static_cast<double>(k)},
              {"p50_ms", p50},
              {"p99_ms", p99},
-             {"verified", static_cast<double>(verified)}}});
+             {"verified", static_cast<double>(verified)},
+             {"frontier_fills", frontier_fills},
+             {"frontier_folds", frontier_folds},
+             {"frontier_recomputes", frontier_recomputes}}});
 }
 
 }  // namespace

@@ -129,12 +129,16 @@ void run_config(BenchJson& json, std::size_t bits, std::size_t count) {
               [&] { run_queries(eq_values, MatchCondition::kEqual, false, false); });
   table.phase("Fig5b/EqualityVoGen" + tag, "core.cloud.prove_ns",
               [&] { run_queries(eq_values, MatchCondition::kEqual, true, false); },
-              {"core.cloud.witness_cache.hits", "core.cloud.witness_cache.misses"});
+              {"adscrypto.sharded.frontier.fills",
+               "adscrypto.sharded.frontier.folds",
+               "adscrypto.sharded.frontier.recomputes"});
   table.phase("Fig5c/OrderResultGen" + tag, "core.cloud.fetch_results_ns",
               [&] { run_queries(ord_values, MatchCondition::kGreater, false, false); });
   table.phase("Fig5d/OrderVoGen" + tag, "core.cloud.prove_ns",
               [&] { run_queries(ord_values, MatchCondition::kGreater, true, false); },
-              {"core.cloud.witness_cache.hits", "core.cloud.witness_cache.misses"});
+              {"adscrypto.sharded.frontier.fills",
+               "adscrypto.sharded.frontier.folds",
+               "adscrypto.sharded.frontier.recomputes"});
   table.phase("Verify/Order" + tag, "core.verify.query_ns",
               [&] { run_queries(ord_values, MatchCondition::kGreater, true, true); },
               {"adscrypto.accumulator.verifies"});

@@ -48,7 +48,6 @@ double ms_since(const std::chrono::steady_clock::time_point& start) {
 bool soak_detection(BenchJson& json) {
   const std::size_t count = static_cast<std::size_t>(200 * scale());
   World& world = cached_world(8, count);
-  world.cloud->precompute_witnesses();  // O(1) VO per query in the soak loop
 
   constexpr int kSeeds = 5;
   bool ok = true;
@@ -123,7 +122,6 @@ bool soak_detection(BenchJson& json) {
 bool soak_plan_detection(BenchJson& json) {
   const std::size_t count = static_cast<std::size_t>(200 * scale());
   World& world = cached_world(8, count);
-  world.cloud->precompute_witnesses();
 
   constexpr int kSeeds = 5;
   bool ok = true;

@@ -196,25 +196,15 @@ void RsaAccumulator::all_witnesses_rec(std::span<const BigUint> primes,
 
 std::vector<BigUint> RsaAccumulator::all_witnesses(
     std::span<const BigUint> primes) const {
-  return all_witnesses(primes, params_.generator);
-}
-
-std::vector<BigUint> RsaAccumulator::all_witnesses(
-    std::span<const BigUint> primes, const BigUint& base) const {
   static metrics::Histogram& all_witnesses_ns =
       metrics::histogram("adscrypto.accumulator.all_witnesses_ns");
   const metrics::ScopedTimer timer(all_witnesses_ns);
-  if (base.is_zero() || base >= params_.modulus)
-    throw CryptoError("all_witnesses base out of range");
   std::vector<BigUint> out(primes.size());
   if (primes.empty()) return out;
   Montgomery::Scratch scratch;
-  const Montgomery::Elem base_mont = mont_.to_mont(base, scratch);
-  // The comb table is bound to g; only hand it down when the base really is
-  // the generator (an arbitrary-base call must use the sliding window).
-  const Montgomery::FixedBase* fixed =
-      base == params_.generator ? fixed_g_.get() : nullptr;
-  all_witnesses_rec(primes, base_mont, 0, primes.size(), out, scratch, fixed);
+  const Montgomery::Elem base_mont = mont_.to_mont(params_.generator, scratch);
+  all_witnesses_rec(primes, base_mont, 0, primes.size(), out, scratch,
+                    fixed_g_.get());
   return out;
 }
 

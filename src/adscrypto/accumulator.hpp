@@ -71,20 +71,11 @@ class RsaAccumulator {
                           std::size_t index) const;
 
   /// All witnesses at once via the root-factor (product-tree) algorithm —
-  /// O(|X| log |X|) total instead of O(|X|) per witness. Used by the cloud
-  /// to amortize VO generation across queries (ablation C in DESIGN.md).
+  /// O(|X| log |X|) total instead of O(|X|) per witness. The amortized
+  /// reference that ablation C (DESIGN.md) and the witness tests compare
+  /// per-query and frontier witnesses against.
   std::vector<bigint::BigUint> all_witnesses(
       std::span<const bigint::BigUint> primes) const;
-
-  /// Same root-factor batch, but relative to an arbitrary base B:
-  /// out[i] = B^(∏_{j≠i} x_j) mod n. With B = g this is the plain
-  /// all_witnesses; with B = the pre-batch accumulator value Ac_old it
-  /// yields the witnesses of a freshly inserted batch against the updated
-  /// accumulator (Ac_old already carries every older prime in its
-  /// exponent) — the incremental-refresh path of the sharded accumulator.
-  std::vector<bigint::BigUint> all_witnesses(
-      std::span<const bigint::BigUint> primes,
-      const bigint::BigUint& base) const;
 
   /// g^exponent mod n through the fixed-base comb table when enabled (the
   /// generic sliding window otherwise). Public so incremental maintainers

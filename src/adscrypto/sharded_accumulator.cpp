@@ -79,9 +79,6 @@ ShardedAccumulator::Batch ShardedAccumulator::route(
   Batch batch;
   const std::size_t k = shards_.size();
   batch.routed.resize(k);
-  batch.old_values = values_;
-  batch.old_counts.resize(k);
-  for (std::size_t s = 0; s < k; ++s) batch.old_counts[s] = primes_[s].size();
   batch.empty = xs.empty();
   for (const BigUint& x : xs) {
     const std::size_t s = shard_of(x, k);
@@ -276,49 +273,6 @@ BigUint ShardedAccumulator::witness(Pos pos) const {
   return mont_.pow(value, product_tree(primes.subspan(lo, pos.index - lo)) *
                               product_tree(primes.subspan(
                                   pos.index + 1, hi - pos.index - 1)));
-}
-
-std::vector<std::vector<BigUint>> ShardedAccumulator::all_witnesses() const {
-  std::vector<std::vector<BigUint>> out(shards_.size());
-  // Serial over shards: the root-factor recursion inside each shard already
-  // saturates the pool, and shard sizes are skewed enough that an outer
-  // parallel_for would just serialize on the largest shard anyway.
-  for (std::size_t s = 0; s < shards_.size(); ++s)
-    out[s] = shards_[s].all_witnesses(primes_[s]);
-  return out;
-}
-
-void ShardedAccumulator::refresh_witnesses(
-    std::vector<std::vector<BigUint>>& caches, const Batch& batch) const {
-  static metrics::Histogram& refresh_ns =
-      metrics::histogram("adscrypto.sharded.refresh_ns");
-  const metrics::ScopedTimer timer(refresh_ns);
-  if (caches.size() != shards_.size() ||
-      batch.routed.size() != shards_.size())
-    throw CryptoError("witness cache shard mismatch");
-  ThreadPool& pool = ThreadPool::instance();
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const std::vector<BigUint>& routed = batch.routed[s];
-    if (routed.empty()) continue;
-    if (caches[s].size() != batch.old_counts[s])
-      throw CryptoError("witness cache size mismatch");
-    // Every pre-batch witness owes exactly the routed product in its
-    // exponent: w' = w^P. The exponent is |routed| 64-bit primes — batch
-    // cost, not index cost.
-    const BigUint product = product_tree(routed);
-    pool.parallel_for(caches[s].size(), [&](std::size_t i) {
-      caches[s][i] = mont_.pow(caches[s][i], product);
-    });
-    // The batch's own witnesses, based at the pre-batch shard value: that
-    // value already carries every older prime in its exponent, so the
-    // root-factor recursion over just the routed primes completes each
-    // exponent to "everything except me".
-    std::vector<BigUint> fresh =
-        shards_[s].all_witnesses(routed, batch.old_values[s]);
-    caches[s].insert(caches[s].end(),
-                     std::make_move_iterator(fresh.begin()),
-                     std::make_move_iterator(fresh.end()));
-  }
 }
 
 namespace {

@@ -2,14 +2,11 @@
 // deterministic prime→shard routing function and an MSet-Mu-Hash fold of the
 // per-shard accumulation values into the single digest published on chain.
 //
-// Sharding attacks the write-scaling wall: inserting a batch into one global
-// accumulator forces every cached witness to absorb the whole batch product
-// in its exponent, so refresh cost grows with |batch| per witness. Routing
-// primes across K shards shrinks each shard's batch (and therefore each
-// refresh exponent) by ~K while the shards update in parallel on the pool.
-// K = 1 degenerates to exactly today's single-accumulator behavior — same
-// routing (everything to shard 0), same digest (the raw shard value, no
-// fold), bit-identical outputs.
+// Routing primes across K shards shrinks each shard's prime list (and
+// therefore every witness exponent) by ~K while the shards update in
+// parallel on the pool. K = 1 degenerates to exactly today's
+// single-accumulator behavior — same routing (everything to shard 0), same
+// digest (the raw shard value, no fold), bit-identical outputs.
 #pragma once
 
 #include <cstdint>
@@ -53,15 +50,10 @@ class ShardedAccumulator {
     std::uint32_t index = 0;
   };
 
-  /// What an insert changed — everything the incremental witness refresh
-  /// needs to avoid a from-scratch rebuild.
+  /// What an insert changed: which shards gained primes.
   struct Batch {
     /// New primes routed per shard (arrival order within each shard).
     std::vector<std::vector<bigint::BigUint>> routed;
-    /// Per-shard accumulation values BEFORE this batch.
-    std::vector<bigint::BigUint> old_values;
-    /// Per-shard prime counts BEFORE this batch.
-    std::vector<std::size_t> old_counts;
     bool empty = true;
   };
 
@@ -132,21 +124,6 @@ class ShardedAccumulator {
   /// insert.
   bigint::BigUint witness(Pos pos) const;
 
-  /// From-scratch witness cache: per-shard root-factor batch (the result
-  /// the incremental refresh must reproduce).
-  std::vector<std::vector<bigint::BigUint>> all_witnesses() const;
-
-  /// Incremental refresh after `batch`: every witness cached before the
-  /// batch absorbs the shard's routed product P into its exponent
-  /// (w' = w^P — one modexp whose exponent is |routed| primes, not the
-  /// whole shard), and the batch's own witnesses are produced by the
-  /// root-factor recursion based at the shard's pre-batch value, which
-  /// already carries every older prime in its exponent. Value-identical to
-  /// all_witnesses() from scratch. `caches` must hold exactly the pre-batch
-  /// witnesses (old_counts per shard); throws CryptoError otherwise.
-  void refresh_witnesses(std::vector<std::vector<bigint::BigUint>>& caches,
-                         const Batch& batch) const;
-
   /// Folds the membership witnesses of pairwise-distinct elements of ONE
   /// shard into the single aggregate witness of their product (Shamir's
   /// trick, pairwise tree fold): returns W with W^(∏ elements) equal to the
@@ -194,8 +171,8 @@ class ShardedAccumulator {
                      const bigint::BigUint& witness);
 
  private:
-  /// Routes `xs` into per-shard lists, appends them to the shard prime
-  /// lists and the position index, and captures the pre-batch snapshot.
+  /// Routes `xs` into per-shard lists and appends them to the shard prime
+  /// lists and the position index.
   Batch route(std::span<const bigint::BigUint> xs);
 
   AccumulatorParams params_;

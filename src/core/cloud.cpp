@@ -34,7 +34,6 @@ CloudServer::CloudServer(adscrypto::TrapdoorPublicKey trapdoor_pk,
     : perm_(std::move(trapdoor_pk)),
       sharded_(std::move(accumulator_params), shard_count),
       prime_bits_(prime_bits),
-      wit_(std::make_unique<WitnessState>()),
       pcache_(std::make_unique<ProofCache>()),
       ac_(sharded_.digest()) {
   pcache_->capacity = proof_cache_capacity();
@@ -56,7 +55,7 @@ void CloudServer::apply(const UpdateOutput& update) {
 
   if (update.new_primes.empty()) {
     // Pure data-entry update: the accumulator is untouched, so every cached
-    // witness is still exact — skip both the insert and the refresh.
+    // witness is still exact — skip the insert and keep the shard epochs.
     refresh_skips.add();
     ac_ = update.accumulator_value;
     return;
@@ -84,29 +83,9 @@ void CloudServer::apply(const UpdateOutput& update) {
   // witnesses (and in-shard positions): advance their epochs. Entry-only
   // updates never reach here — their result changes are caught by the
   // digest guard on the next hit.
-  {
-    const std::lock_guard pc_lock(pcache_->mu);
-    for (std::size_t s = 0; s < batch.routed.size(); ++s)
-      if (!batch.routed[s].empty()) ++pcache_->shard_epochs[s];
-  }
-
-  // Take the cache out while it refreshes: a refresh that throws leaves
-  // the cache cold, and prove() falls back to exact on-demand witnesses.
-  std::vector<std::vector<BigUint>> caches;
-  {
-    std::unique_lock lock(wit_->mu);
-    caches = std::exchange(wit_->cache, {});
-  }
-  if (!witness_autorefresh_) return;
-  if (caches.size() == sharded_.shard_count()) {
-    sharded_.refresh_witnesses(caches, batch);
-  } else {
-    // Cache was cold (precompute never ran against this layout): build
-    // from scratch once; subsequent batches refresh incrementally.
-    caches = sharded_.all_witnesses();
-  }
-  std::unique_lock lock(wit_->mu);
-  wit_->cache = std::move(caches);
+  const std::lock_guard pc_lock(pcache_->mu);
+  for (std::size_t s = 0; s < batch.routed.size(); ++s)
+    if (!batch.routed[s].empty()) ++pcache_->shard_epochs[s];
 }
 
 std::vector<std::vector<Bytes>> CloudServer::plan_walks(
@@ -173,10 +152,8 @@ std::vector<Bytes> CloudServer::fetch_results(const SearchToken& token) const {
 
 CloudServer::ProvenToken CloudServer::prove_parts(
     const SearchToken& token, std::vector<Bytes> results) const {
-  static metrics::Counter& cache_hits =
-      metrics::counter("core.cloud.witness_cache.hits");
-  static metrics::Counter& cache_misses =
-      metrics::counter("core.cloud.witness_cache.misses");
+  static metrics::Histogram& prove_ns =
+      metrics::histogram("core.cloud.prove_ns");
   static metrics::Counter& proof_hits =
       metrics::counter("core.cloud.proof_cache.hits");
   static metrics::Counter& proof_prime_hits =
@@ -185,6 +162,8 @@ CloudServer::ProvenToken CloudServer::prove_parts(
       metrics::counter("core.cloud.proof_cache.misses");
   static metrics::Counter& proof_evictions =
       metrics::counter("core.cloud.proof_cache.evictions");
+  const metrics::ScopedTimer timer(prove_ns);
+  const trace::Span span("cloud.prove");
 
   ProvenToken out;
   // Canonical result-set digest (order-insensitive): always recomputed —
@@ -226,24 +205,7 @@ CloudServer::ProvenToken CloudServer::prove_parts(
   if (!pos.has_value())
     throw ProtocolError("derived prime not in X: index out of sync");
   out.pos = *pos;
-
-  // A cold full cache (the default) covers nothing: the witness comes from
-  // the accumulator's frontier.
-  bool from_wit_cache = false;
-  {
-    const std::shared_lock lock(wit_->mu);
-    if (out.pos.shard < wit_->cache.size() &&
-        out.pos.index < wit_->cache[out.pos.shard].size()) {
-      out.witness = wit_->cache[out.pos.shard][out.pos.index];
-      from_wit_cache = true;
-    }
-  }
-  if (from_wit_cache) {
-    cache_hits.add();
-  } else {
-    cache_misses.add();
-    out.witness = sharded_.witness(out.pos);
-  }
+  out.witness = sharded_.witness(out.pos);
 
   if (cache_on) {
     const std::lock_guard lock(pcache_->mu);
@@ -282,23 +244,36 @@ void CloudServer::reset_proof_cache() {
 
 TokenReply CloudServer::prove(const SearchToken& token,
                               std::vector<Bytes> results) const {
-  static metrics::Histogram& prove_ns =
-      metrics::histogram("core.cloud.prove_ns");
-  const metrics::ScopedTimer timer(prove_ns);
-  const trace::Span span("cloud.prove");
   ProvenToken proven = prove_parts(token, std::move(results));
-  TokenReply reply;
-  reply.encrypted_results = std::move(proven.results);
-  reply.witness = std::move(proven.witness);
-  return reply;
+  return TokenReply{std::move(proven.results), std::move(proven.witness)};
+}
+
+CloudServer::ProvenToken CloudServer::serve_token(
+    const SearchToken& token, std::span<const Bytes> encodes) const {
+  static metrics::Histogram& fetch_ns =
+      metrics::histogram("core.cloud.fetch_results_ns");
+  static metrics::Counter& results_fetched =
+      metrics::counter("core.cloud.results_fetched");
+  static metrics::Counter& tokens_served =
+      metrics::counter("core.cloud.tokens_served");
+  fault_point_throw("core.cloud.search.worker");
+  std::vector<Bytes> results;
+  {
+    const metrics::ScopedTimer fetch_timer(fetch_ns);
+    results = fetch_results_walk(token, encodes);
+    results_fetched.add(results.size());
+  }
+  ProvenToken proven = prove_parts(token, std::move(results));
+  // Counted only after the proof succeeded, so fault-injected worker
+  // failures do not inflate the counter.
+  tokens_served.add();
+  return proven;
 }
 
 std::vector<TokenReply> CloudServer::search(
     std::span<const SearchToken> tokens) const {
   static metrics::Histogram& search_ns =
       metrics::histogram("core.cloud.search_ns");
-  static metrics::Counter& tokens_served =
-      metrics::counter("core.cloud.tokens_served");
   const metrics::ScopedTimer timer(search_ns);
   const trace::Span span("cloud.search");
   const auto walks = plan_walks(tokens);
@@ -306,22 +281,9 @@ std::vector<TokenReply> CloudServer::search(
   // replies in submission order.
   return ThreadPool::instance().parallel_map<TokenReply>(
       tokens.size(), [&](std::size_t i) {
-        fault_point_throw("core.cloud.search.worker");
-        std::vector<Bytes> results;
-        {
-          static metrics::Histogram& fetch_ns =
-              metrics::histogram("core.cloud.fetch_results_ns");
-          static metrics::Counter& results_fetched =
-              metrics::counter("core.cloud.results_fetched");
-          const metrics::ScopedTimer fetch_timer(fetch_ns);
-          results = fetch_results_walk(tokens[i], walks[i]);
-          results_fetched.add(results.size());
-        }
-        TokenReply reply = prove(tokens[i], std::move(results));
-        // Counted only after the proof succeeded, so fault-injected worker
-        // failures no longer inflate the counter.
-        tokens_served.add();
-        return reply;
+        ProvenToken proven = serve_token(tokens[i], walks[i]);
+        return TokenReply{std::move(proven.results),
+                          std::move(proven.witness)};
       });
 }
 
@@ -329,21 +291,14 @@ QueryReply CloudServer::search_aggregated(
     std::span<const SearchToken> tokens) const {
   static metrics::Histogram& search_ns =
       metrics::histogram("core.cloud.aggregate_search_ns");
-  static metrics::Counter& tokens_served =
-      metrics::counter("core.cloud.tokens_served");
   static metrics::Counter& witnesses_shipped =
       metrics::counter("core.cloud.aggregate_witnesses");
   const metrics::ScopedTimer timer(search_ns);
   const trace::Span span("cloud.search_aggregated");
   const auto walks = plan_walks(tokens);
   auto proven = ThreadPool::instance().parallel_map<ProvenToken>(
-      tokens.size(), [&](std::size_t i) {
-        fault_point_throw("core.cloud.search.worker");
-        ProvenToken p =
-            prove_parts(tokens[i], fetch_results_walk(tokens[i], walks[i]));
-        tokens_served.add();
-        return p;
-      });
+      tokens.size(),
+      [&](std::size_t i) { return serve_token(tokens[i], walks[i]); });
 
   QueryReply out;
   out.token_results.reserve(proven.size());
@@ -395,25 +350,6 @@ std::vector<ClauseReply> CloudServer::search_plan(
     clauses_served.add();
   }
   return out;
-}
-
-void CloudServer::precompute_witnesses() {
-  static metrics::Histogram& precompute_ns =
-      metrics::histogram("core.cloud.precompute_witnesses_ns");
-  const metrics::ScopedTimer timer(precompute_ns);
-  auto caches = sharded_.all_witnesses();
-  {
-    std::unique_lock lock(wit_->mu);
-    wit_->cache = std::move(caches);
-  }
-  witness_autorefresh_ = true;
-}
-
-bool CloudServer::witnesses_precomputed() const {
-  const std::shared_lock lock(wit_->mu);
-  for (const auto& shard_cache : wit_->cache)
-    if (!shard_cache.empty()) return true;
-  return false;
 }
 
 }  // namespace slicer::core

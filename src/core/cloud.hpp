@@ -13,7 +13,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <span>
 #include <vector>
 
@@ -42,11 +41,9 @@ class CloudServer {
   CloudServer& operator=(CloudServer&&) = delete;
 
   /// Applies a Build/Insert delta from the data owner: new index entries,
-  /// new primes, and the refreshed accumulator value(s). With witness
-  /// precomputation enabled the cache is refreshed *incrementally*: every
-  /// cached witness absorbs the batch product (w' = w^P) and the new
-  /// primes' witnesses are derived from the pre-batch shard values — batch
-  /// cost, not index cost.
+  /// new primes, and the refreshed accumulator value(s). No witness work
+  /// happens here: the next proof-cache miss on a touched shard brings its
+  /// witness frontier up to date.
   void apply(const UpdateOutput& update);
 
   /// Full search: results + VO for every token.
@@ -90,15 +87,6 @@ class CloudServer {
   /// K > 1 cloud recomputes its shard values from the primes on restore.
   void restore_state(BytesView snapshot);
 
-  /// Precomputes all membership witnesses with the product-tree algorithm;
-  /// afterwards prove() is an O(1) lookup, and every subsequent apply()
-  /// refreshes the cache incrementally against the batch automatically.
-  /// (Ablation C: amortized vs per-query VO generation.) Without it, a
-  /// proof-cache miss takes its witness from the accumulator's witness
-  /// frontier (ShardedAccumulator::witness).
-  void precompute_witnesses();
-  bool witnesses_precomputed() const;
-
   const EncryptedIndex& index() const { return index_; }
   const adscrypto::AccumulatorParams& accumulator_params() const {
     return sharded_.params();
@@ -113,14 +101,6 @@ class CloudServer {
   std::size_t prime_count() const { return primes_.size(); }
 
  private:
-  /// Full witness cache (per shard, parallel to each shard's prime list).
-  /// Boxed so CloudServer stays movable.
-  struct WitnessState {
-    mutable std::shared_mutex mu;
-    /// Empty outer vector = cold cache; size-K outer vector = warm.
-    std::vector<std::vector<bigint::BigUint>> cache;
-  };
-
   /// Hot-token proof cache: (serialized token) → everything prove derives
   /// for it. An entry's prime/position/witness are reusable only under two
   /// guards checked on every hit:
@@ -132,7 +112,7 @@ class CloudServer {
   ///     that receives new primes, which is exactly when cached witnesses
   ///     (and in-shard indices) go stale; entry-only updates leave epochs
   ///     alone because the digest guard already covers result changes.
-  /// Boxed (like WitnessState) so CloudServer stays movable.
+  /// Boxed so CloudServer stays movable.
   struct ProofCache {
     struct Entry {
       adscrypto::MultisetHash::Digest digest{};
@@ -152,7 +132,7 @@ class CloudServer {
   };
 
   /// Everything prove() derives for one token — search_aggregated consumes
-  /// the parts, prove() wraps them into a TokenReply.
+  /// the parts, prove() and search() wrap them into a TokenReply.
   struct ProvenToken {
     std::vector<Bytes> results;
     bigint::BigUint prime;
@@ -160,10 +140,17 @@ class CloudServer {
     bigint::BigUint witness;
   };
 
-  /// Shared body of prove()/search_aggregated(): digest, prime (proof
-  /// cache, else derived), position and witness for one token's results.
+  /// Shared body of prove() and both read paths: digest, prime (proof
+  /// cache, else derived), position and witness (proof cache, else the
+  /// accumulator's witness frontier) for one token's results.
   ProvenToken prove_parts(const SearchToken& token,
                           std::vector<Bytes> results) const;
+
+  /// Per-token worker of search() and search_aggregated(): the timed fetch
+  /// over the token's walk, then prove_parts — so both read paths feed the
+  /// same fetch/prove histograms.
+  ProvenToken serve_token(const SearchToken& token,
+                          std::span<const Bytes> encodes) const;
 
   /// Per-query walk plan: for each token, the encoded trapdoor of every
   /// generation it visits (newest → oldest). One trapdoor-permutation step
@@ -188,9 +175,7 @@ class CloudServer {
 
   EncryptedIndex index_;
   std::vector<bigint::BigUint> primes_;  // X, flat arrival order (snapshots)
-  std::unique_ptr<WitnessState> wit_;
   std::unique_ptr<ProofCache> pcache_;
-  bool witness_autorefresh_ = false;  // refresh cache on apply()
   bigint::BigUint ac_;
 };
 

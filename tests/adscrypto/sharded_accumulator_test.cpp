@@ -101,10 +101,8 @@ TEST_F(ShardedAccumulatorTest, SingleShardBitIdenticalToRsaAccumulator) {
   trap.insert(primes, trapdoor_);
   EXPECT_EQ(trap.digest(), legacy.accumulate(primes, trapdoor_));
 
-  const auto caches = pub.all_witnesses();
+  ASSERT_TRUE(std::ranges::equal(pub.shard_primes(0), primes));
   const auto legacy_wit = legacy.all_witnesses(primes);
-  ASSERT_EQ(caches.size(), 1u);
-  EXPECT_EQ(caches[0], legacy_wit);
   for (std::size_t i = 0; i < primes.size(); ++i) {
     const auto pos = pub.find(primes[i]);
     ASSERT_TRUE(pos.has_value());
@@ -249,7 +247,14 @@ TEST_F(ShardedAccumulatorTest, InsertWithValuesAdoptsOwnerState) {
   cloud.insert_with_values(primes, owner.shard_values());
   EXPECT_EQ(cloud.shard_values(), owner.shard_values());
   EXPECT_EQ(cloud.digest(), owner.digest());
-  EXPECT_EQ(cloud.all_witnesses(), owner.all_witnesses());
+  const RsaAccumulator reference(params_);
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    const auto shard = owner.shard_primes(s);
+    ASSERT_TRUE(std::ranges::equal(cloud.shard_primes(s), shard)) << s;
+    const auto expected = reference.all_witnesses(shard);
+    for (std::uint32_t i = 0; i < shard.size(); ++i)
+      EXPECT_EQ(cloud.witness({s, i}), expected[i]) << s << "/" << i;
+  }
 
   ShardedAccumulator mismatched(params_, 2);
   EXPECT_THROW(mismatched.insert_with_values(primes, owner.shard_values()),
@@ -296,67 +301,6 @@ TEST_F(ShardedAccumulatorTest, ReinsertedElementReportsLatestPosition) {
   const auto pos = acc.find(primes[1]);
   ASSERT_TRUE(pos.has_value());
   EXPECT_EQ(pos->index, 4u);
-}
-
-// The incremental refresh is the heart of the write-path optimisation: after
-// each batch, absorbing the batch product into old witnesses and root-factor
-// expanding the new ones must reproduce the from-scratch cache exactly —
-// for every shard count, over a randomized multi-batch schedule.
-TEST_F(ShardedAccumulatorTest, IncrementalRefreshMatchesFromScratch) {
-  for (const std::size_t k : {1u, 2u, 4u, 8u}) {
-    ShardedAccumulator acc(params_, k);
-    std::vector<std::vector<BigUint>> caches(k);
-    std::uint64_t salt = 17 * k;
-    for (std::size_t round = 0; round < 4; ++round) {
-      const std::size_t n = 1 + (rng_.generate(1)[0] % 13);
-      const auto batch_primes = sample_primes(n, ++salt);
-      const auto batch = acc.insert(batch_primes);
-      acc.refresh_witnesses(caches, batch);
-      EXPECT_EQ(caches, acc.all_witnesses()) << "k=" << k << " r=" << round;
-    }
-  }
-}
-
-TEST_F(ShardedAccumulatorTest, IncrementalRefreshRejectsStaleCache) {
-  ShardedAccumulator acc(params_, 2);
-  const auto b1 = acc.insert(sample_primes(5, 31));
-  std::vector<std::vector<BigUint>> caches(2);
-  acc.refresh_witnesses(caches, b1);
-  const auto b2 = acc.insert(sample_primes(5, 32));
-  // Skipping b2's refresh leaves the cache one batch behind; replaying b2
-  // against it later is fine, but replaying a *third* batch is not.
-  const auto b3 = acc.insert(sample_primes(3, 33));
-  EXPECT_THROW(acc.refresh_witnesses(caches, b3), CryptoError);
-}
-
-TEST_F(ShardedAccumulatorTest, RefreshBitIdenticalAcrossThreadCounts) {
-  // The shard-parallel insert and refresh must not depend on scheduling:
-  // 1 thread and 8 threads produce byte-identical values and witnesses.
-  for (const std::size_t k : {1u, 4u}) {
-    std::vector<BigUint> serial_digest_bytes;
-    std::vector<std::vector<BigUint>> serial_caches;
-    std::vector<BigUint> serial_values;
-    {
-      ThreadPool::ScopedSerial force_serial;
-      ShardedAccumulator acc(params_, k);
-      std::vector<std::vector<BigUint>> caches(k);
-      for (std::size_t round = 0; round < 3; ++round) {
-        const auto batch = acc.insert(sample_primes(9, 41 + round));
-        acc.refresh_witnesses(caches, batch);
-      }
-      serial_caches = std::move(caches);
-      serial_values = acc.shard_values();
-    }
-    ThreadPool::ScopedPool eight(8);
-    ShardedAccumulator acc(params_, k);
-    std::vector<std::vector<BigUint>> caches(k);
-    for (std::size_t round = 0; round < 3; ++round) {
-      const auto batch = acc.insert(sample_primes(9, 41 + round));
-      acc.refresh_witnesses(caches, batch);
-    }
-    EXPECT_EQ(acc.shard_values(), serial_values) << "k=" << k;
-    EXPECT_EQ(caches, serial_caches) << "k=" << k;
-  }
 }
 
 // --- witness frontier -----------------------------------------------------

@@ -16,7 +16,7 @@ using core::testing::Rig;
 class ContractTest : public ::testing::Test {
  protected:
   ContractTest()
-      : rig_(Rig::make(8, "chain")),
+      : rig_(Rig::make(8, "chain", {}, 1)),
         chain_({Address::from_label("sealer-a"), Address::from_label("sealer-b")}),
         owner_addr_(Address::from_label("data-owner")),
         user_addr_(Address::from_label("data-user")),

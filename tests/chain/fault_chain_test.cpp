@@ -23,7 +23,7 @@ using core::testing::Rig;
 class FaultChainTest : public ::testing::Test {
  protected:
   FaultChainTest()
-      : rig_(Rig::make(8, "fault-chain")),
+      : rig_(Rig::make(8, "fault-chain", {}, 1)),
         chain_({Address::from_label("sealer-a"),
                 Address::from_label("sealer-b")}),
         owner_addr_(Address::from_label("data-owner")),

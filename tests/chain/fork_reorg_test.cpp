@@ -256,7 +256,7 @@ TEST_F(ForkReorgTest, ContractAtDepthThrowsWhenShortOrPruned) {
 class FinalityTest : public ::testing::Test {
  protected:
   FinalityTest()
-      : rig_(Rig::make(8, "finality")),
+      : rig_(Rig::make(8, "finality", {}, 1)),
         chain_({Address::from_label("val-0"), Address::from_label("val-1"),
                 Address::from_label("val-2")}),
         owner_addr_(Address::from_label("data-owner")) {

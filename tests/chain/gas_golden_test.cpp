@@ -15,7 +15,7 @@ using core::testing::Rig;
 class GasGolden : public ::testing::Test {
  protected:
   GasGolden()
-      : rig_(Rig::make(8, "gas-golden")),
+      : rig_(Rig::make(8, "gas-golden", {}, 1)),
         chain_({Address::from_label("v1")}),
         owner_(Address::from_label("o")),
         user_(Address::from_label("u")),
@@ -111,7 +111,7 @@ TEST_F(GasGolden, VerificationBreakdownContainsAllStages) {
 TEST_F(GasGolden, GasIsDeterministicAcrossRuns) {
   // Replaying the identical flow on a fresh fixture yields identical gas.
   auto run_once = [](const std::string& seed) {
-    Rig rig = Rig::make(8, "gas-golden");
+    Rig rig = Rig::make(8, "gas-golden", {}, 1);
     (void)seed;
     Blockchain chain({Address::from_label("v1")});
     const Address o = Address::from_label("o");

@@ -232,6 +232,36 @@ TEST(AggregateProtocol, TokensServedCountsOnlyProvenTokens) {
   EXPECT_EQ(served.value() - served2, tokens.size());
 }
 
+TEST(AggregateProtocol, BothReadPathsTimeFetchAndProvePerToken) {
+  // The legacy and aggregated clause paths share one per-token worker, so
+  // each records one fetch sample, one prove sample and its result count
+  // per token.
+  const metrics::ScopedMetrics metrics_on;
+  Rig rig = Rig::make(8, "agg-layers", {}, 2);
+  rig.ingest(kRecords);
+  const auto tokens = rig.user->make_tokens(40, MatchCondition::kGreater);
+  ASSERT_GE(tokens.size(), 2u);
+
+  const auto& fetch_ns = metrics::histogram("core.cloud.fetch_results_ns");
+  const auto& prove_ns = metrics::histogram("core.cloud.prove_ns");
+  const auto& fetched = metrics::counter("core.cloud.results_fetched");
+  for (const bool aggregated : {false, true}) {
+    const std::uint64_t fetch0 = fetch_ns.count();
+    const std::uint64_t prove0 = prove_ns.count();
+    const std::uint64_t fetched0 = fetched.value();
+    const std::vector<ClauseRequest> request{{aggregated, tokens}};
+    const ClauseReply reply = rig.cloud->search_plan(request).at(0);
+    std::size_t results = 0;
+    for (const TokenReply& r : reply.replies)
+      results += r.encrypted_results.size();
+    for (const auto& r : reply.query_reply.token_results) results += r.size();
+    EXPECT_EQ(fetch_ns.count() - fetch0, tokens.size()) << aggregated;
+    EXPECT_EQ(prove_ns.count() - prove0, tokens.size()) << aggregated;
+    EXPECT_EQ(fetched.value() - fetched0, results) << aggregated;
+    EXPECT_GT(results, 0u) << aggregated;
+  }
+}
+
 TEST(AggregateProtocol, QueryClientAggregatedModeParity) {
   for (const std::size_t k : {1u, 4u}) {
     Rig rig = Rig::make(8, "agg-client" + std::to_string(k), {}, k);

@@ -52,7 +52,6 @@ RunTranscript run_protocol() {
   t.build_primes = build.new_primes;
   t.build_ac = build.accumulator_value;
   rig.cloud->apply(build);
-  rig.cloud->precompute_witnesses();
   rig.user->refresh(rig.owner->export_user_state());
 
   const auto record_search = [&](std::uint64_t value, MatchCondition mc) {

@@ -287,34 +287,6 @@ TEST(Protocol, MultiAttributeSearch) {
   EXPECT_TRUE(run("salary", 30, MatchCondition::kEqual).empty());
 }
 
-// --- Witness precomputation (ablation C surface) ----------------------------
-
-TEST(Protocol, PrecomputedWitnessesMatchPerQueryWitnesses) {
-  Rig rig = Rig::make(8, "precompute");
-  rig.ingest(sample_records(30, 8));
-
-  const auto tokens = rig.user->make_tokens(100, MatchCondition::kGreater);
-  const auto before = rig.cloud->search(tokens);
-
-  rig.cloud->precompute_witnesses();
-  ASSERT_TRUE(rig.cloud->witnesses_precomputed());
-  const auto after = rig.cloud->search(tokens);
-
-  ASSERT_EQ(before.size(), after.size());
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    EXPECT_EQ(before[i].witness, after[i].witness);
-  }
-  // Updates refresh the cache in place: it stays precomputed and serves
-  // witnesses consistent with the post-update accumulator.
-  rig.ingest({{1000, 5}});
-  EXPECT_TRUE(rig.cloud->witnesses_precomputed());
-  const auto tokens2 = rig.user->make_tokens(100, MatchCondition::kGreater);
-  const auto refreshed = rig.cloud->search(tokens2);
-  for (const auto& reply : refreshed) {
-    EXPECT_FALSE(reply.witness.is_zero());
-  }
-}
-
 TEST(Protocol, UpdateOutputSizesAreConsistent) {
   Rig rig = Rig::make(8, "sizes");
   const std::vector<Record> db = sample_records(20, 8);

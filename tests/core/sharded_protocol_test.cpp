@@ -1,8 +1,7 @@
 // Sharded-accumulator protocol tests: the K = 1 layout must reproduce the
 // pre-sharding deployment bit for bit (pinned golden digests/witnesses), and
 // K > 1 deployments must run the full owner→cloud→user protocol with
-// verifying proofs, an incrementally refreshed witness cache, and a chain
-// digest that folds the per-shard values.
+// verifying proofs and a chain digest that folds the per-shard values.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,7 +41,6 @@ TEST(ShardedProtocol, GoldenK1BitIdenticalToPreShardingCode) {
   EXPECT_EQ(rig.owner->accumulator_value().to_hex(),
             "50d5c87c05090af13a7e7b11cb5470145d8d7c16fb159ae46593404680afb455");
 
-  rig.cloud->precompute_witnesses();
   rig.cloud->apply(rig.owner->insert(golden_batch2()));
   rig.user->refresh(rig.owner->export_user_state());
   EXPECT_EQ(rig.owner->accumulator_value().to_hex(),
@@ -107,39 +105,28 @@ TEST(ShardedProtocol, EmptyUpdateSkipsWitnessRefresh) {
   const metrics::ScopedMetrics scoped;  // counters are off by default
   Rig rig = Rig::make(8, "shard-skip", {}, 2);
   rig.ingest({{1, 42}, {2, 7}, {3, 99}});
-  rig.cloud->precompute_witnesses();
-  ASSERT_TRUE(rig.cloud->witnesses_precomputed());
+  ASSERT_TRUE(rig.query(42, MatchCondition::kEqual).verified);
   const auto ac_before = rig.cloud->accumulator_value();
 
   const auto& skips = metrics::counter("core.cloud.apply.refresh_skips");
   const std::uint64_t skips_before = skips.value();
   rig.cloud->apply(rig.owner->insert(std::span<const Record>{}));
   EXPECT_EQ(skips.value(), skips_before + 1);
-
-  // No primes entered, so the cache survived untouched and still proves.
-  EXPECT_TRUE(rig.cloud->witnesses_precomputed());
   EXPECT_EQ(rig.cloud->accumulator_value(), ac_before);
-  EXPECT_TRUE(rig.query(42, MatchCondition::kEqual).verified);
-}
 
-TEST(ShardedProtocol, IncrementalRefreshServesCachedWitnesses) {
-  const metrics::ScopedMetrics scoped;  // counters are off by default
-  Rig rig = Rig::make(8, "shard-refresh", {}, 4);
-  rig.ingest(golden_batch1());
-  rig.cloud->precompute_witnesses();
-
-  const auto& hits = metrics::counter("core.cloud.witness_cache.hits");
-  const auto& misses = metrics::counter("core.cloud.witness_cache.misses");
-
-  // Each subsequent batch refreshes the cache incrementally in apply();
-  // queries after it must be pure cache hits and still verify.
-  rig.ingest(golden_batch2());
+  // No primes entered, so every shard epoch is unchanged: the repeated
+  // query is served whole from the proof cache and still verifies.
+  const auto& hits = metrics::counter("core.cloud.proof_cache.hits");
+  const auto& prime_hits =
+      metrics::counter("core.cloud.proof_cache.prime_hits");
+  const auto& misses = metrics::counter("core.cloud.proof_cache.misses");
   const std::uint64_t hits_before = hits.value();
+  const std::uint64_t prime_hits_before = prime_hits.value();
   const std::uint64_t misses_before = misses.value();
-  const auto outcome = rig.query(42, MatchCondition::kGreater);
-  EXPECT_TRUE(outcome.verified);
-  EXPECT_EQ(misses.value(), misses_before);
+  EXPECT_TRUE(rig.query(42, MatchCondition::kEqual).verified);
   EXPECT_GT(hits.value(), hits_before);
+  EXPECT_EQ(prime_hits.value(), prime_hits_before);
+  EXPECT_EQ(misses.value(), misses_before);
 }
 
 TEST(ShardedProtocol, FrontierMatchesColdRestoredCloud) {

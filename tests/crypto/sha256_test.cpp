@@ -63,6 +63,17 @@ TEST(Sha256, ExactBlockSizedMessages) {
   }
 }
 
+TEST(Sha256, EmptyUpdateAfterPartialBlock) {
+  // A default BytesView has a null data(); absorbing it mid-block must be a
+  // no-op (no memcpy from null) and leave the digest unchanged.
+  const std::string msg = "abc";
+  Sha256 ctx;
+  ctx.update(str_bytes(msg));
+  ctx.update(BytesView{});
+  const auto d = ctx.finish();
+  EXPECT_EQ(Bytes(d.begin(), d.end()), Sha256::digest(str_bytes(msg)));
+}
+
 // CAVP vector: 56-byte boundary message.
 TEST(Sha256, LeadingZeroDigestHandling) {
   // Digest of "hello world" — sanity against a widely known value.

@@ -15,9 +15,6 @@ are ignored entirely (they are timer noise at smoke scale).
 Structural checks ride along:
   * a baseline row missing from the current run fails (a silently dropped
     benchmark looks exactly like a fixed regression),
-  * for BENCH_mixed_workload.json, insert throughput at the highest shard
-    count must stay at least --min-shard-speedup times the K=1 throughput —
-    the sharded accumulator's reason to exist,
   * for BENCH_fig6_search_overhead.json, every Fig6/VerifyAggregated row
     must ship no more witnesses than shards, strictly fewer VO bytes than
     its Fig6/VerifyPerToken counterpart (the aggregation's deterministic
@@ -44,8 +41,7 @@ Structural checks ride along:
 
 Usage: check_bench_regression.py BENCH_a.json [BENCH_b.json ...]
            [--baseline-dir bench/baselines] [--threshold 5.0]
-           [--min-ms 5.0] [--min-shard-speedup 2.5]
-           [--min-aggregate-speedup 1.0]
+           [--min-ms 5.0] [--min-aggregate-speedup 1.0]
 
 stdlib only — no third-party packages.
 """
@@ -85,32 +81,6 @@ def check_file(current_path, baseline_path, args):
                 f"({ratio:.1f}x > {args.threshold:.1f}x)"
             )
     return failures
-
-
-def check_shard_speedup(current_path, args):
-    """Insert throughput must scale with the shard count."""
-    rows = load_rows(current_path)
-    by_k = {}
-    for name, row in rows.items():
-        if name.startswith("MixedWorkload/Insert/K="):
-            by_k[int(name.split("=", 1)[1])] = float(row.get("records_per_s", 0))
-    if len(by_k) < 2 or 1 not in by_k:
-        return [f"{current_path}: no MixedWorkload/Insert rows to compare"]
-    top_k = max(by_k)
-    base = by_k[1]
-    if base <= 0:
-        return [f"{current_path}: K=1 throughput is zero"]
-    speedup = by_k[top_k] / base
-    if speedup < args.min_shard_speedup:
-        return [
-            f"MixedWorkload insert throughput K={top_k} is only "
-            f"{speedup:.2f}x K=1 (< {args.min_shard_speedup:.1f}x)"
-        ]
-    print(
-        f"  shard scaling OK: K={top_k} insert throughput "
-        f"{speedup:.2f}x K=1 ({by_k[top_k]:.1f} vs {base:.1f} rec/s)"
-    )
-    return []
 
 
 def check_aggregate_speedup(current_path, args):
@@ -334,8 +304,6 @@ def main():
                         help="max allowed current/baseline wall-time ratio")
     parser.add_argument("--min-ms", type=float, default=5.0,
                         help="ignore rows below this wall time in both runs")
-    parser.add_argument("--min-shard-speedup", type=float, default=2.5,
-                        help="min mixed-workload insert speedup at the top K")
     parser.add_argument("--min-aggregate-speedup", type=float, default=0.9,
                         help="min fig6 aggregated-vs-per-token verify speedup "
                              "(noise-margin parity guard, not a perf claim)")
@@ -359,8 +327,6 @@ def main():
             continue
         print(f"{name}: comparing against {baseline_path}")
         failures = check_file(path, baseline_path, args)
-        if name == "BENCH_mixed_workload.json":
-            failures += check_shard_speedup(path, args)
         if name == "BENCH_fig6_search_overhead.json":
             failures += check_aggregate_speedup(path, args)
         if name == "BENCH_throughput.json":
