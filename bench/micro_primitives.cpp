@@ -1,12 +1,15 @@
 // Micro-benchmarks of the cryptographic primitives under the protocol:
-// modular exponentiation (fixed-base comb vs generic sliding window),
-// hash-to-prime (sieved + midstate fast path vs unsieved reference, plus
-// the memo cache), and raw SHA-256 / AES-128 block throughput. These are
+// modular exponentiation (fixed-base comb vs generic sliding window), the
+// owner's trapdoor inverse (CRT vs full-width y^d mod n), hash-to-prime
+// (sieved + midstate fast path vs unsieved reference, plus the memo
+// cache), and raw SHA-256 / AES-128 block throughput. These are
 // the units Fig. 3/5/7 costs decompose into; BENCH_micro.json records the
 // fast-vs-generic ratios the perf acceptance criteria check.
 #include <benchmark/benchmark.h>
 
 #include "adscrypto/hash_to_prime.hpp"
+#include "adscrypto/params.hpp"
+#include "adscrypto/trapdoor.hpp"
 #include "bench/bench_common.hpp"
 #include "bench/bench_json.hpp"
 #include "bigint/montgomery.hpp"
@@ -58,6 +61,48 @@ void BM_ModexpFixedBase(benchmark::State& state) {
   for (auto _ : state) {
     auto r = fixed.pow(exps[i++ % exps.size()], s);
     benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+// -- Trapdoor inverse --------------------------------------------------------
+
+/// Deterministic trapdoors under the embedded 1024-bit key.
+std::vector<BigUint> trapdoor_inputs(const adscrypto::TrapdoorPermutation& perm) {
+  crypto::Drbg rng(str_bytes("micro-trapdoor"));
+  std::vector<BigUint> out;
+  for (int i = 0; i < 16; ++i) out.push_back(perm.random_trapdoor(rng));
+  return out;
+}
+
+/// π⁻¹ as the textbook full-width y^d mod n, d = e⁻¹ mod φ(n): the
+/// reference the CRT inverse is measured against (same integer out).
+void BM_TrapdoorInverseReference(benchmark::State& state) {
+  const auto& pk = adscrypto::default_trapdoor_public_key();
+  const auto& sk = adscrypto::default_trapdoor_secret_key();
+  const BigUint d = BigUint::mod_inverse(
+      pk.e, (sk.p - BigUint(1)) * (sk.q - BigUint(1)));
+  const Montgomery mont(pk.n);
+  const auto ys = trapdoor_inputs(adscrypto::TrapdoorPermutation(pk));
+  Montgomery::Scratch s;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto x = mont.pow(ys[i++ % ys.size()], d, s);
+    benchmark::DoNotOptimize(x);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+/// The library's π⁻¹: two half-width exponentiations recombined by CRT.
+void BM_TrapdoorInverseCrt(benchmark::State& state) {
+  const adscrypto::TrapdoorPermutation perm(
+      adscrypto::default_trapdoor_public_key(),
+      adscrypto::default_trapdoor_secret_key());
+  const auto ys = trapdoor_inputs(perm);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto x = perm.inverse(ys[i++ % ys.size()]);
+    benchmark::DoNotOptimize(x);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -171,6 +216,12 @@ void register_all() {
     benchmark::RegisterBenchmark("Micro/Modexp/FixedBase", BM_ModexpFixedBase)
         ->Arg(ebits)->Unit(benchmark::kMillisecond)->Iterations(8);
   }
+  benchmark::RegisterBenchmark("Micro/TrapdoorInverse/Reference",
+                               BM_TrapdoorInverseReference)
+      ->Unit(benchmark::kMillisecond)->Iterations(64);
+  benchmark::RegisterBenchmark("Micro/TrapdoorInverse/Crt",
+                               BM_TrapdoorInverseCrt)
+      ->Unit(benchmark::kMillisecond)->Iterations(64);
   benchmark::RegisterBenchmark("Micro/HashToPrime/Unsieved",
                                BM_HashToPrimeUnsieved)
       ->Unit(benchmark::kMicrosecond)->Iterations(256);

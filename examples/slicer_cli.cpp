@@ -136,8 +136,9 @@ int main(int argc, char** argv) try {
   }
 
   // SLICER_METRICS=json: dump the run's instrumentation snapshot. Any other
-  // non-empty value records metrics without printing (useful under a
-  // debugger or when another emitter owns the output).
+  // value that turns the knob on (non-empty, not "0") records metrics
+  // without printing (useful under a debugger or when another emitter owns
+  // the output).
   const char* metrics_mode = std::getenv("SLICER_METRICS");
   if (metrics_mode != nullptr && std::strcmp(metrics_mode, "json") == 0)
     std::printf("%s\n", metrics::snapshot_json().c_str());

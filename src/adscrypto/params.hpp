@@ -16,8 +16,9 @@ namespace slicer::adscrypto {
 /// candidates; see params.cpp for provenance).
 const AccumulatorParams& default_accumulator_params();
 
-/// 1024-bit RSA trapdoor-permutation key pair. The secret key is embedded
-/// deliberately: benchmarks model the data owner, who holds it.
+/// 1024-bit RSA trapdoor-permutation key pair; the secret key is the
+/// modulus factorization {p, q}. It is embedded deliberately: benchmarks
+/// model the data owner, who holds it.
 const TrapdoorPublicKey& default_trapdoor_public_key();
 const TrapdoorSecretKey& default_trapdoor_secret_key();
 

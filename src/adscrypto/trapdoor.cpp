@@ -35,9 +35,7 @@ std::pair<TrapdoorPublicKey, TrapdoorSecretKey> TrapdoorPermutation::keygen(
     if (p == q) continue;
     const BigUint phi = (p - BigUint(1)) * (q - BigUint(1));
     if (!BigUint::gcd(e, phi).is_one()) continue;
-    const BigUint n = p * q;
-    const BigUint d = BigUint::mod_inverse(e, phi);
-    return {TrapdoorPublicKey{n, e}, TrapdoorSecretKey{n, d}};
+    return {TrapdoorPublicKey{p * q, e}, TrapdoorSecretKey{p, q}};
   }
 }
 
@@ -52,10 +50,34 @@ BigUint TrapdoorPermutation::forward(const BigUint& x) const {
   return mont_.pow(x, pk_.e);
 }
 
-BigUint TrapdoorPermutation::inverse(const TrapdoorSecretKey& sk,
-                                     const BigUint& y) const {
-  if (sk.n != pk_.n) throw CryptoError("trapdoor key mismatch");
-  return mont_.pow(y, sk.d);
+TrapdoorPermutation::TrapdoorPermutation(TrapdoorPublicKey pk,
+                                         const TrapdoorSecretKey& sk)
+    : TrapdoorPermutation(std::move(pk)) {
+  const BigUint one(1);
+  if (sk.p <= one || sk.q <= one || sk.p == sk.q || sk.p * sk.q != pk_.n)
+    throw CryptoError("trapdoor key mismatch");
+  // d = e⁻¹ mod φ(n) as keygen defines it; mod_inverse throws CryptoError
+  // when e is not invertible.
+  const BigUint p1 = sk.p - one;
+  const BigUint q1 = sk.q - one;
+  const BigUint d = BigUint::mod_inverse(pk_.e, p1 * q1);
+  crt_.emplace(Crt{bigint::Montgomery(sk.p), bigint::Montgomery(sk.q),
+                   d % p1, d % q1, BigUint::mod_inverse(sk.q, sk.p)});
+}
+
+BigUint TrapdoorPermutation::inverse(const BigUint& y) const {
+  if (!crt_) throw CryptoError("trapdoor inverse needs the secret key");
+  // Garner recombination: x = m_q + q·((m_p − m_q)·q⁻¹ mod p) is the unique
+  // x in [0, n) with x ≡ m_p (mod p) and x ≡ m_q (mod q). Both residues
+  // equal y^d reduced mod that prime (Fermat when y is a unit there; both
+  // sides 0 when the prime divides y, since dp, dq ≥ 1), so x = y^d mod n.
+  const Crt& c = *crt_;
+  const BigUint& p = c.mont_p.modulus();
+  const BigUint m_p = c.mont_p.pow(y, c.dp);
+  const BigUint m_q = c.mont_q.pow(y, c.dq);
+  const BigUint m_q_p = m_q % p;
+  const BigUint diff = m_p >= m_q_p ? m_p - m_q_p : m_p + p - m_q_p;
+  return m_q + c.mont_q.modulus() * c.mont_p.mul(diff, c.q_inv_p);
 }
 
 BigUint TrapdoorPermutation::random_trapdoor(crypto::Drbg& rng) const {

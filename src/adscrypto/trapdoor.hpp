@@ -7,6 +7,7 @@
 // by a search token, so pre-search insertions stay unlinkable.
 #pragma once
 
+#include <optional>
 #include <utility>
 
 #include "bigint/biguint.hpp"
@@ -24,10 +25,12 @@ struct TrapdoorPublicKey {
   static TrapdoorPublicKey deserialize(BytesView data);
 };
 
-/// Secret half: (n, d). Held by the data owner only.
+/// Secret half: the factorization n = p·q. Held by the data owner only.
+/// The decryption exponent d = e⁻¹ mod φ(n) is derived from it, reduced
+/// mod p−1 and q−1 for the CRT inverse.
 struct TrapdoorSecretKey {
-  bigint::BigUint n;
-  bigint::BigUint d;
+  bigint::BigUint p;
+  bigint::BigUint q;
 };
 
 /// RSA trapdoor permutation with fixed-width byte-level domain helpers.
@@ -40,6 +43,11 @@ class TrapdoorPermutation {
   /// Binds to a public key for forward evaluation.
   explicit TrapdoorPermutation(TrapdoorPublicKey pk);
 
+  /// Binds to a key pair: forward evaluation plus the CRT inverse. Throws
+  /// CryptoError unless p·q == n with distinct p, q > 1 and e invertible
+  /// mod φ(n).
+  TrapdoorPermutation(TrapdoorPublicKey pk, const TrapdoorSecretKey& sk);
+
   const TrapdoorPublicKey& public_key() const { return pk_; }
 
   /// Byte width of a serialized trapdoor (the modulus width).
@@ -48,9 +56,11 @@ class TrapdoorPermutation {
   /// π_pk(x) = x^e mod n (cheap: e = 65537).
   bigint::BigUint forward(const bigint::BigUint& x) const;
 
-  /// π_sk⁻¹(y) = y^d mod n. Requires the secret key.
-  bigint::BigUint inverse(const TrapdoorSecretKey& sk,
-                          const bigint::BigUint& y) const;
+  /// π_sk⁻¹(y) = y^d mod n, computed by the CRT: y^dp mod p and y^dq mod q
+  /// (half-width exponentiations with dp = d mod (p−1), dq = d mod (q−1)),
+  /// recombined with q⁻¹ mod p. The same integer as y^d mod n for every
+  /// y in [0, n). Throws CryptoError when built without the secret key.
+  bigint::BigUint inverse(const bigint::BigUint& y) const;
 
   /// Samples a random trapdoor in [2, n).
   bigint::BigUint random_trapdoor(crypto::Drbg& rng) const;
@@ -60,9 +70,16 @@ class TrapdoorPermutation {
   bigint::BigUint decode(BytesView data) const;
 
  private:
+  /// Secret-key precomputation for the CRT inverse.
+  struct Crt {
+    bigint::Montgomery mont_p, mont_q;  // the moduli p and q
+    bigint::BigUint dp, dq, q_inv_p;
+  };
+
   TrapdoorPublicKey pk_;
   bigint::Montgomery mont_;
   std::size_t width_;
+  std::optional<Crt> crt_;
 };
 
 }  // namespace slicer::adscrypto

@@ -1,9 +1,10 @@
 #include "common/metrics.hpp"
 
-#include <cstdlib>
 #include <deque>
 #include <mutex>
 #include <sstream>
+
+#include "common/env.hpp"
 
 namespace slicer::metrics {
 
@@ -12,10 +13,7 @@ namespace {
 /// The process-wide enable flag. Seeded from SLICER_METRICS exactly once;
 /// afterwards set_enabled() flips it directly.
 std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("SLICER_METRICS");
-    return env != nullptr && env[0] != '\0';
-  }();
+  static std::atomic<bool> flag{env::flag_knob("SLICER_METRICS")};
   return flag;
 }
 

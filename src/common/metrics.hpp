@@ -9,9 +9,10 @@
 // operator opts in. With metrics enabled, updates are lock-free relaxed
 // atomic adds — safe from any thread, including inside parallel regions.
 //
-// Enablement comes from the SLICER_METRICS environment variable (any
-// non-empty value; "json" additionally makes slicer_cli dump a snapshot on
-// exit) or from metrics::set_enabled() / ScopedMetrics (tests, benches).
+// Enablement comes from the SLICER_METRICS environment variable (a flag
+// knob: any non-empty value except "0"; "json" additionally makes
+// slicer_cli dump a snapshot on exit) or from metrics::set_enabled() /
+// ScopedMetrics (tests, benches).
 //
 // Snapshots are deterministic: instruments are reported in lexicographic
 // name order, so `snapshot_json()` is byte-stable for a given set of

@@ -1,17 +1,15 @@
 #include "common/trace.hpp"
 
-#include <cstdlib>
 #include <mutex>
+
+#include "common/env.hpp"
 
 namespace slicer::trace {
 
 namespace {
 
 std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("SLICER_TRACE");
-    return env != nullptr && env[0] != '\0';
-  }();
+  static std::atomic<bool> flag{env::flag_knob("SLICER_TRACE")};
   return flag;
 }
 

@@ -10,7 +10,8 @@
 // completed spans are kept, older ones are overwritten (dropped spans are
 // counted). Like common/metrics, tracing is off by default — a disabled
 // Span construction is one relaxed atomic load — and is switched on by the
-// SLICER_TRACE environment variable or trace::set_enabled().
+// SLICER_TRACE environment variable (a flag knob: any non-empty value
+// except "0") or trace::set_enabled().
 #pragma once
 
 #include <atomic>

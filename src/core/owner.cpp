@@ -24,14 +24,13 @@ std::size_t UpdateOutput::entries_byte_size() const {
 
 DataOwner::DataOwner(
     Config config, Keys keys, adscrypto::TrapdoorPublicKey trapdoor_pk,
-    adscrypto::TrapdoorSecretKey trapdoor_sk,
+    const adscrypto::TrapdoorSecretKey& trapdoor_sk,
     adscrypto::AccumulatorParams accumulator_params,
     std::optional<adscrypto::AccumulatorTrapdoor> accumulator_trapdoor,
     crypto::Drbg rng, std::size_t shard_count)
     : config_(std::move(config)),
       keys_(std::move(keys)),
-      perm_(std::move(trapdoor_pk)),
-      trapdoor_sk_(std::move(trapdoor_sk)),
+      perm_(std::move(trapdoor_pk), trapdoor_sk),
       sharded_(std::move(accumulator_params), shard_count),
       accumulator_trapdoor_(std::move(accumulator_trapdoor)),
       rng_(std::move(rng)),
@@ -40,11 +39,6 @@ DataOwner::DataOwner(
     throw CryptoError("DataOwner: bad key sizes");
   if (config_.value_bits == 0 || config_.value_bits > sore::kMaxBits)
     throw CryptoError("DataOwner: bad value bit width");
-}
-
-void DataOwner::claim_id(RecordId id) {
-  if (!used_ids_.insert(id).second)
-    throw ProtocolError("record id already inserted: " + std::to_string(id));
 }
 
 void DataOwner::add_postings(
@@ -72,8 +66,8 @@ UpdateOutput DataOwner::build(std::span<const MultiRecord> db) {
 }
 
 UpdateOutput DataOwner::insert(std::span<const Record> db_plus) {
-  // Validate the whole batch before touching any state (strong exception
-  // guarantee: a rejected batch leaves no half-claimed ids behind).
+  // Validate the whole batch up front; the ids are claimed by ingest's
+  // commit, together with the rest of the owner state.
   std::unordered_set<RecordId> batch_ids;
   for (const Record& r : db_plus) {
     sore::validate(r.value, config_.value_bits);
@@ -82,11 +76,9 @@ UpdateOutput DataOwner::insert(std::span<const Record> db_plus) {
                           std::to_string(r.id));
   }
   std::map<std::string, std::vector<RecordId>> grouped;
-  for (const Record& r : db_plus) {
-    claim_id(r.id);
+  for (const Record& r : db_plus)
     add_postings(grouped, config_.attribute, r.value, r.id);
-  }
-  return ingest(grouped);
+  return ingest(grouped, batch_ids);
 }
 
 UpdateOutput DataOwner::insert(std::span<const MultiRecord> db_plus) {
@@ -99,16 +91,15 @@ UpdateOutput DataOwner::insert(std::span<const MultiRecord> db_plus) {
                           std::to_string(r.id));
   }
   std::map<std::string, std::vector<RecordId>> grouped;
-  for (const MultiRecord& r : db_plus) {
-    claim_id(r.id);
+  for (const MultiRecord& r : db_plus)
     for (const AttributeValue& av : r.values)
       add_postings(grouped, av.attribute, av.value, r.id);
-  }
-  return ingest(grouped);
+  return ingest(grouped, batch_ids);
 }
 
 UpdateOutput DataOwner::ingest(
-    const std::map<std::string, std::vector<RecordId>>& grouped) {
+    const std::map<std::string, std::vector<RecordId>>& grouped,
+    const std::unordered_set<RecordId>& ids) {
   // The index/ADS split feeds both last_ingest_stats() (the benches' wall-
   // clock counters) and the always-on phase histograms (the "phases"
   // section of every BENCH_*.json).
@@ -126,71 +117,78 @@ UpdateOutput DataOwner::ingest(
   UpdateOutput out;
   ThreadPool& pool = ThreadPool::instance();
 
+  // Everything up to the commit below only reads owner state (the
+  // process-wide hash-to-prime memo aside) and draws from a copy of the
+  // DRBG, so a throw anywhere before it — a worker fault, a missing set
+  // hash — leaves the owner exactly as it was.
+  //
   // Phase 1 — encrypted index: trapdoor chains, (l, d) entries, set hashes.
   //
-  // Pass A (serial, keyword order): everything that touches shared owner
-  // state — the DRBG draw for fresh trapdoors, the chain advance, and the
-  // set-hash pop. Keyword order fixes the DRBG consumption, so the output
-  // is bit-identical at any thread count.
+  // Pass A (serial, keyword order): the T and S lookups and the DRBG draw
+  // for fresh trapdoors. Keyword order fixes the DRBG consumption, so the
+  // output is bit-identical at any thread count.
   const auto index_start = std::chrono::steady_clock::now();
 
   struct KeywordJob {
+    const std::string* keyword = nullptr;
     const std::vector<RecordId>* ids = nullptr;
     Bytes g1, g2, t_enc;
+    BigUint trapdoor;     // fresh draw, or the old one until pass B advances it
+    bool advance = false;
     std::uint32_t j = 0;
     MultisetHash::Digest h;  // carried-forward digest (updated in pass B)
+    std::string old_key;     // S entry popped at commit (advanced chains)
     std::vector<std::pair<Bytes, Bytes>> entries;  // filled in pass B
     Bytes preimage;                                // filled in pass B
   };
   std::vector<KeywordJob> jobs;
   jobs.reserve(grouped.size());
+  crypto::Drbg rng = rng_;
 
-  for (const auto& [keyword, ids] : grouped) {
+  for (const auto& [keyword, keyword_ids] : grouped) {
+    KeywordJob job;
+    job.keyword = &keyword;
+    job.ids = &keyword_ids;
     const Bytes w(keyword.begin(), keyword.end());
     auto [g1, g2] = crypto::derive_keyword_keys(keys_.k, w);
-
-    BigUint trapdoor;
-    std::uint32_t j = 0;
-    MultisetHash::Digest h = MultisetHash::empty();
+    job.g1 = std::move(g1);
+    job.g2 = std::move(g2);
+    job.h = MultisetHash::empty();
 
     const auto it = trapdoor_states_.find(keyword);
     if (it == trapdoor_states_.end()) {
       // First appearance of this keyword: fresh random trapdoor, j = 0.
-      trapdoor = perm_.random_trapdoor(rng_);
+      job.trapdoor = perm_.random_trapdoor(rng);
     } else {
-      // Forward security: advance the chain with the secret key and carry
-      // the cumulative result hash forward.
+      // Re-insert: carry the cumulative result hash forward; pass B
+      // advances the chain.
       const TrapdoorState& old = it->second;
-      const Bytes old_key = state_key(perm_.encode(old.trapdoor), old.j, g1, g2);
-      const auto h_it = set_hashes_.find(
-          std::string(old_key.begin(), old_key.end()));
+      const Bytes old_key =
+          state_key(perm_.encode(old.trapdoor), old.j, job.g1, job.g2);
+      job.old_key.assign(old_key.begin(), old_key.end());
+      const auto h_it = set_hashes_.find(job.old_key);
       if (h_it == set_hashes_.end())
         throw ProtocolError("missing set-hash state for keyword");
-      h = h_it->second;
-      set_hashes_.erase(h_it);  // S.pop
-      trapdoor = perm_.inverse(trapdoor_sk_, old.trapdoor);
-      j = old.j + 1;
+      job.h = h_it->second;
+      job.trapdoor = old.trapdoor;
+      job.advance = true;
+      job.j = old.j + 1;
     }
-    trapdoor_states_[keyword] = TrapdoorState{trapdoor, j};
-
-    KeywordJob job;
-    job.ids = &ids;
-    job.g1 = std::move(g1);
-    job.g2 = std::move(g2);
-    job.t_enc = perm_.encode(trapdoor);
-    job.j = j;
-    job.h = std::move(h);
     jobs.push_back(std::move(job));
   }
 
-  // Pass B (parallel over keywords): record-id encryption, index addresses
-  // and pads, and the per-keyword multiset-hash fold — all pure functions
-  // of the job's inputs, written to per-keyword slots.
+  // Pass B (parallel over keywords): the forward-security chain advance
+  // t_{j+1} = π_sk⁻¹(t_j) (a CRT inverse), record-id encryption, index
+  // addresses and pads, and the per-keyword multiset-hash fold — all pure
+  // functions of the job's inputs, written to per-keyword slots.
   pool.parallel_for(jobs.size(), [&](std::size_t ji) {
     // Crash/fault injection inside the worker: proves the pool propagates
-    // the first exception and that snapshot-restore recovers the owner.
+    // the first exception and that a faulted insert leaves the owner as it
+    // was.
     fault_point_throw("core.owner.ingest.worker");
     KeywordJob& job = jobs[ji];
+    if (job.advance) job.trapdoor = perm_.inverse(job.trapdoor);
+    job.t_enc = perm_.encode(job.trapdoor);
     job.entries.reserve(job.ids->size());
     std::uint64_t c = 0;
     for (const RecordId id : *job.ids) {
@@ -204,14 +202,11 @@ UpdateOutput DataOwner::ingest(
     job.preimage = prime_preimage(job.t_enc, job.j, job.g1, job.g2, job.h);
   });
 
-  // Pass C (serial, keyword order): splice results into the output and the
-  // owner's set-hash dictionary exactly as the serial loop did.
+  // Pass C (serial, keyword order): splice the entries into the output.
   std::vector<Bytes> new_preimages;  // inputs for phase 2
   new_preimages.reserve(jobs.size());
   for (KeywordJob& job : jobs) {
     for (auto& entry : job.entries) out.entries.push_back(std::move(entry));
-    const Bytes new_key = state_key(job.t_enc, job.j, job.g1, job.g2);
-    set_hashes_[std::string(new_key.begin(), new_key.end())] = job.h;
     new_preimages.push_back(std::move(job.preimage));
   }
   const auto ads_start = std::chrono::steady_clock::now();
@@ -225,12 +220,25 @@ UpdateOutput DataOwner::ingest(
       new_preimages.size(), [&](std::size_t i) {
         return adscrypto::hash_to_prime(new_preimages[i], config_.prime_bits);
       });
-  primes_.insert(primes_.end(), out.new_primes.begin(), out.new_primes.end());
+
+  // Commit: accumulator, T, S (pop every advanced chain's old entry, then
+  // write the new ones), X, the used ids and the DRBG.
   if (accumulator_trapdoor_.has_value()) {
     sharded_.insert(out.new_primes, *accumulator_trapdoor_);
   } else {
     sharded_.insert(out.new_primes);
   }
+  for (const KeywordJob& job : jobs)
+    if (job.advance) set_hashes_.erase(job.old_key);
+  for (KeywordJob& job : jobs) {
+    const Bytes new_key = state_key(job.t_enc, job.j, job.g1, job.g2);
+    set_hashes_[std::string(new_key.begin(), new_key.end())] = job.h;
+    trapdoor_states_[*job.keyword] =
+        TrapdoorState{std::move(job.trapdoor), job.j};
+  }
+  primes_.insert(primes_.end(), out.new_primes.begin(), out.new_primes.end());
+  used_ids_.insert(ids.begin(), ids.end());
+  rng_ = std::move(rng);
   ac_ = sharded_.digest();
   out.accumulator_value = ac_;
   out.shard_values = sharded_.shard_values();

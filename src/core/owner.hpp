@@ -75,7 +75,7 @@ class DataOwner {
   /// (default 1 — the unsharded legacy layout).
   DataOwner(Config config, Keys keys,
             adscrypto::TrapdoorPublicKey trapdoor_pk,
-            adscrypto::TrapdoorSecretKey trapdoor_sk,
+            const adscrypto::TrapdoorSecretKey& trapdoor_sk,
             adscrypto::AccumulatorParams accumulator_params,
             std::optional<adscrypto::AccumulatorTrapdoor> accumulator_trapdoor,
             crypto::Drbg rng, std::size_t shard_count = 0);
@@ -133,22 +133,22 @@ class DataOwner {
   void restore_state(BytesView snapshot);
 
  private:
-  /// Shared body of Build and Insert: groups records by keyword, advances
-  /// trapdoors, emits index entries and new primes, refreshes Ac.
+  /// Shared body of Build and Insert: advances the trapdoors of the grouped
+  /// keywords, emits index entries and new primes, refreshes Ac and claims
+  /// `ids`. Commits owner state only after its last throwing call, so a
+  /// throw leaves the owner unchanged.
   UpdateOutput ingest(
-      const std::map<std::string, std::vector<RecordId>>& grouped);
+      const std::map<std::string, std::vector<RecordId>>& grouped,
+      const std::unordered_set<RecordId>& ids);
 
   /// Expands one (attribute, value, id) into its keyword → id postings.
   void add_postings(std::map<std::string, std::vector<RecordId>>& grouped,
                     std::string_view attribute, std::uint64_t value,
                     RecordId id) const;
 
-  void claim_id(RecordId id);
-
   Config config_;
   Keys keys_;
-  adscrypto::TrapdoorPermutation perm_;
-  adscrypto::TrapdoorSecretKey trapdoor_sk_;
+  adscrypto::TrapdoorPermutation perm_;  // built with the secret key
   adscrypto::ShardedAccumulator sharded_;
   std::optional<adscrypto::AccumulatorTrapdoor> accumulator_trapdoor_;
   crypto::Drbg rng_;

@@ -1,8 +1,10 @@
 // Kill-and-resume: a fault injected inside a parallel Build/Insert or
 // Search region surfaces as a catchable FaultError (thread-pool exception
-// propagation), the process state is recovered from the last snapshot, and
-// the resumed run is BIT-IDENTICAL to an uninterrupted one — including the
-// owner's DRBG, which the version-2 snapshot carries precisely for this.
+// propagation). A faulted insert leaves the owner unchanged, so it can be
+// retried in place; a replacement process recovers from the last snapshot.
+// Either way the resumed run is BIT-IDENTICAL to an uninterrupted one —
+// including the owner's DRBG, which the version-2 snapshot carries
+// precisely for this.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -52,8 +54,7 @@ TEST(CrashRecovery, OwnerResumesBitIdenticalFromSnapshot) {
   steady.ingest(kBatch2);
 
   // Crashing run, same identity: snapshot after batch 1, then die inside
-  // the batch-2 parallel region (the owner object is now poisoned — pass A
-  // consumed DRBG draws and advanced trapdoor chains before the fault).
+  // the batch-2 parallel region.
   Rig crashing = Rig::make(8, "crash-resume");
   crashing.cloud->apply(crashing.owner->insert(kBatch1));
   const Bytes owner_snapshot = crashing.owner->serialize_state();
@@ -89,6 +90,34 @@ TEST(CrashRecovery, OwnerResumesBitIdenticalFromSnapshot) {
   auto ids = resumed.user->decrypt(replies);
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(ids, (std::vector<RecordId>{1, 4, 6}));
+}
+
+TEST(CrashRecovery, FaultedInsertLeavesOwnerUnchanged) {
+  Rig steady = Rig::make(8, "crash-in-place");
+  steady.ingest(kBatch1);
+  const UpdateOutput steady_update = steady.owner->insert(kBatch2);
+  steady.cloud->apply(steady_update);
+
+  Rig faulted = Rig::make(8, "crash-in-place");
+  faulted.ingest(kBatch1);
+  const Bytes before = faulted.owner->serialize_state();
+  // A fault on the first worker and one after several workers already
+  // advanced their chains: neither may leak into T, S, X, the DRBG, the
+  // used ids or the accumulator.
+  for (const char* spec : {"core.owner.ingest.worker=nth:1",
+                           "core.owner.ingest.worker=nth:5"}) {
+    ScopedFaultPlan plan(spec);
+    EXPECT_THROW(faulted.owner->insert(kBatch2), FaultError) << spec;
+    EXPECT_EQ(faulted.owner->serialize_state(), before) << spec;
+  }
+
+  // The retry needs no snapshot restore (the ids are not claimed) and
+  // lands exactly where the uninterrupted run did.
+  const UpdateOutput retried = faulted.owner->insert(kBatch2);
+  faulted.cloud->apply(retried);
+  EXPECT_EQ(retried, steady_update);
+  EXPECT_EQ(faulted.owner->serialize_state(), steady.owner->serialize_state());
+  EXPECT_EQ(faulted.cloud->serialize_state(), steady.cloud->serialize_state());
 }
 
 TEST(CrashRecovery, ProbabilisticFaultsNeverCorruptAcceptedSearches) {

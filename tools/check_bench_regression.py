@@ -30,6 +30,13 @@ Structural checks ride along:
     aggregates (COUNT/MIN/MAX/top-k) must have run (with binary-search
     probes spent), and the combiner-cache warm row must be served entirely
     from cache,
+  * for BENCH_micro.json, a same-run ratio gate: the owner's CRT trapdoor
+    inverse (Micro/TrapdoorInverse/Crt) must be at least
+    --min-trapdoor-crt-speedup (default 2x) faster than the full-width
+    y^d mod n reference (Micro/TrapdoorInverse/Reference) in the SAME file.
+    Both rows run on one machine in one process, so the ratio carries across
+    hosts where the wall-time baseline does not (CRT costs ~1/3 to ~1/4 of
+    the reference: two half-width exponentiations).
   * BENCH_robustness.json is checked structurally INSTEAD of by wall time:
     the soak runs under sanitizers in CI (10x+ skew vs the release-built
     baseline), so timing ratios are meaningless there. What must hold is
@@ -42,6 +49,7 @@ Structural checks ride along:
 Usage: check_bench_regression.py BENCH_a.json [BENCH_b.json ...]
            [--baseline-dir bench/baselines] [--threshold 5.0]
            [--min-ms 5.0] [--min-aggregate-speedup 1.0]
+           [--min-trapdoor-crt-speedup 2.0]
 
 stdlib only — no third-party packages.
 """
@@ -131,6 +139,38 @@ def check_aggregate_speedup(current_path, args):
             )
         failures += row_failures
     return failures
+
+
+def find_row(rows, prefix):
+    """The row whose name is `prefix` plus an optional /-suffix (google
+    benchmark appends /iterations:N), or None."""
+    for name, row in rows.items():
+        if name == prefix or name.startswith(prefix + "/"):
+            return row
+    return None
+
+
+def check_trapdoor_crt_speedup(current_path, args):
+    """Same-run ratio: the CRT inverse must beat the full-width reference."""
+    rows = load_rows(current_path)
+    reference = find_row(rows, "Micro/TrapdoorInverse/Reference")
+    crt = find_row(rows, "Micro/TrapdoorInverse/Crt")
+    if reference is None or crt is None:
+        return [f"{current_path}: Micro/TrapdoorInverse/{{Reference,Crt}} "
+                "rows missing"]
+    ref_ms = float(reference.get("real_ms", 0))
+    crt_ms = float(crt.get("real_ms", 0))
+    if ref_ms <= 0 or crt_ms <= 0:
+        return [f"Micro/TrapdoorInverse: non-positive times "
+                f"(reference {ref_ms} ms, crt {crt_ms} ms)"]
+    speedup = ref_ms / crt_ms
+    if speedup < args.min_trapdoor_crt_speedup:
+        return [f"Micro/TrapdoorInverse/Crt: {speedup:.2f}x vs Reference "
+                f"< {args.min_trapdoor_crt_speedup:.1f}x "
+                f"({crt_ms:.3f} ms vs {ref_ms:.3f} ms)"]
+    print(f"  trapdoor inverse OK: CRT {speedup:.2f}x faster than y^d mod n "
+          f"({crt_ms:.3f} ms vs {ref_ms:.3f} ms)")
+    return []
 
 
 def check_throughput_structure(current_path):
@@ -307,6 +347,9 @@ def main():
     parser.add_argument("--min-aggregate-speedup", type=float, default=0.9,
                         help="min fig6 aggregated-vs-per-token verify speedup "
                              "(noise-margin parity guard, not a perf claim)")
+    parser.add_argument("--min-trapdoor-crt-speedup", type=float, default=2.0,
+                        help="min same-run speedup of the CRT trapdoor "
+                             "inverse over the y^d mod n reference")
     args = parser.parse_args()
 
     all_failures = []
@@ -329,6 +372,8 @@ def main():
         failures = check_file(path, baseline_path, args)
         if name == "BENCH_fig6_search_overhead.json":
             failures += check_aggregate_speedup(path, args)
+        if name == "BENCH_micro.json":
+            failures += check_trapdoor_crt_speedup(path, args)
         if name == "BENCH_throughput.json":
             failures += check_throughput_structure(path)
         if name == "BENCH_planner.json":

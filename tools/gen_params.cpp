@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   auto [pk, sk] = TrapdoorPermutation::keygen(rng, 1024);
   std::printf("TD_N %s\n", pk.n.to_hex().c_str());
   std::printf("TD_E %s\n", pk.e.to_hex().c_str());
-  std::printf("TD_D %s\n", sk.d.to_hex().c_str());
+  std::printf("TD_P %s\n", sk.p.to_hex().c_str());
+  std::printf("TD_Q %s\n", sk.q.to_hex().c_str());
   return 0;
 }
