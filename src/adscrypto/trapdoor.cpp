@@ -67,10 +67,7 @@ TrapdoorPermutation::TrapdoorPermutation(TrapdoorPublicKey pk,
 
 BigUint TrapdoorPermutation::inverse(const BigUint& y) const {
   if (!crt_) throw CryptoError("trapdoor inverse needs the secret key");
-  // Garner recombination: x = m_q + q·((m_p − m_q)·q⁻¹ mod p) is the unique
-  // x in [0, n) with x ≡ m_p (mod p) and x ≡ m_q (mod q). Both residues
-  // equal y^d reduced mod that prime (Fermat when y is a unit there; both
-  // sides 0 when the prime divides y, since dp, dq ≥ 1), so x = y^d mod n.
+  // Garner recombination: x = m_q + q·((m_p − m_q)·q⁻¹ mod p).
   const Crt& c = *crt_;
   const BigUint& p = c.mont_p.modulus();
   const BigUint m_p = c.mont_p.pow(y, c.dp);

@@ -32,7 +32,7 @@ Structural checks ride along:
     from cache,
   * for BENCH_micro.json, a same-run ratio gate: the owner's CRT trapdoor
     inverse (Micro/TrapdoorInverse/Crt) must be at least
-    --min-trapdoor-crt-speedup (default 2x) faster than the full-width
+    MIN_TRAPDOOR_CRT_SPEEDUP (2x) faster than the full-width
     y^d mod n reference (Micro/TrapdoorInverse/Reference) in the SAME file.
     Both rows run on one machine in one process, so the ratio carries across
     hosts where the wall-time baseline does not (CRT costs ~1/3 to ~1/4 of
@@ -49,7 +49,6 @@ Structural checks ride along:
 Usage: check_bench_regression.py BENCH_a.json [BENCH_b.json ...]
            [--baseline-dir bench/baselines] [--threshold 5.0]
            [--min-ms 5.0] [--min-aggregate-speedup 1.0]
-           [--min-trapdoor-crt-speedup 2.0]
 
 stdlib only — no third-party packages.
 """
@@ -58,6 +57,10 @@ import argparse
 import json
 import os
 import sys
+
+# Same-run floor for Micro/TrapdoorInverse: Crt must be this many times
+# faster than Reference in one BENCH_micro.json.
+MIN_TRAPDOOR_CRT_SPEEDUP = 2.0
 
 
 def load_rows(path):
@@ -141,20 +144,11 @@ def check_aggregate_speedup(current_path, args):
     return failures
 
 
-def find_row(rows, prefix):
-    """The row whose name is `prefix` plus an optional /-suffix (google
-    benchmark appends /iterations:N), or None."""
-    for name, row in rows.items():
-        if name == prefix or name.startswith(prefix + "/"):
-            return row
-    return None
-
-
-def check_trapdoor_crt_speedup(current_path, args):
+def check_trapdoor_crt_speedup(current_path):
     """Same-run ratio: the CRT inverse must beat the full-width reference."""
     rows = load_rows(current_path)
-    reference = find_row(rows, "Micro/TrapdoorInverse/Reference")
-    crt = find_row(rows, "Micro/TrapdoorInverse/Crt")
+    reference = rows.get("Micro/TrapdoorInverse/Reference/iterations:64")
+    crt = rows.get("Micro/TrapdoorInverse/Crt/iterations:64")
     if reference is None or crt is None:
         return [f"{current_path}: Micro/TrapdoorInverse/{{Reference,Crt}} "
                 "rows missing"]
@@ -164,9 +158,9 @@ def check_trapdoor_crt_speedup(current_path, args):
         return [f"Micro/TrapdoorInverse: non-positive times "
                 f"(reference {ref_ms} ms, crt {crt_ms} ms)"]
     speedup = ref_ms / crt_ms
-    if speedup < args.min_trapdoor_crt_speedup:
+    if speedup < MIN_TRAPDOOR_CRT_SPEEDUP:
         return [f"Micro/TrapdoorInverse/Crt: {speedup:.2f}x vs Reference "
-                f"< {args.min_trapdoor_crt_speedup:.1f}x "
+                f"< {MIN_TRAPDOOR_CRT_SPEEDUP:.1f}x "
                 f"({crt_ms:.3f} ms vs {ref_ms:.3f} ms)"]
     print(f"  trapdoor inverse OK: CRT {speedup:.2f}x faster than y^d mod n "
           f"({crt_ms:.3f} ms vs {ref_ms:.3f} ms)")
@@ -347,9 +341,6 @@ def main():
     parser.add_argument("--min-aggregate-speedup", type=float, default=0.9,
                         help="min fig6 aggregated-vs-per-token verify speedup "
                              "(noise-margin parity guard, not a perf claim)")
-    parser.add_argument("--min-trapdoor-crt-speedup", type=float, default=2.0,
-                        help="min same-run speedup of the CRT trapdoor "
-                             "inverse over the y^d mod n reference")
     args = parser.parse_args()
 
     all_failures = []
@@ -373,7 +364,7 @@ def main():
         if name == "BENCH_fig6_search_overhead.json":
             failures += check_aggregate_speedup(path, args)
         if name == "BENCH_micro.json":
-            failures += check_trapdoor_crt_speedup(path, args)
+            failures += check_trapdoor_crt_speedup(path)
         if name == "BENCH_throughput.json":
             failures += check_throughput_structure(path)
         if name == "BENCH_planner.json":
