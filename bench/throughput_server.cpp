@@ -9,7 +9,7 @@
 //
 // Knobs: SLICER_BENCH_SCALE scales records and request counts;
 // SLICER_BENCH_CLIENTS (default 4) sets the client fleet size;
-// SLICER_THREADS / SLICER_NET_THREADS shape the server-side pipeline.
+// SLICER_THREADS sets the pool lanes each request handler fans out over.
 #include <algorithm>
 #include <atomic>
 #include <chrono>

@@ -1,7 +1,7 @@
 // Shared parsing for SLICER_* environment knobs.
 //
 // Every integer knob (SLICER_THREADS, SLICER_SHARDS, SLICER_PROOF_CACHE,
-// SLICER_PORT, SLICER_NET_THREADS, ...) goes through size_knob so the
+// SLICER_PORT, SLICER_TENANT_QPS, ...) goes through size_knob so the
 // behaviour is uniform everywhere:
 //   * unset or empty        → the documented default, silently;
 //   * a well-formed integer → clamped into [min_value, max_value] (a clamp

@@ -6,6 +6,7 @@
 
 #include "common/env.hpp"
 #include "common/metrics.hpp"
+#include "common/trace.hpp"
 
 namespace slicer {
 
@@ -154,7 +155,10 @@ void ThreadPool::parallel_for(std::size_t n,
   // the caller will take itself.
   const std::size_t chunks = (n + grain - 1) / grain;
   const std::size_t helpers = std::min(workers_.size(), chunks - 1);
-  enqueue_helpers(helpers, [job] { job->run_chunks(); });
+  enqueue_helpers(helpers, [job, parent = trace::current_span_id()] {
+    trace::AdoptParent adopt(parent);
+    job->run_chunks();
+  });
 
   // The caller works the same dispenser, so the job progresses even when
   // all workers are occupied by other (possibly enclosing) jobs.
@@ -163,18 +167,6 @@ void ThreadPool::parallel_for(std::size_t n,
   std::unique_lock<std::mutex> lock(job->m);
   job->cv.wait(lock, [&job] { return job->done.load() == job->n; });
   if (job->error) std::rethrow_exception(job->error);
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  static metrics::Counter& submitted =
-      metrics::counter("common.thread_pool.tasks_submitted");
-  submitted.add();
-  if (workers_.empty()) {
-    // A single-lane pool has nobody to hand the task to: run it here, now.
-    task();
-    return;
-  }
-  enqueue_helpers(1, task);
 }
 
 void ThreadPool::invoke2(const std::function<void()>& a,

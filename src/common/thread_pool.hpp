@@ -14,7 +14,13 @@
 //   * results are written to per-index slots, so scheduling order never
 //     changes the output: a run with N threads is bit-identical to a run
 //     with SLICER_THREADS=1, which executes everything inline on the
-//     calling thread with no pool interaction at all.
+//     calling thread with no pool interaction at all;
+//   * helpers adopt the caller's live trace span as their parent, so spans
+//     opened on worker lanes join the caller's trace tree.
+//
+// Every region is fork-join: the pool takes no standalone tasks. A
+// long-lived request (a network server handler) runs on its own thread,
+// which becomes the caller lane of the regions it issues.
 //
 // Thread-safety contract: ThreadPool methods are safe to call from any
 // thread, including from inside a running parallel region.
@@ -72,15 +78,6 @@ class ThreadPool {
 
   /// Fork-join of two thunks (the all_witnesses recursion splitter).
   void invoke2(const std::function<void()>& a, const std::function<void()>& b);
-
-  /// Enqueues one standalone fire-and-forget closure (the network server's
-  /// request-dispatch primitive). FIFO with parallel_for helpers on the
-  /// same queue. A pool with no workers (SLICER_THREADS=1) executes the
-  /// task inline on the calling thread before returning — submit() then
-  /// degenerates to a synchronous call, which keeps the single-thread
-  /// configuration exactly as deterministic as it is for parallel_for.
-  /// The destructor drains the queue, so every submitted task runs.
-  void submit(std::function<void()> task);
 
   /// RAII guard forcing every parallel_for issued from the current thread
   /// (and the regions nested inside it) to run inline — the exact

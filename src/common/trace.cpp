@@ -14,7 +14,7 @@ std::atomic<bool>& enabled_flag() {
 }
 
 /// Innermost live span on this thread — the parent link for new spans.
-thread_local std::uint64_t current_span_id = 0;
+thread_local std::uint64_t innermost_span = 0;
 
 std::atomic<std::uint64_t> next_id{1};
 
@@ -65,8 +65,8 @@ void set_enabled(bool on) {
 Span::Span(std::string_view name) {
   if (!enabled()) return;
   id_ = next_id.fetch_add(1, std::memory_order_relaxed);
-  parent_id_ = current_span_id;
-  current_span_id = id_;
+  parent_id_ = innermost_span;
+  innermost_span = id_;
   name_ = name;
   // Pin the shared origin no later than the first span's start, so
   // start_ns offsets never go negative (the origin is created on first
@@ -86,7 +86,7 @@ std::uint64_t Span::elapsed_ns() const {
 Span::~Span() {
   if (id_ == 0) return;
   const auto end = std::chrono::steady_clock::now();
-  current_span_id = parent_id_;
+  innermost_span = parent_id_;
   SpanRecord record;
   record.id = id_;
   record.parent_id = parent_id_;
@@ -102,6 +102,15 @@ Span::~Span() {
           .count());
   sink().push(std::move(record));
 }
+
+std::uint64_t current_span_id() { return innermost_span; }
+
+AdoptParent::AdoptParent(std::uint64_t parent)
+    : previous_(innermost_span) {
+  innermost_span = parent;
+}
+
+AdoptParent::~AdoptParent() { innermost_span = previous_; }
 
 std::vector<SpanRecord> drain(std::uint64_t* dropped) {
   Sink& s = sink();

@@ -2,9 +2,10 @@
 //
 // A Span is an RAII guard around one protocol phase ("client.query",
 // "cloud.prove", ...). Spans opened while another span is live on the same
-// thread record it as their parent, so a drained trace reconstructs the
-// call tree of a query: client.query → client.tokens / cloud.search →
-// cloud.fetch / cloud.prove → verify.token.
+// thread record it as their parent, and ThreadPool helpers adopt the
+// caller's live span (AdoptParent), so a drained trace reconstructs the
+// call tree of a query across pool lanes: client.query → client.tokens /
+// cloud.search → cloud.fetch / cloud.prove → verify.token.
 //
 // The sink is a fixed-capacity ring buffer: the newest kTraceCapacity
 // completed spans are kept, older ones are overwritten (dropped spans are
@@ -62,6 +63,24 @@ class Span {
   std::uint64_t parent_id_ = 0;
   std::string name_;
   std::chrono::steady_clock::time_point start_;
+};
+
+/// The innermost live span on this thread (0 when none): the parent a
+/// Span opened here now would record.
+std::uint64_t current_span_id();
+
+/// RAII guard making `parent` the innermost live span on this thread for
+/// its scope, so spans opened inside link to a span that lives on another
+/// thread. ThreadPool helpers use it to adopt the caller's span.
+class AdoptParent {
+ public:
+  explicit AdoptParent(std::uint64_t parent);
+  ~AdoptParent();
+  AdoptParent(const AdoptParent&) = delete;
+  AdoptParent& operator=(const AdoptParent&) = delete;
+
+ private:
+  std::uint64_t previous_;
 };
 
 /// Copies out the buffered spans (oldest kept first) and clears the

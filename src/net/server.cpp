@@ -12,7 +12,6 @@
 #include "common/env.hpp"
 #include "common/fault.hpp"
 #include "common/metrics.hpp"
-#include "common/thread_pool.hpp"
 #include "common/trace.hpp"
 #include "net/protocol.hpp"
 
@@ -25,6 +24,8 @@ struct ServerMetrics {
   metrics::Counter& rejected = metrics::counter("net.server.connections_rejected");
   metrics::Counter& frames_received = metrics::counter("net.server.frames_received");
   metrics::Counter& frames_sent = metrics::counter("net.server.frames_sent");
+  // Requests handled (past abuse control) and, below, requests being
+  // handled; tools/metrics_schema.json checks both names.
   metrics::Counter& requests_dispatched =
       metrics::counter("net.server.requests_dispatched");
   metrics::Counter& errors_sent = metrics::counter("net.server.errors_sent");
@@ -73,9 +74,9 @@ struct SlicerServer::Tenant {
   std::unique_ptr<core::CloudServer> cloud;
   std::shared_mutex mu;
 
-  /// Token bucket + misbehavior score. Guarded by admission_mu: reader
-  /// threads consult it per request; pool threads add misbehavior when a
-  /// payload fails to decode.
+  /// Token bucket + misbehavior score. Guarded by admission_mu: every
+  /// reader thread bound to the tenant consults it per request and adds
+  /// misbehavior when a payload fails to decode.
   std::mutex admission_mu;
   double tokens = 0;
   std::chrono::steady_clock::time_point last_refill{};
@@ -83,7 +84,7 @@ struct SlicerServer::Tenant {
   std::chrono::steady_clock::time_point banned_until{};
 };
 
-/// One live connection. The reader thread owns decode + dispatch; replies
+/// One live connection. The reader thread owns decode + handling; replies
 /// are staged under `mu` keyed by their request sequence number, and the
 /// writer thread drains them strictly in sequence order.
 struct SlicerServer::Connection {
@@ -97,8 +98,6 @@ struct SlicerServer::Connection {
   std::map<std::uint64_t, Bytes> staged;
   std::uint64_t next_seq = 0;
   std::uint64_t next_to_send = 0;
-  /// Requests dispatched to the pool whose reply is not yet staged.
-  std::size_t pending = 0;
   /// Reader exited: no more requests will be staged.
   bool reads_done = false;
   /// Hard abort (send failure / server stop): writer drops staged replies.
@@ -112,7 +111,6 @@ struct SlicerServer::Connection {
     {
       std::lock_guard lock(mu);
       staged.emplace(seq, std::move(frame));
-      if (pending > 0) --pending;
     }
     cv.notify_all();
   }
@@ -132,36 +130,6 @@ struct SlicerServer::Impl {
   mutable std::mutex conns_mu;
   std::map<std::uint64_t, std::shared_ptr<Connection>> conns;
   std::uint64_t next_conn_id = 0;
-
-  /// Admission slots for pool dispatch (SLICER_NET_THREADS).
-  std::mutex slots_mu;
-  std::condition_variable slots_cv;
-  std::size_t slots_free = 0;
-
-  /// Dispatched handlers still running (stop() drains to zero before
-  /// tearing down connections/tenants the handlers reference).
-  std::mutex inflight_mu;
-  std::condition_variable inflight_cv;
-  std::size_t inflight = 0;
-
-  // --- admission ---------------------------------------------------------
-
-  bool acquire_slot() {
-    std::unique_lock lock(slots_mu);
-    slots_cv.wait(lock,
-                  [&] { return slots_free > 0 || stopping.load(); });
-    if (stopping.load()) return false;
-    --slots_free;
-    return true;
-  }
-
-  void release_slot() {
-    {
-      std::lock_guard lock(slots_mu);
-      ++slots_free;
-    }
-    slots_cv.notify_one();
-  }
 
   // --- tenant abuse control ----------------------------------------------
 
@@ -248,7 +216,7 @@ struct SlicerServer::Impl {
     } catch (const DecodeError& e) {
       server_metrics().decode_errors.add();
       // Undecodable payload inside a well-framed request: score it on the
-      // tenant. The ban (if tripped) takes effect on the next dispatch.
+      // tenant. The ban (if tripped) takes effect on the next request.
       record_misbehavior(tenant, kMalformedPoints);
       return error_frame("decode", e.what(), max);
     } catch (const ProtocolError& e) {
@@ -299,46 +267,47 @@ struct SlicerServer::Impl {
     }
   }
 
-  /// Dispatches one decoded frame from the reader thread. Returns false
-  /// when the connection should close.
-  bool dispatch(const std::shared_ptr<Connection>& conn, Frame frame) {
+  /// Admits and handles one decoded frame on the reader thread, which is
+  /// the caller lane of every parallel_for the handler issues. Returns
+  /// false when the connection should close.
+  bool dispatch(Connection& conn, const Frame& frame) {
     server_metrics().frames_received.add();
     const auto op = static_cast<Op>(frame.opcode);
     const std::size_t max = config.max_frame_bytes;
 
-    if (conn->tenant == nullptr) {
+    if (conn.tenant == nullptr) {
       if (op != Op::kHello) {
-        conn->stage_reply(conn->next_seq++,
-                          error_frame("hello", "expected HELLO first", max));
+        conn.stage_reply(conn.next_seq++,
+                         error_frame("hello", "expected HELLO first", max));
         return false;
       }
-      return handle_hello(*conn, frame);
+      return handle_hello(conn, frame);
     }
     if (op == Op::kHello) {
-      conn->stage_reply(conn->next_seq++,
-                        error_frame("protocol", "duplicate HELLO", max));
+      conn.stage_reply(conn.next_seq++,
+                       error_frame("protocol", "duplicate HELLO", max));
       return false;
     }
 
     // Abuse control, all on the reader thread (cheap: one mutex hop), in
     // order: ban gate, misbehavior scoring (garbage never spends a token),
     // then the token bucket.
-    Tenant& tenant = *conn->tenant;
+    Tenant& tenant = *conn.tenant;
     if (tenant_is_banned(tenant)) {
       server_metrics().tenant_banned_rejects.add();
-      conn->stage_reply(conn->next_seq++,
-                        error_frame("banned", "tenant is banned", max));
+      conn.stage_reply(conn.next_seq++,
+                       error_frame("banned", "tenant is banned", max));
       return false;
     }
     const bool known_op =
         op == Op::kPing || op == Op::kApply || op == Op::kQueryPlan;
     if (!known_op) {
       const bool banned = record_misbehavior(tenant, kUnknownOpcodePoints);
-      conn->stage_reply(conn->next_seq++,
-                        error_frame("protocol",
-                                    "unknown opcode " +
-                                        std::to_string(frame.opcode),
-                                    max));
+      conn.stage_reply(conn.next_seq++,
+                       error_frame("protocol",
+                                   "unknown opcode " +
+                                       std::to_string(frame.opcode),
+                                   max));
       return !banned;  // a tripped ban disconnects immediately
     }
     const std::size_t soft_max = config.max_request_bytes == 0
@@ -346,8 +315,8 @@ struct SlicerServer::Impl {
                                      : config.max_request_bytes;
     if (frame.payload.size() > soft_max) {
       const bool banned = record_misbehavior(tenant, kOversizedPoints);
-      conn->stage_reply(
-          conn->next_seq++,
+      conn.stage_reply(
+          conn.next_seq++,
           error_frame("protocol",
                       "oversized payload: " +
                           std::to_string(frame.payload.size()) + " > " +
@@ -358,55 +327,34 @@ struct SlicerServer::Impl {
     switch (admit(tenant)) {
       case Admission::kBanned:
         server_metrics().tenant_banned_rejects.add();
-        conn->stage_reply(conn->next_seq++,
-                          error_frame("banned", "tenant is banned", max));
+        conn.stage_reply(conn.next_seq++,
+                         error_frame("banned", "tenant is banned", max));
         return false;
       case Admission::kThrottle:
         // The connection stays open: throttling is a retryable condition
         // the client answers with backoff, not a protocol violation.
         server_metrics().tenant_throttled.add();
-        conn->stage_reply(
-            conn->next_seq++,
+        conn.stage_reply(
+            conn.next_seq++,
             error_frame("throttled", "tenant rate limit exceeded", max));
         return true;
       case Admission::kAdmit:
         break;
     }
 
-    if (!acquire_slot()) return false;  // server stopping
-    const std::uint64_t seq = conn->next_seq++;
-    {
-      std::lock_guard lock(conn->mu);
-      ++conn->pending;
-    }
-    {
-      std::lock_guard lock(inflight_mu);
-      ++inflight;
-    }
+    const std::uint64_t seq = conn.next_seq++;
     server_metrics().requests_dispatched.add();
     server_metrics().dispatch_inflight.add();
-
-    ThreadPool::instance().submit(
-        [this, conn, tenant = &tenant, seq, frame = std::move(frame)]() mutable {
-          const auto start = std::chrono::steady_clock::now();
-          Bytes reply = handle_request(*tenant, frame);
-          conn->stage_reply(seq, std::move(reply));
-          release_slot();
-          server_metrics().dispatch_inflight.sub();
-          if (metrics::enabled()) {
-            const auto ns =
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            server_metrics().request_ns.record(
-                ns < 0 ? 0 : static_cast<std::uint64_t>(ns));
-          }
-          {
-            std::lock_guard lock(inflight_mu);
-            --inflight;
-          }
-          inflight_cv.notify_all();
-        });
+    const auto start = std::chrono::steady_clock::now();
+    conn.stage_reply(seq, handle_request(tenant, frame));
+    server_metrics().dispatch_inflight.sub();
+    if (metrics::enabled()) {
+      const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+      server_metrics().request_ns.record(
+          ns < 0 ? 0 : static_cast<std::uint64_t>(ns));
+    }
     return true;
   }
 
@@ -425,7 +373,7 @@ struct SlicerServer::Impl {
         while (keep_going) {
           std::optional<Frame> frame = decoder.next();
           if (!frame.has_value()) break;
-          keep_going = dispatch(conn, std::move(*frame));
+          keep_going = dispatch(*conn, *frame);
         }
       }
     } catch (const DecodeError& e) {
@@ -455,8 +403,7 @@ struct SlicerServer::Impl {
         std::unique_lock lock(conn->mu);
         conn->cv.wait(lock, [&] {
           return conn->aborted || conn->staged.count(conn->next_to_send) != 0 ||
-                 (conn->reads_done && conn->pending == 0 &&
-                  conn->staged.empty());
+                 (conn->reads_done && conn->staged.empty());
         });
         if (conn->aborted) break;
         const auto it = conn->staged.find(conn->next_to_send);
@@ -492,7 +439,7 @@ struct SlicerServer::Impl {
       bool done = conn.finished.load();
       if (done) {
         std::lock_guard cl(conn.mu);
-        done = conn.reads_done && conn.pending == 0;
+        done = conn.reads_done;
       }
       if (done) {
         if (conn.reader.joinable()) conn.reader.join();
@@ -547,15 +494,10 @@ SlicerServer::SlicerServer(ServerConfig config)
     impl_->config.port = static_cast<std::uint16_t>(
         env::size_knob("SLICER_PORT", 0, 0, 65535));
   }
-  if (impl_->config.dispatch_concurrency == 0) {
-    impl_->config.dispatch_concurrency = env::size_knob(
-        "SLICER_NET_THREADS", ThreadPool::instance().thread_count(), 1, 4096);
-  }
   if (impl_->config.tenant_qps == 0) {
     impl_->config.tenant_qps =
         env::size_knob("SLICER_TENANT_QPS", 0, 0, 1'000'000);
   }
-  impl_->slots_free = impl_->config.dispatch_concurrency;
 }
 
 SlicerServer::~SlicerServer() { stop(); }
@@ -589,23 +531,16 @@ void SlicerServer::start() {
 void SlicerServer::stop() {
   if (!impl_->started) return;
   impl_->stopping.store(true);
-  impl_->slots_cv.notify_all();
   if (impl_->acceptor.joinable()) impl_->acceptor.join();
 
-  // Unblock and join every reader first (recv returns 0 after shutdown):
-  // once readers are gone, no new request can be dispatched.
+  // Unblock and join every reader first (recv returns 0 after shutdown).
+  // A reader returns only after its running handler has staged its reply,
+  // so once readers are gone no handler touches a connection or tenant.
   {
     std::lock_guard lock(impl_->conns_mu);
     for (auto& [id, conn] : impl_->conns) conn->sock.shutdown_both();
     for (auto& [id, conn] : impl_->conns)
       if (conn->reader.joinable()) conn->reader.join();
-  }
-  // Wait for every already-dispatched handler to finish — they reference
-  // connections and tenants (the inflight decrement is the handler's last
-  // touch of server state, so zero means safe teardown).
-  {
-    std::unique_lock lock(impl_->inflight_mu);
-    impl_->inflight_cv.wait(lock, [&] { return impl_->inflight == 0; });
   }
   // Writers: drain staged replies, then exit via the reads_done condition.
   {

@@ -4,23 +4,24 @@
 //
 //   acceptor thread ──accept──▶ per-connection reader thread
 //                                  │  FrameDecoder + strict payload decode
-//                                  │  hello → tenant binding (inline)
-//                                  ▼
-//                        ThreadPool::submit(handler)   ← SLICER_NET_THREADS
-//                                  │                      admission slots
+//                                  │  hello → tenant binding
+//                                  │  admission → handler (caller lane of
+//                                  │  its parallel_for; pool workers help)
 //                                  ▼
 //                     per-connection writer thread
 //                        (seq-ordered reply queue → send_all)
 //
-// Requests are decoded on the connection's reader thread and dispatched to
-// the process-wide ThreadPool, so an expensive request (a bulk APPLY, a
-// many-clause QUERY_PLAN) from one tenant never blocks another
-// tenant's reader. Replies are staged in a per-connection sequence-ordered
-// queue drained by a dedicated writer thread: handlers complete in any
-// order, but each connection observes replies in request order, and a slow
-// or stalled verifier only backs up its own writer (kernel send timeout
-// bounds the stall; the dispatch slots it holds are released the moment
-// its replies are staged, not when they hit the wire).
+// Each request is decoded and handled on its connection's reader thread,
+// exactly as an in-process caller runs CloudServer on its own thread: the
+// reader is the caller lane of every parallel_for the handler issues, so
+// one query's per-token proofs get every process-wide ThreadPool worker as
+// a helper. Connections have their own readers, so an expensive request (a
+// bulk APPLY, a many-clause QUERY_PLAN) from one tenant never blocks
+// another tenant's reader. Replies are staged in a per-connection
+// sequence-ordered queue drained by a dedicated writer thread, so each
+// connection observes replies in request order, and a slow or stalled
+// verifier only backs up its own writer (kernel send timeout bounds the
+// stall).
 //
 // Tenancy: every connection starts with a HELLO frame naming a tenant; the
 // tenant's CloudServer is guarded by a shared_mutex — QUERY_PLAN searches
@@ -29,14 +30,14 @@
 // before start() and never share state.
 //
 // Backpressure and limits: at most `max_connections` live connections
-// (excess accepts get a kError/"busy" frame and an immediate close); at
-// most `dispatch_concurrency` requests in the pool at once — the admission
-// slot is acquired on the reader thread, so a flooding client is paused in
-// its own socket buffer (TCP backpressure) instead of ballooning the queue.
+// (excess accepts get a kError/"busy" frame and an immediate close), so at
+// most that many requests are handled at once. A reader reads nothing
+// while its handler runs, so a flooding client is paused in its own socket
+// buffer (TCP backpressure) instead of ballooning a queue.
 //
 // Per-tenant abuse control: every tenant owns a token bucket
 // (tenant_qps / tenant_burst; the qps defaults to the SLICER_TENANT_QPS
-// knob, 0 = unlimited) consulted on the reader thread before dispatch — an
+// knob, 0 = unlimited) consulted on the reader thread before handling — an
 // empty bucket gets a kError/"throttled" reply and the connection stays
 // open (the client backs off and retries). Misbehavior accrues on the
 // tenant, not the connection: malformed frames and undecodable payloads
@@ -65,7 +66,7 @@
 namespace slicer::net {
 
 /// SlicerServer tuning. Field defaults are the production values; port and
-/// dispatch_concurrency additionally honour environment knobs (see fields).
+/// tenant_qps additionally honour environment knobs (see fields).
 struct ServerConfig {
   /// TCP port to bind on 127.0.0.1. 0 defers to the SLICER_PORT knob, and
   /// when that is unset too, the kernel assigns an ephemeral port (read it
@@ -75,11 +76,6 @@ struct ServerConfig {
   /// Live-connection cap; accepts beyond it are answered with a
   /// kError/"busy" frame and closed.
   std::size_t max_connections = 64;
-
-  /// Cap on requests concurrently dispatched into the thread pool.
-  /// 0 defers to the SLICER_NET_THREADS knob (default: the pool's lane
-  /// count), clamped to [1, 4096].
-  std::size_t dispatch_concurrency = 0;
 
   /// Reader-side receive timeout: a connection idle (or mid-frame-stalled)
   /// longer than this is closed.
@@ -138,7 +134,7 @@ class SlicerServer {
   /// port cannot be bound.
   void start();
 
-  /// Stops accepting, unblocks every connection, waits for all dispatched
+  /// Stops accepting, unblocks every connection, waits for running
   /// handlers to finish, and joins all threads. Idempotent.
   void stop();
 

@@ -1,6 +1,6 @@
 // Shared SLICER_* knob parsing: defaults, clamping, and malformed-value
 // rejection must behave identically for every knob (SLICER_THREADS,
-// SLICER_SHARDS, SLICER_PROOF_CACHE, SLICER_PORT, SLICER_NET_THREADS, ...).
+// SLICER_SHARDS, SLICER_PROOF_CACHE, SLICER_PORT, SLICER_TENANT_QPS, ...).
 #include "common/env.hpp"
 
 #include <gtest/gtest.h>

@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
+
+#include "common/thread_pool.hpp"
 
 namespace slicer::trace {
 namespace {
@@ -75,6 +81,50 @@ TEST(TraceTest, ParentLinksAreThreadLocal) {
   ASSERT_EQ(spans.size(), 2u);
   EXPECT_EQ(spans[0].name, "test.other_thread");
   EXPECT_EQ(spans[0].parent_id, 0u);
+}
+
+/// Runs a two-index parallel_for on a two-lane pool whose bodies each open
+/// a span and hold their lane until both have arrived, so index 1 runs on
+/// the worker while the caller sits in index 0. Returns the lane count.
+std::size_t span_on_both_lanes(ThreadPool& pool, const char* name) {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::thread::id> lanes;
+  pool.parallel_for(2, [&](std::size_t) {
+    const Span span(name);
+    std::unique_lock lock(mu);
+    lanes.insert(std::this_thread::get_id());
+    cv.notify_all();
+    cv.wait_for(lock, std::chrono::seconds(10),
+                [&] { return lanes.size() == 2; });
+  });
+  return lanes.size();
+}
+
+TEST(TraceTest, PoolHelpersAdoptCallersSpan) {
+  ThreadPool::ScopedPool pool(2);
+  const ScopedTrace guard;
+  std::uint64_t caller_id = 0;
+  {
+    const Span caller("test.pool.caller");
+    caller_id = caller.id();
+    ASSERT_EQ(span_on_both_lanes(pool.pool(), "test.pool.child"), 2u);
+  }
+  // The worker restores its own (empty) parent after the helper returns.
+  ASSERT_EQ(span_on_both_lanes(pool.pool(), "test.pool.root"), 2u);
+
+  std::size_t children = 0, roots = 0;
+  for (const SpanRecord& s : drain()) {
+    if (s.name == "test.pool.child") {
+      ++children;
+      EXPECT_EQ(s.parent_id, caller_id);
+    } else if (s.name == "test.pool.root") {
+      ++roots;
+      EXPECT_EQ(s.parent_id, 0u);
+    }
+  }
+  EXPECT_EQ(children, 2u);
+  EXPECT_EQ(roots, 2u);
 }
 
 TEST(TraceTest, RingBufferDropsOldestAndCounts) {

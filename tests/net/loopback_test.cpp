@@ -2,10 +2,14 @@
 // PING, APPLY, QUERY_PLAN) against a live SlicerServer, under a single-lane and a multi-lane thread pool,
 // plus the protocol-state machine (hello-first, duplicate hello, unknown
 // tenant, retired opcodes), connection limits, idle timeout + client reconnect, tenant
-// isolation, and reply ordering under pipelining.
+// isolation, reply ordering under pipelining, and progress while every pool
+// worker is busy.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "common/serial.hpp"
@@ -237,7 +241,7 @@ TEST(Loopback, PipelinedRepliesKeepRequestOrder) {
 
   // A burst of pings followed by a malformed QUERY_PLAN payload: the replies
   // must arrive strictly in request order (pongs first, then the error)
-  // even though the handlers run concurrently on the pool.
+  // even though the reader decodes the whole burst from a few recv chunks.
   constexpr int kPings = 8;
   for (int i = 0; i < kPings; ++i) raw.send(Op::kPing, BytesView{});
   raw.send(Op::kQueryPlan, str_bytes("not a query plan payload"));
@@ -247,6 +251,74 @@ TEST(Loopback, PipelinedRepliesKeepRequestOrder) {
   const Frame last = raw.read_frame();
   ASSERT_EQ(static_cast<Op>(last.opcode), Op::kError);
   EXPECT_EQ(ErrorReply::deserialize(last.payload).code, "decode");
+}
+
+// A request runs on its connection's reader thread, which is the caller
+// lane of the handler's parallel_for: with the pool's only worker pinned,
+// PING and a many-token QUERY_PLAN are still answered.
+TEST(Loopback, RequestsProgressWithEveryPoolWorkerBusy) {
+  ThreadPool::ScopedPool pool(2);
+  Rig rig = Rig::make(8, "net-pinned-pool", {}, 2);
+  const auto records = sample_records();
+  const core::UpdateOutput update = rig.owner->insert(records);
+  rig.user->refresh(rig.owner->export_user_state());
+  QueryPlanRequest plan;
+  plan.clauses.push_back(
+      {.aggregated = false,
+       .tokens = rig.user->make_tokens(42, MatchCondition::kGreater)});
+  plan.clauses.push_back(
+      {.aggregated = false,
+       .tokens = rig.user->make_tokens(42, MatchCondition::kLess)});
+
+  SlicerServer server;
+  server.add_tenant("alpha", take_cloud(rig));
+  server.start();
+  SlicerClientChannel(server.port(), "alpha").apply(update);
+
+  // Pin the worker: a parallel_for from a helper thread whose two bodies
+  // (one on the helper, one on the worker) wait on a latch. The guard
+  // releases the latch however the test exits, so a failure cannot hang.
+  struct Pin {
+    std::mutex mu;
+    std::condition_variable cv;
+    int arrived = 0;
+    bool released = false;
+    std::thread holder;
+    ~Pin() {
+      {
+        std::lock_guard lock(mu);
+        released = true;
+      }
+      cv.notify_all();
+      if (holder.joinable()) holder.join();
+    }
+  } pin;
+  pin.holder = std::thread([&pin] {
+    ThreadPool::instance().parallel_for(2, [&pin](std::size_t) {
+      std::unique_lock lock(pin.mu);
+      ++pin.arrived;
+      pin.cv.notify_all();
+      pin.cv.wait(lock, [&pin] { return pin.released; });
+    });
+  });
+  {
+    std::unique_lock lock(pin.mu);
+    ASSERT_TRUE(pin.cv.wait_for(lock, std::chrono::seconds(10),
+                                [&pin] { return pin.arrived == 2; }));
+  }
+
+  RawClient raw(server.port());  // 5 s receive timeout bounds each reply
+  raw.hello("alpha");
+  raw.send(Op::kPing, BytesView{});
+  EXPECT_EQ(static_cast<Op>(raw.read_frame().opcode), Op::kPong);
+  raw.send(Op::kQueryPlan, plan.serialize());
+  const Frame reply = raw.read_frame();
+  ASSERT_EQ(static_cast<Op>(reply.opcode), Op::kQueryPlanReply);
+  const QueryPlanReply out = QueryPlanReply::deserialize(reply.payload);
+  EXPECT_TRUE(core::verify_plan(rig.acc_params, rig.owner->shard_values(),
+                                plan.clauses, out.clauses,
+                                rig.config.prime_bits)
+                  .verified);
 }
 
 // slicer.net.v1's SEARCH, SEARCH_AGGREGATED, FETCH and PROVE (0x03-0x06)

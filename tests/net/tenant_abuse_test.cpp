@@ -2,7 +2,7 @@
 // disconnect-and-ban) plus server timeout/teardown edges: idle-timeout
 // striking mid-frame, stop() racing an inflight APPLY, and busy-rejection
 // while the connection table churns. Runs under `ctest -L net` so the TSan
-// job chases the reader/pool/writer interleavings.
+// job chases the reader/writer/pool-worker interleavings.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -249,8 +249,9 @@ TEST(TenantAbuse, IdleTimeoutStrikesMidFrame) {
 }
 
 TEST(TenantAbuse, StopRacesInflightApply) {
-  // stop() while APPLY handlers are mid-execution on the pool: teardown
-  // must drain them (they touch tenant state) before freeing anything.
+  // stop() while APPLY handlers are mid-execution on their reader threads:
+  // teardown must wait for them (they touch tenant state) before freeing
+  // anything.
   ThreadPool::ScopedPool pool(4);
   for (int round = 0; round < 4; ++round) {
     Rig rig = Rig::make(8, "net-stop-race");
