@@ -10,12 +10,9 @@
 // small and essentially flat (constant-size RSA witnesses — <60 B for 8-bit
 // in the paper; ours are one 1024-bit group element per token).
 //
-// The second section compares the legacy per-token read path (one witness
-// and one verification modexp per token) against the aggregated path (one
-// witness per touched shard, verify_query_aggregated): wall time per
-// verification, VO bytes shipped, and the aggregate_speedup ratio. The CI
-// regression gate requires the aggregated VO to be strictly smaller and
-// the speedup to stay above a parity floor.
+// The second section times client verification of one many-token query
+// on a 4-shard world (one witness and one verification modexp per token):
+// wall time per verification and VO bytes shipped.
 #include <chrono>
 #include <cstdio>
 
@@ -92,28 +89,22 @@ int main() {
     }
   }
 
-  // Per-token vs aggregated verification, on an order query with as many
-  // tokens as the trapdoor width yields (≥ 8 for both bit settings): the
-  // per-token path ships one witness and pays one modexp per token, the
-  // aggregated path one per touched shard. CI gates hard on the VO size
-  // (aggregated must be strictly smaller) and softly on aggregate_speedup
-  // (parity guard — folding leaves the total squaring count unchanged).
-  std::printf("\nRead-path comparison (client verification)\n");
+  // Per-token verification, on an order query with as many tokens as the
+  // trapdoor width yields (≥ 8 for both bit settings): the cloud ships one
+  // witness and the client pays one modexp per token.
+  std::printf("\nClient verification (per-token VOs)\n");
   std::printf("%6s %8s %8s %12s %12s %10s\n", "bits", "tokens", "path",
               "verify_ms", "vo_B", "witnesses");
   for (const std::size_t bits : {8, 16}) {
-    // A dedicated 4-shard world: aggregation is built for the sharded
-    // deployment, where the VO caps at one witness per touched shard and
-    // the per-shard verification modexps fan out across the pool. In the
-    // 1-shard cached world the aggregate collapses to a single serial
-    // modexp and the comparison measures nothing but noise.
+    // A dedicated 4-shard world, the sharded deployment the committed
+    // Fig6/VerifyPerToken rows were recorded on.
     const auto world_ptr =
         make_world(bits, record_counts().front(), true, /*shard_count=*/4);
     World& world = *world_ptr;
-    // A two-sided interval is the many-token query the aggregation targets:
-    // a between(lo, hi) submits the greater(lo) and less(hi) token sets as
-    // one batch, so the per-query VO folds all of them. Pick the widest
-    // decompositions of each side (≥ 8 tokens combined at both bit widths).
+    // A two-sided interval is a many-token query: a between(lo, hi)
+    // submits the greater(lo) and less(hi) token sets as one batch. Pick
+    // the widest decompositions of each side (≥ 8 tokens combined at both
+    // bit widths).
     std::vector<std::uint64_t> candidates = query_values(bits, 16, "fig6-agg");
     candidates.insert(candidates.end(), {0, 1, 2, 3});
     std::vector<slicer::core::SearchToken> tokens, lo_best, hi_best;
@@ -126,7 +117,6 @@ int main() {
     tokens = std::move(lo_best);
     tokens.insert(tokens.end(), hi_best.begin(), hi_best.end());
     const auto replies = world.cloud->search(tokens);
-    const auto agg = world.cloud->search_aggregated(tokens);
 
     const int iters = 20;
     const double per_token_ms = time_ms(iters, [&] {
@@ -134,23 +124,12 @@ int main() {
                         replies, world.config.prime_bits))
         std::abort();
     });
-    const double aggregated_ms = time_ms(iters, [&] {
-      if (!verify_query_aggregated(world.acc_params,
-                                   world.cloud->shard_values(), tokens, agg,
-                                   world.config.prime_bits))
-        std::abort();
-    });
     double per_token_vo = 0;
     for (const auto& r : replies)
       per_token_vo += static_cast<double>(r.witness.to_bytes_be().size());
-    const double speedup =
-        aggregated_ms > 0 ? per_token_ms / aggregated_ms : 0;
 
     std::printf("%6zu %8zu %8s %12.2f %12.0f %10zu\n", bits, tokens.size(),
                 "token", per_token_ms, per_token_vo, replies.size());
-    std::printf("%6zu %8zu %8s %12.2f %12zu %10zu  (%.2fx)\n", bits,
-                tokens.size(), "agg", aggregated_ms, agg.vo_byte_size(),
-                agg.witnesses.size(), speedup);
     const std::string suffix = std::to_string(bits) + "bit";
     json.add({"Fig6/VerifyPerToken/" + suffix,
               per_token_ms,
@@ -159,16 +138,6 @@ int main() {
                {"avg_tokens", static_cast<double>(tokens.size())},
                {"vo_B", per_token_vo},
                {"witnesses", static_cast<double>(replies.size())}}});
-    json.add({"Fig6/VerifyAggregated/" + suffix,
-              aggregated_ms,
-              iters,
-              {{"bits", static_cast<double>(bits)},
-               {"avg_tokens", static_cast<double>(tokens.size())},
-               {"vo_B", static_cast<double>(agg.vo_byte_size())},
-               {"witnesses", static_cast<double>(agg.witnesses.size())},
-               {"shard_count",
-                static_cast<double>(world.cloud->shard_count())},
-               {"aggregate_speedup", speedup}}});
   }
   json.write();
   return 0;

@@ -1,9 +1,11 @@
 // Boolean query planner benchmark (DESIGN.md §3k).
 //
-// Sweeps a clause-count × selectivity × read-path grid of OR-of-leaves
-// predicate trees over a correlated multi-attribute workload (Zipf "amount"
-// as the primary, ρ=0.6-correlated uniform "risk"), plus the verified
-// aggregates (COUNT / MIN / MAX / top-k) and the combiner-cache warm path.
+// Sweeps a clause-count × selectivity grid of OR-of-leaves predicate trees
+// over a correlated multi-attribute workload (Zipf "amount" as the
+// primary, ρ=0.6-correlated uniform "risk"), plus the verified aggregates
+// (COUNT / MIN / MAX / top-k) and the combiner-cache warm path. Grid rows
+// keep their historical "Planner/legacy/" prefix (the per-token read path,
+// now the only one) so they line up with the committed baseline.
 //
 // Custom main, no google-benchmark: every measured query is also an
 // acceptance check — its result must verify AND match the brute-force
@@ -105,49 +107,44 @@ bool sweep_grid(PlannerWorld& pw, BenchJson& json) {
   constexpr int kIters = 3;
   bool ok = true;
 
-  for (const bool aggregated : {false, true}) {
-    for (const std::size_t leaves : {1u, 2u, 4u, 8u}) {
-      for (const Level& level : levels) {
-        const std::string cell = std::string(aggregated ? "aggregated"
-                                                        : "legacy") +
-                                 "/leaves" + std::to_string(leaves) + "/" +
-                                 level.name;
-        crypto::Drbg rng(str_bytes("planner-grid-" + cell));
-        const core::QuerySpec spec = grid_spec(pw.db, leaves, level.width, rng);
-        const std::vector<core::RecordId> expected = oracle(pw.db, spec);
+  for (const std::size_t leaves : {1u, 2u, 4u, 8u}) {
+    for (const Level& level : levels) {
+      const std::string cell =
+          "legacy/leaves" + std::to_string(leaves) + "/" + level.name;
+      crypto::Drbg rng(str_bytes("planner-grid-" + cell));
+      const core::QuerySpec spec = grid_spec(pw.db, leaves, level.width, rng);
+      const std::vector<core::RecordId> expected = oracle(pw.db, spec);
 
-        core::QueryResult last;
-        const auto start = std::chrono::steady_clock::now();
-        for (int i = 0; i < kIters; ++i) {
-          core::QueryClient client(*pw.world->user, *pw.world->cloud,
-                                   pw.world->config.prime_bits, aggregated);
-          last = client.query(spec);
-          if (!last.verified || last.ids != expected) {
-            std::printf("FALSE RESULT %s: verified=%d results=%zu (want %zu)\n",
-                        cell.c_str(), last.verified ? 1 : 0, last.ids.size(),
-                        expected.size());
-            ok = false;
-          }
+      core::QueryResult last;
+      const auto start = std::chrono::steady_clock::now();
+      for (int i = 0; i < kIters; ++i) {
+        core::QueryClient client(*pw.world->user, *pw.world->cloud,
+                                 pw.world->config.prime_bits);
+        last = client.query(spec);
+        if (!last.verified || last.ids != expected) {
+          std::printf("FALSE RESULT %s: verified=%d results=%zu (want %zu)\n",
+                      cell.c_str(), last.verified ? 1 : 0, last.ids.size(),
+                      expected.size());
+          ok = false;
         }
-        const double ms = now_ms_since(start) / kIters;
-        const double selectivity =
-            pw.db.empty() ? 0.0
-                          : static_cast<double>(last.ids.size()) /
-                                static_cast<double>(pw.db.size());
-        std::printf("Planner/%-28s %8.2f ms  %2zu clauses  %3zu tokens  "
-                    "%5zu results (%.3f)\n",
-                    cell.c_str(), ms, last.clause_count, last.token_count,
-                    last.ids.size(), selectivity);
-        json.add({"Planner/" + cell,
-                  ms,
-                  kIters,
-                  {{"leaves", static_cast<double>(leaves)},
-                   {"clauses", static_cast<double>(last.clause_count)},
-                   {"tokens", static_cast<double>(last.token_count)},
-                   {"results", static_cast<double>(last.ids.size())},
-                   {"selectivity", selectivity},
-                   {"aggregated", aggregated ? 1.0 : 0.0}}});
       }
+      const double ms = now_ms_since(start) / kIters;
+      const double selectivity =
+          pw.db.empty() ? 0.0
+                        : static_cast<double>(last.ids.size()) /
+                              static_cast<double>(pw.db.size());
+      std::printf("Planner/%-28s %8.2f ms  %2zu clauses  %3zu tokens  "
+                  "%5zu results (%.3f)\n",
+                  cell.c_str(), ms, last.clause_count, last.token_count,
+                  last.ids.size(), selectivity);
+      json.add({"Planner/" + cell,
+                ms,
+                kIters,
+                {{"leaves", static_cast<double>(leaves)},
+                 {"clauses", static_cast<double>(last.clause_count)},
+                 {"tokens", static_cast<double>(last.token_count)},
+                 {"results", static_cast<double>(last.ids.size())},
+                 {"selectivity", selectivity}}});
     }
   }
   return ok;

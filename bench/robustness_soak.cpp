@@ -115,8 +115,7 @@ bool soak_detection(BenchJson& json) {
 /// Plan-level taxonomy soak: the clause batch of a planner query is the
 /// attack surface (drop a clause reply, swap two clauses' replies, serve
 /// one clause from a pre-update recording). Each seed batches a gt/lt
-/// clause pair with alternating read paths, so both the legacy and the
-/// aggregated clause verifiers face every operation. Returns false on any
+/// clause pair, both on the per-token read path. Returns false on any
 /// false accept (tampered batch verifying) or false reject (honest batch
 /// failing).
 bool soak_plan_detection(BenchJson& json) {
@@ -127,12 +126,10 @@ bool soak_plan_detection(BenchJson& json) {
   bool ok = true;
   core::RecordId stale_id = 300'000;
 
-  const auto make_requests = [&world](std::uint64_t pivot, int seed) {
+  const auto make_requests = [&world](std::uint64_t pivot) {
     std::vector<core::ClauseRequest> requests(2);
-    requests[0].aggregated = seed % 2 == 0;
     requests[0].tokens =
         world.user->make_tokens(pivot, core::MatchCondition::kGreater);
-    requests[1].aggregated = seed % 2 == 1;
     requests[1].tokens =
         world.user->make_tokens(pivot, core::MatchCondition::kLess);
     return requests;
@@ -144,8 +141,7 @@ bool soak_plan_detection(BenchJson& json) {
     double honest_ms = 0;
     for (int seed = 0; seed < kSeeds; ++seed) {
       const auto requests = make_requests(
-          query_values(8, kSeeds, "plan-soak")[static_cast<std::size_t>(seed)],
-          seed);
+          query_values(8, kSeeds, "plan-soak")[static_cast<std::size_t>(seed)]);
       const auto t0 = std::chrono::steady_clock::now();
       const auto replies = world.cloud->search_plan(requests);
       const auto pv =
@@ -174,7 +170,7 @@ bool soak_plan_detection(BenchJson& json) {
     for (int seed = 0; seed < kSeeds; ++seed) {
       const std::uint64_t pivot =
           query_values(8, kSeeds, "plan-soak")[static_cast<std::size_t>(seed)];
-      const auto requests = make_requests(pivot, seed);
+      const auto requests = make_requests(pivot);
       core::MaliciousCloud mal(*world.cloud, tamper,
                                static_cast<std::uint64_t>(seed));
       if (tamper == core::Tamper::kStaleClauseVO) {

@@ -1,11 +1,13 @@
 // Wire-protocol throughput: N concurrent loopback clients driving one
 // SlicerServer, measuring end-to-end request latency (client send → reply
-// decoded) for single-clause QUERY_PLAN requests on the legacy per-token
-// read path and on the aggregated one, at K ∈ {1, 4, 8} tokens per request.
+// decoded) for single-clause QUERY_PLAN requests at K ∈ {1, 4, 8} tokens
+// per request.
 //
-// Emits BENCH_throughput.json with one row per (mode, K): qps plus p50/p99
-// latency in milliseconds. Custom main (no google-benchmark): the unit of
-// measurement is a concurrent client fleet, not a single-threaded loop.
+// Emits BENCH_throughput.json with one row per K, named
+// "throughput/legacy/K<k>" after the per-token read path (the committed
+// baseline's names): qps plus p50/p99 latency in milliseconds. Custom main
+// (no google-benchmark): the unit of measurement is a concurrent client
+// fleet, not a single-threaded loop.
 //
 // Knobs: SLICER_BENCH_SCALE scales records and request counts;
 // SLICER_BENCH_CLIENTS (default 4) sets the client fleet size;
@@ -127,43 +129,38 @@ int throughput_main() {
         make_request_batches(*world, k, std::max<std::size_t>(per_client, 16));
     if (batches.empty()) continue;
 
-    for (const bool aggregated : {false, true}) {
-      const char* mode = aggregated ? "aggregated" : "legacy";
-      // One single-clause plan per batch, on this mode's read path.
-      std::vector<net::QueryPlanRequest> requests(batches.size());
-      for (std::size_t i = 0; i < batches.size(); ++i)
-        requests[i].clauses.push_back(
-            {.aggregated = aggregated, .tokens = batches[i]});
+    // One single-clause plan per batch.
+    std::vector<net::QueryPlanRequest> requests(batches.size());
+    for (std::size_t i = 0; i < batches.size(); ++i)
+      requests[i].clauses.push_back({.tokens = batches[i]});
 
-      // Correctness gate before timing: one request per mode must verify
-      // against the owner's trusted digests.
-      {
-        net::SlicerClientChannel probe(port, "bench");
-        const net::QueryPlanReply reply = probe.query_plan(requests.front());
-        if (!core::verify_plan(world->acc_params, shard_values,
-                               requests.front().clauses, reply.clauses,
-                               world->config.prime_bits)
-                 .verified) {
-          std::fprintf(stderr, "throughput: %s VO failed verification\n",
-                       mode);
-          return 1;
-        }
+    // Correctness gate before timing: one request must verify against the
+    // owner's trusted digests.
+    {
+      net::SlicerClientChannel probe(port, "bench");
+      const net::QueryPlanReply reply = probe.query_plan(requests.front());
+      if (!core::verify_plan(world->acc_params, shard_values,
+                             requests.front().clauses, reply.clauses,
+                             world->config.prime_bits)
+               .verified) {
+        std::fprintf(stderr, "throughput: K=%zu VO failed verification\n", k);
+        return 1;
       }
-
-      const RunResult r = run_fleet(port, clients, per_client, requests);
-      std::printf("%-28s K=%zu  %8.1f qps  p50 %7.3f ms  p99 %7.3f ms\n",
-                  mode, k, r.qps, r.p50_ms, r.p99_ms);
-      BenchRow row;
-      row.name = std::string("throughput/") + mode + "/K" + std::to_string(k);
-      row.real_ms = r.p50_ms;
-      row.iterations = static_cast<std::int64_t>(r.requests);
-      row.counters = {{"qps", r.qps},
-                      {"p50_ms", r.p50_ms},
-                      {"p99_ms", r.p99_ms},
-                      {"tokens_per_request", static_cast<double>(k)},
-                      {"clients", static_cast<double>(clients)}};
-      json.add(std::move(row));
     }
+
+    const RunResult r = run_fleet(port, clients, per_client, requests);
+    std::printf("K=%zu  %8.1f qps  p50 %7.3f ms  p99 %7.3f ms\n", k, r.qps,
+                r.p50_ms, r.p99_ms);
+    BenchRow row;
+    row.name = "throughput/legacy/K" + std::to_string(k);
+    row.real_ms = r.p50_ms;
+    row.iterations = static_cast<std::int64_t>(r.requests);
+    row.counters = {{"qps", r.qps},
+                    {"p50_ms", r.p50_ms},
+                    {"p99_ms", r.p99_ms},
+                    {"tokens_per_request", static_cast<double>(k)},
+                    {"clients", static_cast<double>(clients)}};
+    json.add(std::move(row));
   }
   server.stop();
   json.write();

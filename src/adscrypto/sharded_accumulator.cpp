@@ -275,74 +275,6 @@ BigUint ShardedAccumulator::witness(Pos pos) const {
                                   pos.index + 1, hi - pos.index - 1)));
 }
 
-namespace {
-
-/// Shamir's trick: given w1^e1 == A and w2^e2 == A with gcd(e1, e2) == 1,
-/// pick Bézout coefficients a·e1 + b·e2 == 1 (signed) and form
-/// W = w1^b · w2^a; then W^(e1·e2) = A^(b·e2) · A^(a·e1) = A. A negative
-/// coefficient exponentiates the witness's modular inverse — witnesses are
-/// units of Z_n* (powers of g), so the inverse always exists for an
-/// RSA modulus n whose factorization is unknown.
-BigUint shamir_combine(const Montgomery& mont, const BigUint& w1,
-                       const BigUint& e1, const BigUint& w2,
-                       const BigUint& e2) {
-  const BigUint::ExtGcd bez = BigUint::ext_gcd(e1, e2);
-  if (!(bez.gcd == BigUint(1)))
-    throw CryptoError("aggregate_witnesses: exponents not coprime");
-  const BigUint& n = mont.modulus();
-  const auto pow_signed = [&](const BigUint& base, const BigUint& e,
-                              bool negative) {
-    return mont.pow(negative ? BigUint::mod_inverse(base, n) : base, e);
-  };
-  return BigUint::mul_mod(pow_signed(w1, bez.y, bez.y_negative),
-                          pow_signed(w2, bez.x, bez.x_negative), n);
-}
-
-}  // namespace
-
-BigUint ShardedAccumulator::aggregate_witnesses(
-    const Montgomery& mont, std::span<const BigUint> elements,
-    std::span<const BigUint> witnesses) {
-  static metrics::Histogram& aggregate_ns =
-      metrics::histogram("adscrypto.sharded.aggregate_ns");
-  const metrics::ScopedTimer timer(aggregate_ns);
-  if (elements.empty() || elements.size() != witnesses.size())
-    throw CryptoError("aggregate_witnesses: element/witness size mismatch");
-  // Pairwise tree fold: each level halves the list; a pair's combined
-  // exponent is the exact integer product, so every ext_gcd below sees the
-  // true (coprime) exponents of its two operands.
-  std::vector<BigUint> w(witnesses.begin(), witnesses.end());
-  std::vector<BigUint> e(elements.begin(), elements.end());
-  while (w.size() > 1) {
-    std::vector<BigUint> next_w, next_e;
-    next_w.reserve((w.size() + 1) / 2);
-    next_e.reserve((w.size() + 1) / 2);
-    for (std::size_t i = 0; i + 1 < w.size(); i += 2) {
-      next_w.push_back(shamir_combine(mont, w[i], e[i], w[i + 1], e[i + 1]));
-      next_e.push_back(e[i] * e[i + 1]);
-    }
-    if (w.size() % 2 != 0) {
-      next_w.push_back(std::move(w.back()));
-      next_e.push_back(std::move(e.back()));
-    }
-    w = std::move(next_w);
-    e = std::move(next_e);
-  }
-  return w.front();
-}
-
-bool ShardedAccumulator::verify_aggregate(
-    const Montgomery& mont, std::span<const BigUint> shard_values,
-    std::size_t shard, std::span<const BigUint> elements,
-    const BigUint& witness) {
-  static metrics::Counter& verifies =
-      metrics::counter("adscrypto.sharded.aggregate_verifies");
-  verifies.add();
-  if (shard >= shard_values.size() || elements.empty()) return false;
-  if (witness.is_zero() || witness >= mont.modulus()) return false;
-  return mont.pow(witness, product_tree(elements)) == shard_values[shard];
-}
-
 bool ShardedAccumulator::verify(const AccumulatorParams& params,
                                 std::span<const BigUint> shard_values,
                                 const BigUint& element,

@@ -124,38 +124,6 @@ class ShardedAccumulator {
   /// insert.
   bigint::BigUint witness(Pos pos) const;
 
-  /// Folds the membership witnesses of pairwise-distinct elements of ONE
-  /// shard into the single aggregate witness of their product (Shamir's
-  /// trick, pairwise tree fold): returns W with W^(∏ elements) equal to the
-  /// shard's accumulation value — i.e. W = g^(S/∏ elements). Inputs must be
-  /// parallel spans of the same nonzero length; elements must be pairwise
-  /// coprime (distinct primes), otherwise CryptoError. The fold is pure
-  /// group arithmetic on the witnesses — no trapdoor, no shard state — so
-  /// the result is order-independent (it is THE ∏-th root of the shard
-  /// value in ⟨g⟩).
-  static bigint::BigUint aggregate_witnesses(
-      const bigint::Montgomery& mont,
-      std::span<const bigint::BigUint> elements,
-      std::span<const bigint::BigUint> witnesses);
-
-  /// Same fold against this accumulator's own Montgomery context.
-  bigint::BigUint aggregate_witnesses(
-      std::span<const bigint::BigUint> elements,
-      std::span<const bigint::BigUint> witnesses) const {
-    return aggregate_witnesses(mont_, elements, witnesses);
-  }
-
-  /// Verifies one shard's aggregate witness: W^(∏ elements) == value_s —
-  /// a single modexp whose exponent is the product-tree fold of every
-  /// query prime the verifier routed to `shard`. `elements` must be
-  /// pairwise distinct; an empty element set is rejected (an aggregate
-  /// witness must fold at least one prime).
-  static bool verify_aggregate(const bigint::Montgomery& mont,
-                               std::span<const bigint::BigUint> shard_values,
-                               std::size_t shard,
-                               std::span<const bigint::BigUint> elements,
-                               const bigint::BigUint& witness);
-
   /// Verifies a membership witness against the shard values: routes
   /// `element` to its shard and checks witness^element == value_s. This is
   /// what the contract and client execute.

@@ -15,50 +15,16 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-bool aggregate_only(Tamper t) {
-  return t == Tamper::kForgeAggregateWitness ||
-         t == Tamper::kSwapAggregateWitnesses ||
-         t == Tamper::kDropAggregateShard ||
-         t == Tamper::kStaleAggregateReplay;
-}
-
-bool token_only(Tamper t) {
-  return t == Tamper::kSwapWitnesses || t == Tamper::kForgeWitness ||
-         t == Tamper::kStaleReplay || t == Tamper::kWrongAccumulator;
-}
-
-/// Every token's result list in one clause reply, on either read path.
-std::vector<std::vector<Bytes>*> result_lists(ClauseReply& reply) {
-  std::vector<std::vector<Bytes>*> out;
-  if (reply.aggregated) {
-    for (std::vector<Bytes>& er : reply.query_reply.token_results)
-      out.push_back(&er);
-  } else {
-    for (TokenReply& tr : reply.replies) out.push_back(&tr.encrypted_results);
-  }
-  return out;
-}
-
-/// The witnesses of one clause reply: one per token on the legacy path,
-/// one per touched shard on the aggregated path.
-std::vector<bigint::BigUint*> witnesses(ClauseReply& reply) {
-  std::vector<bigint::BigUint*> out;
-  if (reply.aggregated) {
-    for (AggregateWitness& aw : reply.query_reply.witnesses)
-      out.push_back(&aw.witness);
-  } else {
-    for (TokenReply& tr : reply.replies) out.push_back(&tr.witness);
-  }
-  return out;
-}
-
-/// One single-reply operation on one clause reply; true iff it bit. The
-/// result operations act on either read path — the digest fold is shared —
-/// and the witness operations on that path's witness list.
+/// One single-reply operation on one clause reply; true iff it bit.
 bool tamper_clause(Tamper tamper, ClauseReply& reply,
                    const bigint::BigUint& modulus, const bigint::BigUint& ac,
                    TamperRng& rng) {
-  const std::vector<std::vector<Bytes>*> lists = result_lists(reply);
+  std::vector<std::vector<Bytes>*> lists;
+  std::vector<bigint::BigUint*> ws;
+  for (TokenReply& tr : reply.replies) {
+    lists.push_back(&tr.encrypted_results);
+    ws.push_back(&tr.witness);
+  }
   if (lists.empty()) return false;  // no tokens: nothing to act on
   // A seeded pick among the result lists holding at least `min` results.
   const auto pick = [&](std::size_t min) -> std::vector<Bytes>* {
@@ -67,7 +33,6 @@ bool tamper_clause(Tamper tamper, ClauseReply& reply,
       if (er->size() >= min) c.push_back(er);
     return c.empty() ? nullptr : c[rng(c.size())];
   };
-  const std::vector<bigint::BigUint*> ws = witnesses(reply);
 
   switch (tamper) {
     case Tamper::kDropResult: {
@@ -128,21 +93,17 @@ bool tamper_clause(Tamper tamper, ClauseReply& reply,
       return true;
     }
 
-    case Tamper::kSwapWitnesses:
-    case Tamper::kSwapAggregateWitnesses: {
+    case Tamper::kSwapWitnesses: {
       if (ws.size() < 2) return false;
       const std::size_t i = rng(ws.size());
       std::size_t k = rng(ws.size() - 1);
       if (k >= i) ++k;
       if (*ws[i] == *ws[k]) return false;  // no-op swap
-      // Only the values move: an aggregate shard list stays canonical, so
-      // the forgery must be caught by the modexp, not the shape check.
       std::swap(*ws[i], *ws[k]);
       return true;
     }
 
-    case Tamper::kForgeWitness:
-    case Tamper::kForgeAggregateWitness: {
+    case Tamper::kForgeWitness: {
       if (ws.empty()) return false;
       bigint::BigUint& w = *ws[rng(ws.size())];
       w = bigint::BigUint::add_mod(w, bigint::BigUint(1), modulus);
@@ -158,13 +119,6 @@ bool tamper_clause(Tamper tamper, ClauseReply& reply,
       bigint::BigUint& w = *ws[rng(ws.size())];
       w = w == ac ? bigint::BigUint::add_mod(ac, bigint::BigUint(1), modulus)
                   : ac;
-      return true;
-    }
-
-    case Tamper::kDropAggregateShard: {
-      std::vector<AggregateWitness>& aws = reply.query_reply.witnesses;
-      if (aws.empty()) return false;
-      aws.erase(aws.begin() + static_cast<std::ptrdiff_t>(rng(aws.size())));
       return true;
     }
 
@@ -201,19 +155,11 @@ bool tamper_replies(Tamper tamper, std::vector<ClauseReply>& replies,
       return true;
     }
 
-    default: {
-      // One victim clause of a read path the operation can act on; every
-      // other clause stays honest.
-      std::vector<std::size_t> victims;
-      for (std::size_t i = 0; i < replies.size(); ++i) {
-        if (aggregate_only(tamper) && !replies[i].aggregated) continue;
-        if (token_only(tamper) && replies[i].aggregated) continue;
-        victims.push_back(i);
-      }
-      if (victims.empty()) return false;
-      return tamper_clause(tamper, replies[victims[rng(victims.size())]],
-                           modulus, ac, rng);
-    }
+    default:
+      // One victim clause; every other clause stays honest.
+      if (replies.empty()) return false;
+      return tamper_clause(tamper, replies[rng(replies.size())], modulus, ac,
+                           rng);
   }
 }
 
@@ -231,10 +177,6 @@ std::string_view tamper_name(Tamper t) {
     case Tamper::kForgeWitness: return "forge_witness";
     case Tamper::kStaleReplay: return "stale_replay";
     case Tamper::kWrongAccumulator: return "wrong_accumulator";
-    case Tamper::kForgeAggregateWitness: return "forge_aggregate_witness";
-    case Tamper::kSwapAggregateWitnesses: return "swap_aggregate_witnesses";
-    case Tamper::kDropAggregateShard: return "drop_aggregate_shard";
-    case Tamper::kStaleAggregateReplay: return "stale_aggregate_replay";
     case Tamper::kDropClause: return "drop_clause";
     case Tamper::kSwapClauseReplies: return "swap_clause_replies";
     case Tamper::kStaleClauseVO: return "stale_clause_vo";
@@ -249,11 +191,6 @@ bool MaliciousCloud::apply_tamper(std::vector<ClauseReply>& replies) const {
 
 void MaliciousCloud::record_stale(std::span<const SearchToken> tokens) {
   stale_ = honest_.search(tokens);
-}
-
-void MaliciousCloud::record_stale_aggregated(
-    std::span<const SearchToken> tokens) {
-  stale_agg_ = honest_.search_aggregated(tokens);
 }
 
 void MaliciousCloud::record_stale_plan(
@@ -282,28 +219,6 @@ MaliciousCloud::Output MaliciousCloud::search(
   batch[0].replies = honest_.search(tokens);
   out.tampered = apply_tamper(batch);
   out.replies = std::move(batch[0].replies);
-  return out;
-}
-
-MaliciousCloud::AggregateOutput MaliciousCloud::search_aggregated(
-    std::span<const SearchToken> tokens) const {
-  AggregateOutput out;
-  if (tamper_ == Tamper::kStaleAggregateReplay) {
-    out.reply = honest_.search_aggregated(tokens);
-    // Replay only a genuinely stale recording of this query's shape.
-    if (out.reply.token_results.empty() ||
-        stale_agg_.token_results.size() != out.reply.token_results.size() ||
-        stale_agg_ == out.reply)
-      return out;
-    out.reply = stale_agg_;
-    out.tampered = true;
-    return out;
-  }
-  std::vector<ClauseReply> batch(1);
-  batch[0].aggregated = true;
-  batch[0].query_reply = honest_.search_aggregated(tokens);
-  out.tampered = apply_tamper(batch);
-  out.reply = std::move(batch[0].query_reply);
   return out;
 }
 

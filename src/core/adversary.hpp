@@ -49,11 +49,6 @@ enum class Tamper {
   kForgeWitness,        ///< perturb the witness value
   kStaleReplay,         ///< replay a reply recorded before an update
   kWrongAccumulator,    ///< witness "computed" against the wrong accumulator
-  // Aggregated-VO taxonomy (QueryReply from search_aggregated):
-  kForgeAggregateWitness,   ///< perturb one shard's aggregate witness
-  kSwapAggregateWitnesses,  ///< exchange the witnesses of two shard entries
-  kDropAggregateShard,      ///< omit one touched shard's VO entry entirely
-  kStaleAggregateReplay,    ///< replay a QueryReply recorded before an update
   // Plan-level taxonomy (ClauseReply batch from search_plan):
   kDropClause,         ///< omit one clause's reply from the batch
   kSwapClauseReplies,  ///< exchange the replies of two clauses
@@ -70,24 +65,10 @@ inline constexpr std::array<Tamper, 11> kAllTampers = {
     Tamper::kWrongAccumulator,
 };
 
-/// Taxonomy members applicable to the aggregated read path: every result
-/// tamper (the digest fold is shared with the per-token path) plus the
-/// aggregate-witness operations. kSwapWitnesses / kForgeWitness /
-/// kWrongAccumulator have no per-token witness to act on here; their
-/// aggregate counterparts cover the same intent.
-inline constexpr std::array<Tamper, 11> kAggregateTampers = {
-    Tamper::kDropResult,     Tamper::kDuplicateResult,
-    Tamper::kReorderResults, Tamper::kForgeCiphertext,
-    Tamper::kTruncateCiphertext, Tamper::kInjectResult,
-    Tamper::kEmptyClaim,     Tamper::kForgeAggregateWitness,
-    Tamper::kSwapAggregateWitnesses, Tamper::kDropAggregateShard,
-    Tamper::kStaleAggregateReplay,
-};
-
 /// Taxonomy members that act on the clause batch of a plan search rather
-/// than on any single reply. Every other member of kAllTampers and
-/// kAggregateTampers except the stale replays also applies on the plan path
-/// — search_plan routes it into one victim clause of the matching read path.
+/// than on any single reply. Every other member of kAllTampers except
+/// kStaleReplay also applies on the plan path — search_plan routes it into
+/// one victim clause.
 inline constexpr std::array<Tamper, 3> kPlanTampers = {
     Tamper::kDropClause,
     Tamper::kSwapClauseReplies,
@@ -120,11 +101,11 @@ class TamperRng {
 /// accumulator state (`modulus` keeps forged witnesses in range; `ac` is
 /// the value kWrongAccumulator presents as a witness). kDropClause and
 /// kSwapClauseReplies act on the batch; every single-reply operation is
-/// routed into one seeded victim clause of a read path it can act on.
-/// Returns false — batch untouched — when the operation had nothing to act
-/// on, and always for kNone and the stale replays, which need a recording
-/// (MaliciousCloud::record_stale*). MaliciousCloud and the wire soak
-/// (tampering decoded QUERY_PLAN reply frames) share this one function.
+/// routed into one seeded victim clause. Returns false — batch untouched —
+/// when the operation had nothing to act on, and always for kNone and the
+/// stale replays, which need a recording (MaliciousCloud::record_stale*).
+/// MaliciousCloud and the wire soak (tampering decoded QUERY_PLAN reply
+/// frames) share this one function.
 bool tamper_replies(Tamper tamper, std::vector<ClauseReply>& replies,
                     const bigint::BigUint& modulus, const bigint::BigUint& ac,
                     TamperRng& rng);
@@ -143,18 +124,8 @@ class MaliciousCloud {
   MaliciousCloud(const CloudServer& honest, Tamper tamper, std::uint64_t seed)
       : honest_(honest), tamper_(tamper), rng_(seed) {}
 
-  struct AggregateOutput {
-    QueryReply reply;
-    /// Same skip semantics as Output::tampered.
-    bool tampered = false;
-  };
-
   /// Honest search, then the tamper op. Deterministic in (seed, call#).
   Output search(std::span<const SearchToken> tokens) const;
-
-  /// Aggregated-VO counterpart: honest search_aggregated, then one
-  /// operation from kAggregateTampers applied to the QueryReply.
-  AggregateOutput search_aggregated(std::span<const SearchToken> tokens) const;
 
   struct PlanOutput {
     std::vector<ClauseReply> replies;
@@ -176,9 +147,6 @@ class MaliciousCloud {
   /// the recorded accumulator/witness state is genuinely stale.
   void record_stale(std::span<const SearchToken> tokens);
 
-  /// Aggregated counterpart for kStaleAggregateReplay.
-  void record_stale_aggregated(std::span<const SearchToken> tokens);
-
   Tamper tamper() const { return tamper_; }
 
  private:
@@ -189,7 +157,6 @@ class MaliciousCloud {
   Tamper tamper_;
   mutable TamperRng rng_;
   std::vector<TokenReply> stale_;
-  QueryReply stale_agg_;
   std::vector<ClauseReply> stale_plan_;
 };
 

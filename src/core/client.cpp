@@ -40,33 +40,23 @@ std::uint64_t domain_max(std::size_t value_bits) {
 }  // namespace
 
 QueryClient::QueryClient(DataUser& user, CloudServer& cloud,
-                         std::size_t prime_bits, bool aggregated_vo)
-    : user_(user),
-      cloud_(cloud),
-      prime_bits_(prime_bits),
-      aggregated_vo_(aggregated_vo) {}
-
-QueryOptions QueryClient::options() const {
-  QueryOptions o = QueryOptions::defaults();
-  o.aggregated_vo = aggregated_vo_;
-  return o;
-}
+                         std::size_t prime_bits)
+    : user_(user), cloud_(cloud), prime_bits_(prime_bits) {}
 
 ClausePlan QueryClient::plan_for(const QuerySpec& spec) const {
-  return plan_for(spec, options());
+  return plan_for(spec, QueryOptions::defaults());
 }
 
 ClausePlan QueryClient::plan_for(const QuerySpec& spec,
                                  const QueryOptions& options) const {
   PlanContext ctx;
   ctx.default_attribute = user_.config().attribute;
-  ctx.aggregated = options.aggregated_vo;
   ctx.strict_intervals = options.strict_intervals;
   return compile_spec(spec, ctx);
 }
 
 QueryResult QueryClient::query(const QuerySpec& spec) {
-  return query(spec, options());
+  return query(spec, QueryOptions::defaults());
 }
 
 QueryResult QueryClient::query(const QuerySpec& spec,
@@ -80,7 +70,6 @@ Bytes QueryClient::clause_key(const PlanClause& clause,
   w.str(clause.attribute);
   w.u64(clause.value);
   w.u8(static_cast<std::uint8_t>(clause.mc));
-  w.u8(clause.aggregated ? 1 : 0);
   w.bytes(digest);
   return std::move(w).take();
 }
@@ -166,7 +155,7 @@ QueryResult QueryClient::run_plan(const ClausePlan& plan) {
       for (const std::size_t i : fetch) {
         const PlanClause& c = plan.clauses[i];
         requests.push_back(ClauseRequest{
-            c.aggregated, user_.make_tokens(c.attribute, c.value, c.mc)});
+            .tokens = user_.make_tokens(c.attribute, c.value, c.mc)});
       }
     }
 
@@ -191,15 +180,7 @@ QueryResult QueryClient::run_plan(const ClausePlan& plan) {
         o.detail = pv.clauses[j].tokens;
       }
       if (j < replies.size()) {
-        const ClauseReply& reply = replies[j];
-        if (reply.aggregated) {
-          std::vector<Bytes> flat;
-          for (const auto& results : reply.query_reply.token_results)
-            flat.insert(flat.end(), results.begin(), results.end());
-          o.ids = user_.decrypt_results(flat);
-        } else {
-          o.ids = user_.decrypt(reply.replies);
-        }
+        o.ids = user_.decrypt(replies[j].replies);
         std::sort(o.ids.begin(), o.ids.end());
         o.ids.erase(std::unique(o.ids.begin(), o.ids.end()), o.ids.end());
       }
@@ -299,7 +280,7 @@ QueryResult QueryClient::between_inclusive(std::string_view attribute,
 // --- verified aggregates -------------------------------------------------
 
 QueryClient::CountResult QueryClient::count(const QuerySpec& spec) {
-  return count(spec, options());
+  return count(spec, QueryOptions::defaults());
 }
 
 QueryClient::CountResult QueryClient::count(const QuerySpec& spec,
@@ -374,7 +355,7 @@ QueryClient::ExtremeResult extreme_search(QueryClient& client,
 
 QueryClient::ExtremeResult QueryClient::min_value(std::string_view attribute,
                                                   const QuerySpec& spec) {
-  return min_value(attribute, spec, options());
+  return min_value(attribute, spec, QueryOptions::defaults());
 }
 
 QueryClient::ExtremeResult QueryClient::min_value(std::string_view attribute,
@@ -391,7 +372,7 @@ QueryClient::ExtremeResult QueryClient::min_value(const QuerySpec& spec) {
 
 QueryClient::ExtremeResult QueryClient::max_value(std::string_view attribute,
                                                   const QuerySpec& spec) {
-  return max_value(attribute, spec, options());
+  return max_value(attribute, spec, QueryOptions::defaults());
 }
 
 QueryClient::ExtremeResult QueryClient::max_value(std::string_view attribute,
@@ -409,7 +390,7 @@ QueryClient::ExtremeResult QueryClient::max_value(const QuerySpec& spec) {
 QueryClient::TopKResult QueryClient::top_k(std::string_view attribute,
                                            const QuerySpec& spec,
                                            std::size_t k) {
-  return top_k(attribute, spec, k, options());
+  return top_k(attribute, spec, k, QueryOptions::defaults());
 }
 
 QueryClient::TopKResult QueryClient::top_k(std::string_view attribute,

@@ -3,12 +3,12 @@
 // One entry point does the work: `query(const QuerySpec&)` compiles a
 // boolean predicate tree (AND/OR/NOT over per-attribute interval/equality
 // leaves — see core/query.hpp) into a clause plan, executes every clause in
-// one batched cloud round trip (each clause on the legacy per-token or
-// aggregated read path), verifies every clause VO independently, and only
-// then combines the clause-verified result sets with set
-// intersection/union. The classic verbs (`equal`, `greater`, `less`,
-// `between`, `between_inclusive`) are one-line wrappers over the planner
-// with byte-identical results and verification detail.
+// one batched cloud round trip (one membership witness per token, as in
+// Algorithm 4), verifies every clause VO independently, and only then
+// combines the clause-verified result sets with set intersection/union.
+// The classic verbs (`equal`, `greater`, `less`, `between`,
+// `between_inclusive`) are one-line wrappers over the planner with
+// byte-identical results and verification detail.
 //
 // Verified aggregates (`count`, `min_value`, `max_value`, `top_k`) ride on
 // the same machinery: MIN/MAX run a verified binary search over the value
@@ -16,9 +16,9 @@
 // making the repeated spec clauses free instead of re-querying.
 //
 // Per-query behaviour is a QueryOptions struct (core/query.hpp). The
-// SLICER_AGGREGATE_VO / SLICER_STRICT_INTERVALS environment knobs are
-// *defaults* resolved through QueryOptions::defaults() at each call — pass
-// explicit options to override either per query.
+// SLICER_STRICT_INTERVALS environment knob is a *default* resolved through
+// QueryOptions::defaults() at each call — pass explicit options to
+// override it per query.
 //
 // Empty intervals: a `between`/`between_inclusive` whose interval is
 // provably empty (hi <= lo + 1, resp. lo > hi) compiles to a verified-empty
@@ -54,10 +54,8 @@ struct QueryResult {
   std::size_t tokens_verified = 0;  // tokens whose membership proof held
   /// Per-token verification outcome and latency, concatenated in plan
   /// clause order (for the classic verbs: the legacy sub-query submission
-  /// order). Empty for a query that needed no tokens, and for aggregated-VO
-  /// clauses — there the proof is per-shard, so no per-token attribution
-  /// exists. Cache-served clauses replay the detail recorded when their
-  /// proof was checked.
+  /// order). Empty for a query that needed no tokens. Cache-served clauses
+  /// replay the detail recorded when their proof was checked.
   std::vector<TokenVerification> token_detail;
   std::size_t clause_count = 0;    // primitive clauses in the executed plan
   std::size_t cached_clauses = 0;  // clauses served from the combiner cache
@@ -69,29 +67,15 @@ class QueryClient {
   /// `user` and `cloud` must outlive the client. The accumulator digest is
   /// read from the cloud on every query in the local-trust mode; chain-
   /// anchored callers verify the digest against the contract instead (see
-  /// chain/slicer_contract.hpp). `aggregated_vo` picks the default read
-  /// path for this client's queries: false keeps the legacy per-token
-  /// search+verify; true requests one aggregate witness per touched shard
-  /// and the O(K)-modexp verify_query_aggregated check. Either can be
-  /// overridden per query (and per clause) via QueryOptions / run_plan.
-  /// The default is QueryOptions::defaults()'s (the SLICER_AGGREGATE_VO
-  /// knob).
-  QueryClient(DataUser& user, CloudServer& cloud, std::size_t prime_bits = 64,
-              bool aggregated_vo = QueryOptions::defaults().aggregated_vo);
-
-  bool aggregated_vo() const { return aggregated_vo_; }
-
-  /// The per-query options this client resolves when none are passed:
-  /// QueryOptions::defaults() with the constructor's read-path choice.
-  QueryOptions options() const;
+  /// chain/slicer_contract.hpp).
+  QueryClient(DataUser& user, CloudServer& cloud, std::size_t prime_bits = 64);
 
   /// Compiles and executes a boolean predicate tree; the core primitive
   /// every other query verb reduces to.
   QueryResult query(const QuerySpec& spec);
   QueryResult query(const QuerySpec& spec, const QueryOptions& options);
 
-  /// Compiles `spec` without executing it (inspect, retarget per-clause
-  /// read paths, then run_plan).
+  /// Compiles `spec` without executing it (inspect, then run_plan).
   ClausePlan plan_for(const QuerySpec& spec) const;
   ClausePlan plan_for(const QuerySpec& spec, const QueryOptions& options) const;
 
@@ -199,7 +183,6 @@ class QueryClient {
   DataUser& user_;
   CloudServer& cloud_;
   std::size_t prime_bits_;
-  bool aggregated_vo_;
 
   std::map<Bytes, CachedClause> cache_;
   std::vector<Bytes> cache_order_;  // insertion order, front evicted first

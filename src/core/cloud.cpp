@@ -150,8 +150,8 @@ std::vector<Bytes> CloudServer::fetch_results(const SearchToken& token) const {
   return results;
 }
 
-CloudServer::ProvenToken CloudServer::prove_parts(
-    const SearchToken& token, std::vector<Bytes> results) const {
+TokenReply CloudServer::prove(const SearchToken& token,
+                              std::vector<Bytes> results) const {
   static metrics::Histogram& prove_ns =
       metrics::histogram("core.cloud.prove_ns");
   static metrics::Counter& proof_hits =
@@ -165,11 +165,11 @@ CloudServer::ProvenToken CloudServer::prove_parts(
   const metrics::ScopedTimer timer(prove_ns);
   const trace::Span span("cloud.prove");
 
-  ProvenToken out;
   // Canonical result-set digest (order-insensitive): always recomputed —
   // it is the guard that makes cached primes sound to reuse.
   const MultisetHash::Digest h = results_digest(results);
-  out.results = std::move(results);
+  TokenReply out{std::move(results), {}};
+  BigUint prime;
 
   const bool cache_on = pcache_->capacity > 0;
   Bytes key;
@@ -180,12 +180,11 @@ CloudServer::ProvenToken CloudServer::prove_parts(
     const std::lock_guard lock(pcache_->mu);
     const auto it = pcache_->entries.find(key);
     if (it != pcache_->entries.end() && it->second.digest == h) {
-      out.prime = it->second.prime;
+      prime = it->second.prime;
       have_prime = true;
       if (it->second.epoch == pcache_->shard_epochs[it->second.pos.shard]) {
         // No insert touched this shard since the entry was stored: the
-        // position and witness are still exact.
-        out.pos = it->second.pos;
+        // witness is still exact.
         out.witness = it->second.witness;
         have_witness = true;
         proof_hits.add();
@@ -200,21 +199,20 @@ CloudServer::ProvenToken CloudServer::prove_parts(
   }
   if (have_witness) return out;
 
-  if (!have_prime) out.prime = token_prime(token, h, prime_bits_);
-  const auto pos = sharded_.find(out.prime);
+  if (!have_prime) prime = token_prime(token, h, prime_bits_);
+  const auto pos = sharded_.find(prime);
   if (!pos.has_value())
     throw ProtocolError("derived prime not in X: index out of sync");
-  out.pos = *pos;
-  out.witness = sharded_.witness(out.pos);
+  out.witness = sharded_.witness(*pos);
 
   if (cache_on) {
     const std::lock_guard lock(pcache_->mu);
     const auto it = pcache_->entries.find(key);
     if (it != pcache_->entries.end()) {
       it->second.digest = h;
-      it->second.prime = out.prime;
-      it->second.pos = out.pos;
-      it->second.epoch = pcache_->shard_epochs[out.pos.shard];
+      it->second.prime = prime;
+      it->second.pos = *pos;
+      it->second.epoch = pcache_->shard_epochs[pos->shard];
       it->second.witness = out.witness;
       pcache_->lru.splice(pcache_->lru.begin(), pcache_->lru,
                           it->second.lru_it);
@@ -222,9 +220,8 @@ CloudServer::ProvenToken CloudServer::prove_parts(
       pcache_->lru.push_front(key);
       pcache_->entries.emplace(
           std::move(key),
-          ProofCache::Entry{h, out.prime, out.pos,
-                            pcache_->shard_epochs[out.pos.shard], out.witness,
-                            pcache_->lru.begin()});
+          ProofCache::Entry{h, prime, *pos, pcache_->shard_epochs[pos->shard],
+                            out.witness, pcache_->lru.begin()});
       while (pcache_->entries.size() > pcache_->capacity) {
         pcache_->entries.erase(pcache_->lru.back());
         pcache_->lru.pop_back();
@@ -242,38 +239,16 @@ void CloudServer::reset_proof_cache() {
   for (std::uint64_t& epoch : pcache_->shard_epochs) ++epoch;
 }
 
-TokenReply CloudServer::prove(const SearchToken& token,
-                              std::vector<Bytes> results) const {
-  ProvenToken proven = prove_parts(token, std::move(results));
-  return TokenReply{std::move(proven.results), std::move(proven.witness)};
-}
-
-CloudServer::ProvenToken CloudServer::serve_token(
-    const SearchToken& token, std::span<const Bytes> encodes) const {
+std::vector<TokenReply> CloudServer::search(
+    std::span<const SearchToken> tokens) const {
+  static metrics::Histogram& search_ns =
+      metrics::histogram("core.cloud.search_ns");
   static metrics::Histogram& fetch_ns =
       metrics::histogram("core.cloud.fetch_results_ns");
   static metrics::Counter& results_fetched =
       metrics::counter("core.cloud.results_fetched");
   static metrics::Counter& tokens_served =
       metrics::counter("core.cloud.tokens_served");
-  fault_point_throw("core.cloud.search.worker");
-  std::vector<Bytes> results;
-  {
-    const metrics::ScopedTimer fetch_timer(fetch_ns);
-    results = fetch_results_walk(token, encodes);
-    results_fetched.add(results.size());
-  }
-  ProvenToken proven = prove_parts(token, std::move(results));
-  // Counted only after the proof succeeded, so fault-injected worker
-  // failures do not inflate the counter.
-  tokens_served.add();
-  return proven;
-}
-
-std::vector<TokenReply> CloudServer::search(
-    std::span<const SearchToken> tokens) const {
-  static metrics::Histogram& search_ns =
-      metrics::histogram("core.cloud.search_ns");
   const metrics::ScopedTimer timer(search_ns);
   const trace::Span span("cloud.search");
   const auto walks = plan_walks(tokens);
@@ -281,49 +256,19 @@ std::vector<TokenReply> CloudServer::search(
   // replies in submission order.
   return ThreadPool::instance().parallel_map<TokenReply>(
       tokens.size(), [&](std::size_t i) {
-        ProvenToken proven = serve_token(tokens[i], walks[i]);
-        return TokenReply{std::move(proven.results),
-                          std::move(proven.witness)};
+        fault_point_throw("core.cloud.search.worker");
+        std::vector<Bytes> results;
+        {
+          const metrics::ScopedTimer fetch_timer(fetch_ns);
+          results = fetch_results_walk(tokens[i], walks[i]);
+          results_fetched.add(results.size());
+        }
+        TokenReply reply = prove(tokens[i], std::move(results));
+        // Counted only after the proof succeeded, so fault-injected worker
+        // failures do not inflate the counter.
+        tokens_served.add();
+        return reply;
       });
-}
-
-QueryReply CloudServer::search_aggregated(
-    std::span<const SearchToken> tokens) const {
-  static metrics::Histogram& search_ns =
-      metrics::histogram("core.cloud.aggregate_search_ns");
-  static metrics::Counter& witnesses_shipped =
-      metrics::counter("core.cloud.aggregate_witnesses");
-  const metrics::ScopedTimer timer(search_ns);
-  const trace::Span span("cloud.search_aggregated");
-  const auto walks = plan_walks(tokens);
-  auto proven = ThreadPool::instance().parallel_map<ProvenToken>(
-      tokens.size(),
-      [&](std::size_t i) { return serve_token(tokens[i], walks[i]); });
-
-  QueryReply out;
-  out.token_results.reserve(proven.size());
-  // Group this query's primes by shard, deduplicating repeated primes:
-  // identical tokens derive the identical (prime, witness) pair, and the
-  // Shamir fold requires pairwise-coprime exponents.
-  std::map<std::uint32_t, std::map<BigUint, BigUint>> per_shard;
-  for (ProvenToken& p : proven) {
-    out.token_results.push_back(std::move(p.results));
-    per_shard[p.pos.shard].emplace(std::move(p.prime), std::move(p.witness));
-  }
-  // std::map iteration gives the canonical strictly-ascending shard order.
-  for (const auto& [shard, fold] : per_shard) {
-    std::vector<BigUint> elements, witnesses;
-    elements.reserve(fold.size());
-    witnesses.reserve(fold.size());
-    for (const auto& [prime, witness] : fold) {
-      elements.push_back(prime);
-      witnesses.push_back(witness);
-    }
-    out.witnesses.push_back(AggregateWitness{
-        shard, sharded_.aggregate_witnesses(elements, witnesses)});
-    witnesses_shipped.add();
-  }
-  return out;
 }
 
 std::vector<ClauseReply> CloudServer::search_plan(
@@ -336,16 +281,15 @@ std::vector<ClauseReply> CloudServer::search_plan(
   const trace::Span span("cloud.search_plan");
   std::vector<ClauseReply> out;
   out.reserve(requests.size());
-  // Clauses run sequentially here: each search()/search_aggregated() call
-  // already fans its tokens out on the pool, so nesting another layer of
-  // parallelism would only oversubscribe it.
+  for (const ClauseRequest& request : requests)
+    if (request.aggregated)
+      throw ProtocolError("search_plan: the aggregated read path is removed");
+  // Clauses run sequentially here: each search() call already fans its
+  // tokens out on the pool, so nesting another layer of parallelism would
+  // only oversubscribe it.
   for (const ClauseRequest& request : requests) {
     ClauseReply reply;
-    reply.aggregated = request.aggregated;
-    if (request.aggregated)
-      reply.query_reply = search_aggregated(request.tokens);
-    else
-      reply.replies = search(request.tokens);
+    reply.replies = search(request.tokens);
     out.push_back(std::move(reply));
     clauses_served.add();
   }

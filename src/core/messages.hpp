@@ -42,35 +42,9 @@ struct TokenReply {
   bool operator==(const TokenReply&) const = default;
 };
 
-/// One shard's entry of an aggregated VO: the membership witness of the
-/// product of every query prime routed to that shard (W = g^(S/∏xᵢ)).
-struct AggregateWitness {
-  std::uint32_t shard = 0;
-  bigint::BigUint witness;
-
-  bool operator==(const AggregateWitness&) const = default;
-};
-
-/// The cloud's answer for a whole query on the aggregated read path:
-/// per-token result lists (submission order) plus at most one aggregate
-/// witness per touched shard, in strictly ascending shard order. The VO is
-/// O(K) group elements per query instead of O(tokens) — the asymptotic
-/// headline of the aggregated path.
+/// Held only for perfbench/bench.cpp; always empty (aggregated VO removed).
 struct QueryReply {
   std::vector<std::vector<Bytes>> token_results;
-  std::vector<AggregateWitness> witnesses;
-
-  Bytes serialize() const;
-  /// Strict decoder: count bounds before any allocation, minimal witness
-  /// encodings, strictly ascending shard indices, no trailing bytes —
-  /// decoded replies re-serialize byte-identically (canonical form).
-  static QueryReply deserialize(BytesView data);
-
-  /// Total wire size of the encrypted results (Fig. 6b/6c metric).
-  std::size_t results_byte_size() const;
-  /// Total wire size of the aggregate witnesses (the Fig. 6d metric for
-  /// the aggregated path).
-  std::size_t vo_byte_size() const;
 
   bool operator==(const QueryReply&) const = default;
 };

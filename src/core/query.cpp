@@ -121,7 +121,6 @@ std::string QuerySpec::to_string() const {
 
 QueryOptions QueryOptions::defaults() {
   QueryOptions o;
-  o.aggregated_vo = env::flag_knob("SLICER_AGGREGATE_VO");
   o.strict_intervals = env::flag_knob("SLICER_STRICT_INTERVALS");
   return o;
 }
@@ -142,8 +141,7 @@ struct Compiler {
     auto [it, inserted] =
         clause_index.try_emplace(key, plan.clauses.size());
     if (inserted) {
-      plan.clauses.push_back(
-          PlanClause{attribute, value, mc, ctx.aggregated});
+      plan.clauses.push_back(PlanClause{attribute, value, mc});
     }
     plan.nodes.push_back(PlanNode{PlanNode::Kind::kClause, it->second, {}});
     return plan.nodes.size() - 1;
@@ -301,6 +299,8 @@ struct Compiler {
 }  // namespace
 
 ClausePlan compile_spec(const QuerySpec& spec, const PlanContext& ctx) {
+  if (ctx.aggregated)
+    throw ProtocolError("compile_spec: the aggregated read path is removed");
   Compiler c{ctx, {}, {}};
   c.plan.root = c.lower(spec, /*negate=*/false);
   return std::move(c.plan);

@@ -107,15 +107,13 @@ class Pred {
   QuerySpec spec_;
 };
 
-/// Per-query knobs, replacing the ctor-flag / SLICER_AGGREGATE_VO /
-/// SLICER_STRICT_INTERVALS split: every query resolves one QueryOptions and
-/// nothing below it consults the environment. defaults() reads the env
-/// knobs through env::flag_knob exactly once per call, so the environment
-/// stays a *default*, not a hidden override.
+/// Per-query knobs: every query resolves one QueryOptions and nothing
+/// below it consults the environment. defaults() reads the env knob
+/// through env::flag_knob exactly once per call, so the environment stays
+/// a *default*, not a hidden override.
 struct QueryOptions {
-  /// Read path per clause: false = legacy per-token VOs, true = one
-  /// aggregated witness per touched shard (SLICER_AGGREGATE_VO default).
-  bool aggregated_vo = false;
+  /// Held only for perfbench/bench.cpp; the aggregated VO is removed.
+  static constexpr bool aggregated_vo = false;
   /// Throw CryptoError on a provably empty interval instead of compiling
   /// it to a verified-empty clause (SLICER_STRICT_INTERVALS default).
   bool strict_intervals = false;
@@ -129,8 +127,8 @@ struct PlanClause {
   std::string attribute;
   std::uint64_t value = 0;
   MatchCondition mc = MatchCondition::kEqual;
-  /// Read path for this clause (plans may mix legacy and aggregated).
-  bool aggregated = false;
+  /// Held only for perfbench/bench.cpp; the aggregated VO is removed.
+  static constexpr bool aggregated = false;
 
   bool operator==(const PlanClause&) const = default;
 };
@@ -164,8 +162,7 @@ struct ClausePlan {
 struct PlanContext {
   /// Substituted for leaves with an empty attribute name.
   std::string default_attribute;
-  /// Read path assigned to every clause (callers may retarget per clause
-  /// before run_plan).
+  /// Held only for perfbench/bench.cpp; compile_spec rejects true.
   bool aggregated = false;
   /// Empty intervals throw CryptoError instead of compiling to kEmpty.
   bool strict_intervals = false;
@@ -173,8 +170,9 @@ struct PlanContext {
 
 /// Lowers a QuerySpec into a ClausePlan (see the file comment for the
 /// normalization rules). Throws ProtocolError on a malformed tree (AND/OR
-/// without children, NOT without exactly one child) and CryptoError on an
-/// empty interval under strict_intervals.
+/// without children, NOT without exactly one child) or on
+/// `ctx.aggregated`, and CryptoError on an empty interval under
+/// strict_intervals.
 ClausePlan compile_spec(const QuerySpec& spec, const PlanContext& ctx);
 
 /// Plaintext reference evaluation of a QuerySpec against one record —
@@ -190,22 +188,23 @@ bool eval_spec(const QuerySpec& spec, const Record& record);
 
 // --- batched clause execution (client <-> cloud, one round trip) ---------
 
-/// One clause of a batched plan search: the clause's search tokens plus
-/// the read path that should serve it.
+/// One clause of a batched plan search: the clause's search tokens.
 struct ClauseRequest {
+  /// Held only for perfbench/bench.cpp: the wire mode byte, true rejected.
   bool aggregated = false;
   std::vector<SearchToken> tokens;
 
   bool operator==(const ClauseRequest&) const = default;
 };
 
-/// The cloud's answer for one clause. Exactly one of the two reply shapes
-/// is populated, matching the request's read path (`aggregated` echoes it;
-/// a mismatch is a protocol violation the verifier rejects).
+/// The cloud's answer for one clause: one TokenReply (results + VO) per
+/// token, in submission order.
 struct ClauseReply {
-  bool aggregated = false;
-  std::vector<TokenReply> replies;  ///< legacy: one VO per token
-  QueryReply query_reply;           ///< aggregated: one VO per touched shard
+  /// Held only for perfbench/bench.cpp; the aggregated VO is removed.
+  static constexpr bool aggregated = false;
+  std::vector<TokenReply> replies;
+  /// Held only for perfbench/bench.cpp; always empty.
+  QueryReply query_reply;
 
   bool operator==(const ClauseReply&) const = default;
 };

@@ -17,10 +17,10 @@
 
 namespace slicer::core {
 
-/// Verifies a whole legacy-path query (one TokenReply per token). Each
-/// token's multiset hash and prime representative are recomputed, the prime
-/// is routed with shard_of() and its witness checked against that shard's
-/// value in `shard_values` (a one-element span is the unsharded check).
+/// Verifies a whole query (one TokenReply per token). Each token's multiset
+/// hash and prime representative are recomputed, the prime is routed with
+/// shard_of() and its witness checked against that shard's value in
+/// `shard_values` (a one-element span is the unsharded check).
 /// False on size mismatch or any failing pair — the contract refunds in
 /// that case. Every pair is checked, so each token costs exactly one
 /// accumulator verify.
@@ -30,22 +30,7 @@ bool verify_query(const adscrypto::AccumulatorParams& params,
                   std::span<const TokenReply> replies,
                   std::size_t prime_bits = 64);
 
-/// Verifies an aggregated query reply (QueryReply from
-/// CloudServer::search_aggregated): derives every token's prime from its
-/// result list (parallel on the pool), folds each shard's distinct primes
-/// with a product tree, and checks ONE modexp per touched shard —
-/// W_s^(∏ x) == value_s — against a single shared Montgomery context. The
-/// reply's witness list must cover exactly the touched shards, each once,
-/// in strictly ascending order; anything else (forged, dropped, swapped or
-/// surplus shard entries) fails. O(K) modexps per query instead of
-/// O(tokens) — the aggregated read path's verification cost.
-bool verify_query_aggregated(const adscrypto::AccumulatorParams& params,
-                             std::span<const bigint::BigUint> shard_values,
-                             std::span<const SearchToken> tokens,
-                             const QueryReply& reply,
-                             std::size_t prime_bits = 64);
-
-/// Per-token outcome of a legacy-path clause check.
+/// Per-token outcome of a clause check.
 struct TokenVerification {
   bool ok = false;
   std::uint64_t duration_ns = 0;  ///< wall time of this token's check
@@ -55,9 +40,7 @@ struct TokenVerification {
 struct ClauseVerification {
   bool verified = false;            ///< reply shape matched and proof held
   std::size_t tokens_verified = 0;  ///< tokens whose proof held
-  /// Per-token detail (legacy read path only — the aggregated proof is
-  /// per-shard, so no per-token attribution exists there).
-  std::vector<TokenVerification> tokens;
+  std::vector<TokenVerification> tokens;  ///< per-token detail
 };
 
 /// Outcome of verifying a whole clause plan's reply batch.
@@ -70,10 +53,9 @@ struct PlanVerification {
 /// Verifies a batched plan search: the reply batch must answer every
 /// request (a dropped or surplus clause fails), and each clause verifies
 /// independently — so the verified set combiner above this only ever
-/// operates on clause-verified result sets. A clause reply must echo its
-/// request's read path and carry exactly that path's shape (legacy
-/// per-token replies XOR an aggregated QueryReply); a mode or shape
-/// mismatch fails without touching the crypto. Each clause binds to its own
+/// operates on clause-verified result sets. A clause requesting mode 1
+/// (the removed aggregated VO) or a reply carrying anything but per-token
+/// replies fails without touching the crypto. Each clause binds to its own
 /// tokens — every derived prime commits to (token, results), so a reply
 /// swapped in from another clause fails even if it verifies in isolation.
 PlanVerification verify_plan(const adscrypto::AccumulatorParams& params,

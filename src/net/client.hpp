@@ -85,8 +85,7 @@ class SlicerClientChannel {
   std::uint64_t apply(const core::UpdateOutput& update);
 
   /// The one search verb: every clause of a compiled boolean query in one
-  /// round trip, each served on its requested read path (a single-clause
-  /// request is a plain legacy or aggregated search). Read-only, so
+  /// round trip (a single-clause request is a plain search). Read-only, so
   /// retried.
   QueryPlanReply query_plan(const QueryPlanRequest& request);
 

@@ -88,9 +88,9 @@ QueryPlanRequest QueryPlanRequest::deserialize(BytesView data) {
   out.clauses.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     core::ClauseRequest clause;
-    const std::uint8_t mode = r.u8();
-    if (mode > 1) throw DecodeError("query_plan: bad clause mode byte");
-    clause.aggregated = mode == 1;
+    // Mode 0 (per-token VOs) is the only read path; 1 was the removed
+    // aggregated VO.
+    if (r.u8() != 0) throw DecodeError("query_plan: bad clause mode byte");
     const std::uint32_t t = r.count(4);
     clause.tokens.reserve(t);
     for (std::uint32_t k = 0; k < t; ++k)
@@ -107,14 +107,10 @@ Bytes QueryPlanReply::serialize() const {
   for (std::size_t i = 0; i < clauses.size(); ++i) {
     const core::ClauseReply& clause = clauses[i];
     w.u32(static_cast<std::uint32_t>(i));  // sequence-ordered clause tag
-    w.u8(clause.aggregated ? 1 : 0);
-    if (clause.aggregated) {
-      w.bytes(clause.query_reply.serialize());
-    } else {
-      w.u32(static_cast<std::uint32_t>(clause.replies.size()));
-      for (const core::TokenReply& reply : clause.replies)
-        w.bytes(reply.serialize());
-    }
+    w.u8(0);  // clause mode byte: per-token VOs
+    w.u32(static_cast<std::uint32_t>(clause.replies.size()));
+    for (const core::TokenReply& reply : clause.replies)
+      w.bytes(reply.serialize());
   }
   return std::move(w).take();
 }
@@ -131,17 +127,12 @@ QueryPlanReply QueryPlanReply::deserialize(BytesView data) {
     if (r.u32() != i)
       throw DecodeError("query_plan_reply: clause replies out of sequence");
     core::ClauseReply clause;
-    const std::uint8_t mode = r.u8();
-    if (mode > 1) throw DecodeError("query_plan_reply: bad clause mode byte");
-    clause.aggregated = mode == 1;
-    if (clause.aggregated) {
-      clause.query_reply = core::QueryReply::deserialize(r.bytes());
-    } else {
-      const std::uint32_t t = r.count(4);
-      clause.replies.reserve(t);
-      for (std::uint32_t k = 0; k < t; ++k)
-        clause.replies.push_back(core::TokenReply::deserialize(r.bytes()));
-    }
+    if (r.u8() != 0)
+      throw DecodeError("query_plan_reply: bad clause mode byte");
+    const std::uint32_t t = r.count(4);
+    clause.replies.reserve(t);
+    for (std::uint32_t k = 0; k < t; ++k)
+      clause.replies.push_back(core::TokenReply::deserialize(r.bytes()));
     out.clauses.push_back(std::move(clause));
   }
   r.expect_end();

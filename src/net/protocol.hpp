@@ -31,7 +31,7 @@ namespace slicer::net {
 inline constexpr std::string_view kProtocolMagic = "slicer.net.v2";
 
 /// Wire opcodes. Replies = request | 0x80. QUERY_PLAN is the one search
-/// verb: a single-clause plan is a plain (legacy or aggregated) search.
+/// verb: a single-clause plan is a plain per-token search.
 /// 0x03–0x06 (SEARCH, SEARCH_AGGREGATED, FETCH, PROVE in slicer.net.v1) are
 /// retired and never reused; the server answers them like any unknown
 /// opcode (kError "protocol" + misbehavior score).
@@ -92,8 +92,10 @@ struct ApplyReply {
 };
 
 /// QUERY_PLAN request: the clause batch of one compiled query plan. Each
-/// clause carries its read path (0 = legacy per-token VOs, 1 = aggregated)
-/// and its search tokens, so one frame serves a whole boolean query.
+/// clause carries a mode byte and its search tokens, so one frame serves a
+/// whole boolean query. The mode byte must be 0 (per-token VOs), in
+/// requests and replies alike; 1 named the removed aggregated VO and is
+/// rejected like any other value.
 struct QueryPlanRequest {
   std::vector<core::ClauseRequest> clauses;
 

@@ -84,44 +84,6 @@ TEST(Messages, PrimePreimageSensitivity) {
   EXPECT_NE(base, prime_preimage(t2, 0, g1, g2, h1));
 }
 
-QueryReply sample_query_reply() {
-  QueryReply q;
-  q.token_results = {{Bytes{0xaa, 0xbb}}, {}};
-  q.witnesses = {{1, bigint::BigUint(0x05)}, {3, bigint::BigUint(0x107)}};
-  return q;
-}
-
-TEST(Messages, QueryReplyRoundTrip) {
-  const QueryReply q = sample_query_reply();
-  EXPECT_EQ(QueryReply::deserialize(q.serialize()), q);
-}
-
-TEST(Messages, QueryReplyEmpty) {
-  const QueryReply q;
-  const QueryReply back = QueryReply::deserialize(q.serialize());
-  EXPECT_TRUE(back.token_results.empty());
-  EXPECT_TRUE(back.witnesses.empty());
-  EXPECT_EQ(back.results_byte_size(), 0u);
-  EXPECT_EQ(back.vo_byte_size(), 0u);
-}
-
-TEST(Messages, QueryReplyGoldenBytes) {
-  // Pinned wire image: u32 token count, per token u32 result count +
-  // length-prefixed results, u32 witness count, per witness u32 shard +
-  // length-prefixed minimal big-endian witness. All integers big-endian.
-  // Any byte change here is a wire-format break.
-  EXPECT_EQ(to_hex(sample_query_reply().serialize()),
-            "00000002"            // 2 tokens
-            "00000001"            // token 0: 1 result
-            "00000002" "aabb"     //   result bytes
-            "00000000"            // token 1: 0 results
-            "00000002"            // 2 aggregate witnesses
-            "00000001"            // shard 1
-            "00000001" "05"       //   witness 0x05
-            "00000003"            // shard 3
-            "00000002" "0107");   //   witness 0x0107
-}
-
 TEST(Messages, TokenReplyGoldenBytes) {
   // The legacy per-token reply must stay byte-identical across the
   // aggregated-read-path change.
@@ -130,71 +92,6 @@ TEST(Messages, TokenReplyGoldenBytes) {
   r.witness = bigint::BigUint(0x107);
   EXPECT_EQ(to_hex(r.serialize()),
             "00000001" "00000002" "aabb" "00000002" "0107");
-}
-
-TEST(Messages, QueryReplyByteSizes) {
-  const QueryReply q = sample_query_reply();
-  EXPECT_EQ(q.results_byte_size(), 2u);
-  // (4 shard + 4 length + 1 byte) + (4 + 4 + 2 bytes)
-  EXPECT_EQ(q.vo_byte_size(), 19u);
-}
-
-TEST(Messages, QueryReplyRejectsTrailing) {
-  Bytes wire = sample_query_reply().serialize();
-  wire.push_back(0x00);
-  EXPECT_THROW(QueryReply::deserialize(wire), DecodeError);
-}
-
-TEST(Messages, QueryReplyRejectsNonMinimalWitness) {
-  QueryReply q = sample_query_reply();
-  Bytes wire = q.serialize();
-  // Rewrite the first witness 0x05 as the non-minimal 0x0005.
-  const std::string hex = to_hex(wire);
-  const std::size_t at = hex.find("0000000105");
-  ASSERT_NE(at, std::string::npos);
-  const std::string padded =
-      hex.substr(0, at) + "000000020005" + hex.substr(at + 10);
-  EXPECT_THROW(QueryReply::deserialize(from_hex(padded)), DecodeError);
-}
-
-TEST(Messages, QueryReplyRejectsUnsortedShards) {
-  QueryReply q = sample_query_reply();
-  std::swap(q.witnesses[0], q.witnesses[1]);  // descending shard order
-  EXPECT_THROW(QueryReply::deserialize(q.serialize()), DecodeError);
-  q = sample_query_reply();
-  q.witnesses[1].shard = q.witnesses[0].shard;  // duplicate shard
-  EXPECT_THROW(QueryReply::deserialize(q.serialize()), DecodeError);
-}
-
-TEST(Messages, QueryReplyFuzzLiteCanonical) {
-  // Seeded byte mutations: every mutant either fails to decode or decodes
-  // to a reply that re-serializes byte-identically (canonical form).
-  const Bytes wire = sample_query_reply().serialize();
-  std::uint64_t state = 0x5eed;
-  const auto next = [&state] {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  };
-  std::size_t decoded = 0;
-  for (int iter = 0; iter < 500; ++iter) {
-    Bytes mutant = wire;
-    const std::size_t flips = 1 + next() % 3;
-    for (std::size_t f = 0; f < flips; ++f)
-      mutant[next() % mutant.size()] ^=
-          static_cast<std::uint8_t>(1 + next() % 255);
-    if (next() % 4 == 0) mutant.resize(next() % (mutant.size() + 1));
-    try {
-      const QueryReply back = QueryReply::deserialize(mutant);
-      EXPECT_EQ(back.serialize(), mutant) << "iteration " << iter;
-      ++decoded;
-    } catch (const DecodeError&) {
-      // rejection is the common, correct outcome
-    }
-  }
-  // Not a tautology: some mutants (result-byte flips) must still decode.
-  EXPECT_GT(decoded, 0u);
 }
 
 TEST(Messages, ResultsDigestMatchesMultisetFold) {

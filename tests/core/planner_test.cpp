@@ -1,7 +1,7 @@
 // Boolean query planner: the Pred builder, compile_spec normalization
 // (De Morgan / interval complement, clause dedup, empty intervals), wrapper
-// parity of the classic verbs, the combiner cache, mixed per-clause read
-// paths, and the verified aggregates.
+// parity of the classic verbs, the combiner cache, rejection of the removed
+// aggregated read path, and the verified aggregates.
 #include "core/query.hpp"
 
 #include <gtest/gtest.h>
@@ -230,7 +230,7 @@ TEST_F(PlannerTest, WrapperVerbsMatchPlannerQueries) {
 
 TEST_F(PlannerTest, OptionsOverrideEnvDefaults) {
   // strict_intervals through the options struct, no env knob involved.
-  QueryOptions strict = client_->options();
+  QueryOptions strict = QueryOptions::defaults();
   strict.strict_intervals = true;
   EXPECT_THROW(client_->query(Pred::attr("age").between(7, 8), strict),
                CryptoError);
@@ -282,28 +282,34 @@ TEST_F(PlannerTest, CacheDisabledByKnob) {
 }
 
 TEST_F(PlannerTest, MixedPerClauseReadPaths) {
+  // Every clause runs on the per-token path. A clause asking for mode 1
+  // (the removed aggregated VO) is refused by the compiler, the cloud and
+  // the verifier alike.
   const QuerySpec spec =
       Pred::attr("age").gt(28) && Pred::attr("dept").eq(7);
-  ClausePlan plan = client_->plan_for(spec);
+  const ClausePlan plan = client_->plan_for(spec);
   ASSERT_EQ(plan.clauses.size(), 2u);
-  plan.clauses[0].aggregated = true;  // one aggregated, one legacy
-  plan.clauses[1].aggregated = false;
   const QueryResult r = client_->run_plan(plan);
   EXPECT_TRUE(r.verified);
   EXPECT_EQ(r.ids, oracle(spec));
-}
+  EXPECT_THROW(compile_spec(spec, PlanContext{{}, true, false}),
+               ProtocolError);
 
-TEST_F(PlannerTest, AggregatedOptionRunsWholePlanAggregated) {
-  QueryOptions opts = client_->options();
-  opts.aggregated_vo = true;
-  const QuerySpec spec =
-      Pred::attr("age").between(30, 40) && Pred::attr("dept").eq(7);
-  const QueryResult r = client_->query(spec, opts);
-  EXPECT_TRUE(r.verified);
-  EXPECT_EQ(r.ids, oracle(spec));
-  // Aggregated proofs are per-shard: no per-token attribution.
-  EXPECT_TRUE(r.token_detail.empty());
-  EXPECT_EQ(r.tokens_verified, r.token_count);
+  std::vector<ClauseRequest> requests;
+  for (const PlanClause& c : plan.clauses)
+    requests.push_back(ClauseRequest{
+        .tokens = rig_.user->make_tokens(c.attribute, c.value, c.mc)});
+  const std::vector<ClauseReply> replies = rig_.cloud->search_plan(requests);
+  requests[0].aggregated = true;
+  EXPECT_THROW(rig_.cloud->search_plan(requests), ProtocolError);
+  const PlanVerification pv =
+      verify_plan(rig_.acc_params, rig_.cloud->shard_values(), requests,
+                  replies, rig_.config.prime_bits);
+  EXPECT_FALSE(pv.verified);
+  ASSERT_EQ(pv.clauses.size(), 2u);
+  EXPECT_FALSE(pv.clauses[0].verified);
+  EXPECT_EQ(pv.clauses[0].tokens_verified, 0u);
+  EXPECT_TRUE(pv.clauses[1].verified);
 }
 
 TEST_F(PlannerTest, VerifiedCount) {

@@ -138,11 +138,8 @@ TEST(ShardedProtocol, FrontierMatchesColdRestoredCloud) {
   const std::uint64_t folds_before = folds.value();
   const auto encode = [](const std::vector<ClauseReply>& replies) {
     Bytes out;
-    for (const ClauseReply& reply : replies) {
-      out.push_back(reply.aggregated ? 1 : 0);
+    for (const ClauseReply& reply : replies)
       for (const TokenReply& r : reply.replies) append(out, r.serialize());
-      if (reply.aggregated) append(out, reply.query_reply.serialize());
-    }
     return out;
   };
   for (const std::size_t k : {1u, 4u, 8u}) {
@@ -150,7 +147,6 @@ TEST(ShardedProtocol, FrontierMatchesColdRestoredCloud) {
     const auto requests = [&](std::uint64_t pivot) {
       std::vector<ClauseRequest> out(2);
       out[0].tokens = warm.user->make_tokens(pivot, MatchCondition::kGreater);
-      out[1].aggregated = true;
       out[1].tokens = warm.user->make_tokens(pivot, MatchCondition::kLess);
       return out;
     };

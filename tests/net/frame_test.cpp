@@ -241,30 +241,27 @@ core::SearchToken plan_token(char tag) {
 
 QueryPlanRequest sample_plan_request() {
   QueryPlanRequest req;
-  core::ClauseRequest legacy;
-  legacy.aggregated = false;
-  legacy.tokens = {plan_token('a'), plan_token('b')};
-  core::ClauseRequest aggregated;
-  aggregated.aggregated = true;
-  aggregated.tokens = {plan_token('c')};
-  req.clauses = {legacy, aggregated};
+  core::ClauseRequest first;
+  first.tokens = {plan_token('a'), plan_token('b')};
+  core::ClauseRequest second;
+  second.tokens = {plan_token('c')};
+  req.clauses = {first, second};
   return req;
 }
 
 QueryPlanReply sample_plan_reply() {
   QueryPlanReply reply;
-  core::ClauseReply legacy;
-  legacy.aggregated = false;
+  core::ClauseReply first;
   core::TokenReply tr;
   tr.encrypted_results = {Bytes(16, 0x11), Bytes(16, 0x22)};
   tr.witness = bigint::BigUint(12345);
-  legacy.replies = {tr, tr};
-  core::ClauseReply aggregated;
-  aggregated.aggregated = true;
-  aggregated.query_reply.token_results = {{Bytes(16, 0x33)}};
-  aggregated.query_reply.witnesses = {{0, bigint::BigUint(777)},
-                                      {2, bigint::BigUint(888)}};
-  reply.clauses = {legacy, aggregated};
+  first.replies = {tr, tr};
+  core::ClauseReply second;
+  core::TokenReply single;
+  single.encrypted_results = {Bytes(16, 0x33)};
+  single.witness = bigint::BigUint(777);
+  second.replies = {single};
+  reply.clauses = {first, second};
   return reply;
 }
 
@@ -296,12 +293,25 @@ TEST(Protocol, QueryPlanRejectsTrailingBytes) {
 }
 
 TEST(Protocol, QueryPlanRejectsBadModeByte) {
-  Writer w;
-  w.u32(1);
-  w.u8(2);  // mode byte not in {0, 1}
-  w.u32(0);
-  EXPECT_THROW(QueryPlanRequest::deserialize(std::move(w).take()),
-               DecodeError);
+  // 0 (per-token VOs) is the only clause mode; 1 was the removed
+  // aggregated VO.
+  for (const std::uint8_t mode : {1, 2}) {
+    Writer req;
+    req.u32(1);
+    req.u8(mode);
+    req.u32(0);
+    EXPECT_THROW(QueryPlanRequest::deserialize(std::move(req).take()),
+                 DecodeError)
+        << int{mode};
+    Writer reply;
+    reply.u32(1);
+    reply.u32(0);  // clause tag
+    reply.u8(mode);
+    reply.u32(0);
+    EXPECT_THROW(QueryPlanReply::deserialize(std::move(reply).take()),
+                 DecodeError)
+        << int{mode};
+  }
 }
 
 TEST(Protocol, QueryPlanReplyRequiresSequenceOrder) {
@@ -314,14 +324,10 @@ TEST(Protocol, QueryPlanReplyRequiresSequenceOrder) {
     for (std::size_t i = 0; i < 2; ++i) {
       const core::ClauseReply& clause = reply.clauses[i];
       w.u32(i == 0 ? tag0 : tag1);
-      w.u8(clause.aggregated ? 1 : 0);
-      if (clause.aggregated) {
-        w.bytes(clause.query_reply.serialize());
-      } else {
-        w.u32(static_cast<std::uint32_t>(clause.replies.size()));
-        for (const core::TokenReply& tr : clause.replies)
-          w.bytes(tr.serialize());
-      }
+      w.u8(0);  // clause mode byte
+      w.u32(static_cast<std::uint32_t>(clause.replies.size()));
+      for (const core::TokenReply& tr : clause.replies)
+        w.bytes(tr.serialize());
     }
     return std::move(w).take();
   };

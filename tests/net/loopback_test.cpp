@@ -59,15 +59,12 @@ void run_every_opcode(std::size_t threads) {
   EXPECT_EQ(ch.apply(update), rig.owner->primes().size());
   EXPECT_EQ(server.tenant("alpha").prime_count(), rig.owner->primes().size());
 
-  // kQueryPlan: a whole clause batch (one legacy, one aggregated clause) in
-  // one round trip, verified per clause through verify_plan against the
-  // owner's (trusted) shard values exactly as an in-process deployment
-  // would.
+  // kQueryPlan: a whole two-clause batch in one round trip, verified per
+  // clause through verify_plan against the owner's (trusted) shard values
+  // exactly as an in-process deployment would.
   QueryPlanRequest plan;
   plan.clauses.resize(2);
-  plan.clauses[0].aggregated = false;
   plan.clauses[0].tokens = rig.user->make_tokens(42, MatchCondition::kGreater);
-  plan.clauses[1].aggregated = true;
   plan.clauses[1].tokens = rig.user->make_tokens(42, MatchCondition::kLess);
   const QueryPlanReply plan_reply = ch.query_plan(plan);
   const core::PlanVerification pv =
@@ -79,11 +76,7 @@ void run_every_opcode(std::size_t threads) {
   auto gt_ids = rig.user->decrypt(plan_reply.clauses[0].replies);
   std::sort(gt_ids.begin(), gt_ids.end());
   EXPECT_EQ(gt_ids, plain_query(records, 42, MatchCondition::kGreater));
-  std::vector<core::RecordId> lt_ids;
-  for (const auto& results : plan_reply.clauses[1].query_reply.token_results) {
-    const auto part = rig.user->decrypt_results(results);
-    lt_ids.insert(lt_ids.end(), part.begin(), part.end());
-  }
+  auto lt_ids = rig.user->decrypt(plan_reply.clauses[1].replies);
   std::sort(lt_ids.begin(), lt_ids.end());
   EXPECT_EQ(lt_ids, plain_query(records, 42, MatchCondition::kLess));
 

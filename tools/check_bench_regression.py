@@ -15,18 +15,8 @@ are ignored entirely (they are timer noise at smoke scale).
 Structural checks ride along:
   * a baseline row missing from the current run fails (a silently dropped
     benchmark looks exactly like a fixed regression),
-  * for BENCH_fig6_search_overhead.json, every Fig6/VerifyAggregated row
-    must ship no more witnesses than shards, strictly fewer VO bytes than
-    its Fig6/VerifyPerToken counterpart (the aggregation's deterministic
-    win: one group element per touched shard instead of one per token),
-    and report aggregate_speedup >= --min-aggregate-speedup. The speedup
-    floor is a noise-margin "don't lose" guard (default 0.9), not a
-    performance claim: folding K tokens into one witness per shard leaves
-    the verifier's total squaring count unchanged (the exponent bits just
-    concatenate), so wall-time parity is expected — the bandwidth saving
-    is the point, and it is checked exactly.
-  * for BENCH_planner.json, every read-path × clause-count × selectivity
-    grid cell must be present with a sane clause count, the verified
+  * for BENCH_planner.json, every clause-count × selectivity grid cell
+    must be present with a sane clause count, the verified
     aggregates (COUNT/MIN/MAX/top-k) must have run (with binary-search
     probes spent), and the combiner-cache warm row must be served entirely
     from cache,
@@ -48,7 +38,7 @@ Structural checks ride along:
 
 Usage: check_bench_regression.py BENCH_a.json [BENCH_b.json ...]
            [--baseline-dir bench/baselines] [--threshold 5.0]
-           [--min-ms 5.0] [--min-aggregate-speedup 1.0]
+           [--min-ms 5.0]
 
 stdlib only — no third-party packages.
 """
@@ -94,56 +84,6 @@ def check_file(current_path, baseline_path, args):
     return failures
 
 
-def check_aggregate_speedup(current_path, args):
-    """Aggregated VO must shrink the proof and not lose verify time."""
-    rows = load_rows(current_path)
-    agg_rows = {
-        name: row
-        for name, row in rows.items()
-        if name.startswith("Fig6/VerifyAggregated/")
-    }
-    if not agg_rows:
-        return [f"{current_path}: no Fig6/VerifyAggregated rows to check"]
-    failures = []
-    for name, row in sorted(agg_rows.items()):
-        speedup = float(row.get("aggregate_speedup", 0))
-        witnesses = float(row.get("witnesses", 0))
-        shards = float(row.get("shard_count", 0))
-        vo_bytes = float(row.get("vo_B", 0))
-        per_token = rows.get(
-            name.replace("Fig6/VerifyAggregated/", "Fig6/VerifyPerToken/")
-        )
-        row_failures = []
-        if speedup < args.min_aggregate_speedup:
-            row_failures.append(
-                f"{name}: aggregate_speedup {speedup:.2f}x "
-                f"< {args.min_aggregate_speedup:.1f}x"
-            )
-        if shards > 0 and witnesses > shards:
-            row_failures.append(
-                f"{name}: {witnesses:.0f} witnesses for {shards:.0f} shards "
-                "(aggregation must ship at most one per shard)"
-            )
-        if per_token is None:
-            row_failures.append(f"{name}: missing per-token counterpart row")
-        else:
-            per_token_vo = float(per_token.get("vo_B", 0))
-            if per_token.get("avg_tokens", 0) > shards and vo_bytes >= per_token_vo:
-                row_failures.append(
-                    f"{name}: aggregated VO is {vo_bytes:.0f} B vs "
-                    f"{per_token_vo:.0f} B per-token — aggregation must "
-                    "shrink the proof when tokens outnumber shards"
-                )
-        if not row_failures:
-            print(
-                f"  aggregate verify OK: {name} {speedup:.2f}x per-token, "
-                f"{witnesses:.0f}/{shards:.0f} witnesses, "
-                f"VO {vo_bytes:.0f} B"
-            )
-        failures += row_failures
-    return failures
-
-
 def check_trapdoor_crt_speedup(current_path):
     """Same-run ratio: the CRT inverse must beat the full-width reference."""
     rows = load_rows(current_path)
@@ -168,41 +108,40 @@ def check_trapdoor_crt_speedup(current_path):
 
 
 def check_throughput_structure(current_path):
-    """The wire-protocol bench must cover both read paths at every K.
+    """The wire-protocol bench must cover every K.
 
     Absolute qps at smoke scale is dominated by warm-up noise, so no
     wall-time claim is made here beyond the generic ratio check; what must
-    hold structurally is that every (mode, K) combination produced a row,
-    each fleet actually completed requests, and the latency percentiles
-    are internally consistent (p50 <= p99, both positive).
+    hold structurally is that every K produced a row, each fleet actually
+    completed requests, and the latency percentiles are internally
+    consistent (p50 <= p99, both positive).
     """
     rows = load_rows(current_path)
     failures = []
-    for mode in ("legacy", "aggregated"):
-        for k in (1, 4, 8):
-            name = f"throughput/{mode}/K{k}"
-            row = rows.get(name)
-            if row is None:
-                failures.append(f"{name}: missing from {current_path}")
-                continue
-            qps = float(row.get("qps", 0))
-            p50 = float(row.get("p50_ms", 0))
-            p99 = float(row.get("p99_ms", 0))
-            requests = float(row.get("iterations", 0))
-            row_failures = []
-            if qps <= 0 or requests <= 0:
-                row_failures.append(f"{name}: no completed requests (qps={qps})")
-            if p50 <= 0 or p99 <= 0 or p50 > p99:
-                row_failures.append(
-                    f"{name}: inconsistent percentiles "
-                    f"(p50={p50:.3f} ms, p99={p99:.3f} ms)"
-                )
-            if not row_failures:
-                print(
-                    f"  throughput OK: {name} {qps:.1f} qps, "
-                    f"p50 {p50:.3f} ms, p99 {p99:.3f} ms"
-                )
-            failures += row_failures
+    for k in (1, 4, 8):
+        name = f"throughput/legacy/K{k}"
+        row = rows.get(name)
+        if row is None:
+            failures.append(f"{name}: missing from {current_path}")
+            continue
+        qps = float(row.get("qps", 0))
+        p50 = float(row.get("p50_ms", 0))
+        p99 = float(row.get("p99_ms", 0))
+        requests = float(row.get("iterations", 0))
+        row_failures = []
+        if qps <= 0 or requests <= 0:
+            row_failures.append(f"{name}: no completed requests (qps={qps})")
+        if p50 <= 0 or p99 <= 0 or p50 > p99:
+            row_failures.append(
+                f"{name}: inconsistent percentiles "
+                f"(p50={p50:.3f} ms, p99={p99:.3f} ms)"
+            )
+        if not row_failures:
+            print(
+                f"  throughput OK: {name} {qps:.1f} qps, "
+                f"p50 {p50:.3f} ms, p99 {p99:.3f} ms"
+            )
+        failures += row_failures
     return failures
 
 
@@ -212,28 +151,26 @@ def check_planner_structure(current_path):
     The binary itself exits non-zero when any measured query fails to
     verify or diverges from the plaintext oracle; this re-checks the
     emitted rows so a run that silently dropped a grid cell (or a stale
-    artifact) cannot pass. What must hold: every read-path × clause-count
-    × selectivity cell produced a row with a sane clause count, every
-    verified-aggregate row is present (MIN/MAX/top-k with binary-search
-    probes actually spent), and the combiner-cache warm row was served
-    entirely from cache.
+    artifact) cannot pass. What must hold: every clause-count × selectivity
+    cell produced a row with a sane clause count, every verified-aggregate
+    row is present (MIN/MAX/top-k with binary-search probes actually
+    spent), and the combiner-cache warm row was served entirely from cache.
     """
     rows = load_rows(current_path)
     failures = []
-    for mode in ("legacy", "aggregated"):
-        for leaves in (1, 2, 4, 8):
-            for level in ("narrow", "mid", "wide"):
-                name = f"Planner/{mode}/leaves{leaves}/{level}"
-                row = rows.get(name)
-                if row is None:
-                    failures.append(f"{name}: missing from {current_path}")
-                    continue
-                clauses = float(row.get("clauses", 0))
-                if clauses < leaves:
-                    failures.append(
-                        f"{name}: only {clauses:.0f} clauses for "
-                        f"{leaves} leaves (each leaf lowers to >= 1 clause)"
-                    )
+    for leaves in (1, 2, 4, 8):
+        for level in ("narrow", "mid", "wide"):
+            name = f"Planner/legacy/leaves{leaves}/{level}"
+            row = rows.get(name)
+            if row is None:
+                failures.append(f"{name}: missing from {current_path}")
+                continue
+            clauses = float(row.get("clauses", 0))
+            if clauses < leaves:
+                failures.append(
+                    f"{name}: only {clauses:.0f} clauses for "
+                    f"{leaves} leaves (each leaf lowers to >= 1 clause)"
+                )
     for name in ("PlannerAggregate/count", "PlannerAggregate/min",
                  "PlannerAggregate/max", "PlannerAggregate/top_k"):
         row = rows.get(name)
@@ -254,7 +191,7 @@ def check_planner_structure(current_path):
     if not failures:
         agg = rows.get("PlannerAggregate/min", {})
         print(
-            f"  planner OK: 24 grid cells, aggregates present "
+            f"  planner OK: 12 grid cells, aggregates present "
             f"(min probes {agg.get('probes', 0):.0f}), warm cache "
             f"{warm.get('cached_clauses', 0):.0f}/{warm.get('clauses', 0):.0f}"
         )
@@ -338,9 +275,6 @@ def main():
                         help="max allowed current/baseline wall-time ratio")
     parser.add_argument("--min-ms", type=float, default=5.0,
                         help="ignore rows below this wall time in both runs")
-    parser.add_argument("--min-aggregate-speedup", type=float, default=0.9,
-                        help="min fig6 aggregated-vs-per-token verify speedup "
-                             "(noise-margin parity guard, not a perf claim)")
     args = parser.parse_args()
 
     all_failures = []
@@ -361,8 +295,6 @@ def main():
             continue
         print(f"{name}: comparing against {baseline_path}")
         failures = check_file(path, baseline_path, args)
-        if name == "BENCH_fig6_search_overhead.json":
-            failures += check_aggregate_speedup(path, args)
         if name == "BENCH_micro.json":
             failures += check_trapdoor_crt_speedup(path)
         if name == "BENCH_throughput.json":
