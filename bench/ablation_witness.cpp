@@ -2,9 +2,18 @@
 // Algorithm 4, what Fig. 5b/5d time) vs product-tree precomputation of all
 // witnesses (root-factor algorithm), which amortizes to O(log |X|)
 // exponentiations per element and makes prove() an O(1) lookup.
+//
+// FirstTouch/<n>/{comb,seeded} time the witness frontier's first touch of
+// the runs a write just created (DESIGN.md §3g): combed from g over the
+// whole shard, or started from the shard value kept at the previous write.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+
 #include "adscrypto/hash_to_prime.hpp"
+#include "adscrypto/sharded_accumulator.hpp"
 #include "bench/bench_common.hpp"
 #include "bench/bench_json.hpp"
 
@@ -12,6 +21,7 @@ namespace slicer::bench {
 namespace {
 
 using adscrypto::RsaAccumulator;
+using adscrypto::ShardedAccumulator;
 using bigint::BigUint;
 
 std::vector<BigUint> primes_for(std::size_t n) {
@@ -50,6 +60,54 @@ void BM_ProductTreeAllWitnesses(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(threads());
 }
 
+/// First-touch fills of the newest batch's runs in a 1024-prime shard whose
+/// newest insert added 64 primes — a fixed shape, whatever
+/// SLICER_BENCH_SCALE says. `comb` inserts all primes in one call, so no
+/// kept shard value precedes the batch and every fill combs from g.
+/// `seeded` inserts the 64 newest in a second call, so every fill starts
+/// from the value kept at 960 primes. A sample is the mean over the batch's
+/// four runs, taken on a fresh accumulator after a warm-up fill of run 0
+/// has grown its comb table; each row keeps the fastest of five samples,
+/// taken alternately, so a same-run ratio survives a noisy host.
+void first_touch_rows(BenchJson& json) {
+  constexpr std::size_t kShard = 1024;
+  constexpr std::size_t kNewest = 64;
+  constexpr std::size_t kRun = ShardedAccumulator::kFrontierRun;
+  constexpr std::size_t kFills = kNewest / kRun;
+  const auto& [params, trapdoor] = bench_accumulator();
+  const auto primes = primes_for(kShard);
+  const std::span<const BigUint> all(primes);
+  const auto mean_fill_ms = [&](bool seeded) {
+    ShardedAccumulator acc(params, 1);
+    if (seeded) {
+      acc.insert(all.first(kShard - kNewest), trapdoor);
+      acc.insert(all.last(kNewest), trapdoor);
+    } else {
+      acc.insert(all, trapdoor);
+    }
+    benchmark::DoNotOptimize(acc.witness({0, 0}));
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t i = kShard - kNewest; i < kShard; i += kRun)
+      benchmark::DoNotOptimize(acc.witness({0, static_cast<std::uint32_t>(i)}));
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+               .count() /
+           kFills;
+  };
+  double comb_ms = mean_fill_ms(false);
+  double seeded_ms = mean_fill_ms(true);
+  for (int sample = 1; sample < 5; ++sample) {
+    comb_ms = std::min(comb_ms, mean_fill_ms(false));
+    seeded_ms = std::min(seeded_ms, mean_fill_ms(true));
+  }
+  const double speedup = seeded_ms > 0 ? comb_ms / seeded_ms : 0;
+  const std::string label = "FirstTouch/" + std::to_string(kShard);
+  std::printf("%-40s comb %.2f ms  seeded %.2f ms  (%.2fx)\n", label.c_str(),
+              comb_ms, seeded_ms, speedup);
+  json.add({label + "/comb", comb_ms, kFills, {}});
+  json.add({label + "/seeded", seeded_ms, kFills, {{"seed_speedup", speedup}}});
+}
+
 /// Serial-vs-parallel speedup of the product-tree all-witnesses pass at the
 /// default bench scale (the acceptance metric for the parallel layer), plus
 /// fixed-base-comb vs generic-exponentiation ratios for the same
@@ -79,6 +137,7 @@ void speedup_extra(BenchJson& json) {
       json, "Accumulate/" + std::to_string(n),
       [&] { benchmark::DoNotOptimize(generic.accumulate(primes)); },
       [&] { benchmark::DoNotOptimize(acc.accumulate(primes)); });
+  first_touch_rows(json);
 }
 
 void register_all() {

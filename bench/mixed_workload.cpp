@@ -10,12 +10,15 @@
 //     records_per_s throughput (owner insert + cloud apply)
 //   * MixedWorkload/Query/K=<k>  — p50/p99 end-to-end search latency taken
 //     from the core.cloud.search_ns metrics histogram, plus the frontier's
-//     fills, folds and recomputes over the query phase
+//     fills (and how many of them were seeded), folds and recomputes over
+//     the query phase
 //
-// The first reads after the writes pay the frontier: one comb from g per
-// run of shard primes they touch. Routing splits each shard's prime list K
-// ways, so each fill's exponent shrinks with K while the number of runs
-// stays the same.
+// The first reads after the writes pay the frontier: one fill per run of
+// shard primes they touch. A run the insert rounds created starts from the
+// shard value the cloud kept at the write before it, and owes only the
+// primes since; a run older than every kept value combs from g over the
+// whole shard. Routing splits each shard's prime list K ways, so each
+// fill's exponent shrinks with K while the number of runs stays the same.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -78,10 +81,13 @@ void run_shard_count(BenchJson& json, std::size_t k) {
 
   // Query phase: verified range searches against the updated deployment.
   const auto& fills = metrics::counter("adscrypto.sharded.frontier.fills");
+  const auto& seeded_fills =
+      metrics::counter("adscrypto.sharded.frontier.seeded_fills");
   const auto& folds = metrics::counter("adscrypto.sharded.frontier.folds");
   const auto& recomputes =
       metrics::counter("adscrypto.sharded.frontier.recomputes");
   const std::uint64_t fills_before = fills.value();
+  const std::uint64_t seeded_fills_before = seeded_fills.value();
   const std::uint64_t folds_before = folds.value();
   const std::uint64_t recomputes_before = recomputes.value();
   world->user = std::make_unique<core::DataUser>(
@@ -102,15 +108,19 @@ void run_shard_count(BenchJson& json, std::size_t k) {
   const double p50 = histogram_quantile_ms(search_ns, 0.50);
   const double p99 = histogram_quantile_ms(search_ns, 0.99);
   const auto frontier_fills = static_cast<double>(fills.value() - fills_before);
+  const auto frontier_seeded_fills =
+      static_cast<double>(seeded_fills.value() - seeded_fills_before);
   const auto frontier_folds = static_cast<double>(folds.value() - folds_before);
   const auto frontier_recomputes =
       static_cast<double>(recomputes.value() - recomputes_before);
 
   std::printf(
       "K=%zu  insert %8.1f ms (%7.1f rec/s)  query p50 %.2f ms p99 %.2f ms  "
-      "(%zu/%zu verified; frontier %.0f fills %.0f folds %.0f recomputes)\n",
+      "(%zu/%zu verified; frontier %.0f fills (%.0f seeded) %.0f folds "
+      "%.0f recomputes)\n",
       k, insert_ms, throughput, p50, p99, verified, values.size(),
-      frontier_fills, frontier_folds, frontier_recomputes);
+      frontier_fills, frontier_seeded_fills, frontier_folds,
+      frontier_recomputes);
 
   json.add({"MixedWorkload/Insert/K=" + std::to_string(k),
             insert_ms,
@@ -127,6 +137,7 @@ void run_shard_count(BenchJson& json, std::size_t k) {
              {"p99_ms", p99},
              {"verified", static_cast<double>(verified)},
              {"frontier_fills", frontier_fills},
+             {"frontier_seeded_fills", frontier_seeded_fills},
              {"frontier_folds", frontier_folds},
              {"frontier_recomputes", frontier_recomputes}}});
 }

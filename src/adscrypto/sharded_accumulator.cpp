@@ -18,9 +18,17 @@ namespace {
 
 /// A generic sliding-window modexp costs about this many times the
 /// fixed-base comb per exponent bit (bench/baselines/BENCH_micro.json:
-/// 16.2 vs 2.97 ms at 16384 bits), so a stale frontier run folds its
-/// backlog only while that stays cheaper than recomputing it from g.
+/// 13.6 vs 2.88 ms at 16384 bits, about 4.7). It drives both of the
+/// frontier's choices against a comb from g: a stale run folds its backlog,
+/// and a first touch starts from a kept shard value, only while that
+/// generic modexp stays the cheaper one.
 constexpr std::size_t kGenericPerCombBit = 5;
+
+metrics::Gauge& kept_seeds_gauge() {
+  static metrics::Gauge& gauge =
+      metrics::gauge("adscrypto.sharded.frontier.kept_seeds");
+  return gauge;
+}
 
 }  // namespace
 
@@ -74,6 +82,12 @@ ShardedAccumulator::ShardedAccumulator(AccumulatorParams params,
   frontiers_ = std::vector<Frontier>(k);
 }
 
+ShardedAccumulator::~ShardedAccumulator() {
+  std::size_t kept = 0;
+  for (const Frontier& frontier : frontiers_) kept += frontier.seeds.size();
+  kept_seeds_gauge().sub(static_cast<std::int64_t>(kept));
+}
+
 ShardedAccumulator::Batch ShardedAccumulator::route(
     std::span<const BigUint> xs) {
   Batch batch;
@@ -91,6 +105,37 @@ ShardedAccumulator::Batch ShardedAccumulator::route(
     ++total_;
   }
   return batch;
+}
+
+void ShardedAccumulator::keep_seeds(const Batch& batch) {
+  std::int64_t delta = 0;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (batch.routed[s].empty()) continue;
+    Frontier& frontier = frontiers_[s];
+    std::vector<Frontier::Seed>& seeds = frontier.seeds;
+    seeds.push_back({primes_[s].size(), values_[s]});
+    // Seed i is the best start for the runs whose first index cC lies in
+    // [t_i, t_{i+1}); once all of them are filled no first touch needs it.
+    // witness() cannot run beside an insert, so `runs` is read unlocked.
+    const auto all_filled = [&](std::size_t from, std::size_t to) {
+      for (std::size_t c = (from + kFrontierRun - 1) / kFrontierRun;
+           c * kFrontierRun < to; ++c)
+        if (c >= frontier.runs.size() || frontier.runs[c].covered == 0)
+          return false;
+      return true;
+    };
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+      if (i + 1 < seeds.size() &&
+          all_filled(seeds[i].count, seeds[i + 1].count))
+        continue;
+      if (kept != i) seeds[kept] = std::move(seeds[i]);
+      ++kept;
+    }
+    delta += 1 - static_cast<std::int64_t>(seeds.size() - kept);
+    seeds.resize(kept);
+  }
+  kept_seeds_gauge().add(delta);
 }
 
 ShardedAccumulator::Batch ShardedAccumulator::insert(
@@ -114,6 +159,7 @@ ShardedAccumulator::Batch ShardedAccumulator::insert(
     values_[s] = mont_.pow(values_[s], exponent);
   });
   exponents_valid_ = false;
+  keep_seeds(batch);
   return batch;
 }
 
@@ -147,6 +193,7 @@ ShardedAccumulator::Batch ShardedAccumulator::insert(
     if (batch.routed[s].empty()) return;
     values_[s] = shards_[s].pow_generator(exponents_[s]);
   });
+  keep_seeds(batch);
   return batch;
 }
 
@@ -157,13 +204,14 @@ ShardedAccumulator::Batch ShardedAccumulator::insert_with_values(
   Batch batch = route(xs);
   values_.assign(values_after.begin(), values_after.end());
   exponents_valid_ = false;
+  keep_seeds(batch);
   return batch;
 }
 
 void ShardedAccumulator::rebuild(std::span<const BigUint> primes,
                                  const AccumulatorTrapdoor* trapdoor) {
   if (total_ != 0) throw ProtocolError("rebuild on a non-empty accumulator");
-  route(primes);
+  const Batch batch = route(primes);
   if (trapdoor != nullptr) {
     const BigUint phi = trapdoor->phi();
     for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -183,6 +231,8 @@ void ShardedAccumulator::rebuild(std::span<const BigUint> primes,
     });
     exponents_valid_ = false;
   }
+  // A restored cloud seeds the runs that later writes create.
+  keep_seeds(batch);
 }
 
 std::optional<ShardedAccumulator::Pos> ShardedAccumulator::find(
@@ -208,6 +258,8 @@ BigUint ShardedAccumulator::witness(Pos pos) const {
       metrics::histogram("adscrypto.sharded.refresh_ns");
   static metrics::Counter& fills =
       metrics::counter("adscrypto.sharded.frontier.fills");
+  static metrics::Counter& seeded_fills =
+      metrics::counter("adscrypto.sharded.frontier.seeded_fills");
   static metrics::Counter& folds =
       metrics::counter("adscrypto.sharded.frontier.folds");
   static metrics::Counter& recomputes =
@@ -246,7 +298,24 @@ BigUint ShardedAccumulator::witness(Pos pos) const {
     };
     if (covered == 0) {
       fills.add();
-      value = from_g();
+      // The newest kept shard value A_t with t ≤ lo already carries the
+      // primes before t; raising it to [t, lo) and to the primes after the
+      // run is a generic modexp over that many primes, against a comb over
+      // every prime outside the run.
+      const Frontier::Seed* seed = nullptr;
+      for (const Frontier::Seed& kept : frontier.seeds)
+        if (kept.count <= lo) seed = &kept;
+      if (seed != nullptr &&
+          kGenericPerCombBit * ((lo - seed->count) + (n - hi)) <
+              lo + (n - hi)) {
+        seeded_fills.add();
+        value = mont_.pow(
+            seed->value,
+            product_tree(primes.subspan(seed->count, lo - seed->count)) *
+                product_tree(primes.subspan(hi)));
+      } else {
+        value = from_g();
+      }
     } else if (backlog > 0) {
       const metrics::ScopedTimer refresh_timer(refresh_ns);
       // Folding the backlog is a generic modexp over `backlog` primes;

@@ -62,6 +62,9 @@ class ShardedAccumulator {
   explicit ShardedAccumulator(AccumulatorParams params,
                               std::size_t shard_count = 0,
                               bool use_fixed_base = true);
+  ShardedAccumulator(ShardedAccumulator&&) = default;
+  /// Takes the kept seed values off the `kept_seeds` gauge.
+  ~ShardedAccumulator();
 
   std::size_t shard_count() const { return shards_.size(); }
   const AccumulatorParams& params() const { return params_; }
@@ -117,9 +120,11 @@ class ShardedAccumulator {
   /// shard's current value — the same group element as
   /// RsaAccumulator::witness over shard_primes(pos.shard). Served through
   /// the shard's witness frontier: run c = pos.index / C caches
-  /// W_c = g^(∏ p_j, j ∉ c) over the primes it has seen, filled on first
-  /// touch, folded forward (or recomputed from g, whichever is cheaper)
-  /// when primes arrived since, then raised to the run's other primes.
+  /// W_c = g^(∏ p_j, j ∉ c) over the primes it has seen. A first touch
+  /// fills it from the newest shard value A_t kept at an insert with
+  /// t ≤ cC, or by a comb from g when that is cheaper; a later touch folds
+  /// the primes that arrived since (or recomputes from g, whichever is
+  /// cheaper). The run value is then raised to the run's other primes.
   /// Safe to call from many threads at once; not concurrently with an
   /// insert.
   bigint::BigUint witness(Pos pos) const;
@@ -143,6 +148,10 @@ class ShardedAccumulator {
   /// lists and the position index.
   Batch route(std::span<const bigint::BigUint> xs);
 
+  /// Keeps the current value of every shard `batch` touched as a seed, then
+  /// drops the seeds no unfilled run can start from. Insert paths only.
+  void keep_seeds(const Batch& batch);
+
   AccumulatorParams params_;
   bigint::Montgomery mont_;
   std::vector<RsaAccumulator> shards_;
@@ -164,13 +173,23 @@ class ShardedAccumulator {
   /// only the copy in and out of `runs`; every modexp runs outside it, so
   /// concurrent misses on one run may both compute — the values they store
   /// are identical, and the wider coverage wins.
+  ///
+  /// `seeds` holds shard values A_t = g^(∏ p_j, j < t) that an insert set,
+  /// in ascending t: the starting points of first-touch fills. Only the
+  /// insert paths write it, and they never run beside witness(), so it is
+  /// read without the mutex.
   struct Frontier {
     struct Run {
       bigint::BigUint value;
       std::size_t covered = 0;
     };
+    struct Seed {
+      std::size_t count = 0;  // t
+      bigint::BigUint value;  // A_t
+    };
     std::mutex mu;
     std::vector<Run> runs;
+    std::vector<Seed> seeds;
   };
   mutable std::vector<Frontier> frontiers_;
 };

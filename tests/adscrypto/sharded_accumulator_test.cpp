@@ -231,8 +231,8 @@ TEST_F(ShardedAccumulatorTest, ReinsertedElementReportsLatestPosition) {
 // run complements (one cached value per run of kFrontierRun primes). Every
 // witness it returns must be byte-equal to the from-scratch witness over
 // the shard's current prime list, whatever the insert history, whichever
-// branch (fill, fold, recompute) brought the run up to date, and however
-// many threads miss at once.
+// branch (fill from g, fill from a kept shard value, fold, recompute)
+// brought the run up to date, and however many threads miss at once.
 
 class ShardedWitnessFrontier : public ShardedAccumulatorTest {
  protected:
@@ -266,6 +266,7 @@ TEST_F(ShardedWitnessFrontier, MatchesFromScratchUnderRandomInterleavings) {
   const metrics::ScopedMetrics scoped;
   const std::uint64_t folds = frontier_count("folds");
   const std::uint64_t recomputes = frontier_count("recomputes");
+  const std::uint64_t seeded = frontier_count("seeded_fills");
   for (const std::size_t threads : {1u, 4u}) {
     std::optional<ThreadPool::ScopedSerial> serial;
     std::optional<ThreadPool::ScopedPool> pool;
@@ -313,9 +314,11 @@ TEST_F(ShardedWitnessFrontier, MatchesFromScratchUnderRandomInterleavings) {
       }
     }
   }
-  // The schedules reached both ways of bringing a stale run up to date.
+  // The schedules reached both ways of bringing a stale run up to date,
+  // and first touches that started from a kept shard value.
   EXPECT_GT(frontier_count("folds"), folds);
   EXPECT_GT(frontier_count("recomputes"), recomputes);
+  EXPECT_GT(frontier_count("seeded_fills"), seeded);
 }
 
 TEST_F(ShardedWitnessFrontier, PartialRunAndAppendsIntoTheServedRun) {
@@ -402,6 +405,140 @@ TEST_F(ShardedWitnessFrontier, ConcurrentMissesOnOneRun) {
     acc.insert(sample_primes(3, 102 + round));
   }
   expect_exact(acc, 0, C + 9, "after races");
+}
+
+TEST_F(ShardedWitnessFrontier, SeededFillsMatchFromScratch) {
+  // APPLY-shaped histories through each insert path, started by a rebuild:
+  // after every batch, first touches land in the newest batch's runs and
+  // in older runs nothing has touched yet, so fills start from the rebuild
+  // value, from earlier batches' values and from g.
+  constexpr std::size_t C = ShardedAccumulator::kFrontierRun;
+  const metrics::ScopedMetrics scoped;
+  const std::uint64_t seeded = frontier_count("seeded_fills");
+  for (const std::size_t k : {1u, 4u, 8u}) {
+    for (const std::size_t path : {0u, 1u, 2u}) {
+      const std::string tag =
+          "k=" + std::to_string(k) + " path=" + std::to_string(path);
+      ShardedAccumulator acc(params_, k);
+      ShardedAccumulator owner(params_, k);  // publishes values_after
+      std::uint64_t salt = 2000 + 10 * k + path;
+      const std::vector<BigUint> preload = sample_primes(3 * C * k, ++salt);
+      acc.rebuild(preload, path == 1 ? &trapdoor_ : nullptr);
+      owner.insert(preload, trapdoor_);
+      std::vector<BigUint> older = preload;
+      for (std::size_t step = 0; step < 6; ++step) {
+        const std::string where = tag + " step=" + std::to_string(step);
+        const std::vector<BigUint> batch =
+            sample_primes((step % 2 == 0 ? 2 * C : C / 2) * k, ++salt);
+        owner.insert(batch, trapdoor_);
+        switch (path) {
+          case 0: acc.insert(batch); break;
+          case 1: acc.insert(batch, trapdoor_); break;
+          default: acc.insert_with_values(batch, owner.shard_values());
+        }
+        ASSERT_EQ(acc.shard_values(), owner.shard_values()) << where;
+        // Every third prime of the newest batch, then one prime of the
+        // history so far that no earlier step touched.
+        for (std::size_t i = 0; i < batch.size(); i += 3) {
+          const auto pos = acc.find(batch[i]);
+          ASSERT_TRUE(pos.has_value()) << where;
+          expect_exact(acc, pos->shard, pos->index, where);
+        }
+        const auto pos = acc.find(older[(7 * step + 5) % older.size()]);
+        ASSERT_TRUE(pos.has_value()) << where;
+        expect_exact(acc, pos->shard, pos->index, where + " older");
+        older.insert(older.end(), batch.begin(), batch.end());
+      }
+    }
+  }
+  EXPECT_GT(frontier_count("seeded_fills"), seeded);
+}
+
+TEST_F(ShardedWitnessFrontier, FirstTouchTakesTheSeedOnlyWhenCheaper) {
+  constexpr std::size_t C = ShardedAccumulator::kFrontierRun;
+  const metrics::ScopedMetrics scoped;
+  const auto expect_fill = [&](const ShardedAccumulator& acc,
+                               std::size_t index, std::uint64_t seeded_delta) {
+    const std::uint64_t fills = frontier_count("fills");
+    const std::uint64_t seeded = frontier_count("seeded_fills");
+    expect_exact(acc, 0, index, "index=" + std::to_string(index));
+    EXPECT_EQ(frontier_count("fills"), fills + 1) << "index=" << index;
+    EXPECT_EQ(frontier_count("seeded_fills"), seeded + seeded_delta)
+        << "index=" << index;
+  };
+  ShardedAccumulator acc(params_, 1);
+  acc.insert(sample_primes(16 * C, 111));
+  acc.insert(sample_primes(2 * C, 112));
+  // The newest batch starts at the value kept at 16C: the seed owes C
+  // primes (5·C < 17C), a comb from g would owe 17C.
+  expect_fill(acc, 16 * C + 3, 1);
+  // Run 0 is older than every kept value, so it combs from g.
+  expect_fill(acc, 5, 0);
+
+  // A kept value the run starts at, but followed by a long batch: the seed
+  // would owe 20C primes by generic modexp, the comb 21C (5·20C ≥ 21C).
+  ShardedAccumulator far(params_, 1);
+  far.insert(sample_primes(C, 113));
+  far.insert(sample_primes(21 * C, 114));
+  expect_fill(far, C + 2, 0);
+}
+
+TEST_F(ShardedWitnessFrontier, ConcurrentFirstTouchesOnNewRuns) {
+  // Two threads fill different runs of the newest batch at once, both from
+  // the same kept shard value.
+  constexpr std::size_t C = ShardedAccumulator::kFrontierRun;
+  const metrics::ScopedMetrics scoped;
+  ShardedAccumulator acc(params_, 1);
+  acc.insert(sample_primes(8 * C, 121));
+  const std::uint64_t seeded = frontier_count("seeded_fills");
+  for (std::size_t round = 0; round < 3; ++round) {
+    const std::size_t base = acc.shard_primes(0).size();
+    acc.insert(sample_primes(2 * C, 122 + round));
+    const auto primes = acc.shard_primes(0);
+    std::vector<BigUint> got(2);
+    std::vector<std::thread> racers;
+    for (std::size_t t = 0; t < 2; ++t)
+      racers.emplace_back([&, t] {
+        got[t] = acc.witness({0, static_cast<std::uint32_t>(base + t * C + 4)});
+      });
+    for (std::thread& r : racers) r.join();
+    for (std::size_t t = 0; t < 2; ++t)
+      EXPECT_EQ(got[t], scratch_.witness(primes, base + t * C + 4))
+          << "round=" << round << " t=" << t;
+  }
+  EXPECT_EQ(frontier_count("seeded_fills"), seeded + 6);
+  expect_exact(acc, 0, C + 9, "after races");
+}
+
+TEST_F(ShardedWitnessFrontier, KeptSeedsStayBoundedWhenRunsAreTouched) {
+  // One kept value per APPLY per shard, but once every run has been
+  // touched only the newest value (and the one the newest runs start
+  // from) can still seed a fill.
+  constexpr std::size_t C = ShardedAccumulator::kFrontierRun;
+  constexpr std::size_t K = 4;
+  const metrics::ScopedMetrics scoped;
+  const metrics::Gauge& kept =
+      metrics::gauge("adscrypto.sharded.frontier.kept_seeds");
+  {
+    ShardedAccumulator acc(params_, K);
+    std::vector<std::size_t> touched(K, 0);  // runs filled so far, per shard
+    for (std::size_t apply = 0; apply < 30; ++apply) {
+      acc.insert(sample_primes(C * K, 131 + apply), trapdoor_);
+      EXPECT_GE(kept.value(), static_cast<std::int64_t>(K));
+      EXPECT_LE(kept.value(), static_cast<std::int64_t>(2 * K))
+          << "apply=" << apply;
+      for (std::uint32_t s = 0; s < K; ++s) {
+        const std::size_t n = acc.shard_primes(s).size();
+        for (; touched[s] * C < n; ++touched[s])
+          acc.witness({s, static_cast<std::uint32_t>(touched[s] * C)});
+      }
+    }
+    // Runs nobody touches keep their seeds.
+    for (std::size_t apply = 0; apply < 10; ++apply)
+      acc.insert(sample_primes(C * K, 171 + apply), trapdoor_);
+    EXPECT_GT(kept.value(), static_cast<std::int64_t>(2 * K));
+  }
+  EXPECT_EQ(kept.value(), 0);
 }
 
 TEST(ShardedAccumulatorEnv, DefaultShardCountClampsAndParses) {

@@ -132,9 +132,14 @@ TEST(ShardedProtocol, EmptyUpdateSkipsWitnessRefresh) {
 TEST(ShardedProtocol, FrontierMatchesColdRestoredCloud) {
   // Differential check of the witness frontier: a cloud whose frontier has
   // served misses across several applies must answer plans byte for byte
-  // like a cloud restored from its snapshot, whose frontier is empty.
+  // like a cloud restored from its snapshot, whose frontier is empty. Both
+  // then ingest two more batches; the restored cloud's first touches in
+  // them start from the shard values it kept at the restore and at those
+  // batches.
   const metrics::ScopedMetrics scoped;
   const auto& folds = metrics::counter("adscrypto.sharded.frontier.folds");
+  const auto& seeded =
+      metrics::counter("adscrypto.sharded.frontier.seeded_fills");
   const std::uint64_t folds_before = folds.value();
   const auto encode = [](const std::vector<ClauseReply>& replies) {
     Bytes out;
@@ -173,13 +178,35 @@ TEST(ShardedProtocol, FrontierMatchesColdRestoredCloud) {
 
     Rig cold = Rig::make(8, "shard-frontier", {}, k);
     cold.cloud->restore_state(warm.cloud->serialize_state());
-    for (const std::uint64_t pivot : {0u, 42u, 111u, 200u, 255u}) {
-      // make_tokens draws fresh randomness, so both clouds get one batch.
-      const auto reqs = requests(pivot);
-      EXPECT_EQ(encode(serve(*warm.cloud, reqs)),
-                encode(serve(*cold.cloud, reqs)))
-          << "k=" << k << " pivot=" << pivot;
+    // Returns the seeded fills the restored cloud took.
+    const auto compare = [&](const std::string& phase) {
+      std::uint64_t cold_seeded = 0;
+      for (const std::uint64_t pivot : {0u, 42u, 111u, 200u, 255u}) {
+        // make_tokens draws fresh randomness, so both clouds get one batch.
+        const auto reqs = requests(pivot);
+        const Bytes from_warm = encode(serve(*warm.cloud, reqs));
+        const std::uint64_t before = seeded.value();
+        EXPECT_EQ(from_warm, encode(serve(*cold.cloud, reqs)))
+            << "k=" << k << " " << phase << " pivot=" << pivot;
+        cold_seeded += seeded.value() - before;
+      }
+      return cold_seeded;
+    };
+    compare("restored");
+
+    // Two small batches, applied to both clouds. The first one's runs
+    // start at the restored shard values.
+    std::vector<Record> first;
+    for (std::uint64_t i = 0; i < 8; ++i)
+      first.push_back({500 + i, (i * 67 + 13) % 256});
+    for (const auto& batch :
+         {first, std::vector<Record>{{600, 17}, {601, 230}}}) {
+      const UpdateOutput update = warm.owner->insert(batch);
+      warm.cloud->apply(update);
+      cold.cloud->apply(update);
     }
+    warm.user->refresh(warm.owner->export_user_state());
+    EXPECT_GT(compare("after restore"), 0u) << "k=" << k;
   }
   EXPECT_GT(folds.value(), folds_before);
 }

@@ -27,6 +27,13 @@ Structural checks ride along:
     Both rows run on one machine in one process, so the ratio carries across
     hosts where the wall-time baseline does not (CRT costs ~1/3 to ~1/4 of
     the reference: two half-width exponentiations).
+  * for BENCH_ablation_witness.json, the same kind of gate: a first-touch
+    witness fill seeded from the shard value kept at the previous write
+    (FirstTouch/1024/seeded) must be at least MIN_FIRST_TOUCH_SEED_SPEEDUP
+    (2x) faster than one combed from g (FirstTouch/1024/comb). The rows
+    have a fixed shape at every SLICER_BENCH_SCALE; the seeded fill raises
+    the kept value to 48 primes by generic modexp where the comb covers
+    1008 (~3x at 1024-bit moduli, the run's own primes included in both).
   * BENCH_robustness.json is checked structurally INSTEAD of by wall time:
     the soak runs under sanitizers in CI (10x+ skew vs the release-built
     baseline), so timing ratios are meaningless there. What must hold is
@@ -51,6 +58,10 @@ import sys
 # Same-run floor for Micro/TrapdoorInverse: Crt must be this many times
 # faster than Reference in one BENCH_micro.json.
 MIN_TRAPDOOR_CRT_SPEEDUP = 2.0
+
+# Same-run floor for FirstTouch/1024: seeded must be this many times faster
+# than comb in one BENCH_ablation_witness.json.
+MIN_FIRST_TOUCH_SEED_SPEEDUP = 2.0
 
 
 def load_rows(path):
@@ -84,27 +95,42 @@ def check_file(current_path, baseline_path, args):
     return failures
 
 
-def check_trapdoor_crt_speedup(current_path):
-    """Same-run ratio: the CRT inverse must beat the full-width reference."""
+def check_same_run_speedup(current_path, slow_name, fast_name, floor, what):
+    """Same-run ratio: row `fast_name` must be at least `floor` times faster
+    than row `slow_name` in one file."""
     rows = load_rows(current_path)
-    reference = rows.get("Micro/TrapdoorInverse/Reference/iterations:64")
-    crt = rows.get("Micro/TrapdoorInverse/Crt/iterations:64")
-    if reference is None or crt is None:
-        return [f"{current_path}: Micro/TrapdoorInverse/{{Reference,Crt}} "
-                "rows missing"]
-    ref_ms = float(reference.get("real_ms", 0))
-    crt_ms = float(crt.get("real_ms", 0))
-    if ref_ms <= 0 or crt_ms <= 0:
-        return [f"Micro/TrapdoorInverse: non-positive times "
-                f"(reference {ref_ms} ms, crt {crt_ms} ms)"]
-    speedup = ref_ms / crt_ms
-    if speedup < MIN_TRAPDOOR_CRT_SPEEDUP:
-        return [f"Micro/TrapdoorInverse/Crt: {speedup:.2f}x vs Reference "
-                f"< {MIN_TRAPDOOR_CRT_SPEEDUP:.1f}x "
-                f"({crt_ms:.3f} ms vs {ref_ms:.3f} ms)"]
-    print(f"  trapdoor inverse OK: CRT {speedup:.2f}x faster than y^d mod n "
-          f"({crt_ms:.3f} ms vs {ref_ms:.3f} ms)")
+    slow = rows.get(slow_name)
+    fast = rows.get(fast_name)
+    if slow is None or fast is None:
+        return [f"{current_path}: {slow_name} or {fast_name} row missing"]
+    slow_ms = float(slow.get("real_ms", 0))
+    fast_ms = float(fast.get("real_ms", 0))
+    if slow_ms <= 0 or fast_ms <= 0:
+        return [f"{fast_name}: non-positive times "
+                f"({fast_ms} ms vs {slow_ms} ms)"]
+    speedup = slow_ms / fast_ms
+    if speedup < floor:
+        return [f"{fast_name}: {speedup:.2f}x vs {slow_name} < {floor:.1f}x "
+                f"({fast_ms:.3f} ms vs {slow_ms:.3f} ms)"]
+    print(f"  {what} OK: {speedup:.2f}x faster "
+          f"({fast_ms:.3f} ms vs {slow_ms:.3f} ms)")
     return []
+
+
+def check_trapdoor_crt_speedup(current_path):
+    """The CRT inverse must beat the full-width y^d mod n reference."""
+    return check_same_run_speedup(
+        current_path, "Micro/TrapdoorInverse/Reference/iterations:64",
+        "Micro/TrapdoorInverse/Crt/iterations:64", MIN_TRAPDOOR_CRT_SPEEDUP,
+        "trapdoor inverse: CRT vs y^d mod n")
+
+
+def check_first_touch_seed_speedup(current_path):
+    """A seeded first-touch fill must beat a comb from g."""
+    return check_same_run_speedup(
+        current_path, "FirstTouch/1024/comb", "FirstTouch/1024/seeded",
+        MIN_FIRST_TOUCH_SEED_SPEEDUP,
+        "first-touch fill: seeded vs comb from g")
 
 
 def check_throughput_structure(current_path):
@@ -297,6 +323,8 @@ def main():
         failures = check_file(path, baseline_path, args)
         if name == "BENCH_micro.json":
             failures += check_trapdoor_crt_speedup(path)
+        if name == "BENCH_ablation_witness.json":
+            failures += check_first_touch_seed_speedup(path)
         if name == "BENCH_throughput.json":
             failures += check_throughput_structure(path)
         if name == "BENCH_planner.json":
