@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <map>
 #include <mutex>
 #include <shared_mutex>
@@ -84,36 +83,16 @@ struct SlicerServer::Tenant {
   std::chrono::steady_clock::time_point banned_until{};
 };
 
-/// One live connection. The reader thread owns decode + handling; replies
-/// are staged under `mu` keyed by their request sequence number, and the
-/// writer thread drains them strictly in sequence order.
+/// One live connection, served by one reader thread: it decodes, handles
+/// and sends each request's reply before it reads the next, so replies
+/// leave in request order.
 struct SlicerServer::Connection {
   std::uint64_t id = 0;
   Socket sock;
   Tenant* tenant = nullptr;  // bound by the HELLO frame
 
-  std::mutex mu;
-  std::condition_variable cv;
-  /// seq → staged reply frame; the writer sends seq `next_to_send` only.
-  std::map<std::uint64_t, Bytes> staged;
-  std::uint64_t next_seq = 0;
-  std::uint64_t next_to_send = 0;
-  /// Reader exited: no more requests will be staged.
-  bool reads_done = false;
-  /// Hard abort (send failure / server stop): writer drops staged replies.
-  bool aborted = false;
-
   std::thread reader;
-  std::thread writer;
-  std::atomic<bool> finished{false};  // both threads exited; reapable
-
-  void stage_reply(std::uint64_t seq, Bytes frame) {
-    {
-      std::lock_guard lock(mu);
-      staged.emplace(seq, std::move(frame));
-    }
-    cv.notify_all();
-  }
+  std::atomic<bool> finished{false};  // reader exited; reapable
 };
 
 struct SlicerServer::Impl {
@@ -230,22 +209,18 @@ struct SlicerServer::Impl {
   /// false when the connection must close (bad magic / unknown tenant).
   bool handle_hello(Connection& conn, const Frame& frame) {
     const std::size_t max = config.max_frame_bytes;
-    const std::uint64_t seq = conn.next_seq++;
     try {
       const HelloRequest req = HelloRequest::deserialize(frame.payload);
       const auto it = tenants.find(req.tenant);
       if (it == tenants.end()) {
-        conn.stage_reply(seq, error_frame("hello",
-                                          "unknown tenant: " + req.tenant,
-                                          max));
+        send(conn, error_frame("hello", "unknown tenant: " + req.tenant, max));
         return false;
       }
       if (tenant_is_banned(*it->second)) {
         // A banned tenant cannot launder its score by reconnecting.
         server_metrics().tenant_banned_rejects.add();
-        conn.stage_reply(seq, error_frame("banned",
-                                          "tenant is banned: " + req.tenant,
-                                          max));
+        send(conn,
+             error_frame("banned", "tenant is banned: " + req.tenant, max));
         return false;
       }
       conn.tenant = it->second.get();
@@ -257,19 +232,20 @@ struct SlicerServer::Impl {
             static_cast<std::uint32_t>(conn.tenant->cloud->shard_count());
         out.prime_count = conn.tenant->cloud->prime_count();
       }
-      conn.stage_reply(seq, encode_frame(static_cast<std::uint8_t>(Op::kHelloOk),
-                                         out.serialize(), max));
+      send(conn, encode_frame(static_cast<std::uint8_t>(Op::kHelloOk),
+                              out.serialize(), max));
       return true;
     } catch (const DecodeError& e) {
       server_metrics().decode_errors.add();
-      conn.stage_reply(seq, error_frame("hello", e.what(), max));
+      send(conn, error_frame("hello", e.what(), max));
       return false;
     }
   }
 
-  /// Admits and handles one decoded frame on the reader thread, which is
-  /// the caller lane of every parallel_for the handler issues. Returns
-  /// false when the connection should close.
+  /// Admits, handles and answers one decoded frame on the reader thread,
+  /// which is the caller lane of every parallel_for the handler issues.
+  /// Returns false when the connection should close; a failed send throws
+  /// NetError.
   bool dispatch(Connection& conn, const Frame& frame) {
     server_metrics().frames_received.add();
     const auto op = static_cast<Op>(frame.opcode);
@@ -277,15 +253,13 @@ struct SlicerServer::Impl {
 
     if (conn.tenant == nullptr) {
       if (op != Op::kHello) {
-        conn.stage_reply(conn.next_seq++,
-                         error_frame("hello", "expected HELLO first", max));
+        send(conn, error_frame("hello", "expected HELLO first", max));
         return false;
       }
       return handle_hello(conn, frame);
     }
     if (op == Op::kHello) {
-      conn.stage_reply(conn.next_seq++,
-                       error_frame("protocol", "duplicate HELLO", max));
+      send(conn, error_frame("protocol", "duplicate HELLO", max));
       return false;
     }
 
@@ -295,19 +269,16 @@ struct SlicerServer::Impl {
     Tenant& tenant = *conn.tenant;
     if (tenant_is_banned(tenant)) {
       server_metrics().tenant_banned_rejects.add();
-      conn.stage_reply(conn.next_seq++,
-                       error_frame("banned", "tenant is banned", max));
+      send(conn, error_frame("banned", "tenant is banned", max));
       return false;
     }
     const bool known_op =
         op == Op::kPing || op == Op::kApply || op == Op::kQueryPlan;
     if (!known_op) {
       const bool banned = record_misbehavior(tenant, kUnknownOpcodePoints);
-      conn.stage_reply(conn.next_seq++,
-                       error_frame("protocol",
-                                   "unknown opcode " +
-                                       std::to_string(frame.opcode),
-                                   max));
+      send(conn, error_frame("protocol",
+                             "unknown opcode " + std::to_string(frame.opcode),
+                             max));
       return !banned;  // a tripped ban disconnects immediately
     }
     const std::size_t soft_max = config.max_request_bytes == 0
@@ -315,38 +286,33 @@ struct SlicerServer::Impl {
                                      : config.max_request_bytes;
     if (frame.payload.size() > soft_max) {
       const bool banned = record_misbehavior(tenant, kOversizedPoints);
-      conn.stage_reply(
-          conn.next_seq++,
-          error_frame("protocol",
-                      "oversized payload: " +
-                          std::to_string(frame.payload.size()) + " > " +
-                          std::to_string(soft_max) + " bytes",
-                      max));
+      send(conn, error_frame("protocol",
+                             "oversized payload: " +
+                                 std::to_string(frame.payload.size()) + " > " +
+                                 std::to_string(soft_max) + " bytes",
+                             max));
       return !banned;
     }
     switch (admit(tenant)) {
       case Admission::kBanned:
         server_metrics().tenant_banned_rejects.add();
-        conn.stage_reply(conn.next_seq++,
-                         error_frame("banned", "tenant is banned", max));
+        send(conn, error_frame("banned", "tenant is banned", max));
         return false;
       case Admission::kThrottle:
         // The connection stays open: throttling is a retryable condition
         // the client answers with backoff, not a protocol violation.
         server_metrics().tenant_throttled.add();
-        conn.stage_reply(
-            conn.next_seq++,
-            error_frame("throttled", "tenant rate limit exceeded", max));
+        send(conn,
+             error_frame("throttled", "tenant rate limit exceeded", max));
         return true;
       case Admission::kAdmit:
         break;
     }
 
-    const std::uint64_t seq = conn.next_seq++;
     server_metrics().requests_dispatched.add();
     server_metrics().dispatch_inflight.add();
     const auto start = std::chrono::steady_clock::now();
-    conn.stage_reply(seq, handle_request(tenant, frame));
+    const Bytes reply = handle_request(tenant, frame);
     server_metrics().dispatch_inflight.sub();
     if (metrics::enabled()) {
       const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -355,13 +321,26 @@ struct SlicerServer::Impl {
       server_metrics().request_ns.record(
           ns < 0 ? 0 : static_cast<std::uint64_t>(ns));
     }
+    send(conn, reply);
     return true;
   }
 
-  // --- connection threads -------------------------------------------------
+  // --- connection thread --------------------------------------------------
+
+  /// Sends one reply frame, through the frame-tamper hook when one is set.
+  /// Throws NetError on a send failure or timeout; the reader then closes.
+  void send(Connection& conn, const Bytes& frame) {
+    if (tamper) {
+      for (const Bytes& out : tamper(frame)) conn.sock.send_all(out);
+    } else {
+      conn.sock.send_all(frame);
+    }
+    server_metrics().frames_sent.add();
+  }
 
   void reader_loop(std::shared_ptr<Connection> conn) {
     conn->sock.set_recv_timeout(config.idle_timeout);
+    conn->sock.set_send_timeout(config.send_timeout);
     FrameDecoder decoder(config.max_frame_bytes);
     bool keep_going = true;
     try {
@@ -383,49 +362,15 @@ struct SlicerServer::Impl {
       server_metrics().decode_errors.add();
       if (conn->tenant != nullptr)
         record_misbehavior(*conn->tenant, kMalformedPoints);
-      conn->stage_reply(conn->next_seq++,
-                        error_frame("decode", e.what(), config.max_frame_bytes));
-    } catch (const NetError&) {
-      // Idle timeout or transport failure: nothing sensible to send.
-    }
-    {
-      std::lock_guard lock(conn->mu);
-      conn->reads_done = true;
-    }
-    conn->cv.notify_all();
-  }
-
-  void writer_loop(std::shared_ptr<Connection> conn) {
-    conn->sock.set_send_timeout(config.send_timeout);
-    for (;;) {
-      Bytes frame;
-      {
-        std::unique_lock lock(conn->mu);
-        conn->cv.wait(lock, [&] {
-          return conn->aborted || conn->staged.count(conn->next_to_send) != 0 ||
-                 (conn->reads_done && conn->staged.empty());
-        });
-        if (conn->aborted) break;
-        const auto it = conn->staged.find(conn->next_to_send);
-        if (it == conn->staged.end()) break;  // drained and reader done
-        frame = std::move(it->second);
-        conn->staged.erase(it);
-        ++conn->next_to_send;
-      }
       try {
-        if (tamper) {
-          for (const Bytes& out : tamper(frame)) conn->sock.send_all(out);
-        } else {
-          conn->sock.send_all(frame);
-        }
-        server_metrics().frames_sent.add();
+        send(*conn, error_frame("decode", e.what(), config.max_frame_bytes));
       } catch (const NetError&) {
-        std::lock_guard lock(conn->mu);
-        conn->aborted = true;
-        break;
+        // The peer is gone too; close all the same.
       }
+    } catch (const NetError&) {
+      // Idle timeout, send timeout or transport failure: close.
     }
-    // Unblock the reader if it is still parked in recv (send failed first).
+    // The peer sees EOF right after the last reply.
     conn->sock.shutdown_both();
     conn->finished.store(true);
   }
@@ -436,14 +381,8 @@ struct SlicerServer::Impl {
     std::lock_guard lock(conns_mu);
     for (auto it = conns.begin(); it != conns.end();) {
       Connection& conn = *it->second;
-      bool done = conn.finished.load();
-      if (done) {
-        std::lock_guard cl(conn.mu);
-        done = conn.reads_done;
-      }
-      if (done) {
+      if (conn.finished.load()) {
         if (conn.reader.joinable()) conn.reader.join();
-        if (conn.writer.joinable()) conn.writer.join();
         it = conns.erase(it);
         server_metrics().active_connections.sub();
       } else {
@@ -482,7 +421,6 @@ struct SlicerServer::Impl {
         conns.emplace(conn->id, conn);
       }
       conn->reader = std::thread([this, conn] { reader_loop(conn); });
-      conn->writer = std::thread([this, conn] { writer_loop(conn); });
     }
   }
 };
@@ -533,21 +471,15 @@ void SlicerServer::stop() {
   impl_->stopping.store(true);
   if (impl_->acceptor.joinable()) impl_->acceptor.join();
 
-  // Unblock and join every reader first (recv returns 0 after shutdown).
-  // A reader returns only after its running handler has staged its reply,
-  // so once readers are gone no handler touches a connection or tenant.
+  // Unblock every reader (a blocked recv returns 0 and a blocked send
+  // fails after shutdown), then join it. A reader returns only after its
+  // running handler has finished, so once readers are gone no handler
+  // touches a connection or tenant.
   {
     std::lock_guard lock(impl_->conns_mu);
     for (auto& [id, conn] : impl_->conns) conn->sock.shutdown_both();
-    for (auto& [id, conn] : impl_->conns)
-      if (conn->reader.joinable()) conn->reader.join();
-  }
-  // Writers: drain staged replies, then exit via the reads_done condition.
-  {
-    std::lock_guard lock(impl_->conns_mu);
     for (auto& [id, conn] : impl_->conns) {
-      conn->cv.notify_all();
-      if (conn->writer.joinable()) conn->writer.join();
+      if (conn->reader.joinable()) conn->reader.join();
       server_metrics().active_connections.sub();
     }
     impl_->conns.clear();

@@ -8,20 +8,18 @@
 //                                  │  admission → handler (caller lane of
 //                                  │  its parallel_for; pool workers help)
 //                                  ▼
-//                     per-connection writer thread
-//                        (seq-ordered reply queue → send_all)
+//                               send_all (send_timeout) → next request
 //
-// Each request is decoded and handled on its connection's reader thread,
-// exactly as an in-process caller runs CloudServer on its own thread: the
-// reader is the caller lane of every parallel_for the handler issues, so
-// one query's per-token proofs get every process-wide ThreadPool worker as
-// a helper. Connections have their own readers, so an expensive request (a
-// bulk APPLY, a many-clause QUERY_PLAN) from one tenant never blocks
-// another tenant's reader. Replies are staged in a per-connection
-// sequence-ordered queue drained by a dedicated writer thread, so each
-// connection observes replies in request order, and a slow or stalled
-// verifier only backs up its own writer (kernel send timeout bounds the
-// stall).
+// Each connection has one thread. It decodes and handles each request,
+// exactly as an in-process caller runs CloudServer on its own thread, and
+// sends the reply itself before it reads the next request, so replies
+// leave in request order. The reader is the caller lane of every
+// parallel_for the handler issues, so one query's per-token proofs get
+// every process-wide ThreadPool worker as a helper. Connections have their
+// own readers, so an expensive request (a bulk APPLY, a many-clause
+// QUERY_PLAN) from one tenant never blocks another tenant's reader, and a
+// slow or stalled verifier only blocks its own reader (the kernel send
+// timeout bounds the stall).
 //
 // Tenancy: every connection starts with a HELLO frame naming a tenant; the
 // tenant's CloudServer is guarded by a shared_mutex — QUERY_PLAN searches
@@ -32,8 +30,9 @@
 // Backpressure and limits: at most `max_connections` live connections
 // (excess accepts get a kError/"busy" frame and an immediate close), so at
 // most that many requests are handled at once. A reader reads nothing
-// while its handler runs, so a flooding client is paused in its own socket
-// buffer (TCP backpressure) instead of ballooning a queue.
+// while its handler runs or its reply is being sent, so a flooding client,
+// or one that never reads its replies, is paused in its own socket buffers
+// (TCP backpressure) instead of ballooning a queue.
 //
 // Per-tenant abuse control: every tenant owns a token bucket
 // (tenant_qps / tenant_burst; the qps defaults to the SLICER_TENANT_QPS
@@ -81,8 +80,8 @@ struct ServerConfig {
   /// longer than this is closed.
   std::chrono::milliseconds idle_timeout{30'000};
 
-  /// Writer-side kernel send timeout: bounds how long a stalled peer can
-  /// pin its writer thread.
+  /// Kernel send timeout: a peer that reads none of a reply for this long
+  /// is disconnected, which bounds how long it can pin its reader thread.
   std::chrono::milliseconds send_timeout{10'000};
 
   /// Frame-size bound enforced on receive (forged lengths) and send.
@@ -154,9 +153,10 @@ class SlicerServer {
 
   /// Byzantine test hook: maps each outgoing reply frame to the list of
   /// frames actually written (empty = drop, >1 = duplicate/inject, mutated
-  /// bytes = corruption). Runs on writer threads with the frame already
-  /// sequence-ordered, so a stateful hook can also delay/reorder across a
-  /// connection's replies. Set before start(); pass nullptr to clear.
+  /// bytes = corruption). Runs on reader threads, once per reply in request
+  /// order, so a stateful hook can also delay/reorder across a connection's
+  /// replies; hooks on different connections run concurrently. Set before
+  /// start(); pass nullptr to clear.
   using FrameTamper = std::function<std::vector<Bytes>(const Bytes& frame)>;
   void set_frame_tamper(FrameTamper tamper);
 

@@ -1,12 +1,11 @@
 // Thin RAII wrappers over POSIX TCP sockets (loopback deployments).
 //
 // The net layer deliberately stays on blocking sockets with kernel
-// timeouts (SO_RCVTIMEO / SO_SNDTIMEO): every read sits on a dedicated
-// connection-reader thread and every write on that connection's writer
-// thread, so there is no event loop to starve — the OS timeout is the idle
-// and slow-peer bound. Accepting uses poll() with a short tick so the
-// acceptor can observe a stop flag without racing a close() on the
-// listening descriptor.
+// timeouts (SO_RCVTIMEO / SO_SNDTIMEO): each connection's reads and writes
+// sit on that connection's own thread, so there is no event loop to
+// starve — the OS timeout is the idle and slow-peer bound. Accepting uses
+// poll() with a short tick so the acceptor can observe a stop flag without
+// racing a close() on the listening descriptor.
 #pragma once
 
 #include <chrono>

@@ -1,13 +1,14 @@
 // Byzantine soak at the protocol boundary: a tampering hook on the
-// server's writer thread mutates serialized reply frames — frame-level
+// connection's reader thread mutates serialized reply frames — frame-level
 // corruption (dropped, truncated, oversized-length, unknown-opcode,
 // duplicated frames, replayed replies) and semantic payload tampering
 // (flipped/dropped/injected results, swapped/forged witnesses, empty
 // claims: the MaliciousCloud taxonomy, applied to decoded QUERY_PLAN reply
 // frames by the same core::tamper_replies MaliciousCloud runs). Across 20
 // (rig × adversary) seed combinations the client must detect every bite —
-// a transport/decode error or a failed Algorithm 5 verification — with
-// zero false accepts, and the benign cases (honest passthrough, reordered
+// a frame tamper by a transport/decode error or a failed Algorithm 5
+// verification, a semantic tamper by verification alone — with zero false
+// accepts, and the benign cases (honest passthrough, reordered
 // result lists) must verify and decrypt identically: zero false rejects.
 #include <gtest/gtest.h>
 
@@ -100,7 +101,7 @@ struct TamperState {
   std::map<WireTamper, int> bites;
 };
 
-/// The writer-thread hook: only kQueryPlanReply frames are tampered; the
+/// The reader-thread hook: only kQueryPlanReply frames are tampered; the
 /// handshake and APPLY path stay honest (the soak targets the read path).
 std::vector<Bytes> tamper_frame(TamperState& st, const Bytes& frame) {
   const Frame f = decode_frame(frame);
@@ -183,7 +184,12 @@ TEST(ByzantineWire, FullTaxonomyAcrossSeeds) {
     }
     ChannelConfig one_shot;
     one_shot.max_attempts = 1;
-    one_shot.recv_timeout = std::chrono::milliseconds(150);
+    // A dropped or truncated frame surfaces only as a receive timeout, so
+    // frame tampers read with a short one. Every other case keeps the
+    // default: a late honest reply is not a reject, and a late semantic
+    // tamper must still reach verification.
+    ChannelConfig frame_tamper_shot = one_shot;
+    frame_tamper_shot.recv_timeout = std::chrono::milliseconds(150);
     {
       SlicerClientChannel setup(server.port(), "soak");
       ASSERT_EQ(setup.apply(update), rig.owner->primes().size());
@@ -223,7 +229,9 @@ TEST(ByzantineWire, FullTaxonomyAcrossSeeds) {
           state->seed = seed;
           state->recorded.clear();
         }
-        SlicerClientChannel ch(server.port(), "soak", one_shot);
+        SlicerClientChannel ch(
+            server.port(), "soak",
+            tamper.frame == FrameTamper::kNone ? one_shot : frame_tamper_shot);
 
         // kDuplicateFrame poisons the NEXT read; kReplyReplay records the
         // first reply and replays it for the second query. Both need a
@@ -266,6 +274,13 @@ TEST(ByzantineWire, FullTaxonomyAcrossSeeds) {
           EXPECT_EQ(ids, honest_ids)
               << "benign tamper changed the result set: "
               << tamper_name(tamper);
+        } else if (tamper.frame == FrameTamper::kNone) {
+          // A semantic tamper arrives as a well-formed reply: verification
+          // itself must reject it.
+          EXPECT_FALSE(detected) << "semantic tamper failed in transport: "
+                                 << tamper_name(tamper) << " seed=" << seed;
+          EXPECT_FALSE(verified)
+              << "false accept: " << tamper_name(tamper) << " seed=" << seed;
         } else {
           EXPECT_TRUE(detected || !verified)
               << "false accept: " << tamper_name(tamper) << " seed=" << seed;

@@ -2,7 +2,8 @@
 // PING, APPLY, QUERY_PLAN) against a live SlicerServer, under a single-lane and a multi-lane thread pool,
 // plus the protocol-state machine (hello-first, duplicate hello, unknown
 // tenant, retired opcodes), connection limits, idle timeout + client reconnect, tenant
-// isolation, reply ordering under pipelining, and progress while every pool
+// isolation, reply ordering under pipelining, backpressure and the send
+// timeout against a peer that never reads, and progress while every pool
 // worker is busy.
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <mutex>
 #include <thread>
 
+#include "common/metrics.hpp"
 #include "common/serial.hpp"
 #include "common/thread_pool.hpp"
 #include "core/verify.hpp"
@@ -244,6 +246,120 @@ TEST(Loopback, PipelinedRepliesKeepRequestOrder) {
   const Frame last = raw.read_frame();
   ASSERT_EQ(static_cast<Op>(last.opcode), Op::kError);
   EXPECT_EQ(ErrorReply::deserialize(last.payload).code, "decode");
+}
+
+// A peer that pipelines requests from a helper thread and never reads a
+// reply. The helper blocks once the server stops reading; the destructor
+// shuts the socket down (unblocking it) and closes it.
+struct StalledPeer {
+  RawClient raw;
+  std::thread sender;
+
+  explicit StalledPeer(std::uint16_t port) : raw(port) {}
+  StalledPeer(const StalledPeer&) = delete;
+  StalledPeer& operator=(const StalledPeer&) = delete;
+  ~StalledPeer() {
+    raw.sock.shutdown_both();
+    if (sender.joinable()) sender.join();
+  }
+
+  void pipeline(Bytes frame, std::uint64_t count) {
+    sender = std::thread([this, frame = std::move(frame), count] {
+      try {
+        for (std::uint64_t i = 0; i < count; ++i) raw.sock.send_all(frame);
+      } catch (const NetError&) {
+        // The server closed the connection or the test shut it down.
+      }
+    });
+  }
+};
+
+/// Ingests 128 records and returns one QUERY_PLAN frame of 32 identical
+/// clauses that match most of them: a 15 KB request with an 88 KB reply.
+Bytes wide_plan_frame(Rig& rig) {
+  std::vector<Record> records;
+  for (std::uint64_t i = 0; i < 128; ++i)
+    records.push_back({i + 1, 16 + (i * 37) % 240});
+  rig.ingest(records);
+  QueryPlanRequest plan;
+  const auto tokens = rig.user->make_tokens(8, MatchCondition::kGreater);
+  for (int c = 0; c < 32; ++c)
+    plan.clauses.push_back({.aggregated = false, .tokens = tokens});
+  return encode_frame(static_cast<std::uint8_t>(Op::kQueryPlan),
+                      plan.serialize());
+}
+
+// Backpressure holds for replies too: the reader sends each reply itself,
+// so once the unread replies fill the socket buffers it blocks in send and
+// stops handling the peer's requests, instead of queueing their replies.
+TEST(Loopback, UnreadRepliesStopTheReader) {
+  metrics::ScopedMetrics metrics_on;
+  Rig rig = Rig::make(8, "net-unread-replies");
+  const Bytes request = wide_plan_frame(rig);
+  ServerConfig config;
+  config.send_timeout = std::chrono::seconds(60);  // never strikes here
+  SlicerServer server(config);
+  server.add_tenant("alpha", take_cloud(rig));
+  server.start();
+
+  const metrics::Counter& dispatched =
+      metrics::counter("net.server.requests_dispatched");
+  StalledPeer peer(server.port());
+  peer.raw.hello("alpha");
+  const std::uint64_t before = dispatched.value();
+  constexpr std::uint64_t kRequests = 400;
+  peer.pipeline(request, kRequests);
+
+  // Watch until the server has handled every request, or has handled some
+  // and then none for 500 ms.
+  using Clock = std::chrono::steady_clock;
+  const auto deadline = Clock::now() + std::chrono::seconds(30);
+  std::uint64_t handled = 0;
+  auto last_progress = Clock::now();
+  while (handled < kRequests && Clock::now() < deadline &&
+         (handled == 0 ||
+          Clock::now() - last_progress < std::chrono::milliseconds(500))) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const std::uint64_t now_handled = dispatched.value() - before;
+    if (now_handled != handled) {
+      handled = now_handled;
+      last_progress = Clock::now();
+    }
+  }
+  EXPECT_GT(handled, 0u);
+  EXPECT_LT(handled, kRequests)
+      << "the server handled requests whose replies nobody read";
+}
+
+// A peer that stops reading is disconnected once a reply has waited
+// send_timeout, and the tenant's other connections are served throughout.
+TEST(Loopback, SendTimeoutClosesAStalledPeer) {
+  Rig rig = Rig::make(8, "net-send-timeout");
+  const Bytes request = wide_plan_frame(rig);
+  ServerConfig config;
+  config.send_timeout = std::chrono::milliseconds(300);
+  SlicerServer server(config);
+  server.add_tenant("alpha", take_cloud(rig));
+  server.start();
+
+  SlicerClientChannel live(server.port(), "alpha");
+  live.ping();
+  StalledPeer peer(server.port());
+  peer.raw.hello("alpha");
+  EXPECT_EQ(server.connection_count(), 2u);
+  peer.pipeline(request, 400);
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (server.connection_count() > 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    live.ping();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(server.connection_count(), 1u)
+      << "the stalled peer was not disconnected";
+  live.ping();
+  EXPECT_EQ(live.stats().reconnects, 0u);
 }
 
 // A request runs on its connection's reader thread, which is the caller

@@ -2,7 +2,7 @@
 // disconnect-and-ban) plus server timeout/teardown edges: idle-timeout
 // striking mid-frame, stop() racing an inflight APPLY, and busy-rejection
 // while the connection table churns. Runs under `ctest -L net` so the TSan
-// job chases the reader/writer/pool-worker interleavings.
+// job chases the acceptor/reader/pool-worker interleavings.
 #include <gtest/gtest.h>
 
 #include <atomic>
