@@ -138,8 +138,7 @@ void ShardedAccumulator::keep_seeds(const Batch& batch) {
   kept_seeds_gauge().add(delta);
 }
 
-ShardedAccumulator::Batch ShardedAccumulator::insert(
-    std::span<const BigUint> xs) {
+void ShardedAccumulator::insert(std::span<const BigUint> xs) {
   // The sharded insert IS the accumulate step — it records the same
   // histogram the single accumulator's accumulate() fed, so the
   // phase-breakdown schema stays satisfied at every K.
@@ -149,8 +148,8 @@ ShardedAccumulator::Batch ShardedAccumulator::insert(
       metrics::counter("adscrypto.sharded.batches");
   const metrics::ScopedTimer timer(accumulate_ns);
   batches.add();
-  Batch batch = route(xs);
-  if (batch.empty) return batch;
+  const Batch batch = route(xs);
+  if (batch.empty) return;
   // Each touched shard raises its value by the routed product — independent
   // slots, so the shards update in parallel (product_tree nests on the pool).
   ThreadPool::instance().parallel_for(shards_.size(), [&](std::size_t s) {
@@ -160,19 +159,18 @@ ShardedAccumulator::Batch ShardedAccumulator::insert(
   });
   exponents_valid_ = false;
   keep_seeds(batch);
-  return batch;
 }
 
-ShardedAccumulator::Batch ShardedAccumulator::insert(
-    std::span<const BigUint> xs, const AccumulatorTrapdoor& trapdoor) {
+void ShardedAccumulator::insert(std::span<const BigUint> xs,
+                                const AccumulatorTrapdoor& trapdoor) {
   static metrics::Histogram& accumulate_ns =
       metrics::histogram("adscrypto.accumulator.accumulate_ns");
   static metrics::Counter& batches =
       metrics::counter("adscrypto.sharded.batches");
   const metrics::ScopedTimer timer(accumulate_ns);
   batches.add();
-  Batch batch = route(xs);
-  if (batch.empty) return batch;
+  const Batch batch = route(xs);
+  if (batch.empty) return;
   const BigUint phi = trapdoor.phi();
   if (!exponents_valid_) {
     // A public insert interleaved earlier; refold every shard's exponent
@@ -194,18 +192,16 @@ ShardedAccumulator::Batch ShardedAccumulator::insert(
     values_[s] = shards_[s].pow_generator(exponents_[s]);
   });
   keep_seeds(batch);
-  return batch;
 }
 
-ShardedAccumulator::Batch ShardedAccumulator::insert_with_values(
+void ShardedAccumulator::insert_with_values(
     std::span<const BigUint> xs, std::span<const BigUint> values_after) {
   if (values_after.size() != shards_.size())
     throw ProtocolError("shard value count mismatch in update");
-  Batch batch = route(xs);
+  const Batch batch = route(xs);
   values_.assign(values_after.begin(), values_after.end());
   exponents_valid_ = false;
   keep_seeds(batch);
-  return batch;
 }
 
 void ShardedAccumulator::rebuild(std::span<const BigUint> primes,

@@ -50,13 +50,6 @@ class ShardedAccumulator {
     std::uint32_t index = 0;
   };
 
-  /// What an insert changed: which shards gained primes.
-  struct Batch {
-    /// New primes routed per shard (arrival order within each shard).
-    std::vector<std::vector<bigint::BigUint>> routed;
-    bool empty = true;
-  };
-
   /// `shard_count` 0 resolves to default_shard_count() (the SLICER_SHARDS
   /// environment knob); `use_fixed_base` is forwarded to every shard.
   explicit ShardedAccumulator(AccumulatorParams params,
@@ -72,21 +65,21 @@ class ShardedAccumulator {
   /// Public (trapdoor-free) batch insert: routes `xs`, then raises each
   /// touched shard's value by its routed product — shard-parallel on the
   /// pool. Used by the verifying cloud on snapshot restore and by tests.
-  Batch insert(std::span<const bigint::BigUint> xs);
+  void insert(std::span<const bigint::BigUint> xs);
 
   /// Owner fast path: maintains one running exponent mod φ(n) per shard, so
   /// a batch costs |batch| modular 64-bit multiplies plus one fixed-base
   /// exponentiation per touched shard. The modular product is
   /// order-independent, so the running exponent equals a from-scratch fold
   /// of the shard's whole prime list — bit-identical to re-accumulating.
-  Batch insert(std::span<const bigint::BigUint> xs,
-               const AccumulatorTrapdoor& trapdoor);
+  void insert(std::span<const bigint::BigUint> xs,
+              const AccumulatorTrapdoor& trapdoor);
 
   /// Cloud trust path: routes `xs` and adopts the owner-published per-shard
   /// values verbatim instead of recomputing them. Throws ProtocolError when
   /// `values_after` does not carry exactly one value per shard.
-  Batch insert_with_values(std::span<const bigint::BigUint> xs,
-                           std::span<const bigint::BigUint> values_after);
+  void insert_with_values(std::span<const bigint::BigUint> xs,
+                          std::span<const bigint::BigUint> values_after);
 
   /// Snapshot-restore path: repopulates routing and prime state from a flat
   /// arrival-order prime list and recomputes every shard value — the
@@ -144,6 +137,13 @@ class ShardedAccumulator {
                      const bigint::BigUint& witness);
 
  private:
+  /// One insert's new primes, routed per shard (arrival order within each
+  /// shard).
+  struct Batch {
+    std::vector<std::vector<bigint::BigUint>> routed;
+    bool empty = true;
+  };
+
   /// Routes `xs` into per-shard lists and appends them to the shard prime
   /// lists and the position index.
   Batch route(std::span<const bigint::BigUint> xs);

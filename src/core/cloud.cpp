@@ -37,7 +37,6 @@ CloudServer::CloudServer(adscrypto::TrapdoorPublicKey trapdoor_pk,
       pcache_(std::make_unique<ProofCache>()),
       ac_(sharded_.digest()) {
   pcache_->capacity = proof_cache_capacity();
-  pcache_->shard_epochs.assign(sharded_.shard_count(), 0);
 }
 
 void CloudServer::apply(const UpdateOutput& update) {
@@ -45,47 +44,23 @@ void CloudServer::apply(const UpdateOutput& update) {
       metrics::histogram("core.cloud.apply_ns");
   static metrics::Counter& entries_applied =
       metrics::counter("core.cloud.entries_applied");
-  static metrics::Counter& refresh_skips =
-      metrics::counter("core.cloud.apply.refresh_skips");
   const metrics::ScopedTimer timer(apply_ns);
   const trace::Span span("cloud.apply");
 
+  // Check the owner-published values before anything changes, so a rejected
+  // update leaves the cloud as it was.
+  if (update.shard_values.size() != sharded_.shard_count())
+    throw ProtocolError("shard value count mismatch in update");
+  if (adscrypto::fold_shard_digests(update.shard_values) !=
+      update.accumulator_value)
+    throw ProtocolError("update digest is not the fold of its shard values");
+
   for (const auto& [l, d] : update.entries) index_.put(l, d);
   entries_applied.add(update.entries.size());
-
-  if (update.new_primes.empty()) {
-    // Pure data-entry update: the accumulator is untouched, so every cached
-    // witness is still exact — skip the insert and keep the shard epochs.
-    refresh_skips.add();
-    ac_ = update.accumulator_value;
-    return;
-  }
-
   primes_.insert(primes_.end(), update.new_primes.begin(),
                  update.new_primes.end());
-
-  // Adopt the owner-published per-shard values. Updates produced before
-  // sharding carry only the folded digest; that is only usable at K = 1,
-  // where the digest IS the single shard value.
-  std::vector<BigUint> legacy_values;
-  std::span<const BigUint> values_after = update.shard_values;
-  if (values_after.empty()) {
-    if (sharded_.shard_count() != 1)
-      throw ProtocolError("update lacks per-shard values for sharded cloud");
-    legacy_values.push_back(update.accumulator_value);
-    values_after = legacy_values;
-  }
-  adscrypto::ShardedAccumulator::Batch batch =
-      sharded_.insert_with_values(update.new_primes, values_after);
+  sharded_.insert_with_values(update.new_primes, update.shard_values);
   ac_ = update.accumulator_value;
-
-  // Shards that gained primes invalidate their cached proof-cache
-  // witnesses (and in-shard positions): advance their epochs. Entry-only
-  // updates never reach here — their result changes are caught by the
-  // digest guard on the next hit.
-  const std::lock_guard pc_lock(pcache_->mu);
-  for (std::size_t s = 0; s < batch.routed.size(); ++s)
-    if (!batch.routed[s].empty()) ++pcache_->shard_epochs[s];
 }
 
 std::vector<std::vector<Bytes>> CloudServer::plan_walks(
@@ -156,8 +131,6 @@ TokenReply CloudServer::prove(const SearchToken& token,
       metrics::histogram("core.cloud.prove_ns");
   static metrics::Counter& proof_hits =
       metrics::counter("core.cloud.proof_cache.hits");
-  static metrics::Counter& proof_prime_hits =
-      metrics::counter("core.cloud.proof_cache.prime_hits");
   static metrics::Counter& proof_misses =
       metrics::counter("core.cloud.proof_cache.misses");
   static metrics::Counter& proof_evictions =
@@ -165,78 +138,51 @@ TokenReply CloudServer::prove(const SearchToken& token,
   const metrics::ScopedTimer timer(prove_ns);
   const trace::Span span("cloud.prove");
 
-  // Canonical result-set digest (order-insensitive): always recomputed —
-  // it is the guard that makes cached primes sound to reuse.
+  // Canonical result-set digest (order-insensitive).
   const MultisetHash::Digest h = results_digest(results);
   TokenReply out{std::move(results), {}};
-  BigUint prime;
+  const BigUint prime = token_prime(token, h, prime_bits_);
 
   const bool cache_on = pcache_->capacity > 0;
-  Bytes key;
-  bool have_prime = false;
-  bool have_witness = false;
   if (cache_on) {
-    key = token.serialize();
     const std::lock_guard lock(pcache_->mu);
-    const auto it = pcache_->entries.find(key);
-    if (it != pcache_->entries.end() && it->second.digest == h) {
-      prime = it->second.prime;
-      have_prime = true;
-      if (it->second.epoch == pcache_->shard_epochs[it->second.pos.shard]) {
-        // No insert touched this shard since the entry was stored: the
-        // witness is still exact.
-        out.witness = it->second.witness;
-        have_witness = true;
-        proof_hits.add();
-        pcache_->lru.splice(pcache_->lru.begin(), pcache_->lru,
-                            it->second.lru_it);
-      } else {
-        proof_prime_hits.add();
-      }
-    } else {
-      proof_misses.add();
+    const auto it = pcache_->entries.find(prime);
+    // No prime entered the shard since the witness was computed: it is
+    // still exact.
+    if (it != pcache_->entries.end() &&
+        it->second.shard_primes ==
+            sharded_.shard_primes(it->second.shard).size()) {
+      proof_hits.add();
+      pcache_->lru.splice(pcache_->lru.begin(), pcache_->lru,
+                          it->second.lru_it);
+      out.witness = it->second.witness;
+      return out;
     }
+    proof_misses.add();
   }
-  if (have_witness) return out;
 
-  if (!have_prime) prime = token_prime(token, h, prime_bits_);
   const auto pos = sharded_.find(prime);
   if (!pos.has_value())
     throw ProtocolError("derived prime not in X: index out of sync");
   out.witness = sharded_.witness(*pos);
+  if (!cache_on) return out;
 
-  if (cache_on) {
-    const std::lock_guard lock(pcache_->mu);
-    const auto it = pcache_->entries.find(key);
-    if (it != pcache_->entries.end()) {
-      it->second.digest = h;
-      it->second.prime = prime;
-      it->second.pos = *pos;
-      it->second.epoch = pcache_->shard_epochs[pos->shard];
-      it->second.witness = out.witness;
-      pcache_->lru.splice(pcache_->lru.begin(), pcache_->lru,
-                          it->second.lru_it);
-    } else {
-      pcache_->lru.push_front(key);
-      pcache_->entries.emplace(
-          std::move(key),
-          ProofCache::Entry{h, prime, *pos, pcache_->shard_epochs[pos->shard],
-                            out.witness, pcache_->lru.begin()});
-      while (pcache_->entries.size() > pcache_->capacity) {
-        pcache_->entries.erase(pcache_->lru.back());
-        pcache_->lru.pop_back();
-        proof_evictions.add();
-      }
-    }
+  const std::size_t shard_primes = sharded_.shard_primes(pos->shard).size();
+  const std::lock_guard lock(pcache_->mu);
+  const auto [it, inserted] = pcache_->entries.try_emplace(prime);
+  ProofCache::Entry& entry = it->second;
+  if (inserted) {
+    pcache_->lru.push_front(prime);
+  } else {
+    pcache_->lru.splice(pcache_->lru.begin(), pcache_->lru, entry.lru_it);
+  }
+  entry = {pos->shard, shard_primes, out.witness, pcache_->lru.begin()};
+  while (pcache_->entries.size() > pcache_->capacity) {
+    pcache_->entries.erase(pcache_->lru.back());
+    pcache_->lru.pop_back();
+    proof_evictions.add();
   }
   return out;
-}
-
-void CloudServer::reset_proof_cache() {
-  const std::lock_guard lock(pcache_->mu);
-  pcache_->entries.clear();
-  pcache_->lru.clear();
-  for (std::uint64_t& epoch : pcache_->shard_epochs) ++epoch;
 }
 
 std::vector<TokenReply> CloudServer::search(

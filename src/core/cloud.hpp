@@ -10,10 +10,10 @@
 #pragma once
 
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "adscrypto/accumulator.hpp"
@@ -43,7 +43,9 @@ class CloudServer {
   /// Applies a Build/Insert delta from the data owner: new index entries,
   /// new primes, and the refreshed accumulator value(s). No witness work
   /// happens here: the next proof-cache miss on a touched shard brings its
-  /// witness frontier up to date.
+  /// witness frontier up to date. Throws ProtocolError, with the cloud
+  /// unchanged, unless the update carries one value per shard whose fold
+  /// is its accumulator value.
   void apply(const UpdateOutput& update);
 
   /// Full search: results + VO for every token.
@@ -79,7 +81,8 @@ class CloudServer {
   /// Restores a snapshot produced by serialize_state. Throws DecodeError on
   /// malformed input and ProtocolError when called on a non-empty cloud.
   /// The snapshot format is shard-agnostic (flat prime list + digest); a
-  /// K > 1 cloud recomputes its shard values from the primes on restore.
+  /// K > 1 cloud recomputes its shard values from the primes on restore and
+  /// throws DecodeError unless they fold to the stored digest.
   void restore_state(BytesView snapshot);
 
   const EncryptedIndex& index() const { return index_; }
@@ -96,34 +99,23 @@ class CloudServer {
   std::size_t prime_count() const { return primes_.size(); }
 
  private:
-  /// Hot-token proof cache: (serialized token) → everything prove derives
-  /// for it. An entry's prime/position/witness are reusable only under two
-  /// guards checked on every hit:
-  ///   * the freshly fetched result digest equals the stored one (the
-  ///     prime is H(token, digest), so a changed result set means a
-  ///     different prime — never serve the old one), and
-  ///   * for the witness/position, the entry's shard epoch equals the
-  ///     shard's current epoch. apply() bumps the epoch of every shard
-  ///     that receives new primes, which is exactly when cached witnesses
-  ///     (and in-shard indices) go stale; entry-only updates leave epochs
-  ///     alone because the digest guard already covers result changes.
-  /// Boxed so CloudServer stays movable.
+  /// Hot-token proof cache: prime → its witness. The prime x =
+  /// H(token, MSet-hash(results)) commits to the token and its result set,
+  /// and x's witness changes exactly when x's shard gains a prime. So an
+  /// entry records the shard's prime count at the time its witness was
+  /// computed, and a hit requires that count to still hold — the same rule
+  /// the witness frontier runs on. Boxed so CloudServer stays movable.
   struct ProofCache {
     struct Entry {
-      adscrypto::MultisetHash::Digest digest{};
-      bigint::BigUint prime;
-      adscrypto::ShardedAccumulator::Pos pos;
-      std::uint64_t epoch = 0;
+      std::uint32_t shard = 0;
+      std::size_t shard_primes = 0;
       bigint::BigUint witness;
-      std::list<Bytes>::iterator lru_it;
+      std::list<bigint::BigUint>::iterator lru_it;
     };
     mutable std::mutex mu;
-    std::size_t capacity = 0;  // 0 disables (SLICER_PROOF_CACHE knob)
-    std::list<Bytes> lru;      // front = most recently used key
-    std::map<Bytes, Entry> entries;
-    /// Per-shard batch generation (bumped by apply for shards that gained
-    /// primes; all bumped on restore_state).
-    std::vector<std::uint64_t> shard_epochs;
+    std::size_t capacity = 0;        // 0 disables (SLICER_PROOF_CACHE knob)
+    std::list<bigint::BigUint> lru;  // front = most recently used prime
+    std::unordered_map<bigint::BigUint, Entry> entries;
   };
 
   /// Per-query walk plan: for each token, the encoded trapdoor of every
@@ -138,10 +130,6 @@ class CloudServer {
   /// metrics — callers attribute the time).
   std::vector<Bytes> fetch_results_walk(const SearchToken& token,
                                         std::span<const Bytes> encodes) const;
-
-  /// Drops every proof-cache entry and advances all shard epochs (restore
-  /// replaces the accumulator state wholesale).
-  void reset_proof_cache();
 
   adscrypto::TrapdoorPermutation perm_;
   adscrypto::ShardedAccumulator sharded_;

@@ -31,9 +31,10 @@ struct UpdateOutput {
   std::vector<std::pair<Bytes, Bytes>> entries;   // new (l, d) index entries
   std::vector<bigint::BigUint> new_primes;        // X⁺
   bigint::BigUint accumulator_value;              // updated Ac (fold digest)
-  /// Per-shard accumulation values backing `accumulator_value`. One entry
-  /// per shard; a single entry equal to accumulator_value for K = 1. A
-  /// legacy consumer that only knows the folded digest can ignore this.
+  /// Per-shard accumulation values backing `accumulator_value`: one entry
+  /// per shard, folding to accumulator_value (a single entry equal to it
+  /// for K = 1). The cloud adopts them and rejects an update whose values
+  /// do not fold to its digest.
   std::vector<bigint::BigUint> shard_values;
 
   /// Serialized size of the index delta: Σ(|l| + |d|).
@@ -129,7 +130,9 @@ class DataOwner {
   Bytes serialize_state() const;
 
   /// Restores a snapshot produced by serialize_state. Throws DecodeError on
-  /// malformed input and ProtocolError when called on a non-empty owner.
+  /// malformed input and ProtocolError when called on a non-empty owner. A
+  /// K > 1 owner recomputes its shard values from the primes and throws
+  /// DecodeError unless they fold to the stored digest.
   void restore_state(BytesView snapshot);
 
  private:

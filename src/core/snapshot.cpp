@@ -214,13 +214,16 @@ void DataOwner::restore_state(BytesView snapshot) {
   if (sharded_.shard_count() == 1) {
     // Adopt the stored digest as the shard value; the running exponent is
     // refolded from the full prime list on the next insert — the exact
-    // arithmetic the unsharded owner performed every insert.
+    // arithmetic the unsharded owner performed every insert. The digest IS
+    // the shard value here, so there is nothing to compare it with.
     const std::vector<bigint::BigUint> values{ac_};
     sharded_.insert_with_values(primes_, values);
   } else {
     sharded_.rebuild(primes_, accumulator_trapdoor_.has_value()
                                   ? &*accumulator_trapdoor_
                                   : nullptr);
+    if (sharded_.digest() != ac_)
+      throw DecodeError("snapshot digest does not fold its shard values");
   }
 }
 
@@ -262,17 +265,18 @@ void CloudServer::restore_state(BytesView snapshot) {
   r.expect_end();
   if (sharded_.shard_count() == 1) {
     // Legacy layout: the digest IS the single shard value — adopt it
-    // verbatim, exactly as the unsharded cloud did (no recomputation).
+    // verbatim, exactly as the unsharded cloud did (no recomputation), so
+    // there is nothing to compare it with.
     const std::vector<bigint::BigUint> values{ac_};
     sharded_.insert_with_values(primes_, values);
   } else {
     // The snapshot format is shard-agnostic (flat prime list + folded
-    // digest); a sharded cloud recomputes its per-shard values publicly.
+    // digest); a sharded cloud recomputes its per-shard values publicly,
+    // and they must fold to the stored digest.
     sharded_.rebuild(primes_, nullptr);
+    if (sharded_.digest() != ac_)
+      throw DecodeError("snapshot digest does not fold its shard values");
   }
-  // The accumulator state was replaced wholesale: no cached proof (prime,
-  // position or witness) from before the restore may survive it.
-  reset_proof_cache();
 }
 
 }  // namespace slicer::core

@@ -5,29 +5,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string>
+#include "tests/common/scoped_env.hpp"
 
 namespace slicer::env {
 namespace {
 
-/// RAII setenv/unsetenv for one knob.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (value == nullptr) {
-      ::unsetenv(name);
-    } else {
-      ::setenv(name, value, /*overwrite=*/1);
-    }
-  }
-  ~ScopedEnv() { ::unsetenv(name_.c_str()); }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  std::string name_;
-};
+using slicer::testing::ScopedEnv;
 
 TEST(EnvKnob, UnsetUsesFallback) {
   ScopedEnv guard("SLICER_TEST_UNSET", nullptr);

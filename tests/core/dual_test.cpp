@@ -3,11 +3,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
 #include <string>
 
 #include "common/errors.hpp"
+#include "tests/common/scoped_env.hpp"
 
 namespace slicer::core {
 namespace {
@@ -166,15 +166,10 @@ TEST(Dual, BatchInsertAndMixedWorkload) {
 // dual construction works at any shard count (the knob is read when the
 // instances are built).
 TEST(Dual, QueriesVerifyWhenSharded) {
-  const char* prior = std::getenv("SLICER_SHARDS");
-  const std::string saved = prior == nullptr ? "" : prior;
-  ::setenv("SLICER_SHARDS", "4", /*overwrite=*/1);
-  DualSlicer dual = make_dual(8, "sharded");
-  if (prior == nullptr) {
-    ::unsetenv("SLICER_SHARDS");
-  } else {
-    ::setenv("SLICER_SHARDS", saved.c_str(), /*overwrite=*/1);
-  }
+  DualSlicer dual = [] {
+    const slicer::testing::ScopedEnv shards("SLICER_SHARDS", "4");
+    return make_dual(8, "sharded");
+  }();
 
   std::map<RecordId, std::uint64_t> live;  // the plaintext oracle
   for (RecordId id = 1; id <= 24; ++id) {

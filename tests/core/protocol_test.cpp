@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <string>
+#include <utility>
 
 #include "common/errors.hpp"
 #include "common/fault.hpp"
 #include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
 #include "core/verify.hpp"
+#include "tests/common/scoped_env.hpp"
 #include "tests/core/test_rig.hpp"
 
 namespace slicer::core {
@@ -310,9 +314,13 @@ const std::vector<Record> kServeRecords = {
     {1, 42}, {2, 42}, {3, 7},  {4, 99}, {5, 120}, {6, 42},
     {7, 13}, {8, 200}, {9, 55}, {10, 90}, {11, 33}, {12, 160}};
 
-TEST(CloudReadPath, ProofCacheHitsAndEpochInvalidation) {
+TEST(CloudReadPath, ProofCacheHitsAndPrimeCountInvalidation) {
   const metrics::ScopedMetrics metrics_on;
-  Rig rig = Rig::make(8, "agg-cache", {}, 2);
+  // Counts cache hits, so it pins the cache on whatever the suite runs at.
+  Rig rig = [] {
+    const slicer::testing::ScopedEnv cache("SLICER_PROOF_CACHE", "1024");
+    return Rig::make(8, "agg-cache", {}, 2);
+  }();
   rig.ingest(kServeRecords);
   const auto tokens = rig.user->make_tokens(40, MatchCondition::kGreater);
 
@@ -336,7 +344,140 @@ TEST(CloudReadPath, ProofCacheHitsAndEpochInvalidation) {
   const auto third = rig.cloud->search(tokens);
   EXPECT_TRUE(verify_query(rig.acc_params, rig.cloud->shard_values(), tokens,
                            third, rig.config.prime_bits))
-      << "epoch invalidation must force fresh witnesses after apply";
+      << "a shard that gained primes must get fresh witnesses after apply";
+}
+
+TEST(CloudReadPath, ProofCacheMatchesCacheOff) {
+  // Differential check of the proof cache: clouds at capacity 1024, 1 (every
+  // distinct prime evicts the last) and 0 (no cache) apply the same updates
+  // and answer the same plans, which must come back byte-identical and
+  // verify. The plans mix fresh tokens, tokens made before the last insert
+  // and a duplicate token within each clause.
+  const metrics::ScopedMetrics metrics_on;
+  const auto& hits = metrics::counter("core.cloud.proof_cache.hits");
+  const auto& evictions = metrics::counter("core.cloud.proof_cache.evictions");
+  const char* const capacities[] = {"1024", "1", "0"};
+  for (const std::size_t k : {1u, 4u, 8u}) {
+    Rig rig = Rig::make(8, "cache-diff", {}, k);
+    std::vector<CloudServer> clouds;
+    clouds.reserve(std::size(capacities));
+    for (const char* capacity : capacities) {
+      const slicer::testing::ScopedEnv cache("SLICER_PROOF_CACHE", capacity);
+      clouds.emplace_back(rig.td_pk, rig.acc_params, rig.config.prime_bits,
+                          k);
+    }
+    std::vector<std::uint64_t> cloud_hits(clouds.size());
+    std::vector<std::uint64_t> cloud_evictions(clouds.size());
+
+    crypto::Drbg rng(str_bytes("cache-diff-" + std::to_string(k)));
+    std::vector<std::uint64_t> values;  // every value inserted so far
+    RecordId next_id = 1;
+    // Each batch adds records under new values and under values that
+    // already hold results.
+    const auto insert = [&](std::size_t n) {
+      std::vector<Record> batch;
+      for (std::size_t i = 0; i < n; ++i) {
+        std::uint64_t value = rng.uniform(256);
+        if (i % 2 == 1 && !values.empty()) {
+          value = values[rng.uniform(values.size())];
+        } else {
+          while (std::find(values.begin(), values.end(), value) !=
+                 values.end())
+            value = rng.uniform(256);
+        }
+        values.push_back(value);
+        batch.push_back({next_id++, value});
+      }
+      const UpdateOutput update = rig.owner->insert(batch);
+      for (CloudServer& cloud : clouds) cloud.apply(update);
+      rig.user->refresh(rig.owner->export_user_state());
+    };
+
+    insert(12);
+    std::vector<SearchToken> stale;   // made before the last insert
+    std::vector<SearchToken> recent;  // made since
+    for (std::size_t round = 0; round < 9; ++round) {
+      if (round % 3 == 2) {
+        insert(2 + rng.uniform(3));
+        stale.insert(stale.end(), recent.begin(), recent.end());
+        recent.clear();
+      }
+      std::vector<ClauseRequest> requests(2);
+      for (ClauseRequest& request : requests) {
+        const MatchCondition conditions[] = {MatchCondition::kGreater,
+                                             MatchCondition::kLess,
+                                             MatchCondition::kEqual};
+        request.tokens = rig.user->make_tokens(
+            values[rng.uniform(values.size())],
+            conditions[rng.uniform(std::size(conditions))]);
+        recent.insert(recent.end(), request.tokens.begin(),
+                      request.tokens.end());
+        for (std::size_t i = 0; i < 2 && !stale.empty(); ++i)
+          request.tokens.push_back(stale[rng.uniform(stale.size())]);
+        if (!request.tokens.empty())
+          request.tokens.push_back(
+              request.tokens[rng.uniform(request.tokens.size())]);
+      }
+
+      std::vector<std::vector<ClauseReply>> replies;
+      for (std::size_t c = 0; c < clouds.size(); ++c) {
+        const std::uint64_t hits0 = hits.value();
+        const std::uint64_t evictions0 = evictions.value();
+        replies.push_back(clouds[c].search_plan(requests));
+        cloud_hits[c] += hits.value() - hits0;
+        cloud_evictions[c] += evictions.value() - evictions0;
+        EXPECT_TRUE(verify_plan(rig.acc_params, clouds[c].shard_values(),
+                                requests, replies.back(),
+                                rig.config.prime_bits)
+                        .verified)
+            << "k=" << k << " capacity=" << capacities[c]
+            << " round=" << round;
+      }
+      EXPECT_EQ(replies[1], replies[0]) << "k=" << k << " round=" << round;
+      EXPECT_EQ(replies[2], replies[0]) << "k=" << k << " round=" << round;
+    }
+    EXPECT_GT(cloud_hits[0], 0u) << "k=" << k;
+    EXPECT_GT(cloud_evictions[1], 0u) << "k=" << k;
+    EXPECT_EQ(cloud_hits[2] + cloud_evictions[2], 0u) << "k=" << k;
+  }
+}
+
+TEST(CloudReadPath, RejectedApplyLeavesCloudUnchanged) {
+  // An update is checked whole before the cloud adopts any of it: a wrong
+  // shard-value count or a digest that is not the fold of its shard values
+  // throws, with the index, the prime list and the digest as they were.
+  for (const std::size_t k : {1u, 4u}) {
+    Rig rig = Rig::make(8, "apply-reject", {}, k);
+    rig.ingest(kServeRecords);
+    const UpdateOutput update =
+        rig.owner->insert(std::vector<Record>{{50, 42}, {51, 17}, {52, 250}});
+    const Bytes state_before = rig.cloud->serialize_state();
+    const std::size_t primes_before = rig.cloud->prime_count();
+
+    UpdateOutput too_many = update;
+    too_many.shard_values.push_back(too_many.shard_values.back());
+    UpdateOutput too_few = update;
+    too_few.shard_values.pop_back();
+    UpdateOutput flipped = update;
+    flipped.accumulator_value =
+        flipped.accumulator_value + bigint::BigUint(1);
+    for (const auto& [name, bad] :
+         {std::pair{"too many values", &too_many},
+          std::pair{"too few values", &too_few},
+          std::pair{"flipped digest", &flipped}}) {
+      EXPECT_THROW(rig.cloud->apply(*bad), ProtocolError)
+          << "k=" << k << " " << name;
+      EXPECT_EQ(rig.cloud->serialize_state(), state_before)
+          << "k=" << k << " " << name;
+      EXPECT_EQ(rig.cloud->prime_count(), primes_before)
+          << "k=" << k << " " << name;
+    }
+
+    // The honest update still applies on top, and queries verify.
+    rig.cloud->apply(update);
+    rig.user->refresh(rig.owner->export_user_state());
+    EXPECT_TRUE(rig.query(42, MatchCondition::kEqual).verified) << "k=" << k;
+  }
 }
 
 TEST(CloudReadPath, RestoredCloudServesFreshProofs) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/errors.hpp"
 #include "tests/core/test_rig.hpp"
 
@@ -134,6 +136,48 @@ TEST(Snapshot, TruncatedSnapshotRejected) {
   snap.resize(snap.size() / 2);
   Rig fresh = Rig::make(8, "snap-trunc");
   EXPECT_THROW(fresh.owner->restore_state(snap), DecodeError);
+}
+
+// At K > 1 both roles recompute their shard values from the snapshot's
+// primes, so the stored digest is redundant: a snapshot whose digest is not
+// the fold of those values must be refused, not adopted.
+TEST(Snapshot, ShardedRestoreRejectsForeignDigest) {
+  // Flips the last byte of the digest's encoding inside `snapshot`.
+  const auto alter_digest = [](Bytes snapshot, const bigint::BigUint& digest) {
+    const Bytes encoded = digest.to_bytes_be();
+    const auto at = std::search(snapshot.begin(), snapshot.end(),
+                                encoded.begin(), encoded.end());
+    EXPECT_NE(at, snapshot.end());
+    at[static_cast<std::ptrdiff_t>(encoded.size()) - 1] ^= 0x01;
+    return snapshot;
+  };
+  for (const std::size_t k : {4u, 8u}) {
+    Rig rig = Rig::make(8, "snap-digest", {}, k);
+    rig.ingest({{1, 42}, {2, 7}, {3, 99}, {4, 200}, {5, 13}});
+    const bigint::BigUint& digest = rig.cloud->accumulator_value();
+    const Bytes owner_snap = rig.owner->serialize_state();
+    const Bytes cloud_snap = rig.cloud->serialize_state();
+    // The cloud's digest is its snapshot's last field.
+    const Bytes encoded = digest.to_bytes_be();
+    ASSERT_TRUE(std::equal(encoded.rbegin(), encoded.rend(),
+                           cloud_snap.rbegin()));
+
+    Rig foreign = Rig::make(8, "snap-digest", {}, k);
+    EXPECT_THROW(
+        foreign.owner->restore_state(alter_digest(owner_snap, digest)),
+        DecodeError)
+        << "k=" << k;
+    EXPECT_THROW(
+        foreign.cloud->restore_state(alter_digest(cloud_snap, digest)),
+        DecodeError)
+        << "k=" << k;
+
+    Rig honest = Rig::make(8, "snap-digest", {}, k);
+    honest.owner->restore_state(owner_snap);
+    honest.cloud->restore_state(cloud_snap);
+    EXPECT_EQ(honest.owner->accumulator_value(), digest);
+    EXPECT_EQ(honest.cloud->accumulator_value(), digest);
+  }
 }
 
 }  // namespace

@@ -16,6 +16,7 @@ namespace slicer::core::testing {
 
 struct Rig {
   Config config;
+  adscrypto::TrapdoorPublicKey td_pk;
   adscrypto::AccumulatorParams acc_params;
   std::optional<DataOwner> owner;
   std::optional<CloudServer> cloud;
@@ -34,6 +35,7 @@ struct Rig {
     crypto::Drbg rng(str_bytes("slicer-test-" + seed));
     auto [td_pk, td_sk] = adscrypto::TrapdoorPermutation::keygen(rng, 256);
     auto [acc_params, acc_td] = adscrypto::RsaAccumulator::setup(rng, 256);
+    rig.td_pk = td_pk;
     rig.acc_params = acc_params;
 
     rig.owner.emplace(rig.config, Keys::generate(rng), td_pk, td_sk,
