@@ -43,171 +43,93 @@ double ms_since(const std::chrono::steady_clock::time_point& start) {
       .count();
 }
 
-/// Taxonomy soak against a bench-scale world. Returns false on any false
-/// accept / false reject.
+/// Taxonomy soak against a bench-scale world, one row per taxonomy member:
+/// the per-reply taxonomy attacks a one-clause plan (v > pivot), and the
+/// honest control plus the clause-batch taxonomy attack a two-clause plan
+/// (v > pivot, v < pivot). Returns false on any false accept / false reject
+/// and on a row whose tamper never bit.
 bool soak_detection(BenchJson& json) {
   const std::size_t count = static_cast<std::size_t>(200 * scale());
   World& world = cached_world(8, count);
 
   constexpr int kSeeds = 5;
   bool ok = true;
-  std::uint64_t benign_cases = 0;
-  core::RecordId stale_id = 100'000;
 
-  const auto start = std::chrono::steady_clock::now();
-  for (const core::Tamper tamper : core::kAllTampers) {
-    std::uint64_t cases = 0, detected = 0;
-    double tamper_ms = 0;
-    for (int seed = 0; seed < kSeeds; ++seed) {
-      const auto tokens = world.user->make_tokens(
-          query_values(8, kSeeds, "soak")[static_cast<std::size_t>(seed)],
-          core::MatchCondition::kGreater);
-      core::MaliciousCloud mal(*world.cloud, tamper,
-                               static_cast<std::uint64_t>(seed));
-      if (tamper == core::Tamper::kStaleReplay) {
-        mal.record_stale(tokens);
-        std::vector<core::Record> extra = {{stale_id++, 42}};
-        world.cloud->apply(world.owner->insert(extra));
-      }
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto out = mal.search(tokens);
-      const bool accepted = core::verify_query(
-          world.acc_params, world.cloud->shard_values(), tokens,
-          out.replies, world.config.prime_bits);
-      tamper_ms += ms_since(t0);
-      if (!out.tampered) continue;
-      ++cases;
-      if (core::tamper_is_benign(tamper)) {
-        ++benign_cases;
-        if (accepted) ++detected;  // benign: "detected" = correctly accepted
-        else {
-          std::printf("FALSE REJECT: %s seed=%d\n",
-                      std::string(core::tamper_name(tamper)).c_str(), seed);
-          ok = false;
-        }
-      } else if (!accepted) {
-        ++detected;
-      } else {
-        std::printf("FALSE ACCEPT: %s seed=%d\n",
-                    std::string(core::tamper_name(tamper)).c_str(), seed);
-        ok = false;
-      }
-    }
-    const double rate = cases ? static_cast<double>(detected) /
-                                    static_cast<double>(cases)
-                              : 1.0;
-    std::printf("tamper %-22s cases %3llu  %s %.0f%%  (%.1f ms)\n",
-                std::string(core::tamper_name(tamper)).c_str(),
-                static_cast<unsigned long long>(cases),
-                core::tamper_is_benign(tamper) ? "accepted" : "detected",
-                rate * 100.0, tamper_ms);
-    json.add({std::string("detection/") + std::string(core::tamper_name(tamper)),
-              tamper_ms,
-              static_cast<std::int64_t>(cases),
-              {{"detection_rate", rate},
-               {"benign", core::tamper_is_benign(tamper) ? 1.0 : 0.0}}});
-  }
-  json.add({"detection/total", ms_since(start), kSeeds, {}});
-  (void)benign_cases;
-  return ok;
-}
-
-/// Plan-level taxonomy soak: the clause batch of a planner query is the
-/// attack surface (drop a clause reply, swap two clauses' replies, serve
-/// one clause from a pre-update recording). Each seed batches a gt/lt
-/// clause pair, both on the per-token read path. Returns false on any
-/// false accept (tampered batch verifying) or false reject (honest batch
-/// failing).
-bool soak_plan_detection(BenchJson& json) {
-  const std::size_t count = static_cast<std::size_t>(200 * scale());
-  World& world = cached_world(8, count);
-
-  constexpr int kSeeds = 5;
-  bool ok = true;
-  core::RecordId stale_id = 300'000;
-
-  const auto make_requests = [&world](std::uint64_t pivot) {
-    std::vector<core::ClauseRequest> requests(2);
-    requests[0].tokens =
-        world.user->make_tokens(pivot, core::MatchCondition::kGreater);
-    requests[1].tokens =
-        world.user->make_tokens(pivot, core::MatchCondition::kLess);
-    return requests;
+  struct Plan {
+    const char* tag;          // query_values tag for the pivots
+    std::size_t clauses;      // 1: v > pivot; 2: also v < pivot
+    core::RecordId stale_id;  // next id a stale-replay insert takes
   };
+  Plan single{"soak", 1, 100'000};
+  Plan pair{"plan-soak", 2, 300'000};
 
-  // Honest control: the plan verifier must accept every untampered batch.
-  {
-    std::uint64_t accepted = 0;
-    double honest_ms = 0;
-    for (int seed = 0; seed < kSeeds; ++seed) {
-      const auto requests = make_requests(
-          query_values(8, kSeeds, "plan-soak")[static_cast<std::size_t>(seed)]);
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto replies = world.cloud->search_plan(requests);
-      const auto pv =
-          core::verify_plan(world.acc_params, world.cloud->shard_values(),
-                            requests, replies, world.config.prime_bits);
-      honest_ms += ms_since(t0);
-      if (pv.verified) {
-        ++accepted;
-      } else {
-        std::printf("FALSE REJECT: plan_honest seed=%d\n", seed);
-        ok = false;
-      }
-    }
-    const double rate = static_cast<double>(accepted) / kSeeds;
-    std::printf("tamper %-22s cases %3d  accepted %.0f%%  (%.1f ms)\n",
-                "plan_honest", kSeeds, rate * 100.0, honest_ms);
-    json.add({"detection/plan_honest",
-              honest_ms,
-              kSeeds,
-              {{"detection_rate", rate}, {"benign", 1.0}}});
-  }
-
-  for (const core::Tamper tamper : core::kPlanTampers) {
+  const auto soak = [&](core::Tamper tamper, Plan& plan) {
+    const std::string row = tamper == core::Tamper::kNone
+                                ? "plan_honest"
+                                : std::string(core::tamper_name(tamper));
+    const bool benign = core::tamper_is_benign(tamper);
     std::uint64_t cases = 0, detected = 0;
     double tamper_ms = 0;
     for (int seed = 0; seed < kSeeds; ++seed) {
-      const std::uint64_t pivot =
-          query_values(8, kSeeds, "plan-soak")[static_cast<std::size_t>(seed)];
-      const auto requests = make_requests(pivot);
+      const std::uint64_t pivot = query_values(
+          8, kSeeds, plan.tag)[static_cast<std::size_t>(seed)];
+      std::vector<core::ClauseRequest> requests(plan.clauses);
+      requests[0].tokens =
+          world.user->make_tokens(pivot, core::MatchCondition::kGreater);
+      if (plan.clauses == 2)
+        requests[1].tokens =
+            world.user->make_tokens(pivot, core::MatchCondition::kLess);
       core::MaliciousCloud mal(*world.cloud, tamper,
                                static_cast<std::uint64_t>(seed));
-      if (tamper == core::Tamper::kStaleClauseVO) {
-        mal.record_stale_plan(requests);
-        // Insert a value adjacent to the pivot so at least one clause's
-        // honest reply genuinely changes and the recording goes stale.
-        std::vector<core::Record> extra = {{stale_id++, (pivot + 1) & 0xFF}};
+      if (tamper == core::Tamper::kStaleReplay ||
+          tamper == core::Tamper::kStaleClauseVO) {
+        mal.record_stale(requests);
+        // The two-clause plan inserts next to its pivot so at least one
+        // clause's honest reply genuinely changes.
+        const std::uint64_t value =
+            plan.clauses == 1 ? 42 : (pivot + 1) & 0xFF;
+        std::vector<core::Record> extra = {{plan.stale_id++, value}};
         world.cloud->apply(world.owner->insert(extra));
       }
       const auto t0 = std::chrono::steady_clock::now();
       const auto out = mal.search_plan(requests);
-      const auto pv =
+      const bool accepted =
           core::verify_plan(world.acc_params, world.cloud->shard_values(),
-                            requests, out.replies, world.config.prime_bits);
+                            requests, out.replies, world.config.prime_bits)
+              .verified;
       tamper_ms += ms_since(t0);
-      if (!out.tampered) continue;
+      // The honest control counts every seed; a tamper only where it bit.
+      if (!out.tampered && tamper != core::Tamper::kNone) continue;
       ++cases;
-      if (!pv.verified) {
-        ++detected;
+      if (accepted == benign) {
+        ++detected;  // benign: "detected" = correctly accepted
       } else {
-        std::printf("FALSE ACCEPT: %s seed=%d\n",
-                    std::string(core::tamper_name(tamper)).c_str(), seed);
+        std::printf("FALSE %s: %s seed=%d\n", benign ? "REJECT" : "ACCEPT",
+                    row.c_str(), seed);
         ok = false;
       }
     }
+    if (cases == 0) {
+      std::printf("NEVER BIT: %s\n", row.c_str());
+      ok = false;
+    }
     const double rate = cases ? static_cast<double>(detected) /
                                     static_cast<double>(cases)
-                              : 1.0;
-    std::printf("tamper %-22s cases %3llu  detected %.0f%%  (%.1f ms)\n",
-                std::string(core::tamper_name(tamper)).c_str(),
-                static_cast<unsigned long long>(cases), rate * 100.0,
-                tamper_ms);
-    json.add({std::string("detection/") + std::string(core::tamper_name(tamper)),
+                              : 0.0;
+    std::printf("tamper %-22s cases %3llu  %s %.0f%%  (%.1f ms)\n",
+                row.c_str(), static_cast<unsigned long long>(cases),
+                benign ? "accepted" : "detected", rate * 100.0, tamper_ms);
+    json.add({"detection/" + row,
               tamper_ms,
               static_cast<std::int64_t>(cases),
-              {{"detection_rate", rate}, {"benign", 0.0}}});
-  }
+              {{"detection_rate", rate}, {"benign", benign ? 1.0 : 0.0}}});
+  };
+
+  const auto start = std::chrono::steady_clock::now();
+  for (const core::Tamper tamper : core::kAllTampers) soak(tamper, single);
+  soak(core::Tamper::kNone, pair);
+  for (const core::Tamper tamper : core::kPlanTampers) soak(tamper, pair);
+  json.add({"detection/total", ms_since(start), kSeeds, {}});
   return ok;
 }
 
@@ -807,7 +729,6 @@ int main() {
   BenchJson json("robustness");
   bool ok = true;
   ok &= soak_detection(json);
-  ok &= soak_plan_detection(json);
   ok &= soak_chain(json);
   ok &= soak_reorg_dispute(json);
   ok &= soak_mempool_flood(json);

@@ -49,13 +49,8 @@ FinalityVerdict verify_with_finality(
   for (std::size_t attempt = 0; attempt <= max_retries; ++attempt) {
     const TrustedDigest digest = reader.read();
     const std::vector<core::TokenReply> replies = fetch_replies(digest);
-    // A contract that published only the folded `ac` is unsharded by
-    // construction (K=1 folds to the raw value), so it is the one shard.
-    const std::span<const bigint::BigUint> shard_values =
-        digest.shard_values.empty() ? std::span(&digest.ac, 1)
-                                    : std::span(digest.shard_values);
-    const bool ok =
-        core::verify_query(params, shard_values, tokens, replies, prime_bits);
+    const bool ok = core::verify_query(params, digest.shard_values, tokens,
+                                       replies, prime_bits);
     try {
       reader.revalidate(digest);
     } catch (const StaleDigest&) {

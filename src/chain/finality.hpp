@@ -44,7 +44,7 @@ class StaleDigest : public Error {
 /// A digest read frozen at a finality-buried canonical block.
 struct TrustedDigest {
   bigint::BigUint ac;                          ///< folded accumulator value
-  std::vector<bigint::BigUint> shard_values;   ///< per-shard values (may be empty)
+  std::vector<bigint::BigUint> shard_values;   ///< per-shard values (K >= 1)
   Bytes anchor_hash;                           ///< header hash of the anchor block
   std::uint64_t anchor_height = 0;             ///< its height
 };

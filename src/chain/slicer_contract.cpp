@@ -122,6 +122,7 @@ void SlicerContract::construct(const CallContext& ctx, BytesView ctor_data) {
   prime_bits_ = r.u32();
   r.expect_end();
   owner_ = ctx.sender;
+  shard_values_ = {ac_};
 
   // Storage initialization: owner slot + prime width + one 32-byte slot per
   // word of n, g and Ac.
@@ -169,9 +170,9 @@ Bytes SlicerContract::handle_update_ac(const CallContext& ctx, Reader& r) {
 
   ctx.gas->charge(s.sstore_reset, "ac_store");
   ctx.gas->charge(s.log_base + s.log_per_byte * 32, "event");
+  // The one-shard publication: K=1 folds to the raw value.
   ac_ = new_ac;
-  // A legacy single-value publication supersedes any sharded view.
-  shard_values_.clear();
+  shard_values_ = {new_ac};
   if (ctx.logs) ctx.logs->push_back("AcUpdated");
   return {};
 }
@@ -360,18 +361,13 @@ bool SlicerContract::verify_with_gas(
     if (!bigint::is_probable_prime_fixed(x)) return false;
 
     // (3) VerifyMem: one modexp precompile call witness^x mod n, against
-    // the prime's shard (an extra SLOAD fetches that shard's slot) when the
-    // owner published a sharded digest; against Ac itself otherwise.
+    // the prime's shard. With more than one shard an extra SLOAD fetches
+    // that shard's slot; the one shard of K=1 is Ac itself.
     ctx.gas->charge(modexp_gas(s, mod_len, prime_bits_, mod_len), "modexp");
-    if (shard_values_.size() > 1) {
-      ctx.gas->charge(s.sload, "shard_load");
-      if (!adscrypto::ShardedAccumulator::verify(params_, shard_values_, x,
-                                                 reply.witness))
-        return false;
-    } else {
-      if (!adscrypto::RsaAccumulator::verify(params_, ac_, x, reply.witness))
-        return false;
-    }
+    if (shard_values_.size() > 1) ctx.gas->charge(s.sload, "shard_load");
+    if (!adscrypto::ShardedAccumulator::verify(params_, shard_values_, x,
+                                               reply.witness))
+      return false;
   }
   return true;
 }

@@ -82,8 +82,9 @@ class SlicerContract : public Contract {
 
   // --- read-only views (free, like eth_call) ---
   const bigint::BigUint& stored_ac() const { return ac_; }
-  /// Per-shard accumulation values behind stored_ac(). Empty until the
-  /// owner publishes through UPDATE_SHARDS (legacy UPDATE_AC clears it).
+  /// Per-shard accumulation values behind stored_ac(): {Ac} after
+  /// deployment and after UPDATE_AC, the K published values after
+  /// UPDATE_SHARDS.
   const std::vector<bigint::BigUint>& stored_shard_values() const {
     return shard_values_;
   }
@@ -120,8 +121,8 @@ class SlicerContract : public Contract {
   Address owner_;
   adscrypto::AccumulatorParams params_;
   bigint::BigUint ac_;
-  /// Per-shard values when the owner publishes sharded digests; empty in
-  /// the legacy single-accumulator mode (verification then checks ac_).
+  /// Per-shard values; one shard (Ac itself) unless the owner published K
+  /// of them through UPDATE_SHARDS. Never empty.
   std::vector<bigint::BigUint> shard_values_;
   std::size_t prime_bits_ = 64;
   std::uint64_t next_query_id_ = 1;

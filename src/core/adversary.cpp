@@ -184,62 +184,34 @@ std::string_view tamper_name(Tamper t) {
   return "unknown";
 }
 
-bool MaliciousCloud::apply_tamper(std::vector<ClauseReply>& replies) const {
-  return tamper_replies(tamper_, replies, honest_.accumulator_params().modulus,
-                        honest_.accumulator_value(), rng_);
+void MaliciousCloud::record_stale(std::span<const ClauseRequest> requests) {
+  stale_ = honest_.search_plan(requests);
 }
 
-void MaliciousCloud::record_stale(std::span<const SearchToken> tokens) {
-  stale_ = honest_.search(tokens);
-}
-
-void MaliciousCloud::record_stale_plan(
-    std::span<const ClauseRequest> requests) {
-  stale_plan_ = honest_.search_plan(requests);
-}
-
-MaliciousCloud::Output MaliciousCloud::search(
-    std::span<const SearchToken> tokens) const {
-  Output out;
-  if (tamper_ == Tamper::kStaleReplay) {
-    out.replies = honest_.search(tokens);
-    // Replay only a genuinely stale recording of this query's shape.
-    if (stale_.size() != out.replies.size()) return out;
-    bool differs = false;
-    for (std::size_t i = 0; i < stale_.size(); ++i)
-      if (!(stale_[i].witness == out.replies[i].witness) ||
-          stale_[i].encrypted_results != out.replies[i].encrypted_results)
-        differs = true;
-    if (!differs) return out;
-    out.replies = stale_;
-    out.tampered = true;
-    return out;
-  }
-  std::vector<ClauseReply> batch(1);
-  batch[0].replies = honest_.search(tokens);
-  out.tampered = apply_tamper(batch);
-  out.replies = std::move(batch[0].replies);
-  return out;
-}
-
-MaliciousCloud::PlanOutput MaliciousCloud::search_plan(
+MaliciousCloud::Output MaliciousCloud::search_plan(
     std::span<const ClauseRequest> requests) const {
-  PlanOutput out;
+  Output out;
   out.replies = honest_.search_plan(requests);
-  if (tamper_ != Tamper::kStaleClauseVO) {
-    out.tampered = apply_tamper(out.replies);
+  if (tamper_ != Tamper::kStaleReplay && tamper_ != Tamper::kStaleClauseVO) {
+    out.tampered = tamper_replies(tamper_, out.replies,
+                                  honest_.accumulator_params().modulus,
+                                  honest_.accumulator_value(), rng_);
     return out;
   }
-  if (stale_plan_.size() != out.replies.size())
-    return out;  // record_stale_plan not run for this plan shape
-  // Serve ONE clause from the pre-update recording — the other clauses stay
-  // fresh, so only per-clause verification can catch it.
+  if (stale_.size() != out.replies.size())
+    return out;  // record_stale not run for this plan shape
   std::vector<std::size_t> changed;
   for (std::size_t i = 0; i < out.replies.size(); ++i)
-    if (!(stale_plan_[i] == out.replies[i])) changed.push_back(i);
+    if (!(stale_[i] == out.replies[i])) changed.push_back(i);
   if (changed.empty()) return out;  // nothing changed since recording
-  const std::size_t victim = changed[rng_(changed.size())];
-  out.replies[victim] = stale_plan_[victim];
+  if (tamper_ == Tamper::kStaleReplay) {
+    out.replies = stale_;
+  } else {
+    // Serve ONE clause from the recording — the other clauses stay fresh,
+    // so only per-clause verification can catch it.
+    const std::size_t victim = changed[rng_(changed.size())];
+    out.replies[victim] = stale_[victim];
+  }
   out.tampered = true;
   return out;
 }

@@ -1,7 +1,9 @@
 // Byzantine cloud for the robustness soak.
 //
 // MaliciousCloud wraps an honest CloudServer and applies one operation from
-// the tampering taxonomy to its replies before returning them. The soak
+// the tampering taxonomy to its clause-batch replies before returning them.
+// Its one entry point is search_plan, the QUERY_PLAN shape the wire
+// carries; a one-clause request is a plain search. The soak
 // (tests/core/adversary_soak_test.cpp, bench/robustness_soak.cpp) asserts
 // that Algorithm 5 verification rejects every *semantic* tamper and accepts
 // the benign ones:
@@ -9,7 +11,8 @@
 //   detected   kDropResult, kDuplicateResult, kForgeCiphertext,
 //              kTruncateCiphertext, kInjectResult, kEmptyClaim,
 //              kSwapWitnesses, kForgeWitness, kStaleReplay,
-//              kWrongAccumulator
+//              kWrongAccumulator, kDropClause, kSwapClauseReplies,
+//              kStaleClauseVO
 //   benign     kNone (honest passthrough) and kReorderResults — the
 //              multiset hash is order-invariant BY DESIGN, so reordering
 //              must still verify and decrypt to the same record set. It is
@@ -17,9 +20,14 @@
 //              reorderings would be overfitted to the cloud's traversal
 //              order, which the paper does not require.
 //
-// All choices (which token, which result, which byte) derive from a seed so
-// a failing soak case replays exactly. The reply-only operations live in
-// one function, tamper_replies(), which the wire-level soak
+// The two stale replays read one recording (record_stale) taken before an
+// owner update: kStaleReplay serves the whole recorded batch, kStaleClauseVO
+// serves one changed clause among fresh ones. Either bites only when some
+// clause changed since the recording.
+//
+// All choices (which clause, token, result, byte) derive from a seed so a
+// failing soak case replays exactly. The reply-only operations live in one
+// function, tamper_replies(), which the wire-level soak
 // (tests/net/byzantine_wire_test.cpp) applies to decoded QUERY_PLAN reply
 // frames — one taxonomy implementation for both boundaries.
 #pragma once
@@ -65,10 +73,9 @@ inline constexpr std::array<Tamper, 11> kAllTampers = {
     Tamper::kWrongAccumulator,
 };
 
-/// Taxonomy members that act on the clause batch of a plan search rather
-/// than on any single reply. Every other member of kAllTampers except
-/// kStaleReplay also applies on the plan path — search_plan routes it into
-/// one victim clause.
+/// Taxonomy members that act on the clause batch rather than on any single
+/// reply; the members of kAllTampers act on one seeded victim clause (or,
+/// for kStaleReplay, replay the whole recorded batch).
 inline constexpr std::array<Tamper, 3> kPlanTampers = {
     Tamper::kDropClause,
     Tamper::kSwapClauseReplies,
@@ -103,7 +110,7 @@ class TamperRng {
 /// kSwapClauseReplies act on the batch; every single-reply operation is
 /// routed into one seeded victim clause. Returns false — batch untouched —
 /// when the operation had nothing to act on, and always for kNone and the
-/// stale replays, which need a recording (MaliciousCloud::record_stale*).
+/// stale replays, which need a recording (MaliciousCloud::record_stale).
 /// MaliciousCloud and the wire soak (tampering decoded QUERY_PLAN reply
 /// frames) share this one function.
 bool tamper_replies(Tamper tamper, std::vector<ClauseReply>& replies,
@@ -114,7 +121,7 @@ bool tamper_replies(Tamper tamper, std::vector<ClauseReply>& replies,
 class MaliciousCloud {
  public:
   struct Output {
-    std::vector<TokenReply> replies;
+    std::vector<ClauseReply> replies;
     /// False when the configured tamper had nothing to act on (e.g. drop a
     /// result from an all-empty reply set): the replies are then honest and
     /// the soak skips the case rather than mis-counting a detection.
@@ -124,40 +131,22 @@ class MaliciousCloud {
   MaliciousCloud(const CloudServer& honest, Tamper tamper, std::uint64_t seed)
       : honest_(honest), tamper_(tamper), rng_(seed) {}
 
-  /// Honest search, then the tamper op. Deterministic in (seed, call#).
-  Output search(std::span<const SearchToken> tokens) const;
+  /// Honest search_plan, then the tamper op: tamper_replies, or for the
+  /// stale replays the recording. Deterministic in (seed, call#).
+  Output search_plan(std::span<const ClauseRequest> requests) const;
 
-  struct PlanOutput {
-    std::vector<ClauseReply> replies;
-    /// Same skip semantics as Output::tampered.
-    bool tampered = false;
-  };
-
-  /// Plan-search counterpart: honest search_plan, then tamper_replies (or,
-  /// for kStaleClauseVO, one clause served from the recording).
-  PlanOutput search_plan(std::span<const ClauseRequest> requests) const;
-
-  /// Captures the honest clause replies for `requests` now; a later
-  /// kStaleClauseVO search_plan swaps one genuinely-changed clause reply
-  /// for its recorded (stale) version. Call before the owner's next update.
-  void record_stale_plan(std::span<const ClauseRequest> requests);
-
-  /// Captures the honest replies for `tokens` now; a later kStaleReplay
-  /// search returns them verbatim. Call before the owner's next update so
-  /// the recorded accumulator/witness state is genuinely stale.
-  void record_stale(std::span<const SearchToken> tokens);
+  /// Captures the honest clause replies for `requests` now, for a later
+  /// kStaleReplay or kStaleClauseVO search_plan. Call before the owner's
+  /// next update so the recorded accumulator/witness state goes stale.
+  void record_stale(std::span<const ClauseRequest> requests);
 
   Tamper tamper() const { return tamper_; }
 
  private:
-  /// tamper_replies with this cloud's operation, public state and stream.
-  bool apply_tamper(std::vector<ClauseReply>& replies) const;
-
   const CloudServer& honest_;
   Tamper tamper_;
   mutable TamperRng rng_;
-  std::vector<TokenReply> stale_;
-  std::vector<ClauseReply> stale_plan_;
+  std::vector<ClauseReply> stale_;
 };
 
 }  // namespace slicer::core

@@ -441,7 +441,7 @@ TEST_F(ShardedContractTest, UpdateShardsRejectsOutOfRangeValues) {
   EXPECT_FALSE(chain_.receipt_of(empty_tx)->success);
 }
 
-TEST_F(ShardedContractTest, LegacyUpdateAcClearsShardView) {
+TEST_F(ShardedContractTest, UpdateAcPublishesOneShard) {
   ASSERT_TRUE(publish_shards().success);
   ASSERT_EQ(contract_->stored_shard_values().size(), kShards);
   const Bytes tx = chain_.submit(
@@ -449,7 +449,8 @@ TEST_F(ShardedContractTest, LegacyUpdateAcClearsShardView) {
                      encode_update_ac(bigint::BigUint(12345))));
   chain_.seal_block();
   ASSERT_TRUE(chain_.receipt_of(tx)->success);
-  EXPECT_TRUE(contract_->stored_shard_values().empty());
+  EXPECT_EQ(contract_->stored_shard_values(),
+            std::vector<bigint::BigUint>{bigint::BigUint(12345)});
   EXPECT_EQ(contract_->stored_ac(), bigint::BigUint(12345));
 }
 

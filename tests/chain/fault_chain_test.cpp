@@ -223,13 +223,15 @@ TEST_F(FaultChainTest, ContractRefundsEveryRejectedTaxonomyOperation) {
   core::RecordId next_id = 500;
 
   for (const core::Tamper tamper : core::kAllTampers) {
-    const auto tokens = rig_.user->make_tokens(40, MatchCondition::kGreater);
+    std::vector<core::ClauseRequest> requests(1);
+    requests[0].tokens = rig_.user->make_tokens(40, MatchCondition::kGreater);
+    const auto& tokens = requests[0].tokens;
     core::MaliciousCloud mal(*rig_.cloud, tamper, /*seed=*/0xFA11);
 
     if (tamper == core::Tamper::kStaleReplay) {
       // Stale replay needs an update in between — and the on-chain Ac must
       // follow the owner's, as in the real protocol.
-      mal.record_stale(tokens);
+      mal.record_stale(requests);
       rig_.ingest({{next_id++, 42}});
       TxSubmitter submitter(chain_);
       const Receipt ur = submitter.submit_and_wait(chain_.make_tx(
@@ -238,12 +240,13 @@ TEST_F(FaultChainTest, ContractRefundsEveryRejectedTaxonomyOperation) {
       ASSERT_TRUE(ur.success) << ur.revert_reason;
     }
 
-    const auto out = mal.search(tokens);
+    const auto out = mal.search_plan(requests);
     if (!out.tampered) continue;
 
     const std::uint64_t user_before = chain_.balance(user_addr_);
     const std::uint64_t cloud_before = chain_.balance(cloud_addr_);
-    const FlowOutcome flow = run_result_flow(tokens, out.replies, payment);
+    const FlowOutcome flow =
+        run_result_flow(tokens, out.replies[0].replies, payment);
 
     if (core::tamper_is_benign(tamper)) {
       EXPECT_TRUE(flow.verified) << core::tamper_name(tamper);

@@ -40,26 +40,31 @@ TEST(AdversarySoak, FullTaxonomyAcrossSeeds) {
       // yields several tokens per query (witness-swap needs >= 2).
       const std::uint64_t pivot = std::array<std::uint64_t, 5>{
           40, 12, 90, 54, 6}[static_cast<std::size_t>(adv) % 5];
-      const auto tokens = rig.user->make_tokens(pivot, MatchCondition::kGreater);
-      ASSERT_GE(tokens.size(), 2u);
+      // A one-clause plan: a plain search.
+      std::vector<ClauseRequest> requests(1);
+      requests[0].tokens =
+          rig.user->make_tokens(pivot, MatchCondition::kGreater);
+      ASSERT_GE(requests[0].tokens.size(), 2u);
 
       // Honest baseline for this combo: verification accepts, and its
       // decryption is the ground truth for the benign-tamper comparison.
-      const auto honest = rig.cloud->search(tokens);
-      ASSERT_TRUE(verify_query(rig.acc_params, rig.cloud->shard_values(),
-                               tokens, honest, rig.config.prime_bits));
-      auto honest_ids = rig.user->decrypt(honest);
+      const auto honest = rig.cloud->search_plan(requests);
+      ASSERT_TRUE(verify_plan(rig.acc_params, rig.cloud->shard_values(),
+                              requests, honest, rig.config.prime_bits)
+                      .verified);
+      auto honest_ids = rig.user->decrypt(honest[0].replies);
       std::sort(honest_ids.begin(), honest_ids.end());
 
       auto soak_case = [&](Tamper tamper, const MaliciousCloud::Output& out) {
         const bool accepted =
-            verify_query(rig.acc_params, rig.cloud->shard_values(),
-                         tokens, out.replies, rig.config.prime_bits);
+            verify_plan(rig.acc_params, rig.cloud->shard_values(), requests,
+                        out.replies, rig.config.prime_bits)
+                .verified;
         if (!out.tampered || tamper_is_benign(tamper)) {
           // False-reject check: honest or benign replies MUST verify.
           EXPECT_TRUE(accepted)
               << "false reject: " << tamper_name(tamper) << " seed=" << seed;
-          auto ids = rig.user->decrypt(out.replies);
+          auto ids = rig.user->decrypt(out.replies[0].replies);
           std::sort(ids.begin(), ids.end());
           EXPECT_EQ(ids, honest_ids)
               << "benign tamper changed the result set: "
@@ -74,12 +79,12 @@ TEST(AdversarySoak, FullTaxonomyAcrossSeeds) {
 
       {
         MaliciousCloud control(*rig.cloud, Tamper::kNone, seed);
-        soak_case(Tamper::kNone, control.search(tokens));
+        soak_case(Tamper::kNone, control.search_plan(requests));
       }
       for (const Tamper tamper : kAllTampers) {
         if (tamper == Tamper::kStaleReplay) continue;  // needs an update
         MaliciousCloud mal(*rig.cloud, tamper, seed);
-        soak_case(tamper, mal.search(tokens));
+        soak_case(tamper, mal.search_plan(requests));
       }
 
       // Stale replay last: record the honest replies, let the owner insert
@@ -89,18 +94,18 @@ TEST(AdversarySoak, FullTaxonomyAcrossSeeds) {
       // stale-witness — replies must fail.
       {
         MaliciousCloud mal(*rig.cloud, Tamper::kStaleReplay, seed);
-        mal.record_stale(tokens);
+        mal.record_stale(requests);
         rig.ingest({{next_id++, pivot + 1}});
-        const auto honest_after = rig.cloud->search(tokens);
-        ASSERT_TRUE(verify_query(rig.acc_params,
-                                 rig.cloud->shard_values(), tokens,
-                                 honest_after, rig.config.prime_bits))
+        const auto honest_after = rig.cloud->search_plan(requests);
+        ASSERT_TRUE(verify_plan(rig.acc_params, rig.cloud->shard_values(),
+                                requests, honest_after, rig.config.prime_bits)
+                        .verified)
             << "old tokens must stay verifiable after an update";
-        const auto out = mal.search(tokens);
+        const auto out = mal.search_plan(requests);
         ASSERT_TRUE(out.tampered);
-        EXPECT_FALSE(verify_query(rig.acc_params,
-                                  rig.cloud->shard_values(), tokens,
-                                  out.replies, rig.config.prime_bits))
+        EXPECT_FALSE(verify_plan(rig.acc_params, rig.cloud->shard_values(),
+                                 requests, out.replies, rig.config.prime_bits)
+                         .verified)
             << "false accept: stale_replay seed=" << seed;
         ++bite_count[Tamper::kStaleReplay];
       }
@@ -115,10 +120,10 @@ TEST(AdversarySoak, FullTaxonomyAcrossSeeds) {
         << tamper_name(tamper) << " rarely applied — soak lost coverage";
 }
 
-// Plan-level soak: the clause-batch taxonomy (drop / swap / stale clause)
-// plus every per-token tamper routed into one victim clause, across (rig
-// seed x adversary seed) combinations. verify_plan must reject every
-// semantic tamper and accept the benign ones.
+// Plan-level soak: the clause-batch taxonomy (drop / swap / stale clause),
+// the whole-batch stale replay, and every per-token tamper routed into one
+// victim clause, across (rig seed x adversary seed) combinations.
+// verify_plan must reject every semantic tamper and accept the benign ones.
 TEST(AdversarySoak, PlanTaxonomyAcrossSeeds) {
   const std::vector<std::string> rig_seeds = {"plan-soak-a", "plan-soak-b"};
   constexpr int kAdversarySeedsPerRig = 10;
@@ -150,7 +155,7 @@ TEST(AdversarySoak, PlanTaxonomyAcrossSeeds) {
                               requests, honest, rig.config.prime_bits)
                       .verified);
 
-      auto soak_case = [&](Tamper tamper, const MaliciousCloud::PlanOutput& out) {
+      auto soak_case = [&](Tamper tamper, const MaliciousCloud::Output& out) {
         const PlanVerification pv =
             verify_plan(rig.acc_params, rig.cloud->shard_values(), requests,
                         out.replies, rig.config.prime_bits);
@@ -182,17 +187,21 @@ TEST(AdversarySoak, PlanTaxonomyAcrossSeeds) {
         soak_case(tamper, mal.search_plan(requests));
       }
 
-      // Stale clause VO: record, update, replay one changed clause.
+      // The stale replays: record, update, then replay the whole batch
+      // (kStaleReplay) or one changed clause (kStaleClauseVO).
       {
-        MaliciousCloud mal(*rig.cloud, Tamper::kStaleClauseVO, seed);
-        mal.record_stale_plan(requests);
+        MaliciousCloud replay(*rig.cloud, Tamper::kStaleReplay, seed);
+        MaliciousCloud clause(*rig.cloud, Tamper::kStaleClauseVO, seed);
+        replay.record_stale(requests);
+        clause.record_stale(requests);
         rig.ingest({{next_id++, pivot + 1}});
         const auto honest_after = rig.cloud->search_plan(requests);
         ASSERT_TRUE(verify_plan(rig.acc_params, rig.cloud->shard_values(),
                                 requests, honest_after, rig.config.prime_bits)
                         .verified)
             << "old tokens must stay verifiable after an update";
-        soak_case(Tamper::kStaleClauseVO, mal.search_plan(requests));
+        soak_case(Tamper::kStaleReplay, replay.search_plan(requests));
+        soak_case(Tamper::kStaleClauseVO, clause.search_plan(requests));
       }
     }
   }
@@ -201,24 +210,29 @@ TEST(AdversarySoak, PlanTaxonomyAcrossSeeds) {
   for (const Tamper tamper : kPlanTampers)
     EXPECT_GE(bite_count[tamper], combos / 2)
         << tamper_name(tamper) << " rarely applied - soak lost coverage";
+  EXPECT_GE(bite_count[Tamper::kStaleReplay], combos / 2)
+      << "stale_replay rarely applied - soak lost coverage";
 }
 
 TEST(AdversarySoak, EmptyResultQueriesStillSoak) {
   Rig rig = Rig::make(8, "soak-empty");
   rig.ingest({{1, 10}, {2, 20}, {3, 30}});
   // No record matches: every reply has an empty result list.
-  const auto tokens = rig.user->make_tokens(250, MatchCondition::kGreater);
-  const auto honest = rig.cloud->search(tokens);
-  ASSERT_TRUE(verify_query(rig.acc_params, rig.cloud->shard_values(),
-                           tokens, honest, rig.config.prime_bits));
+  std::vector<ClauseRequest> requests(1);
+  requests[0].tokens = rig.user->make_tokens(250, MatchCondition::kGreater);
+  const auto honest = rig.cloud->search_plan(requests);
+  ASSERT_TRUE(verify_plan(rig.acc_params, rig.cloud->shard_values(), requests,
+                          honest, rig.config.prime_bits)
+                  .verified);
 
   for (const Tamper tamper : kAllTampers) {
     if (tamper == Tamper::kStaleReplay) continue;
     MaliciousCloud mal(*rig.cloud, tamper, /*seed=*/99);
-    const auto out = mal.search(tokens);
+    const auto out = mal.search_plan(requests);
     const bool accepted =
-        verify_query(rig.acc_params, rig.cloud->shard_values(), tokens,
-                     out.replies, rig.config.prime_bits);
+        verify_plan(rig.acc_params, rig.cloud->shard_values(), requests,
+                    out.replies, rig.config.prime_bits)
+            .verified;
     if (!out.tampered || tamper_is_benign(tamper)) {
       EXPECT_TRUE(accepted) << tamper_name(tamper);
     } else {

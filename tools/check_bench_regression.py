@@ -39,8 +39,8 @@ Structural checks ride along:
     baseline), so timing ratios are meaningless there. What must hold is
     row presence against the baseline plus the soak invariants the rows
     carry — zero false accepts / false rejects / settlement violations in
-    every reorg-dispute row, 100% detection in every non-benign taxonomy
-    row, exactly-once mempool-flood settlement, bit-identical recovery,
+    every reorg-dispute row, at least one case and 100% detection in every
+    taxonomy row, exactly-once mempool-flood settlement, bit-identical recovery,
     and the flooded victim tenant's p99 within its recorded bound.
 
 Usage: check_bench_regression.py BENCH_a.json [BENCH_b.json ...]
@@ -241,8 +241,10 @@ def check_robustness_structure(current_path, baseline_path):
                 failures.append(f"{name}: present in baseline but missing from run")
 
     for name, row in sorted(rows.items()):
-        if name.startswith("detection/") and "detection_rate" in row:
-            if float(row["detection_rate"]) < 1.0:
+        if name.startswith("detection/"):
+            if int(row.get("iterations", 0)) < 1:
+                failures.append(f"{name}: no cases (the tamper never bit)")
+            if "detection_rate" in row and float(row["detection_rate"]) < 1.0:
                 failures.append(
                     f"{name}: detection_rate {row['detection_rate']} < 1.0"
                 )
