@@ -6,6 +6,8 @@
 // one batched cloud round trip (one membership witness per token, as in
 // Algorithm 4), verifies every clause VO independently, and only then
 // combines the clause-verified result sets with set intersection/union.
+// An interval leaf is the union of its dyadic cover blocks, so the cloud
+// returns only the records in the interval.
 // The classic verbs (`equal`, `greater`, `less`, `between`,
 // `between_inclusive`) are one-line wrappers over the planner with
 // byte-identical results and verification detail.
@@ -29,11 +31,12 @@
 // own query construction.
 //
 // Clause-result cache ("combiner cache"): verified per-clause outcomes are
-// memoized under a key that includes the cloud's current accumulator
-// digest, so a hit is exactly as fresh as a re-fetch — any update changes
-// the digest and misses the cache — and a stale VO can never be replayed
-// out of it. Capacity comes from the SLICER_PLAN_CACHE knob (clauses,
-// default 256, 0 disables).
+// memoized under a key that names the whole clause (attribute, value, mc —
+// for a cover block, the block id, which fixes both its ends) and includes
+// the cloud's current accumulator digest, so a hit is exactly as fresh as a
+// re-fetch — any update changes the digest and misses the cache — and a
+// stale VO can never be replayed out of it. Capacity comes from the
+// SLICER_PLAN_CACHE knob (clauses, default 256, 0 disables).
 #pragma once
 
 #include <map>
@@ -95,8 +98,8 @@ class QueryClient {
   /// comment for strict_intervals.
   QueryResult between(std::uint64_t lo, std::uint64_t hi);
 
-  /// Records with lo <= value <= hi (inclusive); composed from the
-  /// exclusive interval plus the two endpoint equality searches.
+  /// Records with lo <= value <= hi (inclusive): one clause per block of
+  /// the interval's dyadic cover.
   QueryResult between_inclusive(std::uint64_t lo, std::uint64_t hi);
 
   /// Multi-attribute variants (§V-F) — full verb parity with the

@@ -1,5 +1,6 @@
 #include "core/cloud.hpp"
 
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <utility>
@@ -230,12 +231,20 @@ std::vector<ClauseReply> CloudServer::search_plan(
   for (const ClauseRequest& request : requests)
     if (request.aggregated)
       throw ProtocolError("search_plan: the aggregated read path is removed");
-  // Clauses run sequentially here: each search() call already fans its
-  // tokens out on the pool, so nesting another layer of parallelism would
-  // only oversubscribe it.
+  // Every token of the batch goes through one search() call, so a plan of
+  // one-token clauses still fans out across the pool; the replies are then
+  // split back by clause in submission order.
+  std::vector<SearchToken> tokens;
+  for (const ClauseRequest& request : requests)
+    tokens.insert(tokens.end(), request.tokens.begin(), request.tokens.end());
+  std::vector<TokenReply> replies = search(tokens);
+  auto next = replies.begin();
   for (const ClauseRequest& request : requests) {
+    const auto end = next + static_cast<std::ptrdiff_t>(request.tokens.size());
     ClauseReply reply;
-    reply.replies = search(request.tokens);
+    reply.replies.assign(std::make_move_iterator(next),
+                         std::make_move_iterator(end));
+    next = end;
     out.push_back(std::move(reply));
     clauses_served.add();
   }

@@ -53,9 +53,10 @@ class CloudServer {
 
   /// Batched plan search: answers every clause of a compiled query plan in
   /// one call (one wire round trip through net/) — replies[i] is search()
-  /// over requests[i]'s tokens. Per-clause VOs stay independent, so the
-  /// client verifies each clause on its own and combines only verified
-  /// sets. Throws ProtocolError on a clause requesting the removed
+  /// over requests[i]'s tokens, though all tokens of the batch share one
+  /// search() call and its pool fan-out. Per-clause VOs stay independent,
+  /// so the client verifies each clause on its own and combines only
+  /// verified sets. Throws ProtocolError on a clause requesting the removed
   /// aggregated read path.
   std::vector<ClauseReply> search_plan(
       std::span<const ClauseRequest> requests) const;

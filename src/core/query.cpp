@@ -1,11 +1,16 @@
 #include "core/query.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <limits>
 #include <map>
 #include <tuple>
 #include <utility>
 
 #include "common/env.hpp"
 #include "common/errors.hpp"
+#include "common/serial.hpp"
+#include "crypto/sha256.hpp"
 
 namespace slicer::core {
 
@@ -125,6 +130,40 @@ QueryOptions QueryOptions::defaults() {
   return o;
 }
 
+std::vector<PlanClause> dyadic_cover(const std::string& attribute,
+                                     std::uint64_t lo, std::uint64_t hi) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  if (lo > hi) return {};
+  // Greedy from the left: the widest block aligned at `start` that ends
+  // inside [lo, hi]. A block of 2^k values fits when hi - start >= 2^k - 1;
+  // the k = 64 block is the whole u64 domain. Each clause is keyed by a
+  // hash of (attribute, block id) for the emission order below.
+  std::vector<std::pair<Bytes, PlanClause>> keyed;
+  for (std::uint64_t start = lo;;) {
+    const std::uint64_t span = hi - start;
+    int k = start == 0 ? 64 : std::countr_zero(start);
+    while (k == 64 ? span != kMax : (std::uint64_t{1} << k) - 1 > span) --k;
+    const PlanClause clause =
+        k == 0 ? PlanClause{attribute, start, MatchCondition::kEqual}
+               : PlanClause{attribute, start + (std::uint64_t{1} << (k - 1)),
+                            MatchCondition::kBlock};
+    Writer w;
+    w.str(attribute);
+    w.u64(clause.value);
+    keyed.emplace_back(crypto::Sha256::digest(w.view()), clause);
+    if (k == 64 || (std::uint64_t{1} << k) - 1 == span) break;
+    start += std::uint64_t{1} << k;
+  }
+  // Hash order says nothing about where each block lies. Blocks of one
+  // cover are disjoint, so no two share an id.
+  std::sort(keyed.begin(), keyed.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
+  std::vector<PlanClause> out;
+  out.reserve(keyed.size());
+  for (auto& [key, clause] : keyed) out.push_back(std::move(clause));
+  return out;
+}
+
 namespace {
 
 /// compile_spec working state: the plan under construction plus the
@@ -161,6 +200,15 @@ struct Compiler {
     if (children.size() == 1) return children.front();
     plan.nodes.push_back(PlanNode{kind, 0, std::move(children)});
     return plan.nodes.size() - 1;
+  }
+
+  /// [lo, hi] as the OR of its dyadic cover clauses (lo <= hi).
+  std::size_t cover_node(const std::string& attribute, std::uint64_t lo,
+                         std::uint64_t hi) {
+    std::vector<std::size_t> kids;
+    for (const PlanClause& c : dyadic_cover(attribute, lo, hi))
+      kids.push_back(clause_node(c.attribute, c.value, c.mc));
+    return inner_node(PlanNode::Kind::kOr, std::move(kids));
   }
 
   /// The full domain over `attribute` as two verifiable clauses:
@@ -213,12 +261,7 @@ struct Compiler {
         const bool empty = s.hi <= s.lo || s.hi - s.lo < 2;
         if (!negate) {
           if (empty) return empty_node("between");
-          // (v > lo) AND (v < hi) — clause order fixes the token_detail
-          // order: the > lo tokens, then the < hi tokens.
-          std::vector<std::size_t> kids;
-          kids.push_back(clause_node(attribute, s.lo, MatchCondition::kGreater));
-          kids.push_back(clause_node(attribute, s.hi, MatchCondition::kLess));
-          return inner_node(PlanNode::Kind::kAnd, std::move(kids));
+          return cover_node(attribute, s.lo + 1, s.hi - 1);
         }
         // ¬empty is every record carrying the attribute; an empty interval
         // under strict_intervals only throws when queried positively.
@@ -234,23 +277,7 @@ struct Compiler {
       case QuerySpec::Op::kBetweenInclusive: {
         if (!negate) {
           if (s.lo > s.hi) return empty_node("between_inclusive");
-          if (s.lo == s.hi) {
-            return clause_node(attribute, s.lo, MatchCondition::kEqual);
-          }
-          // [lo, hi] = (lo, hi) OR {lo} OR {hi}; the open core is dropped
-          // when provably empty (hi = lo + 1). Clause order fixes the
-          // token_detail order: the open core, then = lo, then = hi.
-          std::vector<std::size_t> kids;
-          if (s.hi - s.lo >= 2) {
-            std::vector<std::size_t> core;
-            core.push_back(
-                clause_node(attribute, s.lo, MatchCondition::kGreater));
-            core.push_back(clause_node(attribute, s.hi, MatchCondition::kLess));
-            kids.push_back(inner_node(PlanNode::Kind::kAnd, std::move(core)));
-          }
-          kids.push_back(clause_node(attribute, s.lo, MatchCondition::kEqual));
-          kids.push_back(clause_node(attribute, s.hi, MatchCondition::kEqual));
-          return inner_node(PlanNode::Kind::kOr, std::move(kids));
+          return cover_node(attribute, s.lo, s.hi);
         }
         if (s.lo > s.hi) return domain_node(attribute);
         // ¬(lo <= v <= hi)  →  (v < lo) OR (v > hi)

@@ -11,7 +11,11 @@
 //
 // compile_spec lowers the tree into a ClausePlan: a deduplicated list of
 // primitive clauses (attribute, value, mc) plus an AND/OR evaluation tree
-// over clause indices. NOT never reaches the plan — it is pushed to the
+// over clause indices. A positive interval leaf becomes the OR of its
+// dyadic cover (dyadic_cover): at most 2(b-1) aligned blocks, each one
+// SORE ciphertext-tuple keyword (a kBlock clause) or one value (kEqual), so
+// the cloud returns exactly the answer instead of two half-lines to
+// intersect. NOT never reaches the plan — it is pushed to the
 // leaves by De Morgan and eliminated by interval complement (¬(v > x) is
 // (v < x) ∨ (v = x), and so on), so every clause the cloud sees is an
 // ordinary Algorithm-3 search and every combinator input is a
@@ -146,8 +150,9 @@ struct PlanNode {
 };
 
 /// A compiled query: deduplicated primitive clauses + evaluation tree.
-/// Clause order is the left-to-right leaf order of the QuerySpec, which is
-/// also the token_detail concatenation order of the result.
+/// Clause order is the left-to-right leaf order of the QuerySpec (within one
+/// interval leaf, dyadic_cover's hash order), which is also the
+/// token_detail concatenation order of the result.
 struct ClausePlan {
   std::vector<PlanClause> clauses;
   std::vector<PlanNode> nodes;
@@ -174,6 +179,15 @@ struct PlanContext {
 /// `ctx.aggregated`, and CryptoError on an empty interval under
 /// strict_intervals.
 ClausePlan compile_spec(const QuerySpec& spec, const PlanContext& ctx);
+
+/// The dyadic cover of [lo, hi] over `attribute`: the fewest aligned blocks
+/// whose union is exactly the interval (at most 2(b-1) inside a b-bit
+/// domain; empty when lo > hi). A one-value block is a kEqual clause; a
+/// block of 2^k values starting at s is a kBlock clause with value
+/// s + 2^(k-1). Clauses come in the order of a SHA-256 of (attribute, block
+/// id), not by position, so the clause order hides where each block lies.
+std::vector<PlanClause> dyadic_cover(const std::string& attribute,
+                                     std::uint64_t lo, std::uint64_t hi);
 
 /// Plaintext reference evaluation of a QuerySpec against one record —
 /// exactly the semantics compile_spec lowers to (attribute-scoped

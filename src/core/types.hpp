@@ -38,11 +38,13 @@ struct MultiRecord {
 };
 
 /// User-facing matching condition mc ∈ {"=", ">", "<"}: which records a
-/// query for value v returns.
+/// query for value v returns. kBlock is the planner's interval clause: v is
+/// the in-order id of an aligned dyadic block (see sore::block_keywords).
 enum class MatchCondition : std::uint8_t {
   kEqual = 0,    // records with value == v
   kGreater = 1,  // records with value > v
   kLess = 2,     // records with value < v
+  kBlock = 3,    // records in [v - h, v + h), h = the lowest set bit of v
 };
 
 /// Protocol parameters fixed at build time.

@@ -21,16 +21,25 @@ std::vector<SearchToken> DataUser::make_tokens(std::string_view attribute,
                                                MatchCondition mc) {
   const std::size_t b = state_.config.value_bits;
   std::vector<Bytes> keywords;
-  if (mc == MatchCondition::kEqual) {
-    keywords.push_back(sore::encode_value_keyword(value, b, attribute));
-  } else {
-    // SORE.Token(k, v, oc) finds answers a with "v oc a": records GREATER
-    // than v need oc = "<" and vice versa.
-    const sore::Order oc = (mc == MatchCondition::kGreater)
-                               ? sore::Order::kLess
-                               : sore::Order::kGreater;
-    keywords = sore::token_tuples(value, b, oc, attribute);
-    rng_.shuffle(keywords);  // conceal the matched bit index
+  switch (mc) {
+    case MatchCondition::kEqual:
+      keywords.push_back(sore::encode_value_keyword(value, b, attribute));
+      break;
+    case MatchCondition::kGreater:
+    case MatchCondition::kLess: {
+      // SORE.Token(k, v, oc) finds answers a with "v oc a": records GREATER
+      // than v need oc = "<" and vice versa.
+      const sore::Order oc = (mc == MatchCondition::kGreater)
+                                 ? sore::Order::kLess
+                                 : sore::Order::kGreater;
+      keywords = sore::token_tuples(value, b, oc, attribute);
+      rng_.shuffle(keywords);  // conceal the matched bit index
+      break;
+    }
+    case MatchCondition::kBlock:
+      keywords = sore::block_keywords(value, b, attribute);
+      rng_.shuffle(keywords);  // the whole domain's two halves
+      break;
   }
   return tokens_for_keywords(std::move(keywords));
 }

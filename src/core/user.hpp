@@ -5,7 +5,9 @@
 // query it slices the condition into b SORE token tuples; each tuple that
 // appears in T (i.e. has at least one matching record) becomes one search
 // token (t_j, j, G1, G2). Tuples are shuffled so the matched bit index is
-// concealed from the cloud.
+// concealed from the cloud. A planner block clause (MatchCondition::kBlock)
+// is the one ciphertext-tuple keyword its records share, so it yields at
+// most one token (two for the whole domain).
 #pragma once
 
 #include <span>
@@ -20,7 +22,8 @@ class DataUser {
   DataUser(UserState state, crypto::Drbg rng);
 
   /// Algorithm 3: tokens for the query (value, mc). Empty result means no
-  /// record can match (none of the slices were ever indexed).
+  /// record can match (none of the slices were ever indexed). Throws
+  /// CryptoError on a value outside the b-bit domain, block ids included.
   std::vector<SearchToken> make_tokens(std::uint64_t value, MatchCondition mc);
 
   /// Multi-attribute variant (§V-F).

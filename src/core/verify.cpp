@@ -17,11 +17,11 @@ namespace {
 /// For every (token, reply) pair it recomputes the multiset hash and prime
 /// representative (served from the process-wide prime cache when the owner
 /// or cloud already derived it), routes the prime to its shard and checks
-/// the witness — one accumulator verify per token, all under one Montgomery
-/// context. Every pair is checked (no early exit), so callers see exactly
-/// which tokens failed.
+/// the witness — one accumulator verify per token, all under the caller's
+/// Montgomery context for the accumulator modulus. Every pair is checked
+/// (no early exit), so callers see exactly which tokens failed.
 ClauseVerification verify_tokens(
-    const adscrypto::AccumulatorParams& params,
+    const bigint::Montgomery& mont,
     std::span<const bigint::BigUint> shard_values,
     std::span<const SearchToken> tokens, std::span<const TokenReply> replies,
     std::size_t prime_bits) {
@@ -39,7 +39,6 @@ ClauseVerification verify_tokens(
     return out;
   }
   out.tokens.reserve(tokens.size());
-  const bigint::Montgomery mont(params.modulus);
   for (std::size_t i = 0; i < tokens.size(); ++i) {
     const trace::Span token_span("verify.token");
     const auto start = std::chrono::steady_clock::now();
@@ -67,7 +66,7 @@ ClauseVerification verify_tokens(
 /// Verifies one ClauseReply against the ClauseRequest it answers (the
 /// per-clause check of verify_plan).
 ClauseVerification verify_clause_reply(
-    const adscrypto::AccumulatorParams& params,
+    const bigint::Montgomery& mont,
     std::span<const bigint::BigUint> shard_values, const ClauseRequest& request,
     const ClauseReply& reply, std::size_t prime_bits) {
   // Only the per-token read path exists: a clause asking for mode 1 (the
@@ -75,7 +74,7 @@ ClauseVerification verify_clause_reply(
   // before any crypto is spent.
   if (request.aggregated || !reply.query_reply.token_results.empty())
     return {};
-  return verify_tokens(params, shard_values, request.tokens, reply.replies,
+  return verify_tokens(mont, shard_values, request.tokens, reply.replies,
                        prime_bits);
 }
 
@@ -86,7 +85,8 @@ bool verify_query(const adscrypto::AccumulatorParams& params,
                   std::span<const SearchToken> tokens,
                   std::span<const TokenReply> replies,
                   std::size_t prime_bits) {
-  return verify_tokens(params, shard_values, tokens, replies, prime_bits)
+  const bigint::Montgomery mont(params.modulus);
+  return verify_tokens(mont, shard_values, tokens, replies, prime_bits)
       .verified;
 }
 
@@ -105,10 +105,11 @@ PlanVerification verify_plan(const adscrypto::AccumulatorParams& params,
   bool all = replies.size() == requests.size();
   const std::size_t n = std::min(requests.size(), replies.size());
   out.clauses.reserve(n);
+  // One Montgomery context for the whole plan, not one per clause.
+  const bigint::Montgomery mont(params.modulus);
   for (std::size_t i = 0; i < n; ++i) {
-    out.clauses.push_back(verify_clause_reply(params, shard_values,
-                                              requests[i], replies[i],
-                                              prime_bits));
+    out.clauses.push_back(verify_clause_reply(mont, shard_values, requests[i],
+                                              replies[i], prime_bits));
     if (out.clauses.back().verified)
       ++out.clauses_verified;
     else

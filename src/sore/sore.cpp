@@ -1,6 +1,7 @@
 #include "sore/sore.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/errors.hpp"
 #include "common/serial.hpp"
@@ -85,6 +86,17 @@ std::vector<Bytes> cipher_tuples(std::uint64_t value, std::size_t bits,
   for (std::size_t i = 1; i <= bits; ++i)
     out.push_back(encode_cipher_tuple(value, bits, i, attribute));
   return out;
+}
+
+std::vector<Bytes> block_keywords(std::uint64_t block, std::size_t bits,
+                                  std::string_view attribute) {
+  validate(block, bits);
+  if (block == 0) throw CryptoError("SORE: block id 0 names no block");
+  const auto k = static_cast<std::size_t>(std::countr_zero(block)) + 1;
+  if (k < bits) return {encode_cipher_tuple(block, bits, bits - k, attribute)};
+  // k == bits: block is 2^(bits-1), the whole domain.
+  return {encode_cipher_tuple(0, bits, 1, attribute),
+          encode_cipher_tuple(block, bits, 1, attribute)};
 }
 
 Bytes encode_value_keyword(std::uint64_t value, std::size_t bits,

@@ -60,6 +60,17 @@ std::vector<Bytes> token_tuples(std::uint64_t value, std::size_t bits,
 std::vector<Bytes> cipher_tuples(std::uint64_t value, std::size_t bits,
                                  std::string_view attribute = {});
 
+/// Keywords of one aligned dyadic block, named by its in-order id `block`:
+/// with h = 2^(k-1) the lowest set bit of `block`, the block is the 2^k
+/// values [block - h, block + h), i.e. every value sharing one (bits-k)-bit
+/// prefix. Those are exactly the values carrying the ciphertext tuple
+/// encode_cipher_tuple(block, bits, bits - k), the one keyword returned. The
+/// whole domain (k = bits) has no such tuple and is returned as its two
+/// level-1 halves. Throws CryptoError on block 0 or a block outside
+/// [0, 2^bits).
+std::vector<Bytes> block_keywords(std::uint64_t block, std::size_t bits,
+                                  std::string_view attribute = {});
+
 /// Canonical keyword encoding of the plain value itself (equality search).
 Bytes encode_value_keyword(std::uint64_t value, std::size_t bits,
                            std::string_view attribute = {});

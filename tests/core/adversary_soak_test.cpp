@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/query.hpp"
 #include "tests/core/test_rig.hpp"
 
 namespace slicer::core {
@@ -122,13 +123,15 @@ TEST(AdversarySoak, FullTaxonomyAcrossSeeds) {
 
 // Plan-level soak: the clause-batch taxonomy (drop / swap / stale clause),
 // the whole-batch stale replay, and every per-token tamper routed into one
-// victim clause, across (rig seed x adversary seed) combinations.
+// victim clause, across (rig seed x adversary seed) combinations, on two
+// plans: an order plan of many-token clauses, and the dyadic cover of an
+// interval, whose block clauses carry one token each.
 // verify_plan must reject every semantic tamper and accept the benign ones.
 TEST(AdversarySoak, PlanTaxonomyAcrossSeeds) {
   const std::vector<std::string> rig_seeds = {"plan-soak-a", "plan-soak-b"};
   constexpr int kAdversarySeedsPerRig = 10;
 
-  std::map<Tamper, int> bite_count;
+  std::array<std::map<Tamper, int>, 2> bite_count;  // per plan
   int combos = 0;
   RecordId next_id = 5000;
 
@@ -144,74 +147,97 @@ TEST(AdversarySoak, PlanTaxonomyAcrossSeeds) {
       const std::uint64_t pivot = std::array<std::uint64_t, 5>{
           40, 12, 90, 54, 6}[static_cast<std::size_t>(adv) % 5];
 
-      // A two-clause plan (v > pivot, v < pivot).
-      std::vector<ClauseRequest> requests(2);
-      requests[0].tokens =
+      // Plan 0: the two clauses (v > pivot, v < pivot). Plan 1: the cover
+      // of [7, 200], eight block clauses of at most one token each, six of
+      // them holding records.
+      std::array<std::vector<ClauseRequest>, 2> plans;
+      plans[0].resize(2);
+      plans[0][0].tokens =
           rig.user->make_tokens(pivot, MatchCondition::kGreater);
-      requests[1].tokens = rig.user->make_tokens(pivot, MatchCondition::kLess);
+      plans[0][1].tokens = rig.user->make_tokens(pivot, MatchCondition::kLess);
+      const ClausePlan cover =
+          compile_spec(Pred::value().between_inclusive(7, 200), PlanContext{});
+      ASSERT_EQ(cover.clauses.size(), 8u);
+      for (const PlanClause& c : cover.clauses) {
+        plans[1].push_back(ClauseRequest{
+            .tokens = rig.user->make_tokens(c.attribute, c.value, c.mc)});
+        ASSERT_LE(plans[1].back().tokens.size(), 1u);
+      }
 
-      const auto honest = rig.cloud->search_plan(requests);
-      ASSERT_TRUE(verify_plan(rig.acc_params, rig.cloud->shard_values(),
-                              requests, honest, rig.config.prime_bits)
-                      .verified);
-
-      auto soak_case = [&](Tamper tamper, const MaliciousCloud::Output& out) {
+      auto soak_case = [&](std::size_t p, Tamper tamper,
+                           const MaliciousCloud::Output& out) {
         const PlanVerification pv =
-            verify_plan(rig.acc_params, rig.cloud->shard_values(), requests,
+            verify_plan(rig.acc_params, rig.cloud->shard_values(), plans[p],
                         out.replies, rig.config.prime_bits);
         if (!out.tampered || tamper_is_benign(tamper)) {
-          EXPECT_TRUE(pv.verified)
-              << "false reject: " << tamper_name(tamper) << " seed=" << seed;
+          EXPECT_TRUE(pv.verified) << "false reject: " << tamper_name(tamper)
+                                   << " plan=" << p << " seed=" << seed;
         } else {
-          EXPECT_FALSE(pv.verified)
-              << "false accept: " << tamper_name(tamper) << " seed=" << seed;
+          EXPECT_FALSE(pv.verified) << "false accept: " << tamper_name(tamper)
+                                    << " plan=" << p << " seed=" << seed;
         }
-        if (out.tampered) ++bite_count[tamper];
+        if (out.tampered) ++bite_count[p][tamper];
       };
 
-      {
-        MaliciousCloud control(*rig.cloud, Tamper::kNone, seed);
-        soak_case(Tamper::kNone, control.search_plan(requests));
-      }
-      // The clause-batch taxonomy (stale-clause last: it needs an update).
-      for (const Tamper tamper : kPlanTampers) {
-        if (tamper == Tamper::kStaleClauseVO) continue;
-        MaliciousCloud mal(*rig.cloud, tamper, seed);
-        soak_case(tamper, mal.search_plan(requests));
-      }
-      // Every single-reply tamper, routed into one victim clause of the
-      // batch.
-      for (const Tamper tamper : kAllTampers) {
-        if (tamper == Tamper::kStaleReplay) continue;
-        MaliciousCloud mal(*rig.cloud, tamper, seed);
-        soak_case(tamper, mal.search_plan(requests));
+      for (std::size_t p = 0; p < plans.size(); ++p) {
+        const std::vector<ClauseRequest>& requests = plans[p];
+        const auto honest = rig.cloud->search_plan(requests);
+        ASSERT_TRUE(verify_plan(rig.acc_params, rig.cloud->shard_values(),
+                                requests, honest, rig.config.prime_bits)
+                        .verified);
+        {
+          MaliciousCloud control(*rig.cloud, Tamper::kNone, seed);
+          soak_case(p, Tamper::kNone, control.search_plan(requests));
+        }
+        // The clause-batch taxonomy (stale-clause below: it needs an
+        // update).
+        for (const Tamper tamper : kPlanTampers) {
+          if (tamper == Tamper::kStaleClauseVO) continue;
+          MaliciousCloud mal(*rig.cloud, tamper, seed);
+          soak_case(p, tamper, mal.search_plan(requests));
+        }
+        // Every single-reply tamper, routed into one victim clause of the
+        // batch.
+        for (const Tamper tamper : kAllTampers) {
+          if (tamper == Tamper::kStaleReplay) continue;
+          MaliciousCloud mal(*rig.cloud, tamper, seed);
+          soak_case(p, tamper, mal.search_plan(requests));
+        }
       }
 
-      // The stale replays: record, update, then replay the whole batch
-      // (kStaleReplay) or one changed clause (kStaleClauseVO).
-      {
-        MaliciousCloud replay(*rig.cloud, Tamper::kStaleReplay, seed);
-        MaliciousCloud clause(*rig.cloud, Tamper::kStaleClauseVO, seed);
-        replay.record_stale(requests);
-        clause.record_stale(requests);
-        rig.ingest({{next_id++, pivot + 1}});
+      // The stale replays: record both plans, update, then replay the
+      // whole batch (kStaleReplay) or one changed clause (kStaleClauseVO).
+      std::vector<MaliciousCloud> replays, clauses;
+      for (const auto& requests : plans) {
+        replays.emplace_back(*rig.cloud, Tamper::kStaleReplay, seed);
+        clauses.emplace_back(*rig.cloud, Tamper::kStaleClauseVO, seed);
+        replays.back().record_stale(requests);
+        clauses.back().record_stale(requests);
+      }
+      rig.ingest({{next_id++, pivot + 1}});
+      for (std::size_t p = 0; p < plans.size(); ++p) {
+        const std::vector<ClauseRequest>& requests = plans[p];
         const auto honest_after = rig.cloud->search_plan(requests);
         ASSERT_TRUE(verify_plan(rig.acc_params, rig.cloud->shard_values(),
                                 requests, honest_after, rig.config.prime_bits)
                         .verified)
             << "old tokens must stay verifiable after an update";
-        soak_case(Tamper::kStaleReplay, replay.search_plan(requests));
-        soak_case(Tamper::kStaleClauseVO, clause.search_plan(requests));
+        soak_case(p, Tamper::kStaleReplay, replays[p].search_plan(requests));
+        soak_case(p, Tamper::kStaleClauseVO, clauses[p].search_plan(requests));
       }
     }
   }
 
   EXPECT_EQ(combos, 20);
-  for (const Tamper tamper : kPlanTampers)
-    EXPECT_GE(bite_count[tamper], combos / 2)
-        << tamper_name(tamper) << " rarely applied - soak lost coverage";
-  EXPECT_GE(bite_count[Tamper::kStaleReplay], combos / 2)
-      << "stale_replay rarely applied - soak lost coverage";
+  for (std::size_t p = 0; p < bite_count.size(); ++p) {
+    for (const Tamper tamper : kPlanTampers)
+      EXPECT_GE(bite_count[p][tamper], combos / 2)
+          << tamper_name(tamper) << " rarely applied on plan " << p
+          << " - soak lost coverage";
+    EXPECT_GE(bite_count[p][Tamper::kStaleReplay], combos / 2)
+        << "stale_replay rarely applied on plan " << p
+        << " - soak lost coverage";
+  }
 }
 
 TEST(AdversarySoak, EmptyResultQueriesStillSoak) {

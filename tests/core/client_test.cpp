@@ -59,7 +59,7 @@ TEST_F(ClientTest, InclusiveIntervalSinglePoint) {
 }
 
 TEST_F(ClientTest, InclusiveAdjacentEndpoints) {
-  // [29, 30]: exclusive core (29,30) is empty; endpoints still found.
+  // [29, 30] is two one-value blocks; both endpoints are found.
   auto r = client_->between_inclusive(29, 30);
   EXPECT_TRUE(r.verified);
   EXPECT_EQ(r.ids, (std::vector<RecordId>{3, 5}));

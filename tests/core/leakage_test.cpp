@@ -5,8 +5,10 @@
 // paper; these tests pin the implementation to the assumptions they need.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
+#include "core/query.hpp"
 #include "tests/core/test_rig.hpp"
 
 namespace slicer::core {
@@ -97,6 +99,40 @@ TEST(Leakage, OrderTokensAreShuffled) {
     reordered = order(t1) != order(t2);
   }
   EXPECT_TRUE(reordered);
+}
+
+TEST(Leakage, CoverClauseOrderHidesBlockPosition) {
+  // An interval leaf is sent as its dyadic cover, one clause per block. The
+  // clause order is a fixed function of the blocks themselves (the same
+  // leaf always compiles to the same plan) but not their left-to-right
+  // order, just as the order tokens are shuffled to hide the slice index.
+  crypto::Drbg rng(str_bytes("leak-cover"));
+  const auto position = [](const PlanClause& c) {
+    const std::uint64_t half = c.mc == MatchCondition::kEqual
+                                   ? 0
+                                   : c.value & (~c.value + 1);
+    return c.value - half;
+  };
+  int covers = 0;
+  int sorted = 0;
+  while (covers < 64) {
+    std::uint64_t lo = rng.uniform(1u << 16);
+    std::uint64_t hi = rng.uniform(1u << 16);
+    if (lo > hi) std::swap(lo, hi);
+    const QuerySpec spec = Pred::attr("a").between_inclusive(lo, hi);
+    const ClausePlan plan = compile_spec(spec, PlanContext{});
+    if (plan.clauses.size() < 4) continue;
+    ++covers;
+    EXPECT_EQ(compile_spec(spec, PlanContext{}), plan);
+    std::vector<std::uint64_t> starts;
+    for (const PlanClause& c : plan.clauses) starts.push_back(position(c));
+    if (std::is_sorted(starts.begin(), starts.end()) ||
+        std::is_sorted(starts.rbegin(), starts.rend()))
+      ++sorted;
+  }
+  // A uniform order of >= 4 blocks is sorted either way with probability
+  // <= 1/12.
+  EXPECT_LE(sorted, covers / 6);
 }
 
 TEST(Leakage, TokensForDistinctQueriesShareOnlyMatchingSlices) {

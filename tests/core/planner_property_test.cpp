@@ -5,13 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <numeric>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/client.hpp"
 #include "core/query.hpp"
 #include "crypto/drbg.hpp"
+#include "tests/common/scoped_env.hpp"
 #include "tests/core/test_rig.hpp"
 
 namespace slicer::core {
@@ -134,47 +139,103 @@ INSTANTIATE_TEST_SUITE_P(ShardCounts, PlannerProperty,
                            return "K" + std::to_string(info.param);
                          });
 
-// Aggregates against the oracle on a random database.
-TEST(PlannerAggregateProperty, AggregatesMatchPlaintextOracle) {
-  Rig rig = Rig::make(kValueBits, "prop-agg", {}, 4);
-  crypto::Drbg rng(str_bytes("planner-prop-agg"));
-  const std::vector<MultiRecord> db = random_db(rng, 24);
-  rig.cloud->apply(rig.owner->build(db));
-  rig.user->refresh(rig.owner->export_user_state());
-  QueryClient client(*rig.user, *rig.cloud, rig.config.prime_bits);
+/// One aggregate sweep's answers, comparable across cache settings.
+struct AggregateAnswers {
+  using Extreme = std::tuple<bool, std::uint64_t, std::vector<RecordId>>;
+  using Group = std::pair<std::uint64_t, std::vector<RecordId>>;
+  std::vector<std::size_t> counts;
+  std::vector<Extreme> mins, maxs;
+  std::vector<std::vector<Group>> tops;
 
-  for (int round = 0; round < 4; ++round) {
-    const QuerySpec spec = random_tree(rng, 1);
+  bool operator==(const AggregateAnswers&) const = default;
+};
+
+/// COUNT, MIN, MAX and top-3 of "a" for each spec, every answer verified
+/// and checked against the plaintext oracle over `db`.
+AggregateAnswers run_aggregates(QueryClient& client,
+                                const std::vector<MultiRecord>& db,
+                                const std::vector<QuerySpec>& specs) {
+  AggregateAnswers out;
+  for (const QuerySpec& spec : specs) {
     const std::vector<RecordId> ids = oracle(db, spec);
 
     const auto count = client.count(spec);
     EXPECT_TRUE(count.verified);
     EXPECT_EQ(count.count, ids.size()) << spec.to_string();
+    out.counts.push_back(count.count);
 
-    // Plaintext MIN/MAX of "a" over the oracle's matches that carry "a"
-    // (every record does here).
-    bool found = false;
-    std::uint64_t lo = ~0ull, hi = 0;
+    // Plaintext groups of "a" over the oracle's matches that carry "a"
+    // (every record does here), largest value first.
+    std::map<std::uint64_t, std::vector<RecordId>, std::greater<>> groups;
     for (const MultiRecord& r : db) {
       if (!eval_spec(spec, r)) continue;
       for (const AttributeValue& av : r.values)
-        if (av.attribute == "a") {
-          found = true;
-          lo = std::min(lo, av.value);
-          hi = std::max(hi, av.value);
-        }
+        if (av.attribute == "a") groups[av.value].push_back(r.id);
     }
     const auto mn = client.min_value("a", spec);
     const auto mx = client.max_value("a", spec);
     EXPECT_TRUE(mn.verified);
     EXPECT_TRUE(mx.verified);
-    EXPECT_EQ(mn.found, found) << spec.to_string();
-    EXPECT_EQ(mx.found, found) << spec.to_string();
-    if (found) {
-      EXPECT_EQ(mn.value, lo) << spec.to_string();
-      EXPECT_EQ(mx.value, hi) << spec.to_string();
+    EXPECT_EQ(mn.found, !groups.empty()) << spec.to_string();
+    EXPECT_EQ(mx.found, !groups.empty()) << spec.to_string();
+    if (!groups.empty()) {
+      EXPECT_EQ(mn.value, groups.rbegin()->first) << spec.to_string();
+      EXPECT_EQ(mn.ids, groups.rbegin()->second) << spec.to_string();
+      EXPECT_EQ(mx.value, groups.begin()->first) << spec.to_string();
+      EXPECT_EQ(mx.ids, groups.begin()->second) << spec.to_string();
     }
+    out.mins.emplace_back(mn.found, mn.value, mn.ids);
+    out.maxs.emplace_back(mx.found, mx.value, mx.ids);
+
+    const auto top = client.top_k("a", spec, 3);
+    EXPECT_TRUE(top.verified);
+    std::vector<AggregateAnswers::Group> expected_top(groups.begin(),
+                                                      groups.end());
+    if (expected_top.size() > 3) expected_top.resize(3);
+    std::vector<AggregateAnswers::Group> got;
+    for (const auto& g : top.groups) got.emplace_back(g.value, g.ids);
+    EXPECT_EQ(got, expected_top) << spec.to_string();
+    out.tops.push_back(std::move(got));
   }
+  return out;
+}
+
+/// The aggregate soak's deployment: a K = 4 rig over a random database and
+/// the random specs to aggregate over.
+struct AggregateSoak {
+  Rig rig = Rig::make(kValueBits, "prop-agg", {}, 4);
+  std::vector<MultiRecord> db;
+  std::vector<QuerySpec> specs;
+
+  AggregateSoak() {
+    crypto::Drbg rng(str_bytes("planner-prop-agg"));
+    db = random_db(rng, 24);
+    for (int round = 0; round < 4; ++round)
+      specs.push_back(random_tree(rng, 1));
+    rig.cloud->apply(rig.owner->build(db));
+    rig.user->refresh(rig.owner->export_user_state());
+  }
+};
+
+// Aggregates against the oracle on a random database.
+TEST(PlannerAggregateProperty, AggregatesMatchPlaintextOracle) {
+  AggregateSoak soak;
+  QueryClient client(*soak.rig.user, *soak.rig.cloud,
+                     soak.rig.config.prime_bits);
+  run_aggregates(client, soak.db, soak.specs);
+}
+
+// The same sweep with the combiner cache off: MIN/MAX/top-k re-fetch every
+// probe clause and must give the cache-on answers.
+TEST(PlannerAggregateProperty, CombinerCacheOffMatchesCacheOn) {
+  AggregateSoak soak;
+  QueryClient client(*soak.rig.user, *soak.rig.cloud,
+                     soak.rig.config.prime_bits);
+  const AggregateAnswers on = run_aggregates(client, soak.db, soak.specs);
+  const slicer::testing::ScopedEnv cache_off("SLICER_PLAN_CACHE", "0");
+  QueryClient uncached(*soak.rig.user, *soak.rig.cloud,
+                       soak.rig.config.prime_bits);
+  EXPECT_EQ(run_aggregates(uncached, soak.db, soak.specs), on);
 }
 
 }  // namespace

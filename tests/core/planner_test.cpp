@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <utility>
+#include <vector>
 
 #include "common/errors.hpp"
 #include "core/client.hpp"
@@ -85,6 +88,37 @@ TEST(CompileSpec, DeMorganFlipsCombinatorUnderNot) {
   const ClausePlan plan =
       compile_spec(!(Pred::attr("a").eq(1) && Pred::attr("b").eq(2)), ctx);
   EXPECT_EQ(plan.nodes[plan.root].kind, PlanNode::Kind::kOr);
+}
+
+TEST(CompileSpec, IntervalLeafIsTheOrOfItsDyadicCover) {
+  const PlanContext ctx;
+  // [30, 40] = [30, 31] ∪ [32, 39] ∪ {40}: blocks named 31 and 36, plus an
+  // equality clause, in hash order under one OR node.
+  const ClausePlan plan =
+      compile_spec(Pred::attr("a").between_inclusive(30, 40), ctx);
+  EXPECT_EQ(plan.clauses, dyadic_cover("a", 30, 40));
+  std::vector<std::pair<std::uint64_t, MatchCondition>> clauses;
+  for (const PlanClause& c : plan.clauses) clauses.emplace_back(c.value, c.mc);
+  std::sort(clauses.begin(), clauses.end());
+  EXPECT_EQ(clauses, (std::vector<std::pair<std::uint64_t, MatchCondition>>{
+                         {31, MatchCondition::kBlock},
+                         {36, MatchCondition::kBlock},
+                         {40, MatchCondition::kEqual}}));
+  EXPECT_EQ(plan.nodes[plan.root].kind, PlanNode::Kind::kOr);
+  // The exclusive (30, 40) is the cover of [31, 39].
+  EXPECT_EQ(compile_spec(Pred::attr("a").between(30, 40), ctx).clauses,
+            dyadic_cover("a", 31, 39));
+  // A one-value interval is its equality clause.
+  const ClausePlan point =
+      compile_spec(Pred::attr("a").between_inclusive(9, 9), ctx);
+  EXPECT_EQ(point.clauses,
+            (std::vector<PlanClause>{{"a", 9, MatchCondition::kEqual}}));
+  // Negated intervals keep their order clauses: (v < 30) ∨ (v > 40).
+  const ClausePlan outside =
+      compile_spec(!Pred::attr("a").between_inclusive(30, 40), ctx);
+  EXPECT_EQ(outside.clauses,
+            (std::vector<PlanClause>{{"a", 30, MatchCondition::kLess},
+                                     {"a", 40, MatchCondition::kGreater}}));
 }
 
 TEST(CompileSpec, EmptyIntervalMakesEmptyNode) {
@@ -174,7 +208,7 @@ TEST_F(PlannerTest, ConjunctionAcrossAttributes) {
   EXPECT_TRUE(r.verified);
   EXPECT_EQ(r.ids, (std::vector<RecordId>{2}));
   EXPECT_EQ(r.ids, oracle(spec));
-  EXPECT_EQ(r.clause_count, 3u);  // gt 30, lt 40, dept = 7
+  EXPECT_EQ(r.clause_count, 3u);  // blocks {31} and [32, 39], dept = 7
 }
 
 TEST_F(PlannerTest, DisjunctionAndNegation) {

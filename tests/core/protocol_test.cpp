@@ -578,5 +578,27 @@ TEST(CloudReadPath, PlanClauseTimesFetchAndProvePerToken) {
   EXPECT_GT(results, 0u);
 }
 
+TEST(CloudReadPath, PlanSplitsOneBatchSearchBackByClause) {
+  // search_plan runs every token of the batch through one search() call;
+  // each clause still gets exactly its own tokens' replies, in order,
+  // clauses without tokens included.
+  Rig rig = Rig::make(8, "plan-split", {}, 2);
+  rig.ingest(kServeRecords);
+  std::vector<ClauseRequest> requests(4);
+  requests[0].tokens = rig.user->make_tokens(40, MatchCondition::kGreater);
+  requests[2].tokens = rig.user->make_tokens(40, MatchCondition::kLess);
+  requests[3].tokens = rig.user->make_tokens(6, MatchCondition::kBlock);
+  ASSERT_EQ(requests[3].tokens.size(), 1u);  // [4, 8) holds the 7
+  ASSERT_GE(requests[0].tokens.size(), 2u);
+  const std::vector<ClauseReply> replies = rig.cloud->search_plan(requests);
+  ASSERT_EQ(replies.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i)
+    EXPECT_EQ(replies[i].replies, rig.cloud->search(requests[i].tokens))
+        << "clause " << i;
+  EXPECT_TRUE(verify_plan(rig.acc_params, rig.cloud->shard_values(), requests,
+                          replies, rig.config.prime_bits)
+                  .verified);
+}
+
 }  // namespace
 }  // namespace slicer::core
