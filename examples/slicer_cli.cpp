@@ -10,13 +10,14 @@
 //   insert <id> <v> forward-secure insertion
 //   stats           index/ADS sizes and keyword count
 //
-// Example:
-//   ./build/examples/slicer_cli --bits 16 --records 2000 \
+// Example (one command line):
+//   ./build/examples/slicer_cli --bits 16 --records 2000
 //       gt 60000 range 100 200 insert 999999 150 eq 150 stats
 //
 // With SLICER_METRICS=json in the environment, a metrics snapshot of the
 // whole run (per-phase histograms, accumulator/cache counters) is printed
-// to stdout before exit.
+// to stdout before exit. The exit status is 1 if any printed proof is
+// INVALID (or on an error) and 2 on a usage error.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,7 +30,8 @@ using namespace slicer;
 
 namespace {
 
-void print_result(const char* what, const core::QueryResult& r) {
+/// Prints one query's outcome; returns whether its proof verified.
+bool print_result(const char* what, const core::QueryResult& r) {
   std::printf("%-24s proof=%s tokens=%zu/%zu hits=%zu ids=[", what,
               r.verified ? "VALID" : "INVALID", r.tokens_verified,
               r.token_count, r.ids.size());
@@ -37,6 +39,7 @@ void print_result(const char* what, const core::QueryResult& r) {
     std::printf("%s%llu", i ? " " : "", (unsigned long long)r.ids[i]);
   if (r.ids.size() > 12) std::printf(" ...");
   std::printf("]\n");
+  return r.verified;
 }
 
 [[noreturn]] void usage() {
@@ -94,6 +97,7 @@ int main(int argc, char** argv) try {
                       crypto::Drbg(rng.generate(32)));
   core::QueryClient client(user, cloud, config.prime_bits);
 
+  bool all_valid = true;
   for (; argi < argc; ++argi) {
     const std::string cmd = argv[argi];
     auto next_u64 = [&]() -> std::uint64_t {
@@ -102,17 +106,20 @@ int main(int argc, char** argv) try {
     };
     if (cmd == "eq") {
       const auto v = next_u64();
-      print_result(("eq " + std::to_string(v)).c_str(), client.equal(v));
+      all_valid &=
+          print_result(("eq " + std::to_string(v)).c_str(), client.equal(v));
     } else if (cmd == "gt") {
       const auto v = next_u64();
-      print_result(("gt " + std::to_string(v)).c_str(), client.greater(v));
+      all_valid &=
+          print_result(("gt " + std::to_string(v)).c_str(), client.greater(v));
     } else if (cmd == "lt") {
       const auto v = next_u64();
-      print_result(("lt " + std::to_string(v)).c_str(), client.less(v));
+      all_valid &=
+          print_result(("lt " + std::to_string(v)).c_str(), client.less(v));
     } else if (cmd == "range") {
       const auto lo = next_u64();
       const auto hi = next_u64();
-      print_result(
+      all_valid &= print_result(
           ("range [" + std::to_string(lo) + "," + std::to_string(hi) + "]")
               .c_str(),
           client.between_inclusive(lo, hi));
@@ -142,6 +149,10 @@ int main(int argc, char** argv) try {
   const char* metrics_mode = std::getenv("SLICER_METRICS");
   if (metrics_mode != nullptr && std::strcmp(metrics_mode, "json") == 0)
     std::printf("%s\n", metrics::snapshot_json().c_str());
+  if (!all_valid) {
+    std::fprintf(stderr, "slicer_cli: a proof was INVALID\n");
+    return 1;
+  }
   return 0;
 } catch (const std::exception& e) {
   std::fprintf(stderr, "slicer_cli: error: %s\n", e.what());

@@ -31,12 +31,6 @@ std::vector<RecordId> set_or(const std::vector<RecordId>& a,
   return out;
 }
 
-/// Largest representable value of the configured domain.
-std::uint64_t domain_max(std::size_t value_bits) {
-  return value_bits >= 64 ? ~std::uint64_t{0}
-                          : (std::uint64_t{1} << value_bits) - 1;
-}
-
 }  // namespace
 
 QueryClient::QueryClient(DataUser& user, CloudServer& cloud,
@@ -52,6 +46,7 @@ ClausePlan QueryClient::plan_for(const QuerySpec& spec,
   PlanContext ctx;
   ctx.default_attribute = user_.config().attribute;
   ctx.strict_intervals = options.strict_intervals;
+  ctx.value_bits = user_.config().value_bits;
   return compile_spec(spec, ctx);
 }
 
@@ -197,9 +192,7 @@ QueryResult QueryClient::run_plan(const ClausePlan& plan) {
     out.verified = fold_ok && pv.verified;
   }
 
-  // Roll up token accounting in clause order (for the classic verbs this
-  // is the legacy sub-query submission order, so token_detail concatenates
-  // identically).
+  // Roll up token accounting in clause order.
   for (const CachedClause& o : outcomes) {
     out.token_count += o.token_count;
     out.tokens_verified += o.tokens_verified;

@@ -6,11 +6,13 @@
 // one batched cloud round trip (one membership witness per token, as in
 // Algorithm 4), verifies every clause VO independently, and only then
 // combines the clause-verified result sets with set intersection/union.
-// An interval leaf is the union of its dyadic cover blocks, so the cloud
-// returns only the records in the interval.
+// Every leaf is the union of the dyadic cover blocks of its interval, so the
+// cloud returns only the records in the interval.
 // The classic verbs (`equal`, `greater`, `less`, `between`,
-// `between_inclusive`) are one-line wrappers over the planner with
-// byte-identical results and verification detail.
+// `between_inclusive`) are one-line wrappers over the planner. `greater`
+// and `less` give the same ids and send the same token set as the paper's
+// single order query, one clause per cover block, so `token_detail` lists
+// those tokens in the blocks' hash order.
 //
 // Verified aggregates (`count`, `min_value`, `max_value`, `top_k`) ride on
 // the same machinery: MIN/MAX run a verified binary search over the value
@@ -22,13 +24,15 @@
 // QueryOptions::defaults() at each call — pass explicit options to
 // override it per query.
 //
-// Empty intervals: a `between`/`between_inclusive` whose interval is
-// provably empty (hi <= lo + 1, resp. lo > hi) compiles to a verified-empty
-// plan node without contacting the cloud — a provably empty query is not an
-// error. QueryOptions::strict_intervals (default: the
-// SLICER_STRICT_INTERVALS knob) restores the legacy behaviour of throwing
-// CryptoError for callers that treat an empty interval as a bug in their
-// own query construction.
+// Empty intervals: a leaf that matches no value (`between` with
+// hi <= lo + 1, `between_inclusive` with lo > hi, `greater(max)`,
+// `less(0)`) compiles to a verified-empty plan node without contacting the
+// cloud — a provably empty query is not an error. QueryOptions::
+// strict_intervals (default: the SLICER_STRICT_INTERVALS knob) throws
+// CryptoError for such a positive leaf instead, for callers that treat an
+// empty interval as a bug in their own query construction; a negated leaf
+// never throws. A compared value or a nonempty interval outside the b-bit
+// domain always throws CryptoError, before any token is made.
 //
 // Clause-result cache ("combiner cache"): verified per-clause outcomes are
 // memoized under a key that names the whole clause (attribute, value, mc —
@@ -56,9 +60,8 @@ struct QueryResult {
   std::size_t token_count = 0;  // search tokens sent to the cloud
   std::size_t tokens_verified = 0;  // tokens whose membership proof held
   /// Per-token verification outcome and latency, concatenated in plan
-  /// clause order (for the classic verbs: the legacy sub-query submission
-  /// order). Empty for a query that needed no tokens. Cache-served clauses
-  /// replay the detail recorded when their proof was checked.
+  /// clause order. Empty for a query that needed no tokens. Cache-served
+  /// clauses replay the detail recorded when their proof was checked.
   std::vector<TokenVerification> token_detail;
   std::size_t clause_count = 0;    // primitive clauses in the executed plan
   std::size_t cached_clauses = 0;  // clauses served from the combiner cache

@@ -130,41 +130,78 @@ QueryOptions QueryOptions::defaults() {
   return o;
 }
 
-std::vector<PlanClause> dyadic_cover(const std::string& attribute,
-                                     std::uint64_t lo, std::uint64_t hi) {
+namespace {
+
+/// Appends the blocks of [lo, hi] (lo <= hi) in position order: greedy from
+/// the left, the widest block aligned at `start` that ends inside [lo, hi].
+/// A block of 2^k values fits when hi - start >= 2^k - 1; the k = 64 block
+/// is the whole u64 domain.
+void append_blocks(const std::string& attribute, std::uint64_t lo,
+                   std::uint64_t hi, std::vector<PlanClause>& out) {
   constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  if (lo > hi) return {};
-  // Greedy from the left: the widest block aligned at `start` that ends
-  // inside [lo, hi]. A block of 2^k values fits when hi - start >= 2^k - 1;
-  // the k = 64 block is the whole u64 domain. Each clause is keyed by a
-  // hash of (attribute, block id) for the emission order below.
-  std::vector<std::pair<Bytes, PlanClause>> keyed;
   for (std::uint64_t start = lo;;) {
     const std::uint64_t span = hi - start;
     int k = start == 0 ? 64 : std::countr_zero(start);
     while (k == 64 ? span != kMax : (std::uint64_t{1} << k) - 1 > span) --k;
-    const PlanClause clause =
+    out.push_back(
         k == 0 ? PlanClause{attribute, start, MatchCondition::kEqual}
                : PlanClause{attribute, start + (std::uint64_t{1} << (k - 1)),
-                            MatchCondition::kBlock};
-    Writer w;
-    w.str(attribute);
-    w.u64(clause.value);
-    keyed.emplace_back(crypto::Sha256::digest(w.view()), clause);
+                            MatchCondition::kBlock});
     if (k == 64 || (std::uint64_t{1} << k) - 1 == span) break;
     start += std::uint64_t{1} << k;
   }
-  // Hash order says nothing about where each block lies. Blocks of one
-  // cover are disjoint, so no two share an id.
-  std::sort(keyed.begin(), keyed.end(),
-            [](const auto& x, const auto& y) { return x.first < y.first; });
-  std::vector<PlanClause> out;
-  out.reserve(keyed.size());
-  for (auto& [key, clause] : keyed) out.push_back(std::move(clause));
-  return out;
 }
 
-namespace {
+/// Sorts disjoint blocks by a SHA-256 of (attribute, block id). Hash order
+/// says nothing about where each block lies, and disjoint blocks never
+/// share an id.
+void hash_order(std::vector<PlanClause>& blocks) {
+  std::vector<std::pair<Bytes, PlanClause>> keyed;
+  keyed.reserve(blocks.size());
+  for (PlanClause& clause : blocks) {
+    Writer w;
+    w.str(clause.attribute);
+    w.u64(clause.value);
+    keyed.emplace_back(crypto::Sha256::digest(w.view()), std::move(clause));
+  }
+  std::sort(keyed.begin(), keyed.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
+  blocks.clear();
+  for (auto& [key, clause] : keyed) blocks.push_back(std::move(clause));
+}
+
+/// One inclusive interval [lo, hi] of the value domain.
+struct Interval {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+};
+
+/// The values a leaf matches as one interval of [0, max], or nullopt when
+/// it matches none. Throws CryptoError when a compared value, or a
+/// nonempty interval, lies outside the domain.
+std::optional<Interval> leaf_interval(const QuerySpec& s, std::uint64_t max) {
+  const auto in_domain = [max](std::uint64_t v) {
+    if (v > max) throw CryptoError("compile_spec: value outside the domain");
+    return v;
+  };
+  switch (s.op) {
+    case QuerySpec::Op::kEqual:
+      return Interval{in_domain(s.value), s.value};
+    case QuerySpec::Op::kGreater:
+      if (in_domain(s.value) == max) return std::nullopt;
+      return Interval{s.value + 1, max};
+    case QuerySpec::Op::kLess:
+      if (in_domain(s.value) == 0) return std::nullopt;
+      return Interval{0, s.value - 1};
+    case QuerySpec::Op::kBetween:
+      if (s.hi <= s.lo || s.hi - s.lo < 2) return std::nullopt;
+      return Interval{s.lo + 1, in_domain(s.hi - 1)};
+    case QuerySpec::Op::kBetweenInclusive:
+      if (s.lo > s.hi) return std::nullopt;
+      return Interval{s.lo, in_domain(s.hi)};
+  }
+  throw ProtocolError("compile_spec: unknown leaf op");
+}
 
 /// compile_spec working state: the plan under construction plus the
 /// clause-dedup map keyed by (attribute, value, mc).
@@ -174,24 +211,12 @@ struct Compiler {
   std::map<std::tuple<std::string, std::uint64_t, MatchCondition>, std::size_t>
       clause_index;
 
-  std::size_t clause_node(const std::string& attribute, std::uint64_t value,
-                          MatchCondition mc) {
-    auto key = std::make_tuple(attribute, value, mc);
-    auto [it, inserted] =
-        clause_index.try_emplace(key, plan.clauses.size());
-    if (inserted) {
-      plan.clauses.push_back(PlanClause{attribute, value, mc});
-    }
+  std::size_t clause_node(const PlanClause& clause) {
+    auto [it, inserted] = clause_index.try_emplace(
+        std::make_tuple(clause.attribute, clause.value, clause.mc),
+        plan.clauses.size());
+    if (inserted) plan.clauses.push_back(clause);
     plan.nodes.push_back(PlanNode{PlanNode::Kind::kClause, it->second, {}});
-    return plan.nodes.size() - 1;
-  }
-
-  std::size_t empty_node(const char* what) {
-    if (ctx.strict_intervals) {
-      throw CryptoError(std::string(what) + ": empty interval");
-    }
-    ++plan.empty_intervals;
-    plan.nodes.push_back(PlanNode{PlanNode::Kind::kEmpty, 0, {}});
     return plan.nodes.size() - 1;
   }
 
@@ -202,92 +227,41 @@ struct Compiler {
     return plan.nodes.size() - 1;
   }
 
-  /// [lo, hi] as the OR of its dyadic cover clauses (lo <= hi).
-  std::size_t cover_node(const std::string& attribute, std::uint64_t lo,
-                         std::uint64_t hi) {
-    std::vector<std::size_t> kids;
-    for (const PlanClause& c : dyadic_cover(attribute, lo, hi))
-      kids.push_back(clause_node(c.attribute, c.value, c.mc));
-    return inner_node(PlanNode::Kind::kOr, std::move(kids));
+  /// A leaf that matches nothing. Only a positive leaf throws under
+  /// strict_intervals: the complement of the whole domain is a query
+  /// result, not a malformed interval.
+  std::size_t empty_node(const QuerySpec& s, bool negate) {
+    if (ctx.strict_intervals && !negate)
+      throw CryptoError("compile_spec: empty interval " + s.to_string());
+    ++plan.empty_intervals;
+    plan.nodes.push_back(PlanNode{PlanNode::Kind::kEmpty, 0, {}});
+    return plan.nodes.size() - 1;
   }
 
-  /// The full domain over `attribute` as two verifiable clauses:
-  /// (v > 0) OR (v = 0). Used for negated provably-empty intervals.
-  std::size_t domain_node(const std::string& attribute) {
-    std::vector<std::size_t> kids;
-    kids.push_back(clause_node(attribute, 0, MatchCondition::kGreater));
-    kids.push_back(clause_node(attribute, 0, MatchCondition::kEqual));
-    return inner_node(PlanNode::Kind::kOr, std::move(kids));
-  }
-
+  /// A leaf, or its complement within the domain, as the OR of the dyadic
+  /// cover of its (at most two) intervals, all blocks in one hash order.
   std::size_t lower_leaf(const QuerySpec& s, bool negate) {
     const std::string& attribute =
         s.attribute.empty() ? ctx.default_attribute : s.attribute;
-    switch (s.op) {
-      case QuerySpec::Op::kEqual: {
-        if (!negate) {
-          return clause_node(attribute, s.value, MatchCondition::kEqual);
-        }
-        // ¬(v = x)  →  (v < x) OR (v > x)
-        std::vector<std::size_t> kids;
-        kids.push_back(clause_node(attribute, s.value, MatchCondition::kLess));
-        kids.push_back(
-            clause_node(attribute, s.value, MatchCondition::kGreater));
-        return inner_node(PlanNode::Kind::kOr, std::move(kids));
-      }
-      case QuerySpec::Op::kGreater: {
-        if (!negate) {
-          return clause_node(attribute, s.value, MatchCondition::kGreater);
-        }
-        // ¬(v > x)  →  (v < x) OR (v = x)
-        std::vector<std::size_t> kids;
-        kids.push_back(clause_node(attribute, s.value, MatchCondition::kLess));
-        kids.push_back(clause_node(attribute, s.value, MatchCondition::kEqual));
-        return inner_node(PlanNode::Kind::kOr, std::move(kids));
-      }
-      case QuerySpec::Op::kLess: {
-        if (!negate) {
-          return clause_node(attribute, s.value, MatchCondition::kLess);
-        }
-        // ¬(v < x)  →  (v > x) OR (v = x)
-        std::vector<std::size_t> kids;
-        kids.push_back(
-            clause_node(attribute, s.value, MatchCondition::kGreater));
-        kids.push_back(clause_node(attribute, s.value, MatchCondition::kEqual));
-        return inner_node(PlanNode::Kind::kOr, std::move(kids));
-      }
-      case QuerySpec::Op::kBetween: {
-        // Exclusive interval lo < v < hi; provably empty unless hi - lo >= 2.
-        const bool empty = s.hi <= s.lo || s.hi - s.lo < 2;
-        if (!negate) {
-          if (empty) return empty_node("between");
-          return cover_node(attribute, s.lo + 1, s.hi - 1);
-        }
-        // ¬empty is every record carrying the attribute; an empty interval
-        // under strict_intervals only throws when queried positively.
-        if (empty) return domain_node(attribute);
-        // ¬(lo < v < hi)  →  (v <= lo) OR (v >= hi)
-        std::vector<std::size_t> kids;
-        kids.push_back(clause_node(attribute, s.lo, MatchCondition::kLess));
-        kids.push_back(clause_node(attribute, s.lo, MatchCondition::kEqual));
-        kids.push_back(clause_node(attribute, s.hi, MatchCondition::kGreater));
-        kids.push_back(clause_node(attribute, s.hi, MatchCondition::kEqual));
-        return inner_node(PlanNode::Kind::kOr, std::move(kids));
-      }
-      case QuerySpec::Op::kBetweenInclusive: {
-        if (!negate) {
-          if (s.lo > s.hi) return empty_node("between_inclusive");
-          return cover_node(attribute, s.lo, s.hi);
-        }
-        if (s.lo > s.hi) return domain_node(attribute);
-        // ¬(lo <= v <= hi)  →  (v < lo) OR (v > hi)
-        std::vector<std::size_t> kids;
-        kids.push_back(clause_node(attribute, s.lo, MatchCondition::kLess));
-        kids.push_back(clause_node(attribute, s.hi, MatchCondition::kGreater));
-        return inner_node(PlanNode::Kind::kOr, std::move(kids));
-      }
+    const std::uint64_t max = domain_max(ctx.value_bits);
+    const std::optional<Interval> in = leaf_interval(s, max);
+    std::vector<Interval> parts;
+    if (!negate) {
+      if (in) parts.push_back(*in);
+    } else if (!in) {
+      parts.push_back({0, max});
+    } else {
+      if (in->lo > 0) parts.push_back({0, in->lo - 1});
+      if (in->hi < max) parts.push_back({in->hi + 1, max});
     }
-    throw ProtocolError("compile_spec: unknown leaf op");
+    if (parts.empty()) return empty_node(s, negate);
+    std::vector<PlanClause> blocks;
+    for (const Interval& part : parts)
+      append_blocks(attribute, part.lo, part.hi, blocks);
+    hash_order(blocks);
+    std::vector<std::size_t> kids;
+    for (const PlanClause& block : blocks) kids.push_back(clause_node(block));
+    return inner_node(PlanNode::Kind::kOr, std::move(kids));
   }
 
   std::size_t lower(const QuerySpec& s, bool negate) {
@@ -324,6 +298,20 @@ struct Compiler {
 };
 
 }  // namespace
+
+std::uint64_t domain_max(std::size_t bits) {
+  return bits >= 64 ? std::numeric_limits<std::uint64_t>::max()
+                    : (std::uint64_t{1} << bits) - 1;
+}
+
+std::vector<PlanClause> dyadic_cover(const std::string& attribute,
+                                     std::uint64_t lo, std::uint64_t hi) {
+  std::vector<PlanClause> out;
+  if (lo > hi) return out;
+  append_blocks(attribute, lo, hi, out);
+  hash_order(out);
+  return out;
+}
 
 ClausePlan compile_spec(const QuerySpec& spec, const PlanContext& ctx) {
   if (ctx.aggregated)

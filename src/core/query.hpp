@@ -11,23 +11,19 @@
 //
 // compile_spec lowers the tree into a ClausePlan: a deduplicated list of
 // primitive clauses (attribute, value, mc) plus an AND/OR evaluation tree
-// over clause indices. A positive interval leaf becomes the OR of its
-// dyadic cover (dyadic_cover): at most 2(b-1) aligned blocks, each one
-// SORE ciphertext-tuple keyword (a kBlock clause) or one value (kEqual), so
-// the cloud returns exactly the answer instead of two half-lines to
-// intersect. NOT never reaches the plan — it is pushed to the
-// leaves by De Morgan and eliminated by interval complement (¬(v > x) is
-// (v < x) ∨ (v = x), and so on), so every clause the cloud sees is an
-// ordinary Algorithm-3 search and every combinator input is a
-// clause-verified result set. Negation is therefore scoped to the records
-// that carry the attribute: ¬(age = 5) returns the records whose age is
-// ≠ 5, not records with no age at all (there is no verifiable way to
-// enumerate records a keyword was never indexed under).
-//
-// The degenerate "everything" predicate (e.g. NOT of a provably empty
-// interval) compiles to (v > 0) ∨ (v = 0) over the leaf's attribute — the
-// full domain as two verifiable clauses — so even it returns only
-// clause-verified results.
+// over clause indices. Every leaf is one inclusive interval of the b-bit
+// domain ([x, x], [x+1, max], [0, x-1], [lo+1, hi-1] or [lo, hi]) and
+// becomes the OR of its dyadic cover (dyadic_cover): aligned blocks, each
+// one SORE ciphertext-tuple keyword (a kBlock clause) or one value
+// (kEqual), so the cloud returns exactly the answer. NOT never reaches the
+// plan: De Morgan pushes it to the leaves, where a negated leaf becomes the
+// cover of its complement within the domain (at most two intervals, the
+// whole domain for an empty leaf). Every clause the cloud sees is therefore
+// one verifiable block search and every combinator input is a
+// clause-verified result set. Negation is scoped to the records that carry
+// the attribute: ¬(age = 5) returns the records whose age is ≠ 5, not
+// records with no age at all (there is no verifiable way to enumerate
+// records a keyword was never indexed under).
 #pragma once
 
 #include <cstdint>
@@ -118,8 +114,9 @@ class Pred {
 struct QueryOptions {
   /// Held only for perfbench/bench.cpp; the aggregated VO is removed.
   static constexpr bool aggregated_vo = false;
-  /// Throw CryptoError on a provably empty interval instead of compiling
-  /// it to a verified-empty clause (SLICER_STRICT_INTERVALS default).
+  /// Throw CryptoError on a positive leaf that matches no value (an empty
+  /// interval, gt(max), lt(0)) instead of compiling it to a verified-empty
+  /// node (SLICER_STRICT_INTERVALS default).
   bool strict_intervals = false;
 
   /// The environment-resolved defaults (see above).
@@ -139,7 +136,7 @@ struct PlanClause {
 
 /// One node of the plan's evaluation tree. Children precede parents in
 /// ClausePlan::nodes; the tree is pure AND/OR over clause leaves (NOT was
-/// compiled away) plus kEmpty for provably empty intervals.
+/// compiled away) plus kEmpty for leaves that match no value.
 struct PlanNode {
   enum class Kind : std::uint8_t { kClause, kEmpty, kAnd, kOr };
   Kind kind = Kind::kClause;
@@ -151,13 +148,13 @@ struct PlanNode {
 
 /// A compiled query: deduplicated primitive clauses + evaluation tree.
 /// Clause order is the left-to-right leaf order of the QuerySpec (within one
-/// interval leaf, dyadic_cover's hash order), which is also the
+/// leaf, the hash order of its cover blocks), which is also the
 /// token_detail concatenation order of the result.
 struct ClausePlan {
   std::vector<PlanClause> clauses;
   std::vector<PlanNode> nodes;
   std::size_t root = 0;  ///< index into nodes
-  /// Number of provably-empty intervals compiled to kEmpty nodes.
+  /// Number of leaves that match no value, compiled to kEmpty nodes.
   std::size_t empty_intervals = 0;
 
   bool operator==(const ClausePlan&) const = default;
@@ -166,18 +163,27 @@ struct ClausePlan {
 /// Everything compile_spec needs besides the tree itself.
 struct PlanContext {
   /// Substituted for leaves with an empty attribute name.
-  std::string default_attribute;
+  std::string default_attribute{};
   /// Held only for perfbench/bench.cpp; compile_spec rejects true.
   bool aggregated = false;
-  /// Empty intervals throw CryptoError instead of compiling to kEmpty.
+  /// A positive leaf that matches no value throws CryptoError instead of
+  /// compiling to kEmpty.
   bool strict_intervals = false;
+  /// Bit width b of the domain [0, 2^b - 1] that leaves and complements
+  /// range over (Config::value_bits; 64 is the whole u64 range).
+  std::size_t value_bits = 64;
 };
+
+/// Largest value of the b-bit domain: 2^b - 1, the u64 maximum for b >= 64.
+std::uint64_t domain_max(std::size_t bits);
 
 /// Lowers a QuerySpec into a ClausePlan (see the file comment for the
 /// normalization rules). Throws ProtocolError on a malformed tree (AND/OR
 /// without children, NOT without exactly one child) or on
-/// `ctx.aggregated`, and CryptoError on an empty interval under
-/// strict_intervals.
+/// `ctx.aggregated`. Throws CryptoError, before any token is made, on a
+/// compared value or a nonempty interval outside the domain, and under
+/// strict_intervals on a positive leaf that matches no value (gt(max),
+/// lt(0) and empty intervals; a negated leaf never does).
 ClausePlan compile_spec(const QuerySpec& spec, const PlanContext& ctx);
 
 /// The dyadic cover of [lo, hi] over `attribute`: the fewest aligned blocks

@@ -38,8 +38,10 @@ struct MultiRecord {
 };
 
 /// User-facing matching condition mc ∈ {"=", ">", "<"}: which records a
-/// query for value v returns. kBlock is the planner's interval clause: v is
-/// the in-order id of an aligned dyadic block (see sore::block_keywords).
+/// query for value v returns. kGreater/kLess serve the paper's order query
+/// (Algorithm 3): the paid path, DualSlicer and the paper figures. The
+/// planner emits only kEqual and kBlock: v is the in-order id of an aligned
+/// dyadic block (see sore::block_keywords).
 enum class MatchCondition : std::uint8_t {
   kEqual = 0,    // records with value == v
   kGreater = 1,  // records with value > v

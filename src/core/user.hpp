@@ -5,9 +5,11 @@
 // query it slices the condition into b SORE token tuples; each tuple that
 // appears in T (i.e. has at least one matching record) becomes one search
 // token (t_j, j, G1, G2). Tuples are shuffled so the matched bit index is
-// concealed from the cloud. A planner block clause (MatchCondition::kBlock)
-// is the one ciphertext-tuple keyword its records share, so it yields at
-// most one token (two for the whole domain).
+// concealed from the cloud. The query planner sends only equality and block
+// clauses: a block (MatchCondition::kBlock) is the one ciphertext-tuple
+// keyword its records share, so it yields at most one token (two for the
+// whole domain), and the blocks of the cover of (v, max] are exactly the
+// order tuples of v that can match.
 #pragma once
 
 #include <span>

@@ -36,8 +36,9 @@ TEST_P(AccumulatorSizes, EveryMemberVerifiesNoOutsiderDoes) {
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_TRUE(RsaAccumulator::verify(params, ac, primes[i], all[i])) << i;
     // A member's witness never vouches for a different member.
-    if (i > 0)
+    if (i > 0) {
       ASSERT_FALSE(RsaAccumulator::verify(params, ac, primes[i - 1], all[i]));
+    }
   }
   const BigUint outsider = hash_to_prime(str_bytes("outsider"));
   const auto nmw = acc.nonmember_witness(primes, outsider);

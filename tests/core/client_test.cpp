@@ -94,6 +94,27 @@ TEST_F(ClientTest, StrictIntervalsEnvRestoresThrow) {
   EXPECT_TRUE(client_->between(40, 40).verified);
 }
 
+TEST_F(ClientTest, DomainEdges) {
+  // A compared value or a nonempty interval past the 8-bit domain is a
+  // malformed query.
+  EXPECT_THROW(client_->equal(256), CryptoError);
+  EXPECT_THROW(client_->greater(256), CryptoError);
+  EXPECT_THROW(client_->less(256), CryptoError);
+  EXPECT_THROW(client_->between_inclusive(0, 256), CryptoError);
+  EXPECT_THROW(client_->between_inclusive(200, 256), CryptoError);
+  // Nothing lies above the maximum, below 0 or outside the whole domain.
+  for (const auto& r :
+       {client_->greater(255), client_->less(0),
+        client_->query(!Pred::value().between_inclusive(0, 255))}) {
+    EXPECT_TRUE(r.verified);
+    EXPECT_TRUE(r.ids.empty());
+  }
+  // The complement of an empty interval is every record with a value.
+  const auto all = client_->query(!Pred::value().between(7, 8));
+  EXPECT_TRUE(all.verified);
+  EXPECT_EQ(all.ids, (std::vector<RecordId>{1, 2, 3, 4, 5, 6, 7}));
+}
+
 TEST_F(ClientTest, VerificationDetail) {
   const auto r = client_->between_inclusive(10, 40);
   EXPECT_TRUE(r.verified);

@@ -39,10 +39,6 @@ Block block_of(const PlanClause& c) {
   return {c.value - half, c.value + (half - 1), k};
 }
 
-std::uint64_t domain_max(std::size_t bits) {
-  return bits == 64 ? kU64Max : (std::uint64_t{1} << bits) - 1;
-}
-
 std::uint64_t random_value(crypto::Drbg& rng, std::size_t bits) {
   std::uint64_t v = 0;
   for (const std::uint8_t byte : rng.generate(8)) v = (v << 8) | byte;
@@ -141,11 +137,16 @@ std::set<Bytes> cover_keywords(const std::vector<PlanClause>& cover,
 }
 
 TEST(DyadicCover, HalfLineCoversAreTheMatchableOrderTokens) {
-  // Why `>` and `<` keep their own clauses: at b = 8, for every x, the
-  // cover of (x, max] (resp. [0, x)) is exactly the set of SORE token
-  // tuples of x that can match some ciphertext tuple — the same keywords,
-  // so the order tokens are already the cover.
+  // Why the planner's `>` and `<` send the same tokens as the paper's order
+  // query: at b = 8, for every x, the cover of (x, max] (resp. [0, x)) is
+  // exactly the set of SORE token tuples of x that can match some
+  // ciphertext tuple, so the order tokens are already the cover. gt(x),
+  // lt(x) and !eq(x) compile to those covers.
   constexpr std::size_t kBits = 8;
+  const PlanContext ctx{.value_bits = kBits};
+  const auto plan_keywords = [&](const QuerySpec& spec) {
+    return cover_keywords(compile_spec(spec, ctx).clauses, kBits);
+  };
   std::set<Bytes> cipher;
   for (std::uint64_t y = 0; y <= domain_max(kBits); ++y)
     for (Bytes& t : sore::cipher_tuples(y, kBits)) cipher.insert(std::move(t));
@@ -166,6 +167,15 @@ TEST(DyadicCover, HalfLineCoversAreTheMatchableOrderTokens) {
     EXPECT_EQ(cover_keywords(below, kBits),
               matchable(x, sore::Order::kGreater))
         << "x=" << x;
+    EXPECT_EQ(plan_keywords(Pred::value().gt(x)),
+              matchable(x, sore::Order::kLess))
+        << "x=" << x;
+    EXPECT_EQ(plan_keywords(Pred::value().lt(x)),
+              matchable(x, sore::Order::kGreater))
+        << "x=" << x;
+    std::set<Bytes> either = matchable(x, sore::Order::kLess);
+    either.merge(matchable(x, sore::Order::kGreater));
+    EXPECT_EQ(plan_keywords(!Pred::value().eq(x)), either) << "x=" << x;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <set>
 
 #include "core/query.hpp"
@@ -102,11 +103,13 @@ TEST(Leakage, OrderTokensAreShuffled) {
 }
 
 TEST(Leakage, CoverClauseOrderHidesBlockPosition) {
-  // An interval leaf is sent as its dyadic cover, one clause per block. The
-  // clause order is a fixed function of the blocks themselves (the same
-  // leaf always compiles to the same plan) but not their left-to-right
-  // order, just as the order tokens are shuffled to hide the slice index.
+  // Every leaf is sent as the dyadic cover of its interval, or of the (at
+  // most two) intervals of its complement, one clause per block. The clause
+  // order is a fixed function of the blocks themselves (the same leaf
+  // always compiles to the same plan) but not their left-to-right order,
+  // just as the order tokens are shuffled to hide the slice index.
   crypto::Drbg rng(str_bytes("leak-cover"));
+  const PlanContext ctx{.value_bits = 16};
   const auto position = [](const PlanClause& c) {
     const std::uint64_t half = c.mc == MatchCondition::kEqual
                                    ? 0
@@ -115,24 +118,48 @@ TEST(Leakage, CoverClauseOrderHidesBlockPosition) {
   };
   int covers = 0;
   int sorted = 0;
-  while (covers < 64) {
+  int complements = 0;
+  int split = 0;
+  for (int attempt = 0; covers < 160; ++attempt) {
+    ASSERT_LT(attempt, 1000) << "no cover of >= 4 blocks for kind "
+                             << covers % 5;
     std::uint64_t lo = rng.uniform(1u << 16);
     std::uint64_t hi = rng.uniform(1u << 16);
     if (lo > hi) std::swap(lo, hi);
-    const QuerySpec spec = Pred::attr("a").between_inclusive(lo, hi);
-    const ClausePlan plan = compile_spec(spec, PlanContext{});
+    const Pred::Attr a = Pred::attr("a");
+    const int kind = covers % 5;
+    const QuerySpec spec = std::array<QuerySpec, 5>{
+        a.between_inclusive(lo, hi), a.gt(lo), a.lt(hi),
+        !a.between_inclusive(lo, hi), !a.eq(lo)}[kind];
+    const ClausePlan plan = compile_spec(spec, ctx);
     if (plan.clauses.size() < 4) continue;
     ++covers;
-    EXPECT_EQ(compile_spec(spec, PlanContext{}), plan);
+    EXPECT_EQ(compile_spec(spec, ctx), plan);
     std::vector<std::uint64_t> starts;
     for (const PlanClause& c : plan.clauses) starts.push_back(position(c));
     if (std::is_sorted(starts.begin(), starts.end()) ||
         std::is_sorted(starts.rbegin(), starts.rend()))
       ++sorted;
+    // A negated leaf's blocks lie below lo or above it; their order should
+    // not tell the two sides apart either.
+    if (kind < 3) continue;
+    std::vector<bool> below;
+    for (const std::uint64_t start : starts) below.push_back(start < lo);
+    const auto low = std::count(below.begin(), below.end(), true);
+    if (low < 2 || std::ssize(below) - low < 2) continue;
+    ++complements;
+    if (std::is_partitioned(below.begin(), below.end(),
+                            [](bool b) { return b; }) ||
+        std::is_partitioned(below.begin(), below.end(),
+                            [](bool b) { return !b; }))
+      ++split;
   }
   // A uniform order of >= 4 blocks is sorted either way with probability
-  // <= 1/12.
+  // <= 1/12, and one of >= 2 blocks per side keeps the sides apart with
+  // probability <= 1/3.
   EXPECT_LE(sorted, covers / 6);
+  EXPECT_GT(complements, 16);
+  EXPECT_LE(split, complements / 2);
 }
 
 TEST(Leakage, TokensForDistinctQueriesShareOnlyMatchingSlices) {

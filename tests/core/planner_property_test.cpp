@@ -104,7 +104,7 @@ class PlannerProperty : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(PlannerProperty, RandomTreesMatchPlaintextOracle) {
   const std::size_t shards = GetParam();
-  for (const std::string& seed : {"prop-a", "prop-b"}) {
+  for (const std::string seed : {"prop-a", "prop-b"}) {
     Rig rig = Rig::make(kValueBits, seed + std::to_string(shards), {}, shards);
     crypto::Drbg rng(str_bytes("planner-prop-" + seed));
     const std::vector<MultiRecord> db = random_db(rng, 28);
@@ -117,6 +117,11 @@ TEST_P(PlannerProperty, RandomTreesMatchPlaintextOracle) {
       const std::vector<RecordId> expected = oracle(db, spec);
 
       const ClausePlan plan = client.plan_for(spec);
+      // Every clause is one dyadic block of the cover.
+      for (const PlanClause& c : plan.clauses) {
+        EXPECT_NE(c.mc, MatchCondition::kGreater) << spec.to_string();
+        EXPECT_NE(c.mc, MatchCondition::kLess) << spec.to_string();
+      }
       const ClausePlan shuffled = shuffle_clauses(plan, rng);
 
       for (const ClausePlan* p :

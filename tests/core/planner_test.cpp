@@ -20,6 +20,10 @@ namespace {
 
 using testing::Rig;
 
+bool by_value(const PlanClause& x, const PlanClause& y) {
+  return x.value < y.value;
+}
+
 // --- compile-time / pure tests (no rig) ---------------------------------
 
 TEST(PredBuilder, ComposesSpecTrees) {
@@ -54,13 +58,18 @@ TEST(PredBuilder, DefaultAttributeLeafIsEmptyName) {
 }
 
 TEST(CompileSpec, PrimitiveLeafIsOneClause) {
-  const PlanContext ctx{.default_attribute = "v"};
-  const ClausePlan plan = compile_spec(Pred::value().gt(5), ctx);
+  const PlanContext ctx{.default_attribute = "v", .value_bits = 8};
+  const ClausePlan plan = compile_spec(Pred::value().eq(5), ctx);
   ASSERT_EQ(plan.clauses.size(), 1u);
   EXPECT_EQ(plan.clauses[0].attribute, "v");  // default substituted
   EXPECT_EQ(plan.clauses[0].value, 5u);
-  EXPECT_EQ(plan.clauses[0].mc, MatchCondition::kGreater);
+  EXPECT_EQ(plan.clauses[0].mc, MatchCondition::kEqual);
   EXPECT_EQ(plan.nodes[plan.root].kind, PlanNode::Kind::kClause);
+  // The half-lines are the covers of [x+1, max] and [0, x-1].
+  EXPECT_EQ(compile_spec(Pred::value().gt(5), ctx).clauses,
+            dyadic_cover("v", 6, 255));
+  EXPECT_EQ(compile_spec(Pred::value().lt(5), ctx).clauses,
+            dyadic_cover("v", 0, 4));
 }
 
 TEST(CompileSpec, DeduplicatesIdenticalClauses) {
@@ -73,13 +82,22 @@ TEST(CompileSpec, DeduplicatesIdenticalClauses) {
 }
 
 TEST(CompileSpec, NotIsCompiledAwayByIntervalComplement) {
-  const PlanContext ctx;
-  // ¬(v > 5) = (v < 5) ∨ (v = 5): two clauses, OR node, no NOT anywhere.
+  const PlanContext ctx{.value_bits = 8};
+  // ¬(v > 5) = v in [0, 5] = [0, 3] ∪ [4, 5]: two blocks, OR node, no NOT.
   const ClausePlan plan = compile_spec(!Pred::attr("a").gt(5), ctx);
-  ASSERT_EQ(plan.clauses.size(), 2u);
-  EXPECT_EQ(plan.clauses[0].mc, MatchCondition::kLess);
-  EXPECT_EQ(plan.clauses[1].mc, MatchCondition::kEqual);
+  EXPECT_EQ(plan.clauses,
+            (std::vector<PlanClause>{{"a", 2, MatchCondition::kBlock},
+                                     {"a", 5, MatchCondition::kBlock}}));
   EXPECT_EQ(plan.nodes[plan.root].kind, PlanNode::Kind::kOr);
+  // ¬(v = 5) is the cover of [0, 4] ∪ [6, 255], all in one hash order.
+  std::vector<PlanClause> both = dyadic_cover("a", 0, 4);
+  for (const PlanClause& c : dyadic_cover("a", 6, 255)) both.push_back(c);
+  std::vector<PlanClause> clauses =
+      compile_spec(!Pred::attr("a").eq(5), ctx).clauses;
+  EXPECT_FALSE(std::is_sorted(clauses.begin(), clauses.end(), by_value));
+  std::sort(both.begin(), both.end(), by_value);
+  std::sort(clauses.begin(), clauses.end(), by_value);
+  EXPECT_EQ(clauses, both);
 }
 
 TEST(CompileSpec, DeMorganFlipsCombinatorUnderNot) {
@@ -113,12 +131,13 @@ TEST(CompileSpec, IntervalLeafIsTheOrOfItsDyadicCover) {
       compile_spec(Pred::attr("a").between_inclusive(9, 9), ctx);
   EXPECT_EQ(point.clauses,
             (std::vector<PlanClause>{{"a", 9, MatchCondition::kEqual}}));
-  // Negated intervals keep their order clauses: (v < 30) ∨ (v > 40).
+  // A negated interval is the cover of [0, 29] ∪ [41, max]: 4 + 62 blocks
+  // in the u64 domain.
   const ClausePlan outside =
       compile_spec(!Pred::attr("a").between_inclusive(30, 40), ctx);
-  EXPECT_EQ(outside.clauses,
-            (std::vector<PlanClause>{{"a", 30, MatchCondition::kLess},
-                                     {"a", 40, MatchCondition::kGreater}}));
+  EXPECT_EQ(outside.clauses.size(), dyadic_cover("a", 0, 29).size() +
+                                        dyadic_cover("a", 41, ~0ull).size());
+  EXPECT_EQ(outside.clauses.size(), 66u);
 }
 
 TEST(CompileSpec, EmptyIntervalMakesEmptyNode) {
@@ -135,21 +154,53 @@ TEST(CompileSpec, StrictIntervalsThrowOnEmpty) {
                CryptoError);
   EXPECT_THROW(compile_spec(Pred::attr("a").between_inclusive(8, 7), strict),
                CryptoError);
-  // A negated empty interval is the full (attribute-scoped) domain — a
-  // positive query that never touches the empty interval, so no throw.
+  // Nothing lies above the maximum or below 0.
+  EXPECT_THROW(compile_spec(Pred::attr("a").gt(~0ull), strict), CryptoError);
+  EXPECT_THROW(compile_spec(Pred::attr("a").lt(0), strict), CryptoError);
+  // A negated leaf never throws: the complement of an empty interval is the
+  // full (attribute-scoped) domain, and the complement of the whole domain
+  // is a verified-empty answer, not a malformed interval.
   EXPECT_NO_THROW(compile_spec(!Pred::attr("a").between(7, 8), strict));
+  EXPECT_NO_THROW(
+      compile_spec(!Pred::attr("a").between_inclusive(0, ~0ull), strict));
+}
+
+TEST(CompileSpec, ValuesOutsideTheDomainThrow) {
+  // compile_spec rejects them before any token is made.
+  const PlanContext ctx{.value_bits = 8};
+  for (const Pred& spec :
+       {Pred::attr("a").eq(256), Pred::attr("a").gt(256),
+        Pred::attr("a").lt(256), !Pred::attr("a").eq(256),
+        Pred::attr("a").between_inclusive(0, 256),
+        Pred::attr("a").between(0, 258)})
+    EXPECT_THROW(compile_spec(spec, ctx), CryptoError)
+        << spec.spec().to_string();
+  // An exclusive bound of 2^b still names an interval inside the domain, and
+  // an empty interval names none.
+  EXPECT_EQ(compile_spec(Pred::attr("a").between(127, 256), ctx).clauses,
+            dyadic_cover("a", 128, 255));
+  EXPECT_TRUE(
+      compile_spec(Pred::attr("a").between_inclusive(300, 299), ctx)
+          .clauses.empty());
 }
 
 TEST(CompileSpec, NegatedEmptyIntervalIsDomain) {
-  const PlanContext ctx;
-  // ¬(7 < v < 8) over "a" = every record carrying "a": (v > 0) ∨ (v = 0).
-  const ClausePlan plan = compile_spec(!Pred::attr("a").between(7, 8), ctx);
-  ASSERT_EQ(plan.clauses.size(), 2u);
-  EXPECT_EQ(plan.clauses[0].mc, MatchCondition::kGreater);
-  EXPECT_EQ(plan.clauses[0].value, 0u);
-  EXPECT_EQ(plan.clauses[1].mc, MatchCondition::kEqual);
-  EXPECT_EQ(plan.clauses[1].value, 0u);
+  // ¬(7 < v < 8) over "a" = every record carrying "a": the one block that
+  // is the whole domain, named by 2^(b-1).
+  const ClausePlan plan = compile_spec(!Pred::attr("a").between(7, 8),
+                                       PlanContext{.value_bits = 8});
+  EXPECT_EQ(plan.clauses,
+            (std::vector<PlanClause>{{"a", 128, MatchCondition::kBlock}}));
+  EXPECT_EQ(plan.nodes[plan.root].kind, PlanNode::Kind::kClause);
   EXPECT_EQ(plan.empty_intervals, 0u);
+  EXPECT_EQ(compile_spec(!Pred::attr("a").gt(~0ull), PlanContext{}).clauses,
+            (std::vector<PlanClause>{
+                {"a", std::uint64_t{1} << 63, MatchCondition::kBlock}}));
+  // The complement of the whole domain matches nothing.
+  const ClausePlan none = compile_spec(
+      !Pred::attr("a").between_inclusive(0, 255), PlanContext{.value_bits = 8});
+  EXPECT_TRUE(none.clauses.empty());
+  EXPECT_EQ(none.nodes[none.root].kind, PlanNode::Kind::kEmpty);
 }
 
 TEST(CompileSpec, MalformedTreesThrowProtocolError) {
@@ -245,7 +296,10 @@ TEST_F(PlannerTest, WholePlanIsOneRoundTripWithSharedVerification) {
       Pred::attr("age").gt(28) && Pred::attr("dept").eq(7);
   const QueryResult r = client_->query(spec);
   EXPECT_TRUE(r.verified);
-  EXPECT_EQ(r.clause_count, 2u);
+  // age in [29, 255]: {29}, [30, 31], [32, 63], [64, 127], [128, 255]; and
+  // dept = 7.
+  EXPECT_EQ(dyadic_cover("age", 29, 255).size(), 5u);
+  EXPECT_EQ(r.clause_count, 6u);
   EXPECT_EQ(r.tokens_verified, r.token_count);
   EXPECT_EQ(r.token_detail.size(), r.token_count);
 }
@@ -322,7 +376,7 @@ TEST_F(PlannerTest, MixedPerClauseReadPaths) {
   const QuerySpec spec =
       Pred::attr("age").gt(28) && Pred::attr("dept").eq(7);
   const ClausePlan plan = client_->plan_for(spec);
-  ASSERT_EQ(plan.clauses.size(), 2u);
+  ASSERT_EQ(plan.clauses.size(), 6u);  // age's 5 blocks and dept = 7
   const QueryResult r = client_->run_plan(plan);
   EXPECT_TRUE(r.verified);
   EXPECT_EQ(r.ids, oracle(spec));
@@ -340,10 +394,11 @@ TEST_F(PlannerTest, MixedPerClauseReadPaths) {
       verify_plan(rig_.acc_params, rig_.cloud->shard_values(), requests,
                   replies, rig_.config.prime_bits);
   EXPECT_FALSE(pv.verified);
-  ASSERT_EQ(pv.clauses.size(), 2u);
+  ASSERT_EQ(pv.clauses.size(), 6u);
   EXPECT_FALSE(pv.clauses[0].verified);
   EXPECT_EQ(pv.clauses[0].tokens_verified, 0u);
-  EXPECT_TRUE(pv.clauses[1].verified);
+  for (std::size_t i = 1; i < pv.clauses.size(); ++i)
+    EXPECT_TRUE(pv.clauses[i].verified) << i;
 }
 
 TEST_F(PlannerTest, VerifiedCount) {

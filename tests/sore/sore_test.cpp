@@ -68,8 +68,9 @@ TEST_P(SoreMasked, CompareMatchesPlainOrder) {
   // Spot-check the extremes of wide domains.
   const auto tk_max = token(key, top, bits, Order::kGreater, rng);
   const auto ct_zero = encrypt(key, 0, bits, rng);
-  if (top != 0)
+  if (top != 0) {
     EXPECT_TRUE(compare(ct_zero, tk_max));  // top > 0
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(BitWidths, SoreMasked,
