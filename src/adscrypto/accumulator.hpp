@@ -56,6 +56,8 @@ class RsaAccumulator {
   static AccumulatorParams default_params_1024();
 
   const AccumulatorParams& params() const { return params_; }
+  /// The Montgomery context for n, for powers of bases other than g.
+  const bigint::Montgomery& montgomery() const { return mont_; }
 
   /// Ac = g^(∏ x) mod n — the public (trapdoor-free) path the cloud uses to
   /// check a received accumulator value.

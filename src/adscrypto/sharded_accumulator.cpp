@@ -34,7 +34,7 @@ metrics::Gauge& kept_seeds_gauge() {
 
 std::size_t default_shard_count() {
   // 256 shards is already far past the useful range for one process; the
-  // clamp keeps a typo from allocating thousands of Montgomery contexts.
+  // clamp keeps a typo from allocating thousands of prime lists and frontiers.
   return env::size_knob("SLICER_SHARDS", 1, 1, 256);
 }
 
@@ -70,14 +70,11 @@ BigUint fold_shard_digests(std::span<const BigUint> values) {
 }
 
 ShardedAccumulator::ShardedAccumulator(AccumulatorParams params,
-                                       std::size_t shard_count,
-                                       bool use_fixed_base)
-    : params_(std::move(params)), mont_(params_.modulus) {
+                                       std::size_t shard_count)
+    : acc_(std::move(params)) {
   const std::size_t k = shard_count == 0 ? default_shard_count() : shard_count;
-  shards_.reserve(k);
-  for (std::size_t s = 0; s < k; ++s) shards_.emplace_back(params_, use_fixed_base);
   primes_.resize(k);
-  values_.assign(k, params_.generator);
+  values_.assign(k, acc_.params().generator);
   exponents_.assign(k, BigUint(1));
   frontiers_ = std::vector<Frontier>(k);
 }
@@ -91,7 +88,7 @@ ShardedAccumulator::~ShardedAccumulator() {
 ShardedAccumulator::Batch ShardedAccumulator::route(
     std::span<const BigUint> xs) {
   Batch batch;
-  const std::size_t k = shards_.size();
+  const std::size_t k = primes_.size();
   batch.routed.resize(k);
   batch.empty = xs.empty();
   for (const BigUint& x : xs) {
@@ -109,7 +106,7 @@ ShardedAccumulator::Batch ShardedAccumulator::route(
 
 void ShardedAccumulator::keep_seeds(const Batch& batch) {
   std::int64_t delta = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
+  for (std::size_t s = 0; s < primes_.size(); ++s) {
     if (batch.routed[s].empty()) continue;
     Frontier& frontier = frontiers_[s];
     std::vector<Frontier::Seed>& seeds = frontier.seeds;
@@ -152,10 +149,10 @@ void ShardedAccumulator::insert(std::span<const BigUint> xs) {
   if (batch.empty) return;
   // Each touched shard raises its value by the routed product — independent
   // slots, so the shards update in parallel (product_tree nests on the pool).
-  ThreadPool::instance().parallel_for(shards_.size(), [&](std::size_t s) {
+  ThreadPool::instance().parallel_for(primes_.size(), [&](std::size_t s) {
     if (batch.routed[s].empty()) return;
     const BigUint exponent = product_tree(batch.routed[s]);
-    values_[s] = mont_.pow(values_[s], exponent);
+    values_[s] = acc_.montgomery().pow(values_[s], exponent);
   });
   exponents_valid_ = false;
   keep_seeds(batch);
@@ -176,27 +173,27 @@ void ShardedAccumulator::insert(std::span<const BigUint> xs,
     // A public insert interleaved earlier; refold every shard's exponent
     // from its full prime list (the modular product is order-independent,
     // so this lands on the same value a pure-trapdoor history would hold).
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
+    for (std::size_t s = 0; s < primes_.size(); ++s) {
       BigUint e(1);
       for (const BigUint& x : primes_[s]) e = (e * x) % phi;
       exponents_[s] = std::move(e);
     }
     exponents_valid_ = true;
   } else {
-    for (std::size_t s = 0; s < shards_.size(); ++s)
+    for (std::size_t s = 0; s < primes_.size(); ++s)
       for (const BigUint& x : batch.routed[s])
         exponents_[s] = (exponents_[s] * x) % phi;
   }
-  ThreadPool::instance().parallel_for(shards_.size(), [&](std::size_t s) {
+  ThreadPool::instance().parallel_for(primes_.size(), [&](std::size_t s) {
     if (batch.routed[s].empty()) return;
-    values_[s] = shards_[s].pow_generator(exponents_[s]);
+    values_[s] = acc_.pow_generator(exponents_[s]);
   });
   keep_seeds(batch);
 }
 
 void ShardedAccumulator::insert_with_values(
     std::span<const BigUint> xs, std::span<const BigUint> values_after) {
-  if (values_after.size() != shards_.size())
+  if (values_after.size() != primes_.size())
     throw ProtocolError("shard value count mismatch in update");
   const Batch batch = route(xs);
   values_.assign(values_after.begin(), values_after.end());
@@ -210,20 +207,19 @@ void ShardedAccumulator::rebuild(std::span<const BigUint> primes,
   const Batch batch = route(primes);
   if (trapdoor != nullptr) {
     const BigUint phi = trapdoor->phi();
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
+    for (std::size_t s = 0; s < primes_.size(); ++s) {
       BigUint e(1);
       for (const BigUint& x : primes_[s]) e = (e * x) % phi;
       exponents_[s] = std::move(e);
     }
-    ThreadPool::instance().parallel_for(shards_.size(), [&](std::size_t s) {
-      if (!primes_[s].empty())
-        values_[s] = shards_[s].pow_generator(exponents_[s]);
+    ThreadPool::instance().parallel_for(primes_.size(), [&](std::size_t s) {
+      if (!primes_[s].empty()) values_[s] = acc_.pow_generator(exponents_[s]);
     });
     exponents_valid_ = true;
   } else {
-    ThreadPool::instance().parallel_for(shards_.size(), [&](std::size_t s) {
+    ThreadPool::instance().parallel_for(primes_.size(), [&](std::size_t s) {
       if (!primes_[s].empty())
-        values_[s] = mont_.pow(params_.generator, product_tree(primes_[s]));
+        values_[s] = acc_.pow_generator(product_tree(primes_[s]));
     });
     exponents_valid_ = false;
   }
@@ -261,11 +257,12 @@ BigUint ShardedAccumulator::witness(Pos pos) const {
   static metrics::Counter& recomputes =
       metrics::counter("adscrypto.sharded.frontier.recomputes");
   const metrics::ScopedTimer timer(witness_ns);
-  if (pos.shard >= shards_.size() ||
+  if (pos.shard >= primes_.size() ||
       pos.index >= primes_[pos.shard].size())
     throw CryptoError("witness position out of range");
   const std::span<const BigUint> primes = primes_[pos.shard];
   const std::size_t n = primes.size();
+  const Montgomery& mont = acc_.montgomery();
   // Run c holds primes [lo, lo + C); [lo, hi) of them have arrived so far.
   const std::size_t c = pos.index / kFrontierRun;
   const std::size_t lo = c * kFrontierRun;
@@ -290,7 +287,7 @@ BigUint ShardedAccumulator::witness(Pos pos) const {
     const auto from_g = [&] {
       const BigUint exponent = product_tree(primes.subspan(0, lo)) *
                                product_tree(primes.subspan(hi));
-      return shards_[pos.shard].pow_generator(exponent);
+      return acc_.pow_generator(exponent);
     };
     if (covered == 0) {
       fills.add();
@@ -305,7 +302,7 @@ BigUint ShardedAccumulator::witness(Pos pos) const {
           kGenericPerCombBit * ((lo - seed->count) + (n - hi)) <
               lo + (n - hi)) {
         seeded_fills.add();
-        value = mont_.pow(
+        value = mont.pow(
             seed->value,
             product_tree(primes.subspan(seed->count, lo - seed->count)) *
                 product_tree(primes.subspan(hi)));
@@ -318,7 +315,7 @@ BigUint ShardedAccumulator::witness(Pos pos) const {
       // recomputing is a comb over every prime outside the run.
       if (kGenericPerCombBit * backlog <= n - (hi - lo)) {
         folds.add();
-        value = mont_.pow(value, product_tree(primes.subspan(from)));
+        value = mont.pow(value, product_tree(primes.subspan(from)));
       } else {
         recomputes.add();
         value = from_g();
@@ -335,17 +332,9 @@ BigUint ShardedAccumulator::witness(Pos pos) const {
 
   // The run's other primes: C − 1 at most, so one small generic modexp.
   if (hi - lo == 1) return value;
-  return mont_.pow(value, product_tree(primes.subspan(lo, pos.index - lo)) *
-                              product_tree(primes.subspan(
-                                  pos.index + 1, hi - pos.index - 1)));
-}
-
-bool ShardedAccumulator::verify(const AccumulatorParams& params,
-                                std::span<const BigUint> shard_values,
-                                const BigUint& element,
-                                const BigUint& witness) {
-  const Montgomery mont(params.modulus);
-  return verify(mont, shard_values, element, witness);
+  return mont.pow(value, product_tree(primes.subspan(lo, pos.index - lo)) *
+                             product_tree(primes.subspan(
+                                 pos.index + 1, hi - pos.index - 1)));
 }
 
 bool ShardedAccumulator::verify(const Montgomery& mont,

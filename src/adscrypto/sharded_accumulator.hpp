@@ -1,12 +1,13 @@
-// Sharded RSA accumulator: K independent RsaAccumulator shards with a
+// Sharded RSA accumulator: K prime lists over one RsaAccumulator, with a
 // deterministic prime→shard routing function and an MSet-Mu-Hash fold of the
 // per-shard accumulation values into the single digest published on chain.
 //
-// Routing primes across K shards shrinks each shard's prime list (and
-// therefore every witness exponent) by ~K while the shards update in
-// parallel on the pool. K = 1 degenerates to exactly today's
-// single-accumulator behavior — same routing (everything to shard 0), same
-// digest (the raw shard value, no fold), bit-identical outputs.
+// Sharding splits the primes, not the group: every shard raises the same g
+// through one comb table. Routing shrinks each shard's prime list (and so
+// every witness exponent) by ~K while the shards update in parallel on the
+// pool. K = 1 degenerates to exactly today's single-accumulator behavior —
+// same routing (everything to shard 0), same digest (the raw shard value,
+// no fold), bit-identical outputs.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +41,7 @@ std::size_t shard_of(const bigint::BigUint& x, std::size_t shard_count);
 /// its position while staying one field element on chain.
 bigint::BigUint fold_shard_digests(std::span<const bigint::BigUint> values);
 
-/// K RsaAccumulator shards behind one routing/digest facade.
+/// K shards (a prime list and a value each) behind one routing/digest facade.
 class ShardedAccumulator {
  public:
   /// Location of an element: which shard holds it and at what arrival index
@@ -51,16 +52,15 @@ class ShardedAccumulator {
   };
 
   /// `shard_count` 0 resolves to default_shard_count() (the SLICER_SHARDS
-  /// environment knob); `use_fixed_base` is forwarded to every shard.
+  /// environment knob).
   explicit ShardedAccumulator(AccumulatorParams params,
-                              std::size_t shard_count = 0,
-                              bool use_fixed_base = true);
+                              std::size_t shard_count = 0);
   ShardedAccumulator(ShardedAccumulator&&) = default;
   /// Takes the kept seed values off the `kept_seeds` gauge.
   ~ShardedAccumulator();
 
-  std::size_t shard_count() const { return shards_.size(); }
-  const AccumulatorParams& params() const { return params_; }
+  std::size_t shard_count() const { return primes_.size(); }
+  const AccumulatorParams& params() const { return acc_.params(); }
 
   /// Public (trapdoor-free) batch insert: routes `xs`, then raises each
   /// touched shard's value by its routed product — shard-parallel on the
@@ -123,14 +123,9 @@ class ShardedAccumulator {
   bigint::BigUint witness(Pos pos) const;
 
   /// Verifies a membership witness against the shard values: routes
-  /// `element` to its shard and checks witness^element == value_s. This is
-  /// what the contract and client execute.
-  static bool verify(const AccumulatorParams& params,
-                     std::span<const bigint::BigUint> shard_values,
-                     const bigint::BigUint& element,
-                     const bigint::BigUint& witness);
-
-  /// Same, against a caller-amortized Montgomery context.
+  /// `element` to its shard and checks witness^element == value_s under a
+  /// caller-amortized Montgomery context. This is what the contract and
+  /// client execute.
   static bool verify(const bigint::Montgomery& mont,
                      std::span<const bigint::BigUint> shard_values,
                      const bigint::BigUint& element,
@@ -152,9 +147,9 @@ class ShardedAccumulator {
   /// drops the seeds no unfilled run can start from. Insert paths only.
   void keep_seeds(const Batch& batch);
 
-  AccumulatorParams params_;
-  bigint::Montgomery mont_;
-  std::vector<RsaAccumulator> shards_;
+  /// Its Montgomery context and comb table for g serve every shard; the
+  /// table grows to the largest shard exponent, not a sum over shards.
+  RsaAccumulator acc_;
   /// Per-shard prime lists in arrival order.
   std::vector<std::vector<bigint::BigUint>> primes_;
   /// Per-shard accumulation values Ac_s (generator when empty).

@@ -335,6 +335,8 @@ bool SlicerContract::verify_with_gas(
   const GasSchedule& s = ctx.gas->schedule();
   const std::size_t mod_len = params_.modulus.to_bytes_be().size();
   ctx.gas->charge(s.sload, "ac_load");
+  // One Montgomery context for the whole settlement, not one per token.
+  const bigint::Montgomery mont(params_.modulus);
 
   for (std::size_t i = 0; i < tokens.size(); ++i) {
     const core::SearchToken& token = tokens[i];
@@ -365,7 +367,7 @@ bool SlicerContract::verify_with_gas(
     // that shard's slot; the one shard of K=1 is Ac itself.
     ctx.gas->charge(modexp_gas(s, mod_len, prime_bits_, mod_len), "modexp");
     if (shard_values_.size() > 1) ctx.gas->charge(s.sload, "shard_load");
-    if (!adscrypto::ShardedAccumulator::verify(params_, shard_values_, x,
+    if (!adscrypto::ShardedAccumulator::verify(mont, shard_values_, x,
                                                reply.witness))
       return false;
   }

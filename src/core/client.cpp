@@ -135,25 +135,37 @@ QueryResult QueryClient::run_plan(const ClausePlan& plan) {
     }
   }
 
-  if (fetch.empty()) {
-    // No cloud contact needed: every clause was cache-served (each already
-    // verified under the current digest) or the plan is pure empty
-    // intervals — vacuously verified, exactly like the legacy
-    // empty-interval result.
-    out.verified = true;
-  } else {
-    std::vector<ClauseRequest> requests;
-    requests.reserve(fetch.size());
-    {
-      const metrics::ScopedTimer token_timer(tokens_ns);
-      const trace::Span token_span("client.tokens");
-      for (const std::size_t i : fetch) {
-        const PlanClause& c = plan.clauses[i];
-        requests.push_back(ClauseRequest{
-            .tokens = user_.make_tokens(c.attribute, c.value, c.mc)});
-      }
-    }
+  // Only verified clause outcomes are memoized — the cache can never
+  // replay an unverified (or stale: see the digest in the key) VO.
+  const auto remember = [&](std::size_t i) {
+    if (capacity != 0 && cache_.emplace(keys[i], outcomes[i]).second)
+      cache_order_.push_back(keys[i]);
+  };
 
+  // A clause with no indexed keyword gets no token: it is answered here as
+  // verified-empty (as verify_plan would) and never sent to the cloud.
+  std::vector<ClauseRequest> requests;
+  std::vector<std::size_t> sent;  // plan clause of each request
+  if (!fetch.empty()) {
+    const metrics::ScopedTimer token_timer(tokens_ns);
+    const trace::Span token_span("client.tokens");
+    for (const std::size_t i : fetch) {
+      const PlanClause& c = plan.clauses[i];
+      std::vector<SearchToken> tokens =
+          user_.make_tokens(c.attribute, c.value, c.mc);
+      if (tokens.empty()) {
+        remember(i);
+        continue;
+      }
+      requests.push_back(ClauseRequest{.tokens = std::move(tokens)});
+      sent.push_back(i);
+    }
+  }
+
+  // Nothing to send (every clause cached under the current digest,
+  // tokenless or an empty interval): no cloud contact, vacuously verified.
+  out.verified = true;
+  if (!requests.empty()) {
     // Each clause verifies against its primes' shard values; the shard
     // values themselves must fold to the digest the chain holds, otherwise
     // a cloud could advertise arbitrary per-shard values. One fold check
@@ -166,8 +178,8 @@ QueryResult QueryClient::run_plan(const ClausePlan& plan) {
         verify_plan(cloud_.accumulator_params(), shard_values, requests,
                     replies, prime_bits_);
 
-    for (std::size_t j = 0; j < fetch.size(); ++j) {
-      const std::size_t i = fetch[j];
+    for (std::size_t j = 0; j < sent.size(); ++j) {
+      const std::size_t i = sent[j];
       CachedClause& o = outcomes[i];
       o.token_count = requests[j].tokens.size();
       if (j < pv.clauses.size()) {
@@ -179,18 +191,12 @@ QueryResult QueryClient::run_plan(const ClausePlan& plan) {
         std::sort(o.ids.begin(), o.ids.end());
         o.ids.erase(std::unique(o.ids.begin(), o.ids.end()), o.ids.end());
       }
-      // Only verified clause outcomes are memoized — the cache can never
-      // replay an unverified (or stale: see the digest in the key) VO.
-      const bool clause_ok =
-          fold_ok && j < pv.clauses.size() && pv.clauses[j].verified;
-      if (clause_ok && capacity != 0 &&
-          cache_.emplace(keys[i], o).second) {
-        cache_order_.push_back(keys[i]);
-      }
+      if (fold_ok && j < pv.clauses.size() && pv.clauses[j].verified)
+        remember(i);
     }
-    trim_cache(capacity);
     out.verified = fold_ok && pv.verified;
   }
+  trim_cache(capacity);
 
   // Roll up token accounting in clause order.
   for (const CachedClause& o : outcomes) {

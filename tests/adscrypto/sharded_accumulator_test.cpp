@@ -144,18 +144,19 @@ TEST_F(ShardedAccumulatorTest, WitnessesVerifyAgainstTheirShard) {
     const auto primes = sample_primes(26, 100 + k);
     acc.insert(primes);
     const auto values = acc.shard_values();
+    const bigint::Montgomery mont(params_.modulus);
     for (const BigUint& x : primes) {
       const auto pos = acc.find(x);
       ASSERT_TRUE(pos.has_value());
       EXPECT_EQ(pos->shard, shard_of(x, k));
       const BigUint w = acc.witness(*pos);
-      EXPECT_TRUE(ShardedAccumulator::verify(params_, values, x, w));
+      EXPECT_TRUE(ShardedAccumulator::verify(mont, values, x, w));
     }
     // A witness from one element must not prove another.
     const auto p0 = acc.find(primes[0]);
-    EXPECT_FALSE(ShardedAccumulator::verify(params_, values, primes[1],
+    EXPECT_FALSE(ShardedAccumulator::verify(mont, values, primes[1],
                                             acc.witness(*p0)));
-    EXPECT_FALSE(ShardedAccumulator::verify(params_, {}, primes[0],
+    EXPECT_FALSE(ShardedAccumulator::verify(mont, {}, primes[0],
                                             acc.witness(*p0)));
   }
 }
@@ -507,6 +508,29 @@ TEST_F(ShardedWitnessFrontier, ConcurrentFirstTouchesOnNewRuns) {
   }
   EXPECT_EQ(frontier_count("seeded_fills"), seeded + 6);
   expect_exact(acc, 0, C + 9, "after races");
+
+  // Two shards fill from g at once. Each round touches a run older than
+  // every kept value, one in each shard, so both racers raise g through
+  // the accumulator's one comb table; the public inserts never touch the
+  // table, so the racers also grow it.
+  ShardedAccumulator two(params_, 2);
+  two.insert(sample_primes(16 * C, 125));
+  const std::uint64_t fills = frontier_count("fills");
+  const std::uint64_t seeded_two = frontier_count("seeded_fills");
+  for (std::size_t round = 0; round < 3; ++round) {
+    two.insert(sample_primes(C, 126 + round));
+    const auto index = static_cast<std::uint32_t>(round * C + 4);
+    std::vector<BigUint> got(2);
+    std::vector<std::thread> racers;
+    for (std::uint32_t s = 0; s < 2; ++s)
+      racers.emplace_back([&, s] { got[s] = two.witness({s, index}); });
+    for (std::thread& r : racers) r.join();
+    for (std::size_t s = 0; s < 2; ++s)
+      EXPECT_EQ(got[s], scratch_.witness(two.shard_primes(s), index))
+          << "round=" << round << " shard=" << s;
+  }
+  EXPECT_EQ(frontier_count("fills"), fills + 6);
+  EXPECT_EQ(frontier_count("seeded_fills"), seeded_two);
 }
 
 TEST_F(ShardedWitnessFrontier, KeptSeedsStayBoundedWhenRunsAreTouched) {

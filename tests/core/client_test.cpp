@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "common/errors.hpp"
+#include "common/metrics.hpp"
 #include "tests/core/test_rig.hpp"
 
 namespace slicer::core {
@@ -37,6 +38,44 @@ TEST_F(ClientTest, PrimitiveConditions) {
   auto lt = client_->less(20);
   EXPECT_TRUE(lt.verified);
   EXPECT_EQ(lt.ids, (std::vector<RecordId>{1, 7}));
+}
+
+TEST_F(ClientTest, SendsOnlyClausesWithTokens) {
+  // greater(40) covers (40, 255] with 6 dyadic blocks, and only the block
+  // holding 255 has an indexed value. The other 5 are answered locally as
+  // verified-empty, so the cloud never learns the cover's block count.
+  const metrics::ScopedMetrics scoped;
+  const metrics::Counter& served = metrics::counter("core.cloud.plan.clauses");
+  const ClausePlan plan = client_->plan_for(Pred::value().gt(40));
+  std::size_t with_tokens = 0;
+  for (const PlanClause& c : plan.clauses)
+    if (!rig_.user->make_tokens(c.attribute, c.value, c.mc).empty())
+      ++with_tokens;
+  EXPECT_EQ(plan.clauses.size(), 6u);
+  EXPECT_EQ(with_tokens, 1u);
+
+  const std::uint64_t before = served.value();
+  const auto r = client_->run_plan(plan);
+  EXPECT_EQ(served.value(), before + with_tokens);
+  EXPECT_TRUE(r.verified);
+  EXPECT_EQ(r.ids, (std::vector<RecordId>{6}));
+  EXPECT_EQ(r.clause_count, plan.clauses.size());
+  EXPECT_EQ(r.cached_clauses, 0u);
+
+  // Every clause, tokenless ones included, was memoized as verified: the
+  // rerun is served from the cache without a cloud call.
+  const auto again = client_->run_plan(plan);
+  EXPECT_EQ(served.value(), before + with_tokens);
+  EXPECT_TRUE(again.verified);
+  EXPECT_EQ(again.ids, r.ids);
+  EXPECT_EQ(again.cached_clauses, plan.clauses.size());
+
+  // A plan whose every clause is tokenless makes no cloud call at all.
+  const auto none = client_->between(41, 254);
+  EXPECT_EQ(served.value(), before + with_tokens);
+  EXPECT_TRUE(none.verified);
+  EXPECT_TRUE(none.ids.empty());
+  EXPECT_EQ(none.token_count, 0u);
 }
 
 TEST_F(ClientTest, ExclusiveInterval) {
