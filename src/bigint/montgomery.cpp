@@ -308,44 +308,41 @@ BigUint Montgomery::pow(const BigUint& base, const BigUint& exp) const {
 
 Montgomery::FixedBase::FixedBase(const Montgomery& mont, const BigUint& base,
                                  std::size_t initial_bits)
-    : mont_(mont) {
+    : mont_(mont),
+      chunks_(std::make_unique<std::unique_ptr<u64[]>[]>(kMaxChunks)) {
   Scratch s;
   const Elem b = mont_.to_mont(base, s);
-  table_.assign(b.begin(), b.end());
-  digits_ = 1;
+  chunks_[0] = std::make_unique<u64[]>(kChunkDigits * mont_.k_);
+  std::copy(b.begin(), b.end(), chunks_[0].get());
+  digits_.store(1, std::memory_order_release);
   const std::size_t want_bits =
       std::min(std::max<std::size_t>(initial_bits, kWindowBits), kMaxTableBits);
   ensure_digits((want_bits + kWindowBits - 1) / kWindowBits);
 }
 
 std::size_t Montgomery::FixedBase::table_bits() const {
-  std::shared_lock lk(mu_);
-  return digits_ * kWindowBits;
+  return digits_.load(std::memory_order_acquire) * kWindowBits;
 }
 
 void Montgomery::FixedBase::ensure_digits(std::size_t digits) const {
-  std::unique_lock lk(mu_);
-  if (digits_ >= digits) return;
+  const std::lock_guard lk(grow_mu_);
+  const std::size_t have = digits_.load(std::memory_order_relaxed);
+  if (have >= digits) return;
   const std::size_t k = mont_.k_;
   std::vector<u64> t(2 * k + 2);
-  // Exponents creep up a few digits at a time (the accumulator's witness
-  // frontier raises g to slightly different prime counts), so reserve 1/8
-  // headroom: a small growth then fills reserved, still untouched capacity
-  // instead of reallocating and freeing the whole table. Freeing a table
-  // that size raises glibc's dynamic mmap threshold, which kept later large
-  // buffers on the heap (+2.7 MiB peak RSS on perfbench plan_spill).
-  if (table_.capacity() < digits * k)
-    table_.reserve((digits + digits / 8) * k);
-  table_.resize(digits * k);
-  for (std::size_t i = digits_; i < digits; ++i) {
+  // Readers keep using G[0, have): chunks never move, and the new entries
+  // stay unseen until the store below publishes them.
+  for (std::size_t i = have; i < digits; ++i) {
     // G[i] = G[i−1]^(2^w): copy the previous entry and square w times.
-    u64* cur = table_.data() + i * k;
-    const u64* prev = cur - k;
+    std::unique_ptr<u64[]>& chunk = chunks_[i / kChunkDigits];
+    if (i % kChunkDigits == 0) chunk = std::make_unique<u64[]>(kChunkDigits * k);
+    u64* cur = chunk.get() + (i % kChunkDigits) * k;
+    const u64* prev = entry(i - 1);
     for (std::size_t j = 0; j < k; ++j) cur[j] = prev[j];
     for (unsigned sq = 0; sq < kWindowBits; ++sq)
       mont_.mont_sqr_raw(cur, cur, t.data());
   }
-  digits_ = digits;
+  digits_.store(digits, std::memory_order_release);
 }
 
 void Montgomery::FixedBase::pow_mont(const BigUint& exp, Elem& out,
@@ -360,24 +357,13 @@ void Montgomery::FixedBase::pow_mont(const BigUint& exp, Elem& out,
   if (bits > kMaxTableBits) {
     // The table for this exponent would blow the memory cap; run the
     // generic sliding window from G[0] (= base in Montgomery form).
-    Elem base(k);
-    {
-      std::shared_lock lk(mu_);
-      const u64* g0 = table_.data();
-      for (std::size_t j = 0; j < k; ++j) base[j] = g0[j];
-    }
+    const Elem base(entry(0), entry(0) + k);
     m.pow_mont(base, exp, out, s);
     return;
   }
 
   const std::size_t digits = (bits + kWindowBits - 1) / kWindowBits;
-  std::shared_lock lk(mu_);
-  if (digits_ < digits) {
-    lk.unlock();
-    ensure_digits(digits);
-    lk.lock();
-  }
-  const u64* table = table_.data();
+  if (digits_.load(std::memory_order_acquire) < digits) ensure_digits(digits);
   u64* t = s.t.data();
 
   if (bits <= kCombDirectBits) {
@@ -387,7 +373,7 @@ void Montgomery::FixedBase::pow_mont(const BigUint& exp, Elem& out,
       m.mont_sqr_raw(out.data(), out.data(), t);
       for (std::size_t i = 0; i < digits; ++i) {
         if (exp.bit(i * kWindowBits + b))
-          m.mont_mul_raw(out.data(), table + i * k, out.data(), t);
+          m.mont_mul_raw(out.data(), entry(i), out.data(), t);
       }
     }
     return;
@@ -408,11 +394,11 @@ void Montgomery::FixedBase::pow_mont(const BigUint& exp, Elem& out,
     if (digit == 0) continue;
     u64* slot = buckets + digit * k;
     if (!used[digit]) {
-      const u64* src = table + i * k;
+      const u64* src = entry(i);
       for (std::size_t j = 0; j < k; ++j) slot[j] = src[j];
       used[digit] = true;
     } else {
-      m.mont_mul_raw(slot, table + i * k, slot, t);
+      m.mont_mul_raw(slot, entry(i), slot, t);
     }
   }
   u64* run = s.tmp.data();  // suffix product of buckets

@@ -13,12 +13,14 @@
 // take a caller-owned Scratch — keep one Scratch per thread (they are
 // cheap, lazily sized buffers) and the CIOS kernel performs zero heap
 // allocations once the scratch has warmed up. A FixedBase may also be
-// shared across threads: its table is extended under an internal lock and
-// read under a shared lock.
+// shared across threads: its table is extended under an internal mutex
+// and read without a lock.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <shared_mutex>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "bigint/biguint.hpp"
@@ -123,11 +125,12 @@ class Montgomery {
 /// exact modular multiplications yields the same value.
 ///
 /// The table is built once per (modulus, base) and extended lazily when
-/// a longer exponent arrives; extension happens under an internal
-/// exclusive lock while evaluation takes a shared lock, so one FixedBase
-/// may be used concurrently from any number of threads. Exponents whose
-/// table would exceed kMaxTableBits fall back to the generic sliding
-/// window (see DESIGN.md §3d for the memory trade-off).
+/// a longer exponent arrives. Its entries live in chunks that never move:
+/// extension appends under an internal mutex and publishes the new count,
+/// evaluation reads published entries without a lock, so one FixedBase
+/// serves any number of threads and no evaluation waits for a growth.
+/// Exponents whose table would exceed kMaxTableBits fall back to the
+/// generic sliding window (see DESIGN.md §3d for the memory trade-off).
 class Montgomery::FixedBase {
  public:
   /// Comb tooth spacing: each table entry covers w exponent bits.
@@ -139,6 +142,8 @@ class Montgomery::FixedBase {
   /// Hard cap on table coverage: ~1M exponent bits ≈ 21 MB of table at a
   /// 1024-bit modulus. Beyond it, pow falls back to Montgomery::pow_mont.
   static constexpr std::size_t kMaxTableBits = std::size_t{1} << 20;
+  /// Table entries per chunk (16 KiB of table at a 1024-bit modulus).
+  static constexpr std::size_t kChunkDigits = 128;
 
   /// Builds the initial table covering `initial_bits` of exponent.
   /// `base` is reduced mod n. The FixedBase keeps its own copy of the
@@ -161,13 +166,22 @@ class Montgomery::FixedBase {
   std::size_t table_bits() const;
 
  private:
-  /// Extends the table to at least `digits` entries (exclusive lock).
+  static constexpr std::size_t kMaxChunks =
+      kMaxTableBits / (kWindowBits * kChunkDigits) + 1;
+  /// Extends the table to at least `digits` entries (under grow_mu_).
   void ensure_digits(std::size_t digits) const;
+  /// G[i]; i must be below a count this thread has read from digits_.
+  const u64* entry(std::size_t i) const {
+    return chunks_[i / kChunkDigits].get() + (i % kChunkDigits) * mont_.k_;
+  }
 
   const Montgomery mont_;  // own copy: ~4 modulus-sized vectors
-  mutable std::shared_mutex mu_;
-  mutable std::vector<u64> table_;  // digits_ × limb_count() flat entries
-  mutable std::size_t digits_ = 0;
+  mutable std::mutex grow_mu_;
+  // kMaxChunks slots; slot c holds G[c·kChunkDigits ..] once allocated.
+  const std::unique_ptr<std::unique_ptr<u64[]>[]> chunks_;
+  // Published entry count: G[0, digits_) are complete. Stored with release
+  // after the entries are written, loaded with acquire before reading them.
+  mutable std::atomic<std::size_t> digits_{0};
 };
 
 }  // namespace slicer::bigint

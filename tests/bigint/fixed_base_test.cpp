@@ -118,13 +118,14 @@ TEST(FixedBase, ConcurrentUseWithLazyGrowth) {
   if (!m.is_odd()) m.add_u64(1);
   const Montgomery mont(m);
   const BigUint g = random_below(rng, m);
-  // Tiny initial table so the threads race through extensions.
+  // Tiny initial table so the threads race through extensions, across
+  // several chunk boundaries while others read the published chunks.
   const Montgomery::FixedBase fixed(mont, g, /*initial_bits=*/6);
 
   std::vector<BigUint> exps;
   std::vector<BigUint> want;
   for (int i = 0; i < 24; ++i) {
-    exps.push_back(random_bits(rng, 16 + 40 * static_cast<std::size_t>(i)));
+    exps.push_back(random_bits(rng, 16 + 130 * static_cast<std::size_t>(i)));
     want.push_back(mont.pow(g, exps.back()));
   }
   std::vector<BigUint> got(exps.size());
@@ -140,6 +141,8 @@ TEST(FixedBase, ConcurrentUseWithLazyGrowth) {
   for (auto& th : threads) th.join();
   for (std::size_t i = 0; i < exps.size(); ++i)
     EXPECT_EQ(got[i], want[i]) << "i=" << i;
+  EXPECT_GE(fixed.table_bits(), 3 * Montgomery::FixedBase::kChunkDigits *
+                                    Montgomery::FixedBase::kWindowBits);
 }
 
 TEST(FixedBase, OutlivesSourceMontgomery) {
