@@ -39,6 +39,116 @@ unsigned window_bits_for(std::size_t bits) {
   return 6;
 }
 
+/// One output column of a product-scanning kernel: the running sum of
+/// its word products, as a 128-bit low part plus a carry word. A column
+/// of a k-limb kernel sums fewer than 2k+2 products, so the carry word
+/// never overflows.
+struct Column {
+  u128 lo = 0;
+  u64 hi = 0;
+
+  void add(u128 p) {
+    lo += p;
+    hi += lo < p;
+  }
+  void mac(u64 x, u64 y) { add(static_cast<u128>(x) * y); }
+  /// Returns the finished low word and moves on to the next column.
+  u64 shift() {
+    const u64 w = static_cast<u64>(lo);
+    lo = (lo >> 64) | (static_cast<u128>(hi) << 64);
+    hi = 0;
+    return w;
+  }
+};
+
+/// out = u + top·R, minus n once when that is ≥ n. The kernels' result is
+/// below 2n, so this leaves it in [0, n). `out` is written only here.
+void subtract_once(const u64* u, u64 top, const u64* n, u64* out,
+                   std::size_t k) {
+  if (top == 0 && !geq(u, n, k)) {
+    for (std::size_t i = 0; i < k; ++i) out[i] = u[i];
+    return;
+  }
+  u64 borrow = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const u128 sub = static_cast<u128>(u[i]) - n[i] - borrow;
+    out[i] = static_cast<u64>(sub);
+    borrow = static_cast<u64>(sub >> 64) & 1;
+  }
+  assert(borrow == top);
+}
+
+// Product-scanning (FIPS) Montgomery kernels: out = a·b·R⁻¹ mod n. Column
+// i sums every word product of weight 2⁶⁴ⁱ — the a·b products and the
+// m·n products of the reduction — in one Column, so the partial sum stays
+// in registers instead of a k-limb array. Columns below k each fix one
+// reduction multiplier m[i] that clears the column's low word; columns k
+// to 2k−1 are the result u. `t` holds m (t[0, k)) and u (t[k, 2k)), and
+// `out` is written only after the final subtraction, so it may alias an
+// operand. K is the limb count when known at compile time (the loops then
+// have fixed trip counts); K = 0 takes it from `k_rt`.
+
+template <std::size_t K>
+void mont_mul_fips(const u64* a, const u64* b, u64* out, u64* t,
+                   const u64* n, u64 n0inv, std::size_t k_rt) {
+  const std::size_t k = K != 0 ? K : k_rt;
+  u64* m = t;
+  u64* u = t + k;
+  Column c;
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      c.mac(a[j], b[i - j]);
+      c.mac(m[j], n[i - j]);
+    }
+    c.mac(a[i], b[0]);
+    m[i] = static_cast<u64>(c.lo) * n0inv;
+    c.mac(m[i], n[0]);  // clears the low word
+    c.shift();
+  }
+  for (std::size_t i = k; i < 2 * k; ++i) {
+    for (std::size_t j = i - k + 1; j < k; ++j) {
+      c.mac(a[j], b[i - j]);
+      c.mac(m[j], n[i - j]);
+    }
+    u[i - k] = c.shift();
+  }
+  subtract_once(u, static_cast<u64>(c.lo), n, out, k);
+}
+
+/// The square adds each cross product a[j]·a[i−j] (j < i−j) once into a
+/// side column and doubles that, so it takes k(k+1)/2 word multiplies for
+/// a² where mont_mul_fips takes k².
+template <std::size_t K>
+void mont_sqr_fips(const u64* a, u64* out, u64* t, const u64* n, u64 n0inv,
+                   std::size_t k_rt) {
+  const std::size_t k = K != 0 ? K : k_rt;
+  u64* m = t;
+  u64* u = t + k;
+  Column c;
+  // Adds twice the cross products of column i from j = lo, then the
+  // diagonal square when i is even.
+  auto add_square_terms = [&](std::size_t i, std::size_t lo) {
+    Column x;
+    for (std::size_t j = lo; j < i - j; ++j) x.mac(a[j], a[i - j]);
+    c.add(x.lo << 1);
+    c.hi += (x.hi << 1) | static_cast<u64>(x.lo >> 127);
+    if (i % 2 == 0) c.mac(a[i / 2], a[i / 2]);
+  };
+  for (std::size_t i = 0; i < k; ++i) {
+    add_square_terms(i, 0);
+    for (std::size_t j = 0; j < i; ++j) c.mac(m[j], n[i - j]);
+    m[i] = static_cast<u64>(c.lo) * n0inv;
+    c.mac(m[i], n[0]);  // clears the low word
+    c.shift();
+  }
+  for (std::size_t i = k; i < 2 * k; ++i) {
+    add_square_terms(i, i - k + 1);
+    for (std::size_t j = i - k + 1; j < k; ++j) c.mac(m[j], n[i - j]);
+    u[i - k] = c.shift();
+  }
+  subtract_once(u, static_cast<u64>(c.lo), n, out, k);
+}
+
 }  // namespace
 
 Montgomery::Montgomery(const BigUint& modulus) : n_big_(modulus) {
@@ -65,132 +175,30 @@ Montgomery::Montgomery(const BigUint& modulus) : n_big_(modulus) {
 
 void Montgomery::prepare(Scratch& s) const {
   // Exact sizes: a scratch shared across moduli of different widths keeps
-  // its capacity, so these resizes stop allocating once warm. `t` is sized
-  // for the squaring kernel's full double-width product.
-  s.t.resize(2 * k_ + 2);
+  // its capacity, so these resizes stop allocating once warm. `t` holds the
+  // kernels' m and u columns.
+  s.t.resize(2 * k_);
   s.tmp.resize(k_);
   s.staging.resize(k_);
 }
 
 void Montgomery::mont_mul_raw(const u64* a, const u64* b, u64* out,
                               u64* t) const {
-  // CIOS: uses the first k_+2 limbs of t.
-  for (std::size_t i = 0; i < k_ + 2; ++i) t[i] = 0;
-  for (std::size_t i = 0; i < k_; ++i) {
-    // t += a * b[i]
-    u64 carry = 0;
-    const u64 bi = b[i];
-    for (std::size_t j = 0; j < k_; ++j) {
-      const u128 cur = static_cast<u128>(a[j]) * bi + t[j] + carry;
-      t[j] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    u128 cur = static_cast<u128>(t[k_]) + carry;
-    t[k_] = static_cast<u64>(cur);
-    t[k_ + 1] = static_cast<u64>(cur >> 64);
-
-    // Reduce one limb: m = t[0] * n0inv mod 2^64; t = (t + m*n) / 2^64.
-    const u64 m = t[0] * n0inv_;
-    cur = static_cast<u128>(t[0]) + static_cast<u128>(m) * n_[0];
-    carry = static_cast<u64>(cur >> 64);
-    for (std::size_t j = 1; j < k_; ++j) {
-      cur = static_cast<u128>(t[j]) + static_cast<u128>(m) * n_[j] + carry;
-      t[j - 1] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    cur = static_cast<u128>(t[k_]) + carry;
-    t[k_ - 1] = static_cast<u64>(cur);
-    t[k_] = t[k_ + 1] + static_cast<u64>(cur >> 64);
-    t[k_ + 1] = 0;
+  switch (k_) {
+    case 1: return mont_mul_fips<1>(a, b, out, t, n_.data(), n0inv_, k_);
+    case 8: return mont_mul_fips<8>(a, b, out, t, n_.data(), n0inv_, k_);
+    case 16: return mont_mul_fips<16>(a, b, out, t, n_.data(), n0inv_, k_);
+    default: return mont_mul_fips<0>(a, b, out, t, n_.data(), n0inv_, k_);
   }
-
-  if (t[k_] != 0 || geq(t, n_.data(), k_)) {
-    // Subtract n once; with a,b < n the result then fits in k_ limbs.
-    u64 borrow = 0;
-    for (std::size_t i = 0; i < k_; ++i) {
-      const u128 sub = static_cast<u128>(t[i]) - n_[i] - borrow;
-      t[i] = static_cast<u64>(sub);
-      borrow = (sub >> 64) ? 1 : 0;
-    }
-    t[k_] -= borrow;
-    assert(t[k_] == 0);
-  }
-  for (std::size_t i = 0; i < k_; ++i) out[i] = t[i];
 }
 
 void Montgomery::mont_sqr_raw(const u64* a, u64* out, u64* t) const {
-  // SOS squaring: the full 2k-limb square needs only k(k+1)/2 word
-  // multiplies (strict upper triangle, doubled, plus the diagonal) versus
-  // the k² of a generic product, and the Montgomery reduction then runs
-  // over the finished product. Exponentiation is squaring-dominated, so
-  // this kernel is where sliding windows and the comb spend their time.
-  const std::size_t k = k_;
-  for (std::size_t i = 0; i < 2 * k + 2; ++i) t[i] = 0;
-
-  // Strict upper triangle: t += a[i]·a[j] for i < j.
-  for (std::size_t i = 0; i + 1 < k; ++i) {
-    u64 carry = 0;
-    const u64 ai = a[i];
-    for (std::size_t j = i + 1; j < k; ++j) {
-      const u128 cur = static_cast<u128>(ai) * a[j] + t[i + j] + carry;
-      t[i + j] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    t[i + k] = carry;  // first write to this limb (rows end at i+k−1)
+  switch (k_) {
+    case 1: return mont_sqr_fips<1>(a, out, t, n_.data(), n0inv_, k_);
+    case 8: return mont_sqr_fips<8>(a, out, t, n_.data(), n0inv_, k_);
+    case 16: return mont_sqr_fips<16>(a, out, t, n_.data(), n0inv_, k_);
+    default: return mont_sqr_fips<0>(a, out, t, n_.data(), n0inv_, k_);
   }
-
-  // Double the triangle. 2·(cross terms) ≤ a² < R², so no bit falls out.
-  u64 carry_bit = 0;
-  for (std::size_t i = 0; i < 2 * k; ++i) {
-    const u64 v = t[i];
-    t[i] = (v << 1) | carry_bit;
-    carry_bit = v >> 63;
-  }
-  assert(carry_bit == 0);
-
-  // Add the diagonal a[i]² at limb 2i; the carry rides into the next pair.
-  u64 c = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const u128 sq = static_cast<u128>(a[i]) * a[i];
-    u128 cur = static_cast<u128>(t[2 * i]) + static_cast<u64>(sq) + c;
-    t[2 * i] = static_cast<u64>(cur);
-    cur = static_cast<u128>(t[2 * i + 1]) + static_cast<u64>(sq >> 64) +
-          static_cast<u64>(cur >> 64);
-    t[2 * i + 1] = static_cast<u64>(cur);
-    c = static_cast<u64>(cur >> 64);
-  }
-  assert(c == 0);  // a² fits in 2k limbs
-
-  // Montgomery reduction of the finished 2k-limb product.
-  for (std::size_t i = 0; i < k; ++i) {
-    const u64 m = t[i] * n0inv_;
-    u64 carry = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      const u128 cur =
-          static_cast<u128>(t[i + j]) + static_cast<u128>(m) * n_[j] + carry;
-      t[i + j] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    for (std::size_t idx = i + k; carry != 0; ++idx) {
-      const u128 cur = static_cast<u128>(t[idx]) + carry;
-      t[idx] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-  }
-
-  // Result = t[k..2k) (+ overflow limb); it is < 2n, so subtract n at most
-  // once.
-  if (t[2 * k] != 0 || geq(t + k, n_.data(), k)) {
-    u64 borrow = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-      const u128 sub = static_cast<u128>(t[k + i]) - n_[i] - borrow;
-      t[k + i] = static_cast<u64>(sub);
-      borrow = (sub >> 64) ? 1 : 0;
-    }
-    t[2 * k] -= borrow;
-    assert(t[2 * k] == 0);
-  }
-  for (std::size_t i = 0; i < k; ++i) out[i] = t[k + i];
 }
 
 Montgomery::Elem Montgomery::to_mont(const BigUint& a, Scratch& s) const {
@@ -329,7 +337,7 @@ void Montgomery::FixedBase::ensure_digits(std::size_t digits) const {
   const std::size_t have = digits_.load(std::memory_order_relaxed);
   if (have >= digits) return;
   const std::size_t k = mont_.k_;
-  std::vector<u64> t(2 * k + 2);
+  std::vector<u64> t(2 * k);
   // Readers keep using G[0, have): chunks never move, and the new entries
   // stay unseen until the store below publishes them.
   for (std::size_t i = have; i < digits; ++i) {

@@ -1,17 +1,21 @@
-// Montgomery modular arithmetic (CIOS) for odd moduli.
+// Montgomery modular arithmetic (product scanning) for odd moduli.
 //
 // All heavy modular exponentiation in the library — RSA accumulator
 // accumulation / witnesses / verification and the RSA trapdoor permutation —
 // runs through this engine. Construction precomputes R² mod n and
 // −n⁻¹ mod 2⁶⁴ once; `pow` then uses sliding windows over a dedicated
 // squaring kernel, and `FixedBase` adds a precomputed comb table for bases
-// that are exponentiated many times (the accumulator generator g).
+// that are exponentiated many times (the accumulator generator g). The
+// multiply and square kernels are compiled for fixed widths of 1, 8 and 16
+// limbs (64-bit Miller–Rabin candidates, the 512-bit CRT halves of the
+// trapdoor, the 1024-bit accumulator and trapdoor moduli); every other
+// width runs the same code with a run-time limb count.
 //
 // Thread-safety contract: a constructed Montgomery is immutable; every
 // method is const and touches no shared mutable state, so one instance may
 // be used concurrently from any number of threads. The hot-path overloads
 // take a caller-owned Scratch — keep one Scratch per thread (they are
-// cheap, lazily sized buffers) and the CIOS kernel performs zero heap
+// cheap, lazily sized buffers) and the kernels perform zero heap
 // allocations once the scratch has warmed up. A FixedBase may also be
 // shared across threads: its table is extended under an internal mutex
 // and read without a lock.
@@ -38,15 +42,15 @@ class Montgomery {
   /// to/from-Montgomery round trip per step.
   using Elem = std::vector<u64>;
 
-  /// Reusable working memory for the CIOS kernel and the pow window
-  /// table. NOT thread-safe: use one per thread.
+  /// Reusable working memory for the kernels and the pow window table.
+  /// NOT thread-safe: use one per thread.
   class Scratch {
    public:
     Scratch() = default;
 
    private:
     friend class Montgomery;
-    std::vector<u64> t;        // CIOS/SOS accumulator, 2·limb_count()+2 limbs
+    std::vector<u64> t;        // kernel m and u columns, 2·limb_count()
     std::vector<u64> tmp;      // base² / comb run accumulator, limb_count()
     std::vector<u64> table;    // flat window / bucket table
     std::vector<u64> staging;  // to_mont input staging
@@ -92,14 +96,17 @@ class Montgomery {
   class FixedBase;
 
  private:
-  /// CIOS kernel on raw limb pointers: out = a·b·R⁻¹ mod n. `a`, `b` and
-  /// `out` are k_ limbs (out may alias a or b); `t` is the scratch
-  /// accumulator (≥ k_+2 limbs). No allocation.
+  /// Product-scanning kernel on raw limb pointers: out = a·b·R⁻¹ mod n
+  /// for a, b < n. `a`, `b` and `out` are k_ limbs (out may alias a or b);
+  /// `t` (≥ 2·k_ limbs) receives the reduction multipliers m and the
+  /// result columns u before the final subtraction writes `out`. No
+  /// allocation.
   void mont_mul_raw(const u64* a, const u64* b, u64* out, u64* t) const;
 
-  /// Dedicated squaring kernel: out = a²·R⁻¹ mod n. Exploits the symmetry
-  /// of the product (half the partial products of mont_mul_raw). `t` needs
-  /// 2·k_+2 limbs; `out` may alias `a`. No allocation.
+  /// Dedicated squaring kernel: out = a²·R⁻¹ mod n. Each cross product
+  /// a[i]·a[j] is computed once and doubled, k_(k_+1)/2 word multiplies
+  /// for the square against k_² in mont_mul_raw. Same `t` and aliasing
+  /// rules. No allocation.
   void mont_sqr_raw(const u64* a, u64* out, u64* t) const;
 
   /// Grows the scratch buffers to this modulus's widths (no-op once warm).

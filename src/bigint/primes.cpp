@@ -37,15 +37,15 @@ constexpr std::array<std::uint64_t, 54> kSmallPrimes = {
 constexpr std::array<std::uint64_t, 12> kDeterministicWitnesses = {
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37};
 
-/// One Miller–Rabin round: returns true when `n` passes for witness `a`.
-/// `d` and `r` satisfy n - 1 = d * 2^r with d odd; `mont` is bound to n.
-bool mr_round(const BigUint& n, const BigUint& a, const BigUint& d,
-              std::size_t r, const Montgomery& mont) {
-  const BigUint n_minus_1 = n - BigUint(1);
-  BigUint x = mont.pow(a, d);
+/// One Miller–Rabin round: returns true when n passes for witness `a`.
+/// `d` and `r` satisfy n - 1 = d * 2^r with d odd; `mont` is bound to n and
+/// `s` is the candidate's scratch, shared by its rounds.
+bool mr_round(const BigUint& n_minus_1, const BigUint& a, const BigUint& d,
+              std::size_t r, const Montgomery& mont, Montgomery::Scratch& s) {
+  BigUint x = mont.pow(a, d, s);
   if (x.is_one() || x == n_minus_1) return true;
   for (std::size_t i = 1; i < r; ++i) {
-    x = mont.mul(x, x);
+    x = mont.mul(x, x, s);
     if (x == n_minus_1) return true;
     if (x.is_one()) return false;  // nontrivial sqrt of 1 => composite
   }
@@ -172,13 +172,14 @@ namespace {
 
 /// Shared trial-division + decomposition prefix. Returns 0 when composite,
 /// 1 when certainly prime (small), 2 when Miller–Rabin is needed; fills
-/// `d` and `r` with n - 1 = d * 2^r in the latter case.
-int mr_prepare(const BigUint& n, BigUint& d, std::size_t& r) {
+/// `n_minus_1`, `d` and `r` with n - 1 = d * 2^r in the latter case.
+int mr_prepare(const BigUint& n, BigUint& n_minus_1, BigUint& d,
+               std::size_t& r) {
   if (n < BigUint(2)) return 0;
   for (std::uint64_t p : kSmallPrimes) {
     if (mod_u64(n, p) == 0) return n == BigUint(p) ? 1 : 0;
   }
-  const BigUint n_minus_1 = n - BigUint(1);
+  n_minus_1 = n - BigUint(1);
   d = n_minus_1;
   r = 0;
   while (!d.is_odd()) {
@@ -191,39 +192,41 @@ int mr_prepare(const BigUint& n, BigUint& d, std::size_t& r) {
 }  // namespace
 
 bool is_probable_prime_fixed(const BigUint& n) {
-  BigUint d;
+  BigUint n_minus_1, d;
   std::size_t r = 0;
-  const int state = mr_prepare(n, d, r);
+  const int state = mr_prepare(n, n_minus_1, d, r);
   if (state != 2) return state == 1;
   const Montgomery mont(n);
+  Montgomery::Scratch s;
   for (std::uint64_t w : kDeterministicWitnesses) {
-    if (!mr_round(n, BigUint(w), d, r, mont)) return false;
+    if (!mr_round(n_minus_1, BigUint(w), d, r, mont, s)) return false;
   }
   return true;
 }
 
 bool is_probable_prime(const BigUint& n, crypto::Drbg& rng, int rounds) {
-  BigUint d;
+  BigUint n_minus_1, d;
   std::size_t r = 0;
-  const int state = mr_prepare(n, d, r);
+  const int state = mr_prepare(n, n_minus_1, d, r);
   if (state != 2) return state == 1;
   const Montgomery mont(n);
+  Montgomery::Scratch s;
 
   if (n.bit_length() <= 64) {
     for (std::uint64_t w : kDeterministicWitnesses) {
-      if (!mr_round(n, BigUint(w), d, r, mont)) return false;
+      if (!mr_round(n_minus_1, BigUint(w), d, r, mont, s)) return false;
     }
     return true;
   }
 
   for (std::uint64_t w : kDeterministicWitnesses) {
-    if (!mr_round(n, BigUint(w), d, r, mont)) return false;
+    if (!mr_round(n_minus_1, BigUint(w), d, r, mont, s)) return false;
   }
   for (int i = 0; i < rounds; ++i) {
     // Witness in [2, n-2].
     const BigUint a =
         random_below(rng, n - BigUint(3)) + BigUint(2);
-    if (!mr_round(n, a, d, r, mont)) return false;
+    if (!mr_round(n_minus_1, a, d, r, mont, s)) return false;
   }
   return true;
 }

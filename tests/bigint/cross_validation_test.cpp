@@ -3,6 +3,8 @@
 // identities, Montgomery vs plain divmod, Karatsuba vs schoolbook shapes).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bigint/biguint.hpp"
 #include "bigint/montgomery.hpp"
 #include "bigint/primes.hpp"
@@ -54,18 +56,65 @@ TEST_P(RandomWidths, MulIsCommutativeAndDistributive) {
   }
 }
 
+/// base^e mod m by square-and-multiply over plain divmod, with no
+/// Montgomery arithmetic (BigUint::pow_mod runs on Montgomery itself).
+BigUint pow_by_divmod(const BigUint& base, const BigUint& e, const BigUint& m) {
+  BigUint x = BigUint(1) % m;
+  for (std::size_t i = e.bit_length(); i-- > 0;) {
+    x = (x * x) % m;
+    if (e.bit(i)) x = (x * base) % m;
+  }
+  return x;
+}
+
+/// Checks mul and pow of `mont` against divmod on the edge operands 0, 1
+/// and n−1 and on `random` random operands.
+void expect_mont_agrees(const Montgomery& mont, crypto::Drbg& rng,
+                        int random) {
+  const BigUint& m = mont.modulus();
+  std::vector<BigUint> operands = {BigUint(0), BigUint(1), m - BigUint(1)};
+  for (int i = 0; i < random; ++i) operands.push_back(random_below(rng, m));
+  for (const BigUint& a : operands) {
+    for (const BigUint& b : {operands[2], operands.back(), a}) {
+      EXPECT_EQ(mont.mul(a, b), (a * b) % m) << "n=" << m.to_hex();
+    }
+    const BigUint e = random_bits(rng, 24);
+    EXPECT_EQ(mont.pow(a, e), pow_by_divmod(a, e, m)) << "n=" << m.to_hex();
+  }
+}
+
 TEST_P(RandomWidths, MontgomeryAgreesWithDivmod) {
   auto rng = rng_for("mont");
   const std::size_t bits = GetParam();
   BigUint m = random_bits(rng, bits);
   if (!m.is_odd()) m.add_u64(1);
+  expect_mont_agrees(Montgomery(m), rng, 15);
+
+  // Same limb count, top limb all ones: the widest moduli, whose results
+  // most often need the final subtraction.
+  std::vector<std::uint64_t> limbs = m.limbs();
+  limbs.back() = ~std::uint64_t{0};
+  expect_mont_agrees(Montgomery(BigUint::from_limbs(limbs)), rng, 5);
+  // Same limb count, top limb 1: the narrowest, whose R mod n is largest.
+  if (limbs.size() > 1) {
+    limbs.back() = 1;
+    expect_mont_agrees(Montgomery(BigUint::from_limbs(limbs)), rng, 5);
+  }
+}
+
+TEST_P(RandomWidths, MontgomerySquaringChain) {
+  // 2,000 chained squarings, each checked against divmod: pow(x, 2) runs
+  // the squaring kernel twice (one in place) and the multiply kernel once.
+  auto rng = rng_for("mont-chain");
+  BigUint m = random_bits(rng, GetParam());
+  if (!m.is_odd()) m.add_u64(1);
   const Montgomery mont(m);
-  for (int i = 0; i < 15; ++i) {
-    const BigUint a = random_below(rng, m);
-    const BigUint b = random_below(rng, m);
-    EXPECT_EQ(mont.mul(a, b), (a * b) % m);
-    const BigUint e = random_bits(rng, 24);
-    EXPECT_EQ(mont.pow(a, e), BigUint::pow_mod(a, e, m));
+  Montgomery::Scratch s;
+  BigUint x = random_below(rng, m);
+  for (int step = 0; step < 2000; ++step) {
+    const BigUint want = (x * x) % m;
+    x = mont.pow(x, BigUint(2), s);
+    ASSERT_EQ(x, want) << "step " << step;
   }
 }
 
@@ -91,8 +140,8 @@ TEST_P(RandomWidths, BytesAndHexAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, RandomWidths,
-                         ::testing::Values(64, 128, 192, 256, 521, 1024,
-                                           2048, 3000));
+                         ::testing::Values(64, 128, 192, 256, 512, 521,
+                                           1024, 2048, 3000));
 
 TEST(CrossValidation, KaratsubaBoundaryWidths) {
   // Straddle the 32-limb Karatsuba threshold: 2047..2113 bits.
