@@ -203,7 +203,7 @@ bool soak_chain(BenchJson& json) {
              {"resubmits", static_cast<double>(st.resubmits)},
              {"seal_failures", static_cast<double>(st.seal_failures)},
              {"backoff_virtual_ms", static_cast<double>(st.backoff_ms)}}});
-  return completed == kFlows && verified == kFlows && bc.verify_chain();
+  return completed == kFlows && verified == kFlows && bc.audit();
 }
 
 /// Crash mid-insert, restore from snapshot, redo — reports recovery time
@@ -476,7 +476,7 @@ bool soak_reorg_dispute(BenchJson& json) {
         ++bad_settlements;
         ok = false;
       }
-      if (!bc.verify_chain()) {
+      if (!bc.audit()) {
         std::printf("AUDIT FAILURE: reorg_dispute K=%d seed=%zu\n", k, seed);
         ok = false;
       }
@@ -562,7 +562,7 @@ bool soak_mempool_flood(BenchJson& json) {
   const ChainStats& cs = bc.stats();
   const bool exact = bc.balance(bob) == kAmount * kTransfers;
   const bool ok =
-      completed == kTransfers && exact && bc.verify_chain();
+      completed == kTransfers && exact && bc.audit();
   std::printf(
       "mempool flood: %d/%d transfers | evicted %llu flood-injected %llu "
       "fee-bumps %llu resubmits %llu | exactly-once %s\n",

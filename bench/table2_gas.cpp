@@ -92,7 +92,7 @@ int main() {
 
   // Chain self-audit.
   std::printf("\nchain verification: %s\n",
-              chain.verify_chain() ? "OK" : "FAILED");
+              chain.audit() ? "OK" : "FAILED");
   json.write();
   return 0;
 }

@@ -51,10 +51,6 @@ class RsaAccumulator {
   static std::pair<AccumulatorParams, AccumulatorTrapdoor> setup(
       crypto::Drbg& rng, std::size_t modulus_bits, bool safe_primes = false);
 
-  /// Embedded deterministic 1024-bit parameters (generated once with
-  /// `setup`; see params.cpp) so benchmarks skip key generation.
-  static AccumulatorParams default_params_1024();
-
   const AccumulatorParams& params() const { return params_; }
   /// The Montgomery context for n, for powers of bases other than g.
   const bigint::Montgomery& montgomery() const { return mont_; }

@@ -37,21 +37,6 @@ constexpr std::array<std::uint64_t, 54> kSmallPrimes = {
 constexpr std::array<std::uint64_t, 12> kDeterministicWitnesses = {
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37};
 
-/// One Miller–Rabin round: returns true when n passes for witness `a`.
-/// `d` and `r` satisfy n - 1 = d * 2^r with d odd; `mont` is bound to n and
-/// `s` is the candidate's scratch, shared by its rounds.
-bool mr_round(const BigUint& n_minus_1, const BigUint& a, const BigUint& d,
-              std::size_t r, const Montgomery& mont, Montgomery::Scratch& s) {
-  BigUint x = mont.pow(a, d, s);
-  if (x.is_one() || x == n_minus_1) return true;
-  for (std::size_t i = 1; i < r; ++i) {
-    x = mont.mul(x, x, s);
-    if (x == n_minus_1) return true;
-    if (x.is_one()) return false;  // nontrivial sqrt of 1 => composite
-  }
-  return false;
-}
-
 }  // namespace
 
 std::uint64_t mod_u64(const BigUint& n, std::uint64_t d) {
@@ -170,65 +155,59 @@ BigUint random_bits(crypto::Drbg& rng, std::size_t bits) {
 
 namespace {
 
-/// Shared trial-division + decomposition prefix. Returns 0 when composite,
-/// 1 when certainly prime (small), 2 when Miller–Rabin is needed; fills
-/// `n_minus_1`, `d` and `r` with n - 1 = d * 2^r in the latter case.
-int mr_prepare(const BigUint& n, BigUint& n_minus_1, BigUint& d,
-               std::size_t& r) {
-  if (n < BigUint(2)) return 0;
+/// Miller–Rabin on n: trial division by the small primes, the fixed
+/// witnesses, then `rounds` random witnesses in [2, n-2] when `rng` is
+/// given. Rounds run in the Montgomery domain: a witness is converted once,
+/// and every power and square stays in Montgomery form, compared against
+/// the Montgomery forms of 1 and n - 1.
+bool miller_rabin(const BigUint& n, crypto::Drbg* rng, int rounds) {
+  if (n < BigUint(2)) return false;
   for (std::uint64_t p : kSmallPrimes) {
-    if (mod_u64(n, p) == 0) return n == BigUint(p) ? 1 : 0;
+    if (mod_u64(n, p) == 0) return n == BigUint(p);
   }
-  n_minus_1 = n - BigUint(1);
-  d = n_minus_1;
-  r = 0;
+  // n - 1 = d * 2^r with d odd.
+  const BigUint n_minus_1 = n - BigUint(1);
+  BigUint d = n_minus_1;
+  std::size_t r = 0;
   while (!d.is_odd()) {
     d = d >> 1;
     ++r;
   }
-  return 2;
+  const Montgomery mont(n);
+  Montgomery::Scratch s;
+  const Montgomery::Elem& one = mont.one_mont();
+  const Montgomery::Elem minus_one = mont.to_mont(n_minus_1, s);
+  Montgomery::Elem x;
+  // One round: true when n passes for witness `a`.
+  const auto mr_round = [&](const BigUint& a) {
+    mont.pow_mont(mont.to_mont(a, s), d, x, s);
+    if (x == one || x == minus_one) return true;
+    for (std::size_t i = 1; i < r; ++i) {
+      mont.mul_mont(x, x, x, s);
+      if (x == minus_one) return true;
+      if (x == one) return false;  // nontrivial sqrt of 1 => composite
+    }
+    return false;
+  };
+  for (std::uint64_t w : kDeterministicWitnesses) {
+    if (!mr_round(BigUint(w))) return false;
+  }
+  for (int i = 0; rng != nullptr && i < rounds; ++i) {
+    if (!mr_round(random_below(*rng, n - BigUint(3)) + BigUint(2)))
+      return false;
+  }
+  return true;
 }
 
 }  // namespace
 
 bool is_probable_prime_fixed(const BigUint& n) {
-  BigUint n_minus_1, d;
-  std::size_t r = 0;
-  const int state = mr_prepare(n, n_minus_1, d, r);
-  if (state != 2) return state == 1;
-  const Montgomery mont(n);
-  Montgomery::Scratch s;
-  for (std::uint64_t w : kDeterministicWitnesses) {
-    if (!mr_round(n_minus_1, BigUint(w), d, r, mont, s)) return false;
-  }
-  return true;
+  return miller_rabin(n, nullptr, 0);
 }
 
 bool is_probable_prime(const BigUint& n, crypto::Drbg& rng, int rounds) {
-  BigUint n_minus_1, d;
-  std::size_t r = 0;
-  const int state = mr_prepare(n, n_minus_1, d, r);
-  if (state != 2) return state == 1;
-  const Montgomery mont(n);
-  Montgomery::Scratch s;
-
-  if (n.bit_length() <= 64) {
-    for (std::uint64_t w : kDeterministicWitnesses) {
-      if (!mr_round(n_minus_1, BigUint(w), d, r, mont, s)) return false;
-    }
-    return true;
-  }
-
-  for (std::uint64_t w : kDeterministicWitnesses) {
-    if (!mr_round(n_minus_1, BigUint(w), d, r, mont, s)) return false;
-  }
-  for (int i = 0; i < rounds; ++i) {
-    // Witness in [2, n-2].
-    const BigUint a =
-        random_below(rng, n - BigUint(3)) + BigUint(2);
-    if (!mr_round(n_minus_1, a, d, r, mont, s)) return false;
-  }
-  return true;
+  // The fixed witnesses alone are exact below 2^64.
+  return miller_rabin(n, n.bit_length() <= 64 ? nullptr : &rng, rounds);
 }
 
 BigUint generate_prime(crypto::Drbg& rng, std::size_t bits, int rounds) {

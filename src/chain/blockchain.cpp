@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/env.hpp"
 #include "common/errors.hpp"
 #include "common/fault.hpp"
 #include "common/metrics.hpp"
@@ -59,10 +58,8 @@ Blockchain::Blockchain(std::vector<Address> validators, GasSchedule schedule,
     : schedule_(schedule), config_(config), validators_(std::move(validators)) {
   if (validators_.empty())
     throw ProtocolError("blockchain needs at least one validator");
-  mempool_cap_ =
-      config_.mempool_cap != 0
-          ? config_.mempool_cap
-          : env::size_knob("SLICER_MEMPOOL_CAP", 4096, 1, std::size_t{1} << 20);
+  if (config_.mempool_cap == 0)
+    throw ProtocolError("mempool_cap must be at least 1");
   if (config_.max_fork_depth == 0)
     throw ProtocolError("max_fork_depth must be at least 1");
   // Derive a deterministic seal key per validator. A real PoA network uses
@@ -116,7 +113,7 @@ Transaction Blockchain::make_tx(const Address& from, const Address& to,
 }
 
 void Blockchain::enqueue(Transaction tx) {
-  if (mempool_.size() >= mempool_cap_) {
+  if (mempool_.size() >= config_.mempool_cap) {
     // Fee-priority eviction: the cheapest entry makes room (first
     // occurrence among ties — FIFO fairness for equal bidders). An
     // incoming transaction that does not outbid the pool minimum is
@@ -137,7 +134,7 @@ void Blockchain::inject_flood() {
   // the cap in force they crowd out cheap pending transactions, which the
   // submitter must fee-bump past (chain.mempool.flood).
   const Address flooder = Address::from_label("slicer.mempool-flooder");
-  const std::size_t burst = std::min(kFloodBurst, mempool_cap_);
+  const std::size_t burst = std::min(kFloodBurst, config_.mempool_cap);
   for (std::size_t i = 0; i < burst; ++i) {
     enqueue(make_tx(flooder, flooder, 0, {}, 0, kFloodFee));
     ++stats_.flood_injected;

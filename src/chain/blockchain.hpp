@@ -88,8 +88,8 @@ struct BlockchainConfig {
   /// Maximum pending transactions. When full, the cheapest entry (by fee)
   /// is evicted to admit a better-paying one; an incoming transaction that
   /// does not outbid the pool minimum is itself the eviction victim.
-  /// 0 = read the SLICER_MEMPOOL_CAP env knob (default 4096).
-  std::size_t mempool_cap = 0;
+  /// Must be at least 1.
+  std::size_t mempool_cap = 4096;
   /// Blocks buried deeper than this below the canonical tip are finalized:
   /// their state snapshots are pruned and no branch may fork from them.
   /// Bounds both memory and the worst-case reorg depth a client must
@@ -221,14 +221,12 @@ class Blockchain {
   /// canonical tip) and — unless reorg_to() manually steered the chain —
   /// agreement between the cached tip and a fresh fork-choice run.
   bool audit() const;
-  /// Back-compat alias for audit().
-  bool verify_chain() const { return audit(); }
 
   const GasSchedule& gas_schedule() const { return schedule_; }
   const ChainStats& stats() const { return stats_; }
   const std::vector<Address>& validators() const { return validators_; }
   std::size_t mempool_size() const { return mempool_.size(); }
-  std::size_t mempool_cap() const { return mempool_cap_; }
+  std::size_t mempool_cap() const { return config_.mempool_cap; }
   std::size_t block_count() const { return tree_.size(); }
 
  private:
@@ -297,7 +295,6 @@ class Blockchain {
 
   GasSchedule schedule_;
   BlockchainConfig config_;
-  std::size_t mempool_cap_ = 0;
   std::vector<Address> validators_;
   std::map<Address, Bytes> validator_keys_;  // seal "signing" keys
 

@@ -1,8 +1,11 @@
 // Shared parsing for SLICER_* environment knobs.
 //
-// Every integer knob (SLICER_THREADS, SLICER_SHARDS, SLICER_PROOF_CACHE,
-// SLICER_PORT, SLICER_TENANT_QPS, ...) goes through size_knob so the
-// behaviour is uniform everywhere:
+// Seven knobs exist, each with one reader, and the README's "Knobs" table
+// lists them (tools/check_knobs.py keeps the two in step). Every integer
+// knob (SLICER_THREADS, SLICER_SHARDS, SLICER_PROOF_CACHE,
+// SLICER_FINALITY_DEPTH) goes through size_knob, and the flags
+// SLICER_METRICS and SLICER_TRACE through flag_knob, so the behaviour is
+// uniform everywhere (SLICER_FAULTS is a grammar, parsed by FaultPlan):
 //   * unset or empty        → the documented default, silently;
 //   * a well-formed integer → clamped into [min_value, max_value] (a clamp
 //     is diagnosed once per knob on stderr — a typo like SLICER_SHARDS=2560

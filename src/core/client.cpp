@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "adscrypto/sharded_accumulator.hpp"
-#include "common/env.hpp"
 #include "common/errors.hpp"
 #include "common/metrics.hpp"
 #include "common/serial.hpp"
@@ -34,29 +33,21 @@ std::vector<RecordId> set_or(const std::vector<RecordId>& a,
 }  // namespace
 
 QueryClient::QueryClient(DataUser& user, CloudServer& cloud,
-                         std::size_t prime_bits)
-    : user_(user), cloud_(cloud), prime_bits_(prime_bits) {}
+                         std::size_t prime_bits, std::size_t cache_capacity)
+    : user_(user),
+      cloud_(cloud),
+      prime_bits_(prime_bits),
+      cache_capacity_(cache_capacity) {}
 
 ClausePlan QueryClient::plan_for(const QuerySpec& spec) const {
-  return plan_for(spec, QueryOptions::defaults());
-}
-
-ClausePlan QueryClient::plan_for(const QuerySpec& spec,
-                                 const QueryOptions& options) const {
   PlanContext ctx;
   ctx.default_attribute = user_.config().attribute;
-  ctx.strict_intervals = options.strict_intervals;
   ctx.value_bits = user_.config().value_bits;
   return compile_spec(spec, ctx);
 }
 
 QueryResult QueryClient::query(const QuerySpec& spec) {
-  return query(spec, QueryOptions::defaults());
-}
-
-QueryResult QueryClient::query(const QuerySpec& spec,
-                               const QueryOptions& options) {
-  return run_plan(plan_for(spec, options));
+  return run_plan(plan_for(spec));
 }
 
 Bytes QueryClient::clause_key(const PlanClause& clause,
@@ -67,18 +58,6 @@ Bytes QueryClient::clause_key(const PlanClause& clause,
   w.u8(static_cast<std::uint8_t>(clause.mc));
   w.bytes(digest);
   return std::move(w).take();
-}
-
-void QueryClient::trim_cache(std::size_t capacity) {
-  if (capacity == 0) {
-    cache_.clear();
-    cache_order_.clear();
-    return;
-  }
-  while (cache_.size() > capacity && !cache_order_.empty()) {
-    cache_.erase(cache_order_.front());
-    cache_order_.erase(cache_order_.begin());
-  }
 }
 
 QueryResult QueryClient::run_plan(const ClausePlan& plan) {
@@ -109,10 +88,6 @@ QueryResult QueryClient::run_plan(const ClausePlan& plan) {
   QueryResult out;
   out.clause_count = plan.clauses.size();
 
-  const std::size_t capacity =
-      env::size_knob("SLICER_PLAN_CACHE", 256, 0, 1 << 16);
-  trim_cache(capacity);
-
   // Combiner cache lookups. The key embeds the cloud's *current* digest,
   // so a hit is a clause already verified against exactly this accumulator
   // state — an update changed the digest and misses.
@@ -123,7 +98,7 @@ QueryResult QueryClient::run_plan(const ClausePlan& plan) {
     const Bytes digest = cloud_.accumulator_value().to_bytes_be();
     for (std::size_t i = 0; i < plan.clauses.size(); ++i) {
       keys[i] = clause_key(plan.clauses[i], digest);
-      const auto it = capacity == 0 ? cache_.end() : cache_.find(keys[i]);
+      const auto it = cache_.find(keys[i]);
       if (it != cache_.end()) {
         outcomes[i] = it->second;
         ++out.cached_clauses;
@@ -138,7 +113,7 @@ QueryResult QueryClient::run_plan(const ClausePlan& plan) {
   // Only verified clause outcomes are memoized — the cache can never
   // replay an unverified (or stale: see the digest in the key) VO.
   const auto remember = [&](std::size_t i) {
-    if (capacity != 0 && cache_.emplace(keys[i], outcomes[i]).second)
+    if (cache_capacity_ != 0 && cache_.emplace(keys[i], outcomes[i]).second)
       cache_order_.push_back(keys[i]);
   };
 
@@ -196,7 +171,11 @@ QueryResult QueryClient::run_plan(const ClausePlan& plan) {
     }
     out.verified = fold_ok && pv.verified;
   }
-  trim_cache(capacity);
+  // FIFO eviction back down to the capacity, once the inserts are in.
+  while (cache_.size() > cache_capacity_) {
+    cache_.erase(cache_order_.front());
+    cache_order_.erase(cache_order_.begin());
+  }
 
   // Roll up token accounting in clause order.
   for (const CachedClause& o : outcomes) {
@@ -279,12 +258,7 @@ QueryResult QueryClient::between_inclusive(std::string_view attribute,
 // --- verified aggregates -------------------------------------------------
 
 QueryClient::CountResult QueryClient::count(const QuerySpec& spec) {
-  return count(spec, QueryOptions::defaults());
-}
-
-QueryClient::CountResult QueryClient::count(const QuerySpec& spec,
-                                            const QueryOptions& options) {
-  const QueryResult r = query(spec, options);
+  const QueryResult r = query(spec);
   return CountResult{r.ids.size(), r.verified};
 }
 
@@ -298,7 +272,6 @@ namespace {
 QueryClient::ExtremeResult extreme_search(QueryClient& client,
                                           const std::string& attribute,
                                           const QuerySpec& spec,
-                                          const QueryOptions& options,
                                           bool want_min,
                                           std::uint64_t max_value) {
   static metrics::Counter& probes_total =
@@ -308,7 +281,7 @@ QueryClient::ExtremeResult extreme_search(QueryClient& client,
     return Pred(spec) && Pred::attr(attribute).between_inclusive(lo, hi);
   };
   const auto probe = [&](std::uint64_t lo, std::uint64_t hi) {
-    const QueryResult r = client.query(range(lo, hi), options);
+    const QueryResult r = client.query(range(lo, hi));
     out.verified = out.verified && r.verified;
     ++out.probes;
     probes_total.add();
@@ -344,7 +317,7 @@ QueryClient::ExtremeResult extreme_search(QueryClient& client,
   out.found = true;
   out.value = lo;
   const QueryResult at =
-      client.query(Pred(spec) && Pred::attr(attribute).eq(lo), options);
+      client.query(Pred(spec) && Pred::attr(attribute).eq(lo));
   out.verified = out.verified && at.verified;
   out.ids = at.ids;
   return out;
@@ -354,13 +327,7 @@ QueryClient::ExtremeResult extreme_search(QueryClient& client,
 
 QueryClient::ExtremeResult QueryClient::min_value(std::string_view attribute,
                                                   const QuerySpec& spec) {
-  return min_value(attribute, spec, QueryOptions::defaults());
-}
-
-QueryClient::ExtremeResult QueryClient::min_value(std::string_view attribute,
-                                                  const QuerySpec& spec,
-                                                  const QueryOptions& options) {
-  return extreme_search(*this, std::string(attribute), spec, options,
+  return extreme_search(*this, std::string(attribute), spec,
                         /*want_min=*/true,
                         domain_max(user_.config().value_bits));
 }
@@ -371,13 +338,7 @@ QueryClient::ExtremeResult QueryClient::min_value(const QuerySpec& spec) {
 
 QueryClient::ExtremeResult QueryClient::max_value(std::string_view attribute,
                                                   const QuerySpec& spec) {
-  return max_value(attribute, spec, QueryOptions::defaults());
-}
-
-QueryClient::ExtremeResult QueryClient::max_value(std::string_view attribute,
-                                                  const QuerySpec& spec,
-                                                  const QueryOptions& options) {
-  return extreme_search(*this, std::string(attribute), spec, options,
+  return extreme_search(*this, std::string(attribute), spec,
                         /*want_min=*/false,
                         domain_max(user_.config().value_bits));
 }
@@ -389,13 +350,6 @@ QueryClient::ExtremeResult QueryClient::max_value(const QuerySpec& spec) {
 QueryClient::TopKResult QueryClient::top_k(std::string_view attribute,
                                            const QuerySpec& spec,
                                            std::size_t k) {
-  return top_k(attribute, spec, k, QueryOptions::defaults());
-}
-
-QueryClient::TopKResult QueryClient::top_k(std::string_view attribute,
-                                           const QuerySpec& spec,
-                                           std::size_t k,
-                                           const QueryOptions& options) {
   TopKResult out;
   out.verified = true;
   QuerySpec narrowed = spec;
@@ -403,7 +357,7 @@ QueryClient::TopKResult QueryClient::top_k(std::string_view attribute,
     // Extract the current maximum, then narrow below it and repeat —
     // every extraction is itself a verified MAX search, and the shared
     // spec clauses stay cache-served across rounds.
-    const ExtremeResult m = max_value(attribute, narrowed, options);
+    const ExtremeResult m = max_value(attribute, narrowed);
     out.verified = out.verified && m.verified;
     out.probes += m.probes;
     if (!m.found) break;

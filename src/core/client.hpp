@@ -19,28 +19,20 @@
 // domain and top-k iterates it, with the per-clause result cache (below)
 // making the repeated spec clauses free instead of re-querying.
 //
-// Per-query behaviour is a QueryOptions struct (core/query.hpp). The
-// SLICER_STRICT_INTERVALS environment knob is a *default* resolved through
-// QueryOptions::defaults() at each call — pass explicit options to
-// override it per query.
-//
-// Empty intervals: a leaf that matches no value (`between` with
-// hi <= lo + 1, `between_inclusive` with lo > hi, `greater(max)`,
-// `less(0)`) compiles to a verified-empty plan node without contacting the
-// cloud — a provably empty query is not an error. QueryOptions::
-// strict_intervals (default: the SLICER_STRICT_INTERVALS knob) throws
-// CryptoError for such a positive leaf instead, for callers that treat an
-// empty interval as a bug in their own query construction; a negated leaf
-// never throws. A compared value or a nonempty interval outside the b-bit
-// domain always throws CryptoError, before any token is made.
+// A query has no modes. Empty intervals: a leaf that matches no value
+// (`between` with hi <= lo + 1, `between_inclusive` with lo > hi,
+// `greater(max)`, `less(0)`) compiles to a verified-empty plan node without
+// contacting the cloud — a provably empty query is not an error. A compared
+// value or a nonempty interval outside the b-bit domain throws CryptoError,
+// before any token is made.
 //
 // Clause-result cache ("combiner cache"): verified per-clause outcomes are
 // memoized under a key that names the whole clause (attribute, value, mc —
 // for a cover block, the block id, which fixes both its ends) and includes
 // the cloud's current accumulator digest, so a hit is exactly as fresh as a
 // re-fetch — any update changes the digest and misses the cache — and a
-// stale VO can never be replayed out of it. Capacity comes from the
-// SLICER_PLAN_CACHE knob (clauses, default 256, 0 disables).
+// stale VO can never be replayed out of it. Its capacity (clauses, default
+// 256, 0 disables) is a constructor argument.
 #pragma once
 
 #include <map>
@@ -73,17 +65,17 @@ class QueryClient {
   /// `user` and `cloud` must outlive the client. The accumulator digest is
   /// read from the cloud on every query in the local-trust mode; chain-
   /// anchored callers verify the digest against the contract instead (see
-  /// chain/slicer_contract.hpp).
-  QueryClient(DataUser& user, CloudServer& cloud, std::size_t prime_bits = 64);
+  /// chain/slicer_contract.hpp). `cache_capacity` bounds the combiner cache
+  /// in clauses (FIFO eviction; 0 disables it).
+  QueryClient(DataUser& user, CloudServer& cloud, std::size_t prime_bits = 64,
+              std::size_t cache_capacity = 256);
 
   /// Compiles and executes a boolean predicate tree; the core primitive
   /// every other query verb reduces to.
   QueryResult query(const QuerySpec& spec);
-  QueryResult query(const QuerySpec& spec, const QueryOptions& options);
 
   /// Compiles `spec` without executing it (inspect, then run_plan).
   ClausePlan plan_for(const QuerySpec& spec) const;
-  ClausePlan plan_for(const QuerySpec& spec, const QueryOptions& options) const;
 
   /// Executes a compiled plan: one batched cloud round trip for the
   /// clauses the combiner cache cannot serve, per-clause verification, then
@@ -97,8 +89,7 @@ class QueryClient {
   QueryResult less(std::uint64_t v);
 
   /// Records with lo < value < hi (exclusive). An empty interval
-  /// (hi <= lo + 1) yields an empty verified result — see the header
-  /// comment for strict_intervals.
+  /// (hi <= lo + 1) yields an empty verified result.
   QueryResult between(std::uint64_t lo, std::uint64_t hi);
 
   /// Records with lo <= value <= hi (inclusive): one clause per block of
@@ -146,7 +137,6 @@ class QueryClient {
   };
 
   CountResult count(const QuerySpec& spec);
-  CountResult count(const QuerySpec& spec, const QueryOptions& options);
 
   /// MIN/MAX of `attribute` over the records matching `spec`, computed as
   /// a verified binary search over the value domain: every probe is a
@@ -155,20 +145,14 @@ class QueryClient {
   /// combiner cache serves the spec's own clauses after the first probe.
   /// Single-argument forms aggregate over the default attribute.
   ExtremeResult min_value(std::string_view attribute, const QuerySpec& spec);
-  ExtremeResult min_value(std::string_view attribute, const QuerySpec& spec,
-                          const QueryOptions& options);
   ExtremeResult min_value(const QuerySpec& spec);
   ExtremeResult max_value(std::string_view attribute, const QuerySpec& spec);
-  ExtremeResult max_value(std::string_view attribute, const QuerySpec& spec,
-                          const QueryOptions& options);
   ExtremeResult max_value(const QuerySpec& spec);
 
   /// Top-k by iterated verified MAX extraction: after each group the spec
   /// narrows with (attribute < value) and the search repeats.
   TopKResult top_k(std::string_view attribute, const QuerySpec& spec,
                    std::size_t k);
-  TopKResult top_k(std::string_view attribute, const QuerySpec& spec,
-                   std::size_t k, const QueryOptions& options);
   TopKResult top_k(const QuerySpec& spec, std::size_t k);
 
  private:
@@ -183,12 +167,11 @@ class QueryClient {
 
   /// Cache key for one clause under one accumulator digest.
   Bytes clause_key(const PlanClause& clause, const Bytes& digest) const;
-  /// Applies the SLICER_PLAN_CACHE capacity (FIFO eviction; 0 clears).
-  void trim_cache(std::size_t capacity);
 
   DataUser& user_;
   CloudServer& cloud_;
   std::size_t prime_bits_;
+  std::size_t cache_capacity_;
 
   std::map<Bytes, CachedClause> cache_;
   std::vector<Bytes> cache_order_;  // insertion order, front evicted first

@@ -1,7 +1,6 @@
 #include "core/cloud.hpp"
 
 #include <iterator>
-#include <map>
 #include <mutex>
 #include <utility>
 
@@ -64,51 +63,27 @@ void CloudServer::apply(const UpdateOutput& update) {
   ac_ = update.accumulator_value;
 }
 
-std::vector<std::vector<Bytes>> CloudServer::plan_walks(
-    std::span<const SearchToken> tokens) const {
-  static metrics::Counter& memo_hits =
-      metrics::counter("core.cloud.search.walk_memo_hits");
+std::vector<Bytes> CloudServer::fetch_results_walk(
+    const SearchToken& token) const {
   static metrics::Counter& perm_steps =
       metrics::counter("core.cloud.search.perm_steps");
-  // enc(t) → enc(π(t)): one permutation step is evaluated at most once per
-  // query, no matter how many tokens walk through it.
-  std::map<Bytes, Bytes> next;
-  std::vector<std::vector<Bytes>> walks(tokens.size());
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    const SearchToken& token = tokens[i];
-    std::vector<Bytes>& chain = walks[i];
-    chain.reserve(token.j + 1);
-    // Normalize through decode/encode so a non-canonical trapdoor encoding
-    // walks the same chain the legacy per-token path walked.
-    chain.push_back(perm_.encode(perm_.decode(token.trapdoor)));
-    for (std::uint32_t gen = 1; gen <= token.j; ++gen) {
-      const auto it = next.find(chain.back());
-      if (it != next.end()) {
-        memo_hits.add();
-        chain.push_back(it->second);
-        continue;
-      }
-      Bytes stepped =
-          perm_.encode(perm_.forward(perm_.decode(chain.back())));
-      perm_steps.add();
-      next.emplace(chain.back(), stepped);
-      chain.push_back(std::move(stepped));
-    }
-  }
-  return walks;
-}
-
-std::vector<Bytes> CloudServer::fetch_results_walk(
-    const SearchToken& token, std::span<const Bytes> encodes) const {
   std::vector<Bytes> results;
-  // Walk generations newest → oldest: i = j down to 0.
-  for (const Bytes& t_enc : encodes) {
+  // Decoding rejects a trapdoor of the wrong width; every generation, the
+  // first included, is looked up under its canonical encoding.
+  BigUint t = perm_.decode(token.trapdoor);
+  // Walk generations newest → oldest: i = j down to 0, one permutation
+  // step between generations.
+  for (std::uint32_t gen = 0;; ++gen) {
+    const Bytes t_enc = perm_.encode(t);
     for (std::uint64_t c = 0;; ++c) {
       const Bytes l = index_address(token.g1, t_enc, c);
       const auto d = index_.get(l);
       if (!d.has_value()) break;
       results.push_back(xor_bytes(index_pad(token.g2, t_enc, c), *d));
     }
+    if (gen == token.j) break;
+    t = perm_.forward(t);
+    perm_steps.add();
   }
   return results;
 }
@@ -120,8 +95,7 @@ std::vector<Bytes> CloudServer::fetch_results(const SearchToken& token) const {
       metrics::counter("core.cloud.results_fetched");
   const metrics::ScopedTimer timer(fetch_ns);
   const trace::Span span("cloud.fetch");
-  const auto walks = plan_walks(std::span(&token, 1));
-  std::vector<Bytes> results = fetch_results_walk(token, walks.front());
+  std::vector<Bytes> results = fetch_results_walk(token);
   results_fetched.add(results.size());
   return results;
 }
@@ -198,16 +172,16 @@ std::vector<TokenReply> CloudServer::search(
       metrics::counter("core.cloud.tokens_served");
   const metrics::ScopedTimer timer(search_ns);
   const trace::Span span("cloud.search");
-  const auto walks = plan_walks(tokens);
-  // Tokens of one range query are independent; fan them out and keep the
-  // replies in submission order.
+  // Tokens of one range query are independent (each walks its own
+  // keyword's chain); fan them out and keep the replies in submission
+  // order.
   return ThreadPool::instance().parallel_map<TokenReply>(
       tokens.size(), [&](std::size_t i) {
         fault_point_throw("core.cloud.search.worker");
         std::vector<Bytes> results;
         {
           const metrics::ScopedTimer fetch_timer(fetch_ns);
-          results = fetch_results_walk(tokens[i], walks[i]);
+          results = fetch_results_walk(tokens[i]);
           results_fetched.add(results.size());
         }
         TokenReply reply = prove(tokens[i], std::move(results));

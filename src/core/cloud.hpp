@@ -119,18 +119,10 @@ class CloudServer {
     std::unordered_map<bigint::BigUint, Entry> entries;
   };
 
-  /// Per-query walk plan: for each token, the encoded trapdoor of every
-  /// generation it visits (newest → oldest). One trapdoor-permutation step
-  /// is computed at most once per query — tokens that walk overlapping
-  /// chains (duplicate keywords, re-submitted tokens) share the memoized
-  /// encode instead of re-running the RSA forward map per token.
-  std::vector<std::vector<Bytes>> plan_walks(
-      std::span<const SearchToken> tokens) const;
-
-  /// PRF walk of one token over its precomputed generation encodes (no
-  /// metrics — callers attribute the time).
-  std::vector<Bytes> fetch_results_walk(const SearchToken& token,
-                                        std::span<const Bytes> encodes) const;
+  /// PRF walk of one token: steps the trapdoor permutation through the
+  /// token's j generations and reads each generation's index entries (no
+  /// timing — callers attribute the time).
+  std::vector<Bytes> fetch_results_walk(const SearchToken& token) const;
 
   adscrypto::TrapdoorPermutation perm_;
   adscrypto::ShardedAccumulator sharded_;

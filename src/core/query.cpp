@@ -7,7 +7,6 @@
 #include <tuple>
 #include <utility>
 
-#include "common/env.hpp"
 #include "common/errors.hpp"
 #include "common/serial.hpp"
 #include "crypto/sha256.hpp"
@@ -124,12 +123,6 @@ std::string QuerySpec::to_string() const {
   return "(?)";
 }
 
-QueryOptions QueryOptions::defaults() {
-  QueryOptions o;
-  o.strict_intervals = env::flag_knob("SLICER_STRICT_INTERVALS");
-  return o;
-}
-
 namespace {
 
 /// Appends the blocks of [lo, hi] (lo <= hi) in position order: greedy from
@@ -227,12 +220,8 @@ struct Compiler {
     return plan.nodes.size() - 1;
   }
 
-  /// A leaf that matches nothing. Only a positive leaf throws under
-  /// strict_intervals: the complement of the whole domain is a query
-  /// result, not a malformed interval.
-  std::size_t empty_node(const QuerySpec& s, bool negate) {
-    if (ctx.strict_intervals && !negate)
-      throw CryptoError("compile_spec: empty interval " + s.to_string());
+  /// A leaf that matches nothing: a verified-empty node.
+  std::size_t empty_node() {
     ++plan.empty_intervals;
     plan.nodes.push_back(PlanNode{PlanNode::Kind::kEmpty, 0, {}});
     return plan.nodes.size() - 1;
@@ -254,7 +243,7 @@ struct Compiler {
       if (in->lo > 0) parts.push_back({0, in->lo - 1});
       if (in->hi < max) parts.push_back({in->hi + 1, max});
     }
-    if (parts.empty()) return empty_node(s, negate);
+    if (parts.empty()) return empty_node();
     std::vector<PlanClause> blocks;
     for (const Interval& part : parts)
       append_blocks(attribute, part.lo, part.hi, blocks);
@@ -316,6 +305,8 @@ std::vector<PlanClause> dyadic_cover(const std::string& attribute,
 ClausePlan compile_spec(const QuerySpec& spec, const PlanContext& ctx) {
   if (ctx.aggregated)
     throw ProtocolError("compile_spec: the aggregated read path is removed");
+  if (ctx.strict_intervals)
+    throw ProtocolError("compile_spec: strict-interval mode is removed");
   Compiler c{ctx, {}, {}};
   c.plan.root = c.lower(spec, /*negate=*/false);
   return std::move(c.plan);

@@ -107,20 +107,14 @@ class Pred {
   QuerySpec spec_;
 };
 
-/// Per-query knobs: every query resolves one QueryOptions and nothing
-/// below it consults the environment. defaults() reads the env knob
-/// through env::flag_knob exactly once per call, so the environment stays
-/// a *default*, not a hidden override.
+/// Held only for perfbench/bench.cpp: a query has no options. Both members
+/// are fixed to the only behaviour left (per-token VOs; a leaf that matches
+/// no value compiles to a verified-empty node).
 struct QueryOptions {
-  /// Held only for perfbench/bench.cpp; the aggregated VO is removed.
   static constexpr bool aggregated_vo = false;
-  /// Throw CryptoError on a positive leaf that matches no value (an empty
-  /// interval, gt(max), lt(0)) instead of compiling it to a verified-empty
-  /// node (SLICER_STRICT_INTERVALS default).
-  bool strict_intervals = false;
+  static constexpr bool strict_intervals = false;
 
-  /// The environment-resolved defaults (see above).
-  static QueryOptions defaults();
+  static QueryOptions defaults() { return {}; }
 };
 
 /// One primitive clause of a compiled plan: a single Algorithm-3 search.
@@ -166,8 +160,8 @@ struct PlanContext {
   std::string default_attribute{};
   /// Held only for perfbench/bench.cpp; compile_spec rejects true.
   bool aggregated = false;
-  /// A positive leaf that matches no value throws CryptoError instead of
-  /// compiling to kEmpty.
+  /// Held only for perfbench/bench.cpp; compile_spec rejects true (a leaf
+  /// that matches no value always compiles to kEmpty).
   bool strict_intervals = false;
   /// Bit width b of the domain [0, 2^b - 1] that leaves and complements
   /// range over (Config::value_bits; 64 is the whole u64 range).
@@ -178,12 +172,12 @@ struct PlanContext {
 std::uint64_t domain_max(std::size_t bits);
 
 /// Lowers a QuerySpec into a ClausePlan (see the file comment for the
-/// normalization rules). Throws ProtocolError on a malformed tree (AND/OR
-/// without children, NOT without exactly one child) or on
-/// `ctx.aggregated`. Throws CryptoError, before any token is made, on a
-/// compared value or a nonempty interval outside the domain, and under
-/// strict_intervals on a positive leaf that matches no value (gt(max),
-/// lt(0) and empty intervals; a negated leaf never does).
+/// normalization rules). A leaf that matches no value (gt(max), lt(0), an
+/// empty interval, the complement of the whole domain) compiles to a
+/// kEmpty node. Throws ProtocolError on a malformed tree (AND/OR without
+/// children, NOT without exactly one child) or on `ctx.aggregated` or
+/// `ctx.strict_intervals`. Throws CryptoError, before any token is made, on
+/// a compared value or a nonempty interval outside the domain.
 ClausePlan compile_spec(const QuerySpec& spec, const PlanContext& ctx);
 
 /// The dyadic cover of [lo, hi] over `attribute`: the fewest aligned blocks

@@ -8,7 +8,6 @@
 #include <shared_mutex>
 #include <thread>
 
-#include "common/env.hpp"
 #include "common/fault.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
@@ -428,14 +427,6 @@ struct SlicerServer::Impl {
 SlicerServer::SlicerServer(ServerConfig config)
     : impl_(std::make_unique<Impl>()) {
   impl_->config = config;
-  if (impl_->config.port == 0) {
-    impl_->config.port = static_cast<std::uint16_t>(
-        env::size_knob("SLICER_PORT", 0, 0, 65535));
-  }
-  if (impl_->config.tenant_qps == 0) {
-    impl_->config.tenant_qps =
-        env::size_knob("SLICER_TENANT_QPS", 0, 0, 1'000'000);
-  }
 }
 
 SlicerServer::~SlicerServer() { stop(); }

@@ -35,10 +35,10 @@
 // (TCP backpressure) instead of ballooning a queue.
 //
 // Per-tenant abuse control: every tenant owns a token bucket
-// (tenant_qps / tenant_burst; the qps defaults to the SLICER_TENANT_QPS
-// knob, 0 = unlimited) consulted on the reader thread before handling — an
-// empty bucket gets a kError/"throttled" reply and the connection stays
-// open (the client backs off and retries). Misbehavior accrues on the
+// (tenant_qps / tenant_burst; a qps of 0 = unlimited) consulted on the
+// reader thread before handling — an empty bucket gets a
+// kError/"throttled" reply and the connection stays open (the client
+// backs off and retries). Misbehavior accrues on the
 // tenant, not the connection: malformed frames and undecodable payloads
 // post-HELLO score +20, unknown opcodes +10, oversized payloads (above
 // max_request_bytes) +40; crossing ban_threshold bans the tenant for
@@ -64,12 +64,11 @@
 
 namespace slicer::net {
 
-/// SlicerServer tuning. Field defaults are the production values; port and
-/// tenant_qps additionally honour environment knobs (see fields).
+/// SlicerServer tuning. Field defaults are the production values; nothing
+/// here is read from the environment.
 struct ServerConfig {
-  /// TCP port to bind on 127.0.0.1. 0 defers to the SLICER_PORT knob, and
-  /// when that is unset too, the kernel assigns an ephemeral port (read it
-  /// back via port() — the test/bench default).
+  /// TCP port to bind on 127.0.0.1. 0 lets the kernel assign an ephemeral
+  /// port (read it back via port() — the test/bench default).
   std::uint16_t port = 0;
 
   /// Live-connection cap; accepts beyond it are answered with a
@@ -88,8 +87,7 @@ struct ServerConfig {
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
 
   /// Per-tenant sustained request rate (token-bucket refill, requests per
-  /// second). 0 defers to the SLICER_TENANT_QPS knob (clamped to
-  /// [0, 1'000'000]); when that is unset too, admission is unlimited.
+  /// second). 0 means unlimited admission.
   std::size_t tenant_qps = 0;
 
   /// Token-bucket capacity: the burst a tenant may issue before the

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/errors.hpp"
 
 namespace slicer::bigint {
@@ -156,6 +158,119 @@ TEST(Primes, SieveAgreesWithMillerRabinOnCompositeness) {
       EXPECT_FALSE(is_probable_prime_fixed(n)) << n.to_hex();
     }
   }
+}
+
+// --- Miller–Rabin differential against a divmod reference ---------------
+
+/// base^exp mod n by square-and-multiply on BigUint * and %.
+BigUint pow_by_divmod(const BigUint& base, const BigUint& exp,
+                      const BigUint& n) {
+  BigUint x = BigUint(1) % n;
+  const BigUint b = base % n;
+  for (std::size_t i = exp.bit_length(); i-- > 0;) {
+    x = (x * x) % n;
+    if (exp.bit(i)) x = (x * b) % n;
+  }
+  return x;
+}
+
+/// One textbook Miller–Rabin round for odd n > 3, witness `a`.
+bool reference_round(const BigUint& n, const BigUint& a) {
+  const BigUint n_minus_1 = n - BigUint(1);
+  BigUint d = n_minus_1;
+  std::size_t r = 0;
+  while (!d.is_odd()) {
+    d = d >> 1;
+    ++r;
+  }
+  BigUint x = pow_by_divmod(a, d, n);
+  if (x.is_one() || x == n_minus_1) return true;
+  for (std::size_t i = 1; i < r; ++i) {
+    x = (x * x) % n;
+    if (x == n_minus_1) return true;
+    if (x.is_one()) return false;
+  }
+  return false;
+}
+
+constexpr std::uint64_t kFixedWitnesses[] = {2,  3,  5,  7,  11, 13,
+                                             17, 19, 23, 29, 31, 37};
+
+/// The verdict the library documents: trial division by the primes up to
+/// 251, the witnesses 2..37, then `rounds` witnesses random_below(n - 3) + 2
+/// drawn from `rng` when n is wider than 64 bits.
+bool reference_is_prime(const BigUint& n, crypto::Drbg* rng, int rounds) {
+  if (n < BigUint(2)) return false;
+  for (std::uint64_t p = 2; p <= 251; ++p) {
+    bool p_prime = true;
+    for (std::uint64_t q = 2; q * q <= p; ++q) p_prime = p_prime && p % q != 0;
+    if (p_prime && (n % BigUint(p)).is_zero()) return n == BigUint(p);
+  }
+  for (std::uint64_t w : kFixedWitnesses)
+    if (!reference_round(n, BigUint(w))) return false;
+  if (rng == nullptr || n.bit_length() <= 64) return true;
+  for (int i = 0; i < rounds; ++i)
+    if (!reference_round(n, random_below(*rng, n - BigUint(3)) + BigUint(2)))
+      return false;
+  return true;
+}
+
+/// Checks both entry points against the reference on one candidate; a
+/// fresh pair of same-seeded generators lets the random rounds agree.
+void expect_matches_reference(const BigUint& n, const std::string& seed) {
+  crypto::Drbg rng_lib(str_bytes(seed));
+  crypto::Drbg rng_ref(str_bytes(seed));
+  EXPECT_EQ(is_probable_prime_fixed(n), reference_is_prime(n, nullptr, 0))
+      << n.to_hex();
+  EXPECT_EQ(is_probable_prime(n, rng_lib, 8), reference_is_prime(n, &rng_ref, 8))
+      << n.to_hex();
+}
+
+TEST(Primes, MillerRabinMatchesDivmodReference) {
+  auto rng = test_rng();
+  for (std::size_t bits : {64u, 128u}) {
+    std::size_t primes = 0;
+    for (int i = 0; i < 300; ++i) {
+      BigUint n = random_bits(rng, bits);
+      if (!n.is_odd()) n.add_u64(1);
+      expect_matches_reference(n, "mr-diff-" + std::to_string(bits) + "-" +
+                                      std::to_string(i));
+      primes += reference_is_prime(n, nullptr, 0) ? 1 : 0;
+    }
+    // Both verdicts occur: about 1 in 22 odd 64-bit and 1 in 44 odd
+    // 128-bit candidates is prime.
+    EXPECT_GT(primes, 2u) << bits;
+    EXPECT_LT(primes, 60u) << bits;
+  }
+}
+
+TEST(Primes, MillerRabinRejectsStrongPseudoprimesAndCarmichaels) {
+  // Strong pseudoprimes to base 2 (the smallest ones to bases 2, 2..7 and
+  // 2..17); the last has no factor below the trial-division bound, so only
+  // the witness 19 exposes it.
+  const std::uint64_t strong[] = {2047, 3215031751, 341550071728321};
+  // Carmichael numbers (Fermat liars to every coprime base); the last two
+  // are Chernick's (6k+1)(12k+1)(18k+1) for k = 45 and 51, with every
+  // factor above 251.
+  const std::uint64_t carmichael[] = {561,    1105,      1729,     294409,
+                                      56052361, 118901521, 172947529};
+  for (std::uint64_t v : strong) {
+    const BigUint n(v);
+    EXPECT_TRUE(reference_round(n, BigUint(2))) << v;
+    EXPECT_FALSE(is_probable_prime_fixed(n)) << v;
+    expect_matches_reference(n, "mr-strong-" + std::to_string(v));
+  }
+  for (std::uint64_t v : carmichael) {
+    const BigUint n(v);
+    EXPECT_TRUE(pow_by_divmod(BigUint(2), n - BigUint(1), n).is_one()) << v;
+    EXPECT_FALSE(is_probable_prime_fixed(n)) << v;
+    expect_matches_reference(n, "mr-carmichael-" + std::to_string(v));
+  }
+  // The k = 45 Carmichael number times the largest 64-bit prime: a
+  // composite wider than 64 bits.
+  const BigUint wide = BigUint(118901521) * BigUint(18446744073709551557ull);
+  EXPECT_FALSE(is_probable_prime_fixed(wide));
+  expect_matches_reference(wide, "mr-wide");
 }
 
 }  // namespace

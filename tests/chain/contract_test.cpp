@@ -249,7 +249,7 @@ TEST_F(ContractTest, OrderSearchFlowOnChain) {
   const auto flow = run_flow(40, MatchCondition::kGreater, 10'000);
   EXPECT_TRUE(flow.verified);
   EXPECT_EQ(flow.ids, (std::vector<core::RecordId>{1, 2, 4}));
-  EXPECT_TRUE(chain_.verify_chain());
+  EXPECT_TRUE(chain_.audit());
 }
 
 TEST_F(ContractTest, CancelQueryReclaimsEscrowAfterTimeout) {

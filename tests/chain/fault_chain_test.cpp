@@ -127,7 +127,7 @@ TEST_F(FaultChainTest, DuplicateDeliveryExecutesExactlyOnce) {
   const auto looked_up = chain_.receipt_of(hash);
   ASSERT_TRUE(looked_up.has_value());
   EXPECT_TRUE(looked_up->success);
-  EXPECT_TRUE(chain_.verify_chain());
+  EXPECT_TRUE(chain_.audit());
 }
 
 TEST_F(FaultChainTest, ValidatorOutageIsRetriedWithBackoff) {
@@ -138,7 +138,7 @@ TEST_F(FaultChainTest, ValidatorOutageIsRetriedWithBackoff) {
   EXPECT_TRUE(r.success);
   EXPECT_EQ(submitter.stats().seal_failures, 1u);
   EXPECT_GT(submitter.stats().backoff_ms, 0u);
-  EXPECT_TRUE(chain_.verify_chain());
+  EXPECT_TRUE(chain_.audit());
 }
 
 TEST_F(FaultChainTest, PersistentValidatorOutageTimesOut) {
@@ -153,7 +153,7 @@ TEST_F(FaultChainTest, PersistentValidatorOutageTimesOut) {
   // The mempool kept the transaction through every failed attempt: once
   // the outage clears, it executes without resubmission.
   chain_.seal_block();
-  EXPECT_TRUE(chain_.verify_chain());
+  EXPECT_TRUE(chain_.audit());
 }
 
 TEST_F(FaultChainTest, OutOfGasOnPlainTransferRefundsValueAndBurnsLimit) {
@@ -271,7 +271,7 @@ TEST_F(FaultChainTest, ContractRefundsEveryRejectedTaxonomyOperation) {
     EXPECT_EQ(chain_.balance(contract_addr_), 0u);
     EXPECT_EQ(contract_->open_query_count(), 0u);
   }
-  EXPECT_TRUE(chain_.verify_chain());
+  EXPECT_TRUE(chain_.audit());
 }
 
 TEST_F(FaultChainTest, FullFlowCompletesUnderProbabilisticChainFaults) {
@@ -294,7 +294,7 @@ TEST_F(FaultChainTest, FullFlowCompletesUnderProbabilisticChainFaults) {
     EXPECT_TRUE(run_result_flow(tokens, replies, 10'000).verified);
   }
   // The flaky chain stayed consistent and the retries actually happened.
-  EXPECT_TRUE(chain_.verify_chain());
+  EXPECT_TRUE(chain_.audit());
   EXPECT_GT(submitter.stats().seal_failures + submitter.stats().resubmits, 0u);
 }
 

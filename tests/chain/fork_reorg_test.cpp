@@ -145,6 +145,19 @@ TEST_F(ForkReorgTest, ReorgToForcesBranchAndAuditStillPasses) {
   EXPECT_THROW(chain_.reorg_to(Bytes(32, 0x5c)), ProtocolError);
 }
 
+TEST_F(ForkReorgTest, ConfigRejectsZeroBounds) {
+  // The defaults come from BlockchainConfig alone; a zero cap or fork depth
+  // is a configuration error, not a request for some other default.
+  const std::vector<Address> validators{Address::from_label("val-0")};
+  EXPECT_THROW(Blockchain(validators, GasSchedule{},
+                          BlockchainConfig{.mempool_cap = 0}),
+               ProtocolError);
+  EXPECT_THROW(Blockchain(validators, GasSchedule{},
+                          BlockchainConfig{.max_fork_depth = 0}),
+               ProtocolError);
+  EXPECT_EQ(Blockchain(validators).mempool_cap(), 4096u);
+}
+
 TEST_F(ForkReorgTest, MempoolEvictsCheapestWhenFull) {
   Blockchain chain({Address::from_label("val-0")}, GasSchedule{},
                    BlockchainConfig{.mempool_cap = 4});

@@ -1,6 +1,7 @@
 // Shared SLICER_* knob parsing: defaults, clamping, and malformed-value
-// rejection must behave identically for every knob (SLICER_THREADS,
-// SLICER_SHARDS, SLICER_PROOF_CACHE, SLICER_PORT, SLICER_TENANT_QPS, ...).
+// rejection must behave identically for every integer knob (SLICER_THREADS,
+// SLICER_SHARDS, SLICER_PROOF_CACHE, SLICER_FINALITY_DEPTH) and flag knob
+// (SLICER_METRICS, SLICER_TRACE).
 #include "common/env.hpp"
 
 #include <gtest/gtest.h>

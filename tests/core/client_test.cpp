@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "common/errors.hpp"
 #include "common/metrics.hpp"
 #include "tests/core/test_rig.hpp"
@@ -122,15 +120,6 @@ TEST_F(ClientTest, EmptyIntervalReturnsVerifiedEmpty) {
     EXPECT_EQ(r.tokens_verified, 0u);
     EXPECT_TRUE(r.token_detail.empty());
   }
-}
-
-TEST_F(ClientTest, StrictIntervalsEnvRestoresThrow) {
-  ::setenv("SLICER_STRICT_INTERVALS", "1", 1);
-  EXPECT_THROW(client_->between(40, 40), CryptoError);
-  EXPECT_THROW(client_->between(41, 40), CryptoError);
-  EXPECT_THROW(client_->between_inclusive(41, 40), CryptoError);
-  ::unsetenv("SLICER_STRICT_INTERVALS");
-  EXPECT_TRUE(client_->between(40, 40).verified);
 }
 
 TEST_F(ClientTest, DomainEdges) {

@@ -16,7 +16,6 @@
 #include "core/client.hpp"
 #include "core/query.hpp"
 #include "crypto/drbg.hpp"
-#include "tests/common/scoped_env.hpp"
 #include "tests/core/test_rig.hpp"
 
 namespace slicer::core {
@@ -237,9 +236,8 @@ TEST(PlannerAggregateProperty, CombinerCacheOffMatchesCacheOn) {
   QueryClient client(*soak.rig.user, *soak.rig.cloud,
                      soak.rig.config.prime_bits);
   const AggregateAnswers on = run_aggregates(client, soak.db, soak.specs);
-  const slicer::testing::ScopedEnv cache_off("SLICER_PLAN_CACHE", "0");
   QueryClient uncached(*soak.rig.user, *soak.rig.cloud,
-                       soak.rig.config.prime_bits);
+                       soak.rig.config.prime_bits, /*cache_capacity=*/0);
   EXPECT_EQ(run_aggregates(uncached, soak.db, soak.specs), on);
 }
 

@@ -312,7 +312,7 @@ TEST(Protocol, UpdateOutputSizesAreConsistent) {
   EXPECT_EQ(rig.owner->ads_byte_size(), out.new_primes.size() * 8);
 }
 
-// --- Cloud read path: proof cache, walk memo, per-token instruments -------
+// --- Cloud read path: proof cache, duplicate tokens, per-token instruments
 
 const std::vector<Record> kServeRecords = {
     {1, 42}, {2, 42}, {3, 7},  {4, 99}, {5, 120}, {6, 42},
@@ -505,8 +505,7 @@ TEST(CloudReadPath, RestoredCloudServesFreshProofs) {
   EXPECT_EQ(ids, warm_ids);
 }
 
-TEST(CloudReadPath, WalkMemoDedupsSharedPermutationSteps) {
-  const metrics::ScopedMetrics metrics_on;
+TEST(CloudReadPath, DuplicateTokensGetIdenticalReplies) {
   Rig rig = Rig::make(8, "agg-memo");
   rig.ingest(kServeRecords);
   // A second batch advances the touched keywords' generations: tokens now
@@ -515,15 +514,13 @@ TEST(CloudReadPath, WalkMemoDedupsSharedPermutationSteps) {
   for (const Record& r : kServeRecords) second.push_back({r.id + 100, r.value});
   rig.ingest(second);
   auto tokens = rig.user->make_tokens(40, MatchCondition::kGreater);
-  // Duplicate every token: the second copy's whole walk is memoized.
+  // Duplicate every token: each copy walks its own chain and must get the
+  // same reply.
   const std::size_t n = tokens.size();
   const std::vector<SearchToken> copy = tokens;
   tokens.insert(tokens.end(), copy.begin(), copy.end());
 
-  auto& memo_hits = metrics::counter("core.cloud.search.walk_memo_hits");
-  const std::uint64_t memo0 = memo_hits.value();
   const auto replies = rig.cloud->search(tokens);
-  EXPECT_GT(memo_hits.value(), memo0) << "duplicate tokens must hit the memo";
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(replies[i].encrypted_results, replies[n + i].encrypted_results);
     EXPECT_EQ(replies[i].witness, replies[n + i].witness);
