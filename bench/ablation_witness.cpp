@@ -62,9 +62,9 @@ void BM_ProductTreeAllWitnesses(benchmark::State& state) {
 
 /// First-touch fills of the newest batch's runs in a 1024-prime shard whose
 /// newest insert added 64 primes — a fixed shape, whatever
-/// SLICER_BENCH_SCALE says. `comb` inserts all primes in one call, so no
+/// SLICER_BENCH_SCALE says. `comb` applies all primes in one update, so no
 /// kept shard value precedes the batch and every fill combs from g.
-/// `seeded` inserts the 64 newest in a second call, so every fill starts
+/// `seeded` applies the 64 newest in a second update, so every fill starts
 /// from the value kept at 960 primes. A sample is the mean over the batch's
 /// four runs, taken on a fresh accumulator after a warm-up fill of run 0
 /// has grown its comb table; each row keeps the fastest of five samples,
@@ -77,13 +77,18 @@ void first_touch_rows(BenchJson& json) {
   const auto& [params, trapdoor] = bench_accumulator();
   const auto primes = primes_for(kShard);
   const std::span<const BigUint> all(primes);
+  // The owner-published values the cloud adopts after each update.
+  const RsaAccumulator owner(params);
+  const std::vector<BigUint> older{
+      owner.accumulate(all.first(kShard - kNewest), trapdoor)};
+  const std::vector<BigUint> newest{owner.accumulate(all, trapdoor)};
   const auto mean_fill_ms = [&](bool seeded) {
     ShardedAccumulator acc(params, 1);
     if (seeded) {
-      acc.insert(all.first(kShard - kNewest), trapdoor);
-      acc.insert(all.last(kNewest), trapdoor);
+      acc.insert_with_values(all.first(kShard - kNewest), older);
+      acc.insert_with_values(all.last(kNewest), newest);
     } else {
-      acc.insert(all, trapdoor);
+      acc.insert_with_values(all, newest);
     }
     benchmark::DoNotOptimize(acc.witness({0, 0}));
     const auto start = std::chrono::steady_clock::now();

@@ -224,41 +224,6 @@ bool RsaAccumulator::verify(const bigint::Montgomery& mont, const BigUint& ac,
   return mont.pow(witness, element) == ac;
 }
 
-RsaAccumulator::NonMembershipWitness RsaAccumulator::nonmember_witness(
-    std::span<const BigUint> primes, const BigUint& x) const {
-  if (x < BigUint(2)) throw CryptoError("nonmember_witness: bad element");
-  const BigUint u = product_tree(primes);
-
-  // Bézout: s·u + t·x = 1 requires gcd(u, x) = 1 — x prime and not in X.
-  const auto e = BigUint::ext_gcd(u, x);
-  if (!e.gcd.is_one())
-    throw CryptoError("nonmember_witness: element is a member");
-
-  // Normalize the u-coefficient into [1, x): a ≡ s (mod x).
-  BigUint a = e.x % x;
-  if (e.x_negative && !a.is_zero()) a = x - a;
-  if (a.is_zero())
-    throw CryptoError("nonmember_witness: degenerate coefficient");
-
-  // a·u ≡ 1 (mod x) ⇒ b = (a·u − 1)/x is a non-negative integer and
-  // Ac^a = g^(a·u) = g^(1 + b·x) = g · (g^b)^x.
-  const auto qr = BigUint::divmod(a * u - BigUint(1), x);
-  if (!qr.remainder.is_zero())
-    throw CryptoError("nonmember_witness: internal Bezout inconsistency");
-  return NonMembershipWitness{a, pow_g(qr.quotient)};
-}
-
-bool RsaAccumulator::verify_nonmember(const AccumulatorParams& params,
-                                      const BigUint& ac, const BigUint& x,
-                                      const NonMembershipWitness& witness) {
-  if (witness.a.is_zero() || witness.a >= x) return false;
-  if (witness.d.is_zero() || witness.d >= params.modulus) return false;
-  const bigint::Montgomery mont(params.modulus);
-  const BigUint lhs = mont.pow(ac, witness.a);
-  const BigUint rhs = mont.mul(mont.pow(witness.d, x), params.generator);
-  return lhs == rhs;
-}
-
 BigUint product_tree(std::span<const BigUint> values) {
   if (values.empty()) return BigUint(1);
   if (values.size() == 1) return values[0];

@@ -76,9 +76,9 @@ class RsaAccumulator {
       std::span<const bigint::BigUint> primes) const;
 
   /// g^exponent mod n through the fixed-base comb table when enabled (the
-  /// generic sliding window otherwise). Public so incremental maintainers
-  /// holding a running exponent (the sharded accumulator's trapdoor path)
-  /// hit the same fast path as accumulate().
+  /// generic sliding window otherwise). Public so the owner's per-shard
+  /// running exponents and the cloud's restore hit the same fast path as
+  /// accumulate().
   bigint::BigUint pow_generator(const bigint::BigUint& exponent) const {
     return pow_g(exponent);
   }
@@ -96,25 +96,6 @@ class RsaAccumulator {
   static bool verify(const bigint::Montgomery& mont, const bigint::BigUint& ac,
                      const bigint::BigUint& element,
                      const bigint::BigUint& witness);
-
-  /// Non-membership witness (Li–Li–Xue universal accumulator, the paper's
-  /// ADS reference [28]): for prime x ∉ X, a pair (a, d) with
-  /// Ac^a = d^x · g (mod n) and 1 <= a < x, derived from Bézout
-  /// coefficients of (∏X, x). Lets a prover show a value was never
-  /// accumulated — e.g. certified empty results. Throws CryptoError when
-  /// x divides ∏X (i.e. x IS a member).
-  struct NonMembershipWitness {
-    bigint::BigUint a;
-    bigint::BigUint d;
-  };
-  NonMembershipWitness nonmember_witness(
-      std::span<const bigint::BigUint> primes, const bigint::BigUint& x) const;
-
-  /// Verifies a non-membership witness against `ac`.
-  static bool verify_nonmember(const AccumulatorParams& params,
-                               const bigint::BigUint& ac,
-                               const bigint::BigUint& x,
-                               const NonMembershipWitness& witness);
 
  private:
   /// Root-factor recursion over [lo, hi). `base` is in Montgomery form and
@@ -134,7 +115,7 @@ class RsaAccumulator {
 
   AccumulatorParams params_;
   bigint::Montgomery mont_;
-  /// Comb table for the generator — every membership/non-membership
+  /// Comb table for the generator — every accumulation and witness
   /// exponentiation in this class is a power of the same g. Behind a
   /// unique_ptr because the table (with its internal lock) is immovable
   /// while RsaAccumulator itself must stay movable.

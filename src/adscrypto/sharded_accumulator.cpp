@@ -69,13 +69,40 @@ BigUint fold_shard_digests(std::span<const BigUint> values) {
   return acc;
 }
 
+void accumulate_shards(const RsaAccumulator& acc,
+                       const AccumulatorTrapdoor& trapdoor,
+                       std::span<const BigUint> xs,
+                       std::vector<BigUint>& exponents,
+                       std::vector<BigUint>& values) {
+  // The owner's accumulate step records the same histogram the single
+  // accumulator's accumulate() feeds, so the phase-breakdown schema stays
+  // satisfied at every K.
+  static metrics::Histogram& accumulate_ns =
+      metrics::histogram("adscrypto.accumulator.accumulate_ns");
+  static metrics::Counter& batches =
+      metrics::counter("adscrypto.sharded.batches");
+  const metrics::ScopedTimer timer(accumulate_ns);
+  batches.add();
+  const std::size_t k = values.size();
+  const BigUint phi = trapdoor.phi();
+  std::vector<bool> touched(k, false);
+  for (const BigUint& x : xs) {
+    const std::size_t s = shard_of(x, k);
+    exponents[s] = (exponents[s] * x) % phi;
+    touched[s] = true;
+  }
+  ThreadPool::instance().parallel_for(k, [&](std::size_t s) {
+    if (touched[s]) values[s] = acc.pow_generator(exponents[s]);
+  });
+}
+
 ShardedAccumulator::ShardedAccumulator(AccumulatorParams params,
                                        std::size_t shard_count)
     : acc_(std::move(params)) {
   const std::size_t k = shard_count == 0 ? default_shard_count() : shard_count;
   primes_.resize(k);
   values_.assign(k, acc_.params().generator);
-  exponents_.assign(k, BigUint(1));
+  digest_ = fold_shard_digests(values_);
   frontiers_ = std::vector<Frontier>(k);
 }
 
@@ -85,35 +112,35 @@ ShardedAccumulator::~ShardedAccumulator() {
   kept_seeds_gauge().sub(static_cast<std::int64_t>(kept));
 }
 
-ShardedAccumulator::Batch ShardedAccumulator::route(
-    std::span<const BigUint> xs) {
-  Batch batch;
+std::vector<bool> ShardedAccumulator::route(std::span<const BigUint> xs) {
   const std::size_t k = primes_.size();
-  batch.routed.resize(k);
-  batch.empty = xs.empty();
+  std::vector<bool> touched(k, false);
   for (const BigUint& x : xs) {
     const std::size_t s = shard_of(x, k);
     // Overwrite-on-duplicate: a re-inserted element resolves to its newest
-    // position, matching the cloud's historical prime_pos_ map semantics.
+    // position.
     index_[x] = Pos{static_cast<std::uint32_t>(s),
                     static_cast<std::uint32_t>(primes_[s].size())};
-    batch.routed[s].push_back(x);
     primes_[s].push_back(x);
+    touched[s] = true;
     ++total_;
   }
-  return batch;
+  return touched;
 }
 
-void ShardedAccumulator::keep_seeds(const Batch& batch) {
+void ShardedAccumulator::set_values(std::vector<BigUint> values,
+                                    const std::vector<bool>& touched) {
+  values_ = std::move(values);
+  digest_ = fold_shard_digests(values_);
   std::int64_t delta = 0;
   for (std::size_t s = 0; s < primes_.size(); ++s) {
-    if (batch.routed[s].empty()) continue;
+    if (!touched[s]) continue;
     Frontier& frontier = frontiers_[s];
     std::vector<Frontier::Seed>& seeds = frontier.seeds;
     seeds.push_back({primes_[s].size(), values_[s]});
     // Seed i is the best start for the runs whose first index cC lies in
     // [t_i, t_{i+1}); once all of them are filled no first touch needs it.
-    // witness() cannot run beside an insert, so `runs` is read unlocked.
+    // witness() cannot run beside a write, so `runs` is read unlocked.
     const auto all_filled = [&](std::size_t from, std::size_t to) {
       for (std::size_t c = (from + kFrontierRun - 1) / kFrontierRun;
            c * kFrontierRun < to; ++c)
@@ -135,96 +162,23 @@ void ShardedAccumulator::keep_seeds(const Batch& batch) {
   kept_seeds_gauge().add(delta);
 }
 
-void ShardedAccumulator::insert(std::span<const BigUint> xs) {
-  // The sharded insert IS the accumulate step — it records the same
-  // histogram the single accumulator's accumulate() fed, so the
-  // phase-breakdown schema stays satisfied at every K.
-  static metrics::Histogram& accumulate_ns =
-      metrics::histogram("adscrypto.accumulator.accumulate_ns");
-  static metrics::Counter& batches =
-      metrics::counter("adscrypto.sharded.batches");
-  const metrics::ScopedTimer timer(accumulate_ns);
-  batches.add();
-  const Batch batch = route(xs);
-  if (batch.empty) return;
-  // Each touched shard raises its value by the routed product — independent
-  // slots, so the shards update in parallel (product_tree nests on the pool).
-  ThreadPool::instance().parallel_for(primes_.size(), [&](std::size_t s) {
-    if (batch.routed[s].empty()) return;
-    const BigUint exponent = product_tree(batch.routed[s]);
-    values_[s] = acc_.montgomery().pow(values_[s], exponent);
-  });
-  exponents_valid_ = false;
-  keep_seeds(batch);
-}
-
-void ShardedAccumulator::insert(std::span<const BigUint> xs,
-                                const AccumulatorTrapdoor& trapdoor) {
-  static metrics::Histogram& accumulate_ns =
-      metrics::histogram("adscrypto.accumulator.accumulate_ns");
-  static metrics::Counter& batches =
-      metrics::counter("adscrypto.sharded.batches");
-  const metrics::ScopedTimer timer(accumulate_ns);
-  batches.add();
-  const Batch batch = route(xs);
-  if (batch.empty) return;
-  const BigUint phi = trapdoor.phi();
-  if (!exponents_valid_) {
-    // A public insert interleaved earlier; refold every shard's exponent
-    // from its full prime list (the modular product is order-independent,
-    // so this lands on the same value a pure-trapdoor history would hold).
-    for (std::size_t s = 0; s < primes_.size(); ++s) {
-      BigUint e(1);
-      for (const BigUint& x : primes_[s]) e = (e * x) % phi;
-      exponents_[s] = std::move(e);
-    }
-    exponents_valid_ = true;
-  } else {
-    for (std::size_t s = 0; s < primes_.size(); ++s)
-      for (const BigUint& x : batch.routed[s])
-        exponents_[s] = (exponents_[s] * x) % phi;
-  }
-  ThreadPool::instance().parallel_for(primes_.size(), [&](std::size_t s) {
-    if (batch.routed[s].empty()) return;
-    values_[s] = acc_.pow_generator(exponents_[s]);
-  });
-  keep_seeds(batch);
-}
-
 void ShardedAccumulator::insert_with_values(
     std::span<const BigUint> xs, std::span<const BigUint> values_after) {
   if (values_after.size() != primes_.size())
     throw ProtocolError("shard value count mismatch in update");
-  const Batch batch = route(xs);
-  values_.assign(values_after.begin(), values_after.end());
-  exponents_valid_ = false;
-  keep_seeds(batch);
+  const std::vector<bool> touched = route(xs);
+  set_values({values_after.begin(), values_after.end()}, touched);
 }
 
-void ShardedAccumulator::rebuild(std::span<const BigUint> primes,
-                                 const AccumulatorTrapdoor* trapdoor) {
+void ShardedAccumulator::rebuild(std::span<const BigUint> primes) {
   if (total_ != 0) throw ProtocolError("rebuild on a non-empty accumulator");
-  const Batch batch = route(primes);
-  if (trapdoor != nullptr) {
-    const BigUint phi = trapdoor->phi();
-    for (std::size_t s = 0; s < primes_.size(); ++s) {
-      BigUint e(1);
-      for (const BigUint& x : primes_[s]) e = (e * x) % phi;
-      exponents_[s] = std::move(e);
-    }
-    ThreadPool::instance().parallel_for(primes_.size(), [&](std::size_t s) {
-      if (!primes_[s].empty()) values_[s] = acc_.pow_generator(exponents_[s]);
-    });
-    exponents_valid_ = true;
-  } else {
-    ThreadPool::instance().parallel_for(primes_.size(), [&](std::size_t s) {
-      if (!primes_[s].empty())
-        values_[s] = acc_.pow_generator(product_tree(primes_[s]));
-    });
-    exponents_valid_ = false;
-  }
+  const std::vector<bool> touched = route(primes);
+  std::vector<BigUint> values = values_;
+  ThreadPool::instance().parallel_for(primes_.size(), [&](std::size_t s) {
+    if (touched[s]) values[s] = acc_.pow_generator(product_tree(primes_[s]));
+  });
   // A restored cloud seeds the runs that later writes create.
-  keep_seeds(batch);
+  set_values(std::move(values), touched);
 }
 
 std::optional<ShardedAccumulator::Pos> ShardedAccumulator::find(

@@ -41,7 +41,23 @@ std::size_t shard_of(const bigint::BigUint& x, std::size_t shard_count);
 /// its position while staying one field element on chain.
 bigint::BigUint fold_shard_digests(std::span<const bigint::BigUint> values);
 
-/// K shards (a prime list and a value each) behind one routing/digest facade.
+/// Owner accumulation (Algorithms 1–2), the trapdoor path: folds each of
+/// `xs` into its shard's running exponent mod φ(n), then raises g to every
+/// touched shard's exponent through `acc`'s comb table, shard-parallel on
+/// the pool. `exponents` and `values` hold one entry per shard (1 and g for
+/// an empty shard). The modular product is order-independent, so the values
+/// equal a public recompute over each shard's prime list, however the
+/// primes were split into batches.
+void accumulate_shards(const RsaAccumulator& acc,
+                       const AccumulatorTrapdoor& trapdoor,
+                       std::span<const bigint::BigUint> xs,
+                       std::vector<bigint::BigUint>& exponents,
+                       std::vector<bigint::BigUint>& values);
+
+/// The cloud's accumulator: K shards (a prime list, a value and a witness
+/// frontier each) behind one routing/digest facade. It holds the only copy
+/// of X and takes its values from the owner, or recomputes them publicly
+/// on restore.
 class ShardedAccumulator {
  public:
   /// Location of an element: which shard holds it and at what arrival index
@@ -62,35 +78,20 @@ class ShardedAccumulator {
   std::size_t shard_count() const { return primes_.size(); }
   const AccumulatorParams& params() const { return acc_.params(); }
 
-  /// Public (trapdoor-free) batch insert: routes `xs`, then raises each
-  /// touched shard's value by its routed product — shard-parallel on the
-  /// pool. Used by the verifying cloud on snapshot restore and by tests.
-  void insert(std::span<const bigint::BigUint> xs);
-
-  /// Owner fast path: maintains one running exponent mod φ(n) per shard, so
-  /// a batch costs |batch| modular 64-bit multiplies plus one fixed-base
-  /// exponentiation per touched shard. The modular product is
-  /// order-independent, so the running exponent equals a from-scratch fold
-  /// of the shard's whole prime list — bit-identical to re-accumulating.
-  void insert(std::span<const bigint::BigUint> xs,
-              const AccumulatorTrapdoor& trapdoor);
-
-  /// Cloud trust path: routes `xs` and adopts the owner-published per-shard
+  /// Apply path: routes `xs` and adopts the owner-published per-shard
   /// values verbatim instead of recomputing them. Throws ProtocolError when
   /// `values_after` does not carry exactly one value per shard.
   void insert_with_values(std::span<const bigint::BigUint> xs,
                           std::span<const bigint::BigUint> values_after);
 
-  /// Snapshot-restore path: repopulates routing and prime state from a flat
-  /// arrival-order prime list and recomputes every shard value — the
-  /// trapdoor fold when available, the public product-tree path otherwise.
-  /// Throws ProtocolError unless the accumulator is empty.
-  void rebuild(std::span<const bigint::BigUint> primes,
-               const AccumulatorTrapdoor* trapdoor);
+  /// Restore path: routes `primes` (any order that keeps each shard's
+  /// arrival order, e.g. shard by shard) and recomputes every shard value
+  /// publicly, g^(∏ shard primes). Throws ProtocolError unless the
+  /// accumulator is empty.
+  void rebuild(std::span<const bigint::BigUint> primes);
 
-  /// Shard/index of `x`, or nullopt if never inserted. Re-inserted elements
-  /// report their latest position (matching the cloud's historical
-  /// overwrite-on-duplicate map semantics).
+  /// Shard/index of `x`, or nullopt if never inserted. A re-inserted
+  /// element reports its latest position.
   std::optional<Pos> find(const bigint::BigUint& x) const;
 
   /// Total primes across all shards.
@@ -101,7 +102,7 @@ class ShardedAccumulator {
   const std::vector<bigint::BigUint>& shard_values() const { return values_; }
 
   /// The published chain digest: fold_shard_digests over current values.
-  bigint::BigUint digest() const { return fold_shard_digests(values_); }
+  const bigint::BigUint& digest() const { return digest_; }
 
   /// Run length C of the witness frontier. Each shard's arrival-order prime
   /// list is cut into fixed runs of C primes; runs never shift as primes
@@ -114,12 +115,12 @@ class ShardedAccumulator {
   /// RsaAccumulator::witness over shard_primes(pos.shard). Served through
   /// the shard's witness frontier: run c = pos.index / C caches
   /// W_c = g^(∏ p_j, j ∉ c) over the primes it has seen. A first touch
-  /// fills it from the newest shard value A_t kept at an insert with
+  /// fills it from the newest shard value A_t kept at a write with
   /// t ≤ cC, or by a comb from g when that is cheaper; a later touch folds
   /// the primes that arrived since (or recomputes from g, whichever is
   /// cheaper). The run value is then raised to the run's other primes.
-  /// Safe to call from many threads at once; not concurrently with an
-  /// insert.
+  /// Safe to call from many threads at once; not concurrently with a
+  /// write.
   bigint::BigUint witness(Pos pos) const;
 
   /// Verifies a membership witness against the shard values: routes
@@ -132,34 +133,25 @@ class ShardedAccumulator {
                      const bigint::BigUint& witness);
 
  private:
-  /// One insert's new primes, routed per shard (arrival order within each
-  /// shard).
-  struct Batch {
-    std::vector<std::vector<bigint::BigUint>> routed;
-    bool empty = true;
-  };
+  /// Appends `xs` to their shards' prime lists and the position index;
+  /// returns which shards it touched.
+  std::vector<bool> route(std::span<const bigint::BigUint> xs);
 
-  /// Routes `xs` into per-shard lists and appends them to the shard prime
-  /// lists and the position index.
-  Batch route(std::span<const bigint::BigUint> xs);
-
-  /// Keeps the current value of every shard `batch` touched as a seed, then
-  /// drops the seeds no unfilled run can start from. Insert paths only.
-  void keep_seeds(const Batch& batch);
+  /// Takes `values` as the shard values, keeps the new value of every
+  /// `touched` shard as a seed, then drops the seeds no unfilled run can
+  /// start from.
+  void set_values(std::vector<bigint::BigUint> values,
+                  const std::vector<bool>& touched);
 
   /// Its Montgomery context and comb table for g serve every shard; the
   /// table grows to the largest shard exponent, not a sum over shards.
   RsaAccumulator acc_;
   /// Per-shard prime lists in arrival order.
   std::vector<std::vector<bigint::BigUint>> primes_;
-  /// Per-shard accumulation values Ac_s (generator when empty).
+  /// Per-shard accumulation values Ac_s (generator when empty) and their
+  /// fold.
   std::vector<bigint::BigUint> values_;
-  /// Owner path: per-shard running exponents mod φ(n). Only meaningful
-  /// while every insert so far went through the trapdoor overload;
-  /// public/with_values inserts clear the flag and the next trapdoor
-  /// insert refolds from the shard prime lists.
-  std::vector<bigint::BigUint> exponents_;
-  bool exponents_valid_ = true;
+  bigint::BigUint digest_;
   std::unordered_map<bigint::BigUint, Pos> index_;
   std::size_t total_ = 0;
 
@@ -169,9 +161,9 @@ class ShardedAccumulator {
   /// concurrent misses on one run may both compute — the values they store
   /// are identical, and the wider coverage wins.
   ///
-  /// `seeds` holds shard values A_t = g^(∏ p_j, j < t) that an insert set,
+  /// `seeds` holds shard values A_t = g^(∏ p_j, j < t) that a write set,
   /// in ascending t: the starting points of first-touch fills. Only the
-  /// insert paths write it, and they never run beside witness(), so it is
+  /// write paths write it, and they never run beside witness(), so it is
   /// read without the mutex.
   struct Frontier {
     struct Run {

@@ -462,56 +462,6 @@ BigUint BigUint::gcd(BigUint a, BigUint b) {
   return a;
 }
 
-BigUint::ExtGcd BigUint::ext_gcd(const BigUint& a, const BigUint& b) {
-  // Iterative extended Euclid with explicit sign tracking (values are
-  // unsigned; coefficients alternate sign along the remainder sequence).
-  BigUint r0 = a, r1 = b;
-  BigUint x0(1), x1{};
-  bool x0_neg = false, x1_neg = false;
-  BigUint y0{}, y1(1);
-  bool y0_neg = false, y1_neg = false;
-
-  auto step = [](const BigUint& q, BigUint& c0, bool& c0_neg, BigUint& c1,
-                 bool& c1_neg) {
-    // (c0, c1) <- (c1, c0 - q*c1)
-    BigUint qc1 = q * c1;
-    BigUint c2;
-    bool c2_neg;
-    if (c0_neg == c1_neg) {
-      if (c0 >= qc1) {
-        c2 = c0 - qc1;
-        c2_neg = c0_neg;
-      } else {
-        c2 = qc1 - c0;
-        c2_neg = !c0_neg;
-      }
-    } else {
-      c2 = c0 + qc1;
-      c2_neg = c0_neg;
-    }
-    c0 = std::move(c1);
-    c0_neg = c1_neg;
-    c1 = std::move(c2);
-    c1_neg = c2_neg;
-  };
-
-  while (!r1.is_zero()) {
-    const DivMod qr = divmod(r0, r1);
-    r0 = std::move(r1);
-    r1 = qr.remainder;
-    step(qr.quotient, x0, x0_neg, x1, x1_neg);
-    step(qr.quotient, y0, y0_neg, y1, y1_neg);
-  }
-
-  ExtGcd out;
-  out.gcd = std::move(r0);
-  out.x = std::move(x0);
-  out.x_negative = x0_neg && !out.x.is_zero();
-  out.y = std::move(y0);
-  out.y_negative = y0_neg && !out.y.is_zero();
-  return out;
-}
-
 BigUint BigUint::mod_inverse(const BigUint& a, const BigUint& m) {
   if (m.is_zero()) throw CryptoError("mod_inverse: zero modulus");
   // Extended Euclid with coefficients tracked as (value, sign).

@@ -106,12 +106,6 @@ class BigUint {
   /// Modular inverse; throws CryptoError when gcd(a, m) != 1.
   static BigUint mod_inverse(const BigUint& a, const BigUint& m);
 
-  /// Signed extended GCD: g = gcd(a, b) with coefficients
-  /// (±x)·a + (±y)·b = g. Backs the universal accumulator's
-  /// non-membership witnesses.
-  struct ExtGcd;
-  static ExtGcd ext_gcd(const BigUint& a, const BigUint& b);
-
   /// Direct limb access for the Montgomery engine (little-endian).
   const std::vector<std::uint64_t>& limbs() const { return limbs_; }
   static BigUint from_limbs(std::vector<std::uint64_t> limbs);
@@ -130,15 +124,6 @@ class BigUint {
 struct BigUint::DivMod {
   BigUint quotient;
   BigUint remainder;
-};
-
-/// Result of BigUint::ext_gcd: gcd plus signed Bézout coefficients.
-struct BigUint::ExtGcd {
-  BigUint gcd;
-  BigUint x;  // |coefficient of a|
-  bool x_negative = false;
-  BigUint y;  // |coefficient of b|
-  bool y_negative = false;
 };
 
 }  // namespace slicer::bigint

@@ -34,8 +34,7 @@ CloudServer::CloudServer(adscrypto::TrapdoorPublicKey trapdoor_pk,
     : perm_(std::move(trapdoor_pk)),
       sharded_(std::move(accumulator_params), shard_count),
       prime_bits_(prime_bits),
-      pcache_(std::make_unique<ProofCache>()),
-      ac_(sharded_.digest()) {
+      pcache_(std::make_unique<ProofCache>()) {
   pcache_->capacity = proof_cache_capacity();
 }
 
@@ -57,10 +56,7 @@ void CloudServer::apply(const UpdateOutput& update) {
 
   for (const auto& [l, d] : update.entries) index_.put(l, d);
   entries_applied.add(update.entries.size());
-  primes_.insert(primes_.end(), update.new_primes.begin(),
-                 update.new_primes.end());
   sharded_.insert_with_values(update.new_primes, update.shard_values);
-  ac_ = update.accumulator_value;
 }
 
 std::vector<Bytes> CloudServer::fetch_results_walk(
@@ -100,64 +96,73 @@ std::vector<Bytes> CloudServer::fetch_results(const SearchToken& token) const {
   return results;
 }
 
-TokenReply CloudServer::prove(const SearchToken& token,
-                              std::vector<Bytes> results) const {
+CloudServer::Proof CloudServer::prove_read(const SearchToken& token,
+                                           std::vector<Bytes> results) const {
   static metrics::Histogram& prove_ns =
       metrics::histogram("core.cloud.prove_ns");
   static metrics::Counter& proof_hits =
       metrics::counter("core.cloud.proof_cache.hits");
   static metrics::Counter& proof_misses =
       metrics::counter("core.cloud.proof_cache.misses");
-  static metrics::Counter& proof_evictions =
-      metrics::counter("core.cloud.proof_cache.evictions");
   const metrics::ScopedTimer timer(prove_ns);
   const trace::Span span("cloud.prove");
 
   // Canonical result-set digest (order-insensitive).
   const MultisetHash::Digest h = results_digest(results);
-  TokenReply out{std::move(results), {}};
-  const BigUint prime = token_prime(token, h, prime_bits_);
+  Proof out{{std::move(results), {}}, token_prime(token, h, prime_bits_)};
 
-  const bool cache_on = pcache_->capacity > 0;
-  if (cache_on) {
+  if (pcache_->capacity > 0) {
     const std::lock_guard lock(pcache_->mu);
-    const auto it = pcache_->entries.find(prime);
+    const auto it = pcache_->entries.find(out.prime);
     // No prime entered the shard since the witness was computed: it is
     // still exact.
     if (it != pcache_->entries.end() &&
         it->second.shard_primes ==
             sharded_.shard_primes(it->second.shard).size()) {
       proof_hits.add();
-      pcache_->lru.splice(pcache_->lru.begin(), pcache_->lru,
-                          it->second.lru_it);
-      out.witness = it->second.witness;
+      out.reply.witness = it->second.witness;
+      out.shard = it->second.shard;
       return out;
     }
     proof_misses.add();
   }
 
-  const auto pos = sharded_.find(prime);
+  const auto pos = sharded_.find(out.prime);
   if (!pos.has_value())
     throw ProtocolError("derived prime not in X: index out of sync");
-  out.witness = sharded_.witness(*pos);
-  if (!cache_on) return out;
-
-  const std::size_t shard_primes = sharded_.shard_primes(pos->shard).size();
-  const std::lock_guard lock(pcache_->mu);
-  const auto [it, inserted] = pcache_->entries.try_emplace(prime);
-  ProofCache::Entry& entry = it->second;
-  if (inserted) {
-    pcache_->lru.push_front(prime);
-  } else {
-    pcache_->lru.splice(pcache_->lru.begin(), pcache_->lru, entry.lru_it);
-  }
-  entry = {pos->shard, shard_primes, out.witness, pcache_->lru.begin()};
-  while (pcache_->entries.size() > pcache_->capacity) {
-    pcache_->entries.erase(pcache_->lru.back());
-    pcache_->lru.pop_back();
-    proof_evictions.add();
-  }
+  out.reply.witness = sharded_.witness(*pos);
+  out.shard = pos->shard;
   return out;
+}
+
+void CloudServer::remember(std::span<const Proof> proofs) const {
+  static metrics::Counter& proof_evictions =
+      metrics::counter("core.cloud.proof_cache.evictions");
+  if (pcache_->capacity == 0) return;
+  const std::lock_guard lock(pcache_->mu);
+  for (const Proof& proof : proofs) {
+    const auto [it, inserted] = pcache_->entries.try_emplace(proof.prime);
+    ProofCache::Entry& entry = it->second;
+    if (inserted) {
+      pcache_->lru.push_front(proof.prime);
+    } else {
+      pcache_->lru.splice(pcache_->lru.begin(), pcache_->lru, entry.lru_it);
+    }
+    entry = {proof.shard, sharded_.shard_primes(proof.shard).size(),
+             proof.reply.witness, pcache_->lru.begin()};
+    while (pcache_->entries.size() > pcache_->capacity) {
+      pcache_->entries.erase(pcache_->lru.back());
+      pcache_->lru.pop_back();
+      proof_evictions.add();
+    }
+  }
+}
+
+TokenReply CloudServer::prove(const SearchToken& token,
+                              std::vector<Bytes> results) const {
+  Proof proof = prove_read(token, std::move(results));
+  remember({&proof, 1});
+  return std::move(proof.reply);
 }
 
 std::vector<TokenReply> CloudServer::search(
@@ -174,8 +179,9 @@ std::vector<TokenReply> CloudServer::search(
   const trace::Span span("cloud.search");
   // Tokens of one range query are independent (each walks its own
   // keyword's chain); fan them out and keep the replies in submission
+  // order. The lanes only read the proof cache; its writes follow in token
   // order.
-  return ThreadPool::instance().parallel_map<TokenReply>(
+  std::vector<Proof> proofs = ThreadPool::instance().parallel_map<Proof>(
       tokens.size(), [&](std::size_t i) {
         fault_point_throw("core.cloud.search.worker");
         std::vector<Bytes> results;
@@ -184,12 +190,17 @@ std::vector<TokenReply> CloudServer::search(
           results = fetch_results_walk(tokens[i]);
           results_fetched.add(results.size());
         }
-        TokenReply reply = prove(tokens[i], std::move(results));
+        Proof proof = prove_read(tokens[i], std::move(results));
         // Counted only after the proof succeeded, so fault-injected worker
         // failures do not inflate the counter.
         tokens_served.add();
-        return reply;
+        return proof;
       });
+  remember(proofs);
+  std::vector<TokenReply> replies;
+  replies.reserve(proofs.size());
+  for (Proof& proof : proofs) replies.push_back(std::move(proof.reply));
+  return replies;
 }
 
 std::vector<ClauseReply> CloudServer::search_plan(

@@ -75,15 +75,14 @@ class CloudServer {
   TokenReply prove(const SearchToken& token,
                    std::vector<Bytes> results) const;
 
-  /// Serializes the cloud's state (index, prime list, accumulator value)
-  /// for persistence or migration to another server.
+  /// Serializes the cloud's state (index, prime list shard by shard,
+  /// accumulator value) for persistence or migration to another server.
   Bytes serialize_state() const;
 
   /// Restores a snapshot produced by serialize_state. Throws DecodeError on
   /// malformed input and ProtocolError when called on a non-empty cloud.
-  /// The snapshot format is shard-agnostic (flat prime list + digest); a
-  /// K > 1 cloud recomputes its shard values from the primes on restore and
-  /// throws DecodeError unless they fold to the stored digest.
+  /// The cloud recomputes its shard values from the primes and throws
+  /// DecodeError unless they fold to the stored digest.
   void restore_state(BytesView snapshot);
 
   const EncryptedIndex& index() const { return index_; }
@@ -91,13 +90,15 @@ class CloudServer {
     return sharded_.params();
   }
   /// The published chain digest (the raw shard value at K = 1).
-  const bigint::BigUint& accumulator_value() const { return ac_; }
+  const bigint::BigUint& accumulator_value() const {
+    return sharded_.digest();
+  }
   /// Per-shard accumulation values behind accumulator_value().
   const std::vector<bigint::BigUint>& shard_values() const {
     return sharded_.shard_values();
   }
   std::size_t shard_count() const { return sharded_.shard_count(); }
-  std::size_t prime_count() const { return primes_.size(); }
+  std::size_t prime_count() const { return sharded_.prime_count(); }
 
  private:
   /// Hot-token proof cache: prime → its witness. The prime x =
@@ -119,6 +120,24 @@ class CloudServer {
     std::unordered_map<bigint::BigUint, Entry> entries;
   };
 
+  /// One token's reply with its prime and the prime's shard, for the cache
+  /// writes that follow.
+  struct Proof {
+    TokenReply reply;
+    bigint::BigUint prime;
+    std::uint32_t shard = 0;
+  };
+
+  /// prove() without the cache writes: a cache lookup, and the witness
+  /// computed on a miss. Many pool lanes run it at once.
+  Proof prove_read(const SearchToken& token, std::vector<Bytes> results) const;
+
+  /// The cache writes for `proofs`, in order: each prime moves to the front
+  /// with its witness, then the least recently used entries past capacity
+  /// are evicted. search() runs it once, after its lanes finish, so hits
+  /// and evictions never depend on which lane finished first.
+  void remember(std::span<const Proof> proofs) const;
+
   /// PRF walk of one token: steps the trapdoor permutation through the
   /// token's j generations and reads each generation's index entries (no
   /// timing — callers attribute the time).
@@ -129,9 +148,7 @@ class CloudServer {
   std::size_t prime_bits_;
 
   EncryptedIndex index_;
-  std::vector<bigint::BigUint> primes_;  // X, flat arrival order (snapshots)
   std::unique_ptr<ProofCache> pcache_;
-  bigint::BigUint ac_;
 };
 
 }  // namespace slicer::core

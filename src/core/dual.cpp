@@ -1,6 +1,7 @@
 #include "core/dual.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/errors.hpp"
 
@@ -29,7 +30,7 @@ DualSlicer::DualSlicer(
     Config config, adscrypto::TrapdoorPublicKey trapdoor_pk,
     adscrypto::TrapdoorSecretKey trapdoor_sk,
     adscrypto::AccumulatorParams accumulator_params,
-    std::optional<adscrypto::AccumulatorTrapdoor> accumulator_trapdoor,
+    adscrypto::AccumulatorTrapdoor accumulator_trapdoor,
     crypto::Drbg rng)
     : config_(config),
       add_owner_(config, Keys::generate(rng), trapdoor_pk, trapdoor_sk,

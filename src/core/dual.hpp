@@ -9,7 +9,6 @@
 // per-instance unique-id rule is never violated.
 #pragma once
 
-#include <optional>
 #include <unordered_map>
 
 #include "core/cloud.hpp"
@@ -40,7 +39,7 @@ class DualSlicer {
              adscrypto::TrapdoorPublicKey trapdoor_pk,
              adscrypto::TrapdoorSecretKey trapdoor_sk,
              adscrypto::AccumulatorParams accumulator_params,
-             std::optional<adscrypto::AccumulatorTrapdoor> accumulator_trapdoor,
+             adscrypto::AccumulatorTrapdoor accumulator_trapdoor,
              crypto::Drbg rng);
 
   /// Inserts a new record. Throws ProtocolError when the id is live or was

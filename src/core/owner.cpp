@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "adscrypto/hash_to_prime.hpp"
+#include "adscrypto/sharded_accumulator.hpp"
 #include "common/errors.hpp"
 #include "common/fault.hpp"
 #include "common/metrics.hpp"
@@ -26,15 +27,19 @@ DataOwner::DataOwner(
     Config config, Keys keys, adscrypto::TrapdoorPublicKey trapdoor_pk,
     const adscrypto::TrapdoorSecretKey& trapdoor_sk,
     adscrypto::AccumulatorParams accumulator_params,
-    std::optional<adscrypto::AccumulatorTrapdoor> accumulator_trapdoor,
+    adscrypto::AccumulatorTrapdoor accumulator_trapdoor,
     crypto::Drbg rng, std::size_t shard_count)
     : config_(std::move(config)),
       keys_(std::move(keys)),
       perm_(std::move(trapdoor_pk), trapdoor_sk),
-      sharded_(std::move(accumulator_params), shard_count),
+      accumulator_(std::move(accumulator_params)),
       accumulator_trapdoor_(std::move(accumulator_trapdoor)),
-      rng_(std::move(rng)),
-      ac_(sharded_.digest()) {
+      rng_(std::move(rng)) {
+  const std::size_t k = shard_count == 0 ? adscrypto::default_shard_count()
+                                         : shard_count;
+  exponents_.assign(k, BigUint(1));
+  shard_values_.assign(k, accumulator_.params().generator);
+  ac_ = adscrypto::fold_shard_digests(shard_values_);
   if (keys_.k.size() != 32 || keys_.k_r.size() != 16)
     throw CryptoError("DataOwner: bad key sizes");
   if (config_.value_bits == 0 || config_.value_bits > sore::kMaxBits)
@@ -221,13 +226,17 @@ UpdateOutput DataOwner::ingest(
         return adscrypto::hash_to_prime(new_preimages[i], config_.prime_bits);
       });
 
+  std::vector<BigUint> exponents = exponents_;
+  out.shard_values = shard_values_;
+  adscrypto::accumulate_shards(accumulator_, accumulator_trapdoor_,
+                               out.new_primes, exponents, out.shard_values);
+  out.accumulator_value = adscrypto::fold_shard_digests(out.shard_values);
+
   // Commit: accumulator, T, S (pop every advanced chain's old entry, then
   // write the new ones), X, the used ids and the DRBG.
-  if (accumulator_trapdoor_.has_value()) {
-    sharded_.insert(out.new_primes, *accumulator_trapdoor_);
-  } else {
-    sharded_.insert(out.new_primes);
-  }
+  exponents_ = std::move(exponents);
+  shard_values_ = out.shard_values;
+  ac_ = out.accumulator_value;
   for (const KeywordJob& job : jobs)
     if (job.advance) set_hashes_.erase(job.old_key);
   for (KeywordJob& job : jobs) {
@@ -239,9 +248,6 @@ UpdateOutput DataOwner::ingest(
   primes_.insert(primes_.end(), out.new_primes.begin(), out.new_primes.end());
   used_ids_.insert(ids.begin(), ids.end());
   rng_ = std::move(rng);
-  ac_ = sharded_.digest();
-  out.accumulator_value = ac_;
-  out.shard_values = sharded_.shard_values();
 
   const auto ads_end = std::chrono::steady_clock::now();
   last_stats_.index_seconds =

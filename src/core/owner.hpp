@@ -11,13 +11,11 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <span>
 #include <unordered_set>
 
 #include "adscrypto/accumulator.hpp"
 #include "adscrypto/multiset_hash.hpp"
-#include "adscrypto/sharded_accumulator.hpp"
 #include "adscrypto/trapdoor.hpp"
 #include "core/messages.hpp"
 #include "core/record_cipher.hpp"
@@ -70,15 +68,15 @@ struct UserState {
 /// The data owner role.
 class DataOwner {
  public:
-  /// `accumulator_trapdoor` (the factorization of the accumulator modulus)
-  /// enables the fast accumulation path; pass nullopt to force the public
-  /// path. `shard_count` 0 resolves to the SLICER_SHARDS environment knob
-  /// (default 1 — the unsharded legacy layout).
+  /// `accumulator_trapdoor` is the factorization of the accumulator
+  /// modulus (the owner runs Setup): every accumulation reduces its
+  /// exponent mod φ(n). `shard_count` 0 resolves to the SLICER_SHARDS
+  /// environment knob (default 1 — the unsharded legacy layout).
   DataOwner(Config config, Keys keys,
             adscrypto::TrapdoorPublicKey trapdoor_pk,
             const adscrypto::TrapdoorSecretKey& trapdoor_sk,
             adscrypto::AccumulatorParams accumulator_params,
-            std::optional<adscrypto::AccumulatorTrapdoor> accumulator_trapdoor,
+            adscrypto::AccumulatorTrapdoor accumulator_trapdoor,
             crypto::Drbg rng, std::size_t shard_count = 0);
 
   /// Algorithm 1. Throws ProtocolError if state already exists.
@@ -99,9 +97,9 @@ class DataOwner {
 
   /// Per-shard accumulation values behind accumulator_value().
   const std::vector<bigint::BigUint>& shard_values() const {
-    return sharded_.shard_values();
+    return shard_values_;
   }
-  std::size_t shard_count() const { return sharded_.shard_count(); }
+  std::size_t shard_count() const { return shard_values_.size(); }
 
   /// Full prime list X (the owner re-sends it to new clouds).
   const std::vector<bigint::BigUint>& primes() const { return primes_; }
@@ -130,8 +128,8 @@ class DataOwner {
   Bytes serialize_state() const;
 
   /// Restores a snapshot produced by serialize_state. Throws DecodeError on
-  /// malformed input and ProtocolError when called on a non-empty owner. A
-  /// K > 1 owner recomputes its shard values from the primes and throws
+  /// malformed input and ProtocolError when called on a non-empty owner.
+  /// The owner recomputes its shard values from the primes and throws
   /// DecodeError unless they fold to the stored digest.
   void restore_state(BytesView snapshot);
 
@@ -152,14 +150,17 @@ class DataOwner {
   Config config_;
   Keys keys_;
   adscrypto::TrapdoorPermutation perm_;  // built with the secret key
-  adscrypto::ShardedAccumulator sharded_;
-  std::optional<adscrypto::AccumulatorTrapdoor> accumulator_trapdoor_;
+  adscrypto::RsaAccumulator accumulator_;  // g's comb table
+  adscrypto::AccumulatorTrapdoor accumulator_trapdoor_;
   crypto::Drbg rng_;
 
   std::map<std::string, TrapdoorState> trapdoor_states_;          // T
   std::map<std::string, adscrypto::MultisetHash::Digest> set_hashes_;  // S
   std::vector<bigint::BigUint> primes_;                           // X
   std::unordered_set<RecordId> used_ids_;
+  /// Per shard: the running exponent ∏ primes mod φ(n) and g to it.
+  std::vector<bigint::BigUint> exponents_;
+  std::vector<bigint::BigUint> shard_values_;
   bigint::BigUint ac_;
   IngestStats last_stats_;
 };

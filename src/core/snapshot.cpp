@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "adscrypto/sharded_accumulator.hpp"
 #include "common/errors.hpp"
 #include "common/serial.hpp"
 #include "core/cloud.hpp"
@@ -211,20 +212,12 @@ void DataOwner::restore_state(BytesView snapshot) {
   ac_ = read_biguint(r);
   rng_ = crypto::Drbg::import_state(r.bytes());
   r.expect_end();
-  if (sharded_.shard_count() == 1) {
-    // Adopt the stored digest as the shard value; the running exponent is
-    // refolded from the full prime list on the next insert — the exact
-    // arithmetic the unsharded owner performed every insert. The digest IS
-    // the shard value here, so there is nothing to compare it with.
-    const std::vector<bigint::BigUint> values{ac_};
-    sharded_.insert_with_values(primes_, values);
-  } else {
-    sharded_.rebuild(primes_, accumulator_trapdoor_.has_value()
-                                  ? &*accumulator_trapdoor_
-                                  : nullptr);
-    if (sharded_.digest() != ac_)
-      throw DecodeError("snapshot digest does not fold its shard values");
-  }
+  // The empty owner's exponents and values are the fresh state, so one
+  // accumulation over X rebuilds them; they must fold to the stored digest.
+  adscrypto::accumulate_shards(accumulator_, accumulator_trapdoor_, primes_,
+                               exponents_, shard_values_);
+  if (adscrypto::fold_shard_digests(shard_values_) != ac_)
+    throw DecodeError("snapshot digest does not fold its shard values");
 }
 
 Bytes CloudServer::serialize_state() const {
@@ -236,14 +229,17 @@ Bytes CloudServer::serialize_state() const {
     w.bytes(l);
     w.bytes(d);
   }
-  w.u32(static_cast<std::uint32_t>(primes_.size()));
-  for (const auto& x : primes_) w.bytes(x.to_bytes_be());
-  w.bytes(ac_.to_bytes_be());
+  // Shard by shard, each in arrival order: restoring routes every prime
+  // back to its shard at its index. At K = 1 this is X in arrival order.
+  w.u32(static_cast<std::uint32_t>(sharded_.prime_count()));
+  for (std::size_t s = 0; s < sharded_.shard_count(); ++s)
+    for (const auto& x : sharded_.shard_primes(s)) w.bytes(x.to_bytes_be());
+  w.bytes(sharded_.digest().to_bytes_be());
   return std::move(w).take();
 }
 
 void CloudServer::restore_state(BytesView snapshot) {
-  if (index_.size() != 0 || !primes_.empty())
+  if (index_.size() != 0 || sharded_.prime_count() != 0)
     throw ProtocolError("restore_state on a non-empty cloud");
   Reader r(snapshot);
   read_header(r, kCloudTag);
@@ -258,25 +254,17 @@ void CloudServer::restore_state(BytesView snapshot) {
     prev_l = std::move(l);
   }
   const std::uint32_t n_primes = r.count(4);
-  primes_.reserve(n_primes);
+  std::vector<bigint::BigUint> primes;
+  primes.reserve(n_primes);
   for (std::uint32_t i = 0; i < n_primes; ++i)
-    primes_.push_back(read_biguint(r));
-  ac_ = read_biguint(r);
+    primes.push_back(read_biguint(r));
+  const bigint::BigUint digest = read_biguint(r);
   r.expect_end();
-  if (sharded_.shard_count() == 1) {
-    // Legacy layout: the digest IS the single shard value — adopt it
-    // verbatim, exactly as the unsharded cloud did (no recomputation), so
-    // there is nothing to compare it with.
-    const std::vector<bigint::BigUint> values{ac_};
-    sharded_.insert_with_values(primes_, values);
-  } else {
-    // The snapshot format is shard-agnostic (flat prime list + folded
-    // digest); a sharded cloud recomputes its per-shard values publicly,
-    // and they must fold to the stored digest.
-    sharded_.rebuild(primes_, nullptr);
-    if (sharded_.digest() != ac_)
-      throw DecodeError("snapshot digest does not fold its shard values");
-  }
+  // The cloud holds no trapdoor: it recomputes each shard value publicly,
+  // and they must fold to the stored digest.
+  sharded_.rebuild(primes);
+  if (sharded_.digest() != digest)
+    throw DecodeError("snapshot digest does not fold its shard values");
 }
 
 }  // namespace slicer::core

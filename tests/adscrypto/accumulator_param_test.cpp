@@ -40,9 +40,6 @@ TEST_P(AccumulatorSizes, EveryMemberVerifiesNoOutsiderDoes) {
       ASSERT_FALSE(RsaAccumulator::verify(params, ac, primes[i - 1], all[i]));
     }
   }
-  const BigUint outsider = hash_to_prime(str_bytes("outsider"));
-  const auto nmw = acc.nonmember_witness(primes, outsider);
-  EXPECT_TRUE(RsaAccumulator::verify_nonmember(params, ac, outsider, nmw));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, AccumulatorSizes,

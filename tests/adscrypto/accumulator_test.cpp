@@ -175,69 +175,6 @@ TEST(Accumulator, SafePrimeSetupProducesWorkingParams) {
   EXPECT_TRUE(bigint::is_probable_prime(q_half, rng));
 }
 
-TEST_F(AccumulatorTest, NonMembershipWitnessVerifies) {
-  const RsaAccumulator acc(params_);
-  const auto primes = sample_primes(8);
-  const BigUint ac = acc.accumulate(primes);
-  const BigUint outsider = hash_to_prime(str_bytes("absent-element"));
-  const auto w = acc.nonmember_witness(primes, outsider);
-  EXPECT_TRUE(RsaAccumulator::verify_nonmember(params_, ac, outsider, w));
-}
-
-TEST_F(AccumulatorTest, NonMembershipOnEmptySet) {
-  const RsaAccumulator acc(params_);
-  const BigUint ac = acc.accumulate({});
-  const BigUint x = hash_to_prime(str_bytes("anything"));
-  const auto w = acc.nonmember_witness({}, x);
-  EXPECT_TRUE(RsaAccumulator::verify_nonmember(params_, ac, x, w));
-}
-
-TEST_F(AccumulatorTest, NonMembershipRefusesMembers) {
-  const RsaAccumulator acc(params_);
-  const auto primes = sample_primes(5);
-  EXPECT_THROW(acc.nonmember_witness(primes, primes[2]), CryptoError);
-}
-
-TEST_F(AccumulatorTest, NonMembershipFailsForMembers) {
-  // A witness for one outsider must not "prove" non-membership of a member.
-  const RsaAccumulator acc(params_);
-  const auto primes = sample_primes(5);
-  const BigUint ac = acc.accumulate(primes);
-  const BigUint outsider = hash_to_prime(str_bytes("outsider"));
-  const auto w = acc.nonmember_witness(primes, outsider);
-  EXPECT_FALSE(RsaAccumulator::verify_nonmember(params_, ac, primes[0], w));
-}
-
-TEST_F(AccumulatorTest, NonMembershipStaleAfterUpdate) {
-  // Freshness also holds for absence: once the element is inserted, the old
-  // non-membership witness fails against the new Ac.
-  const RsaAccumulator acc(params_);
-  auto primes = sample_primes(5);
-  const BigUint x = hash_to_prime(str_bytes("late-arrival"));
-  const auto w = acc.nonmember_witness(primes, x);
-  EXPECT_TRUE(RsaAccumulator::verify_nonmember(params_, acc.accumulate(primes),
-                                               x, w));
-  primes.push_back(x);
-  EXPECT_FALSE(RsaAccumulator::verify_nonmember(
-      params_, acc.accumulate(primes), x, w));
-}
-
-TEST_F(AccumulatorTest, NonMembershipRejectsForgedWitness) {
-  const RsaAccumulator acc(params_);
-  const auto primes = sample_primes(5);
-  const BigUint ac = acc.accumulate(primes);
-  const BigUint outsider = hash_to_prime(str_bytes("outsider2"));
-  auto w = acc.nonmember_witness(primes, outsider);
-  w.d = w.d + BigUint(1);
-  EXPECT_FALSE(RsaAccumulator::verify_nonmember(params_, ac, outsider, w));
-  auto w2 = acc.nonmember_witness(primes, outsider);
-  w2.a = BigUint{};  // out of range
-  EXPECT_FALSE(RsaAccumulator::verify_nonmember(params_, ac, outsider, w2));
-  auto w3 = acc.nonmember_witness(primes, outsider);
-  w3.a = outsider;  // a must be < x
-  EXPECT_FALSE(RsaAccumulator::verify_nonmember(params_, ac, outsider, w3));
-}
-
 TEST_F(AccumulatorTest, AllWitnessesMatchPerIndexWitnessRandomSets) {
   // Property: the root-factor batch output equals the naive per-index
   // witness for every element, over random prime sets of varying size.
@@ -294,9 +231,9 @@ TEST(Accumulator, ProductTree) {
 
 TEST_F(AccumulatorTest, FixedBasePathBitIdenticalToGeneric) {
   // The comb-table accumulator must produce byte-for-byte the same
-  // accumulation value, per-index witnesses, batch witnesses and
-  // non-membership witness as the generic sliding-window path — the
-  // on-chain values may not depend on which engine computed them.
+  // accumulation value, per-index witnesses and batch witnesses as the
+  // generic sliding-window path — the on-chain values may not depend on
+  // which engine computed them.
   const RsaAccumulator fast(params_, /*use_fixed_base=*/true);
   const RsaAccumulator generic(params_, /*use_fixed_base=*/false);
   const auto primes = sample_primes(13);
@@ -308,12 +245,6 @@ TEST_F(AccumulatorTest, FixedBasePathBitIdenticalToGeneric) {
     EXPECT_EQ(fast.witness(primes, i), generic.witness(primes, i)) << i;
   }
   EXPECT_EQ(fast.all_witnesses(primes), generic.all_witnesses(primes));
-
-  const BigUint outsider = hash_to_prime(str_bytes("not-a-member"));
-  const auto nw_fast = fast.nonmember_witness(primes, outsider);
-  const auto nw_generic = generic.nonmember_witness(primes, outsider);
-  EXPECT_EQ(nw_fast.a, nw_generic.a);
-  EXPECT_EQ(nw_fast.d, nw_generic.d);
 }
 
 }  // namespace

@@ -36,6 +36,35 @@ class ShardedAccumulatorTest : public ::testing::Test {
     trapdoor_ = trapdoor;
   }
 
+  /// The owner's side of one cloud accumulator: per-shard running
+  /// exponents and values, published with every batch the cloud adopts.
+  class Owner {
+   public:
+    Owner(const AccumulatorParams& params, const AccumulatorTrapdoor& trapdoor,
+          std::size_t k)
+        : acc_(params),
+          trapdoor_(trapdoor),
+          exponents_(k, BigUint(1)),
+          values_(k, params.generator) {}
+
+    void fold(std::span<const BigUint> batch) {
+      accumulate_shards(acc_, trapdoor_, batch, exponents_, values_);
+    }
+    void publish(ShardedAccumulator& cloud, std::span<const BigUint> batch) {
+      fold(batch);
+      cloud.insert_with_values(batch, values_);
+    }
+    const std::vector<BigUint>& values() const { return values_; }
+
+   private:
+    RsaAccumulator acc_;
+    AccumulatorTrapdoor trapdoor_;
+    std::vector<BigUint> exponents_;
+    std::vector<BigUint> values_;
+  };
+
+  Owner owner(std::size_t k) const { return Owner(params_, trapdoor_, k); }
+
   crypto::Drbg rng_;
   AccumulatorParams params_;
   AccumulatorTrapdoor trapdoor_;
@@ -86,20 +115,17 @@ TEST_F(ShardedAccumulatorTest, FoldCommitsToValueAndPosition) {
 
 TEST_F(ShardedAccumulatorTest, SingleShardBitIdenticalToRsaAccumulator) {
   // Hard constraint of the sharded layout: K = 1 reproduces the legacy
-  // accumulator byte for byte — digest, per-element witnesses, and the
-  // trapdoor fast path.
+  // accumulator byte for byte — digest and per-element witnesses. (The
+  // owner's trapdoor path is pinned against the public one in
+  // ShardedOwner.ValuesMatchPublicRecomputeAnySplit.)
   const RsaAccumulator legacy(params_);
   const auto primes = sample_primes(23);
 
   ShardedAccumulator pub(params_, 1);
-  pub.insert(primes);
+  pub.rebuild(primes);
   EXPECT_EQ(pub.digest(), legacy.accumulate(primes));
   EXPECT_EQ(pub.shard_values().size(), 1u);
   EXPECT_EQ(pub.shard_value(0), pub.digest());
-
-  ShardedAccumulator trap(params_, 1);
-  trap.insert(primes, trapdoor_);
-  EXPECT_EQ(trap.digest(), legacy.accumulate(primes, trapdoor_));
 
   ASSERT_TRUE(std::ranges::equal(pub.shard_primes(0), primes));
   const auto legacy_wit = legacy.all_witnesses(primes);
@@ -112,37 +138,11 @@ TEST_F(ShardedAccumulatorTest, SingleShardBitIdenticalToRsaAccumulator) {
   }
 }
 
-TEST_F(ShardedAccumulatorTest, IncrementalTrapdoorInsertsMatchFromScratch) {
-  // Batched trapdoor inserts fold into the running exponent; the result must
-  // equal accumulating the concatenated prime list from scratch.
-  const RsaAccumulator legacy(params_);
-  ShardedAccumulator acc(params_, 1);
-  std::vector<BigUint> all;
-  for (const std::size_t n : {5u, 1u, 12u, 7u}) {
-    const auto batch = sample_primes(n, all.size() + 1);
-    all.insert(all.end(), batch.begin(), batch.end());
-    acc.insert(batch, trapdoor_);
-    EXPECT_EQ(acc.digest(), legacy.accumulate(all, trapdoor_));
-  }
-}
-
-TEST_F(ShardedAccumulatorTest, TrapdoorPathMatchesPublicPathAnyShardCount) {
-  for (const std::size_t k : {1u, 2u, 4u, 8u}) {
-    const auto primes = sample_primes(31, k);
-    ShardedAccumulator pub(params_, k);
-    ShardedAccumulator trap(params_, k);
-    pub.insert(primes);
-    trap.insert(primes, trapdoor_);
-    EXPECT_EQ(pub.shard_values(), trap.shard_values()) << "k=" << k;
-    EXPECT_EQ(pub.digest(), trap.digest()) << "k=" << k;
-  }
-}
-
 TEST_F(ShardedAccumulatorTest, WitnessesVerifyAgainstTheirShard) {
   for (const std::size_t k : {2u, 8u}) {
     ShardedAccumulator acc(params_, k);
     const auto primes = sample_primes(26, 100 + k);
-    acc.insert(primes);
+    acc.rebuild(primes);
     const auto values = acc.shard_values();
     const bigint::Montgomery mont(params_.modulus);
     for (const BigUint& x : primes) {
@@ -163,16 +163,16 @@ TEST_F(ShardedAccumulatorTest, WitnessesVerifyAgainstTheirShard) {
 
 TEST_F(ShardedAccumulatorTest, InsertWithValuesAdoptsOwnerState) {
   const auto primes = sample_primes(19, 7);
-  ShardedAccumulator owner(params_, 4);
-  owner.insert(primes, trapdoor_);
-
+  Owner owner = this->owner(4);
   ShardedAccumulator cloud(params_, 4);
-  cloud.insert_with_values(primes, owner.shard_values());
-  EXPECT_EQ(cloud.shard_values(), owner.shard_values());
-  EXPECT_EQ(cloud.digest(), owner.digest());
+  owner.publish(cloud, primes);
+  EXPECT_EQ(cloud.shard_values(), owner.values());
+  EXPECT_EQ(cloud.digest(), fold_shard_digests(owner.values()));
   const RsaAccumulator reference(params_);
   for (std::uint32_t s = 0; s < 4; ++s) {
-    const auto shard = owner.shard_primes(s);
+    std::vector<BigUint> shard;
+    for (const BigUint& x : primes)
+      if (shard_of(x, 4) == s) shard.push_back(x);
     ASSERT_TRUE(std::ranges::equal(cloud.shard_primes(s), shard)) << s;
     const auto expected = reference.all_witnesses(shard);
     for (std::uint32_t i = 0; i < shard.size(); ++i)
@@ -180,46 +180,47 @@ TEST_F(ShardedAccumulatorTest, InsertWithValuesAdoptsOwnerState) {
   }
 
   ShardedAccumulator mismatched(params_, 2);
-  EXPECT_THROW(mismatched.insert_with_values(primes, owner.shard_values()),
+  EXPECT_THROW(mismatched.insert_with_values(primes, owner.values()),
                ProtocolError);
 }
 
 TEST_F(ShardedAccumulatorTest, RebuildMatchesIncrementalInserts) {
   const auto primes = sample_primes(27, 9);
+  const std::span<const BigUint> all(primes);
   for (const std::size_t k : {1u, 4u}) {
+    Owner owner = this->owner(k);
     ShardedAccumulator incremental(params_, k);
-    incremental.insert(primes);
+    owner.publish(incremental, all.first(10));
+    owner.publish(incremental, all.subspan(10));
 
-    ShardedAccumulator restored_pub(params_, k);
-    restored_pub.rebuild(primes, nullptr);
-    EXPECT_EQ(restored_pub.shard_values(), incremental.shard_values());
-
-    ShardedAccumulator restored_trap(params_, k);
-    restored_trap.rebuild(primes, &trapdoor_);
-    EXPECT_EQ(restored_trap.shard_values(), incremental.shard_values());
+    ShardedAccumulator restored(params_, k);
+    restored.rebuild(primes);
+    EXPECT_EQ(restored.shard_values(), incremental.shard_values());
+    EXPECT_EQ(restored.digest(), incremental.digest());
 
     for (const BigUint& x : primes)
-      EXPECT_EQ(restored_pub.find(x)->index, incremental.find(x)->index);
-    EXPECT_THROW(restored_pub.rebuild(primes, nullptr), ProtocolError);
+      EXPECT_EQ(restored.find(x)->index, incremental.find(x)->index);
+    EXPECT_THROW(restored.rebuild(primes), ProtocolError);
   }
 }
 
 TEST_F(ShardedAccumulatorTest, EmptyBatchLeavesStateUntouched) {
   ShardedAccumulator acc(params_, 2);
-  acc.insert(sample_primes(6, 11));
+  acc.rebuild(sample_primes(6, 11));
   const BigUint before = acc.digest();
-  acc.insert(std::span<const BigUint>{});
+  acc.insert_with_values(std::span<const BigUint>{}, acc.shard_values());
   EXPECT_EQ(acc.digest(), before);
   EXPECT_EQ(acc.prime_count(), 6u);
 }
 
 TEST_F(ShardedAccumulatorTest, ReinsertedElementReportsLatestPosition) {
-  // Historical cloud semantics: the prime→position map overwrites on
-  // duplicates, so a re-derived prime proves against its newest slot.
+  // The prime→position map overwrites on duplicates, so a re-derived prime
+  // proves against its newest slot.
+  Owner owner = this->owner(1);
   ShardedAccumulator acc(params_, 1);
   const auto primes = sample_primes(4, 13);
-  acc.insert(primes);
-  acc.insert(std::vector<BigUint>{primes[1]});
+  owner.publish(acc, primes);
+  owner.publish(acc, std::vector<BigUint>{primes[1]});
   const auto pos = acc.find(primes[1]);
   ASSERT_TRUE(pos.has_value());
   EXPECT_EQ(pos->index, 4u);
@@ -230,7 +231,7 @@ TEST_F(ShardedAccumulatorTest, ReinsertedElementReportsLatestPosition) {
 // ShardedAccumulator::witness serves misses from a per-shard frontier of
 // run complements (one cached value per run of kFrontierRun primes). Every
 // witness it returns must be byte-equal to the from-scratch witness over
-// the shard's current prime list, whatever the insert history, whichever
+// the shard's current prime list, whatever the write history, whichever
 // branch (fill from g, fill from a kept shard value, fold, recompute)
 // brought the run up to date, and however many threads miss at once.
 
@@ -260,9 +261,9 @@ class ShardedWitnessFrontier : public ShardedAccumulatorTest {
 };
 
 TEST_F(ShardedWitnessFrontier, MatchesFromScratchUnderRandomInterleavings) {
-  // Random schedules of the three insert paths (public, trapdoor, adopted
-  // owner values), re-inserted primes and bursts of misses, at every shard
-  // count and with a serial and a 4-lane pool.
+  // Random schedules of batches (the first one a restore half the time),
+  // re-inserted primes and bursts of misses, at every shard count and with
+  // a serial and a 4-lane pool.
   const metrics::ScopedMetrics scoped;
   const std::uint64_t folds = frontier_count("folds");
   const std::uint64_t recomputes = frontier_count("recomputes");
@@ -281,7 +282,7 @@ TEST_F(ShardedWitnessFrontier, MatchesFromScratchUnderRandomInterleavings) {
         return static_cast<std::size_t>(read_be64(rng.generate(8)) % bound);
       };
       ShardedAccumulator acc(params_, k);
-      ShardedAccumulator owner(params_, k);  // publishes values_after
+      Owner owner = this->owner(k);
       std::vector<BigUint> inserted;
       std::uint64_t salt = 1000 * k + threads;
       for (std::size_t step = 0; step < 24; ++step) {
@@ -295,13 +296,13 @@ TEST_F(ShardedWitnessFrontier, MatchesFromScratchUnderRandomInterleavings) {
         if (!inserted.empty() && draw(3) == 0)
           batch.push_back(inserted[draw(inserted.size())]);
         inserted.insert(inserted.end(), batch.begin(), batch.end());
-        owner.insert(batch, trapdoor_);
-        switch (draw(3)) {
-          case 0: acc.insert(batch); break;
-          case 1: acc.insert(batch, trapdoor_); break;
-          default: acc.insert_with_values(batch, owner.shard_values());
+        if (step == 0 && draw(2) == 0) {
+          owner.fold(batch);
+          acc.rebuild(batch);
+        } else {
+          owner.publish(acc, batch);
         }
-        ASSERT_EQ(acc.shard_values(), owner.shard_values()) << where;
+        ASSERT_EQ(acc.shard_values(), owner.values()) << where;
         for (std::size_t miss = draw(6); miss > 0; --miss) {
           const std::size_t s = draw(k);
           if (acc.shard_primes(s).empty()) continue;
@@ -323,26 +324,28 @@ TEST_F(ShardedWitnessFrontier, MatchesFromScratchUnderRandomInterleavings) {
 
 TEST_F(ShardedWitnessFrontier, PartialRunAndAppendsIntoTheServedRun) {
   constexpr std::size_t C = ShardedAccumulator::kFrontierRun;
+  Owner owner = this->owner(1);
   ShardedAccumulator acc(params_, 1);
   // One full run plus a partly filled second run.
-  acc.insert(sample_primes(C + 3, 71));
+  owner.publish(acc, sample_primes(C + 3, 71));
   for (std::size_t i : {C, C + 2, std::size_t{0}, C - 1})
     expect_exact(acc, 0, i, "partial");
   // Primes appended into the run being served change the in-run exponent,
   // not the run's cached complement.
-  acc.insert(sample_primes(2, 72));
+  owner.publish(acc, sample_primes(2, 72));
   for (std::size_t i = C; i < C + 5; ++i) expect_exact(acc, 0, i, "appended");
   // Filling the run and spilling into a third one makes the first run owe
   // every newer prime.
-  acc.insert(sample_primes(C, 73));
+  owner.publish(acc, sample_primes(C, 73));
   for (std::size_t i : {std::size_t{3}, C + 1, 2 * C + 4, 2 * C - 1})
     expect_exact(acc, 0, i, "spilled");
 }
 
 TEST_F(ShardedWitnessFrontier, FoldAndRecomputeBranchesAreExact) {
   const metrics::ScopedMetrics scoped;
+  Owner owner = this->owner(1);
   ShardedAccumulator acc(params_, 1);
-  acc.insert(sample_primes(200, 81));
+  owner.publish(acc, sample_primes(200, 81));
   const std::uint64_t fills = frontier_count("fills");
   expect_exact(acc, 0, 5, "fill");
   EXPECT_EQ(frontier_count("fills"), fills + 1);
@@ -350,7 +353,7 @@ TEST_F(ShardedWitnessFrontier, FoldAndRecomputeBranchesAreExact) {
   // A backlog of 4 primes folds (5·4 ≤ 200); the run's cached value is then
   // current, so a second miss on the same run costs no refresh at all.
   const std::uint64_t folds = frontier_count("folds");
-  acc.insert(sample_primes(4, 82));
+  owner.publish(acc, sample_primes(4, 82));
   expect_exact(acc, 0, 7, "fold");
   EXPECT_EQ(frontier_count("folds"), folds + 1);
   expect_exact(acc, 0, 6, "current");
@@ -358,7 +361,7 @@ TEST_F(ShardedWitnessFrontier, FoldAndRecomputeBranchesAreExact) {
 
   // A backlog of 100 primes costs more to fold than to recompute from g.
   const std::uint64_t recomputes = frontier_count("recomputes");
-  acc.insert(sample_primes(100, 83));
+  owner.publish(acc, sample_primes(100, 83));
   expect_exact(acc, 0, 2, "recompute");
   EXPECT_EQ(frontier_count("recomputes"), recomputes + 1);
   EXPECT_EQ(frontier_count("folds"), folds + 1);
@@ -371,14 +374,15 @@ TEST_F(ShardedWitnessFrontier, OneWitnessSamplePerMiss) {
   const metrics::ScopedMetrics scoped;
   const metrics::Histogram& witness_ns =
       metrics::histogram("adscrypto.accumulator.witness_ns");
+  Owner owner = this->owner(2);
   ShardedAccumulator acc(params_, 2);
-  acc.insert(sample_primes(60, 91));
+  owner.publish(acc, sample_primes(60, 91));
   const std::uint64_t before = witness_ns.count();
   std::size_t misses = 0;
   for (std::uint32_t s = 0; s < 2; ++s)
     for (std::uint32_t i = 0; i < acc.shard_primes(s).size(); i += 7, ++misses)
       acc.witness({s, i});
-  acc.insert(sample_primes(9, 92));
+  owner.publish(acc, sample_primes(9, 92));
   acc.witness({0, 0});
   ++misses;
   EXPECT_EQ(witness_ns.count(), before + misses);
@@ -388,8 +392,9 @@ TEST_F(ShardedWitnessFrontier, ConcurrentMissesOnOneRun) {
   // Two threads race fill and then fold of the same run; both must return
   // exact witnesses, and the frontier must stay exact afterwards.
   constexpr std::size_t C = ShardedAccumulator::kFrontierRun;
+  Owner owner = this->owner(1);
   ShardedAccumulator acc(params_, 1);
-  acc.insert(sample_primes(5 * C, 101));
+  owner.publish(acc, sample_primes(5 * C, 101));
   for (std::size_t round = 0; round < 3; ++round) {
     const auto primes = acc.shard_primes(0);
     std::vector<BigUint> got(2);
@@ -402,53 +407,46 @@ TEST_F(ShardedWitnessFrontier, ConcurrentMissesOnOneRun) {
     for (std::size_t t = 0; t < 2; ++t)
       EXPECT_EQ(got[t], scratch_.witness(primes, C + 3 + t))
           << "round=" << round << " t=" << t;
-    acc.insert(sample_primes(3, 102 + round));
+    owner.publish(acc, sample_primes(3, 102 + round));
   }
   expect_exact(acc, 0, C + 9, "after races");
 }
 
 TEST_F(ShardedWitnessFrontier, SeededFillsMatchFromScratch) {
-  // APPLY-shaped histories through each insert path, started by a rebuild:
-  // after every batch, first touches land in the newest batch's runs and
-  // in older runs nothing has touched yet, so fills start from the rebuild
-  // value, from earlier batches' values and from g.
+  // APPLY-shaped histories started by a restore: after every batch, first
+  // touches land in the newest batch's runs and in older runs nothing has
+  // touched yet, so fills start from the rebuilt value, from earlier
+  // batches' values and from g.
   constexpr std::size_t C = ShardedAccumulator::kFrontierRun;
   const metrics::ScopedMetrics scoped;
   const std::uint64_t seeded = frontier_count("seeded_fills");
   for (const std::size_t k : {1u, 4u, 8u}) {
-    for (const std::size_t path : {0u, 1u, 2u}) {
-      const std::string tag =
-          "k=" + std::to_string(k) + " path=" + std::to_string(path);
-      ShardedAccumulator acc(params_, k);
-      ShardedAccumulator owner(params_, k);  // publishes values_after
-      std::uint64_t salt = 2000 + 10 * k + path;
-      const std::vector<BigUint> preload = sample_primes(3 * C * k, ++salt);
-      acc.rebuild(preload, path == 1 ? &trapdoor_ : nullptr);
-      owner.insert(preload, trapdoor_);
-      std::vector<BigUint> older = preload;
-      for (std::size_t step = 0; step < 6; ++step) {
-        const std::string where = tag + " step=" + std::to_string(step);
-        const std::vector<BigUint> batch =
-            sample_primes((step % 2 == 0 ? 2 * C : C / 2) * k, ++salt);
-        owner.insert(batch, trapdoor_);
-        switch (path) {
-          case 0: acc.insert(batch); break;
-          case 1: acc.insert(batch, trapdoor_); break;
-          default: acc.insert_with_values(batch, owner.shard_values());
-        }
-        ASSERT_EQ(acc.shard_values(), owner.shard_values()) << where;
-        // Every third prime of the newest batch, then one prime of the
-        // history so far that no earlier step touched.
-        for (std::size_t i = 0; i < batch.size(); i += 3) {
-          const auto pos = acc.find(batch[i]);
-          ASSERT_TRUE(pos.has_value()) << where;
-          expect_exact(acc, pos->shard, pos->index, where);
-        }
-        const auto pos = acc.find(older[(7 * step + 5) % older.size()]);
+    const std::string tag = "k=" + std::to_string(k);
+    ShardedAccumulator acc(params_, k);
+    Owner owner = this->owner(k);
+    std::uint64_t salt = 2000 + 10 * k;
+    const std::vector<BigUint> preload = sample_primes(3 * C * k, ++salt);
+    acc.rebuild(preload);
+    owner.fold(preload);
+    ASSERT_EQ(acc.shard_values(), owner.values()) << tag;
+    std::vector<BigUint> older = preload;
+    for (std::size_t step = 0; step < 6; ++step) {
+      const std::string where = tag + " step=" + std::to_string(step);
+      const std::vector<BigUint> batch =
+          sample_primes((step % 2 == 0 ? 2 * C : C / 2) * k, ++salt);
+      owner.publish(acc, batch);
+      ASSERT_EQ(acc.shard_values(), owner.values()) << where;
+      // Every third prime of the newest batch, then one prime of the
+      // history so far that no earlier step touched.
+      for (std::size_t i = 0; i < batch.size(); i += 3) {
+        const auto pos = acc.find(batch[i]);
         ASSERT_TRUE(pos.has_value()) << where;
-        expect_exact(acc, pos->shard, pos->index, where + " older");
-        older.insert(older.end(), batch.begin(), batch.end());
+        expect_exact(acc, pos->shard, pos->index, where);
       }
+      const auto pos = acc.find(older[(7 * step + 5) % older.size()]);
+      ASSERT_TRUE(pos.has_value()) << where;
+      expect_exact(acc, pos->shard, pos->index, where + " older");
+      older.insert(older.end(), batch.begin(), batch.end());
     }
   }
   EXPECT_GT(frontier_count("seeded_fills"), seeded);
@@ -466,9 +464,10 @@ TEST_F(ShardedWitnessFrontier, FirstTouchTakesTheSeedOnlyWhenCheaper) {
     EXPECT_EQ(frontier_count("seeded_fills"), seeded + seeded_delta)
         << "index=" << index;
   };
+  Owner owner = this->owner(1);
   ShardedAccumulator acc(params_, 1);
-  acc.insert(sample_primes(16 * C, 111));
-  acc.insert(sample_primes(2 * C, 112));
+  owner.publish(acc, sample_primes(16 * C, 111));
+  owner.publish(acc, sample_primes(2 * C, 112));
   // The newest batch starts at the value kept at 16C: the seed owes C
   // primes (5·C < 17C), a comb from g would owe 17C.
   expect_fill(acc, 16 * C + 3, 1);
@@ -477,9 +476,10 @@ TEST_F(ShardedWitnessFrontier, FirstTouchTakesTheSeedOnlyWhenCheaper) {
 
   // A kept value the run starts at, but followed by a long batch: the seed
   // would owe 20C primes by generic modexp, the comb 21C (5·20C ≥ 21C).
+  Owner far_owner = this->owner(1);
   ShardedAccumulator far(params_, 1);
-  far.insert(sample_primes(C, 113));
-  far.insert(sample_primes(21 * C, 114));
+  far_owner.publish(far, sample_primes(C, 113));
+  far_owner.publish(far, sample_primes(21 * C, 114));
   expect_fill(far, C + 2, 0);
 }
 
@@ -488,12 +488,13 @@ TEST_F(ShardedWitnessFrontier, ConcurrentFirstTouchesOnNewRuns) {
   // the same kept shard value.
   constexpr std::size_t C = ShardedAccumulator::kFrontierRun;
   const metrics::ScopedMetrics scoped;
+  Owner owner = this->owner(1);
   ShardedAccumulator acc(params_, 1);
-  acc.insert(sample_primes(8 * C, 121));
+  owner.publish(acc, sample_primes(8 * C, 121));
   const std::uint64_t seeded = frontier_count("seeded_fills");
   for (std::size_t round = 0; round < 3; ++round) {
     const std::size_t base = acc.shard_primes(0).size();
-    acc.insert(sample_primes(2 * C, 122 + round));
+    owner.publish(acc, sample_primes(2 * C, 122 + round));
     const auto primes = acc.shard_primes(0);
     std::vector<BigUint> got(2);
     std::vector<std::thread> racers;
@@ -511,14 +512,15 @@ TEST_F(ShardedWitnessFrontier, ConcurrentFirstTouchesOnNewRuns) {
 
   // Two shards fill from g at once. Each round touches a run older than
   // every kept value, one in each shard, so both racers raise g through
-  // the accumulator's one comb table; the public inserts never touch the
-  // table, so the racers also grow it.
+  // the accumulator's one comb table; adopting the owner's values never
+  // touches the table, so the racers also grow it.
+  Owner two_owner = this->owner(2);
   ShardedAccumulator two(params_, 2);
-  two.insert(sample_primes(16 * C, 125));
+  two_owner.publish(two, sample_primes(16 * C, 125));
   const std::uint64_t fills = frontier_count("fills");
   const std::uint64_t seeded_two = frontier_count("seeded_fills");
   for (std::size_t round = 0; round < 3; ++round) {
-    two.insert(sample_primes(C, 126 + round));
+    two_owner.publish(two, sample_primes(C, 126 + round));
     const auto index = static_cast<std::uint32_t>(round * C + 4);
     std::vector<BigUint> got(2);
     std::vector<std::thread> racers;
@@ -543,10 +545,11 @@ TEST_F(ShardedWitnessFrontier, KeptSeedsStayBoundedWhenRunsAreTouched) {
   const metrics::Gauge& kept =
       metrics::gauge("adscrypto.sharded.frontier.kept_seeds");
   {
+    Owner owner = this->owner(K);
     ShardedAccumulator acc(params_, K);
     std::vector<std::size_t> touched(K, 0);  // runs filled so far, per shard
     for (std::size_t apply = 0; apply < 30; ++apply) {
-      acc.insert(sample_primes(C * K, 131 + apply), trapdoor_);
+      owner.publish(acc, sample_primes(C * K, 131 + apply));
       EXPECT_GE(kept.value(), static_cast<std::int64_t>(K));
       EXPECT_LE(kept.value(), static_cast<std::int64_t>(2 * K))
           << "apply=" << apply;
@@ -558,7 +561,7 @@ TEST_F(ShardedWitnessFrontier, KeptSeedsStayBoundedWhenRunsAreTouched) {
     }
     // Runs nobody touches keep their seeds.
     for (std::size_t apply = 0; apply < 10; ++apply)
-      acc.insert(sample_primes(C * K, 171 + apply), trapdoor_);
+      owner.publish(acc, sample_primes(C * K, 171 + apply));
     EXPECT_GT(kept.value(), static_cast<std::int64_t>(2 * K));
   }
   EXPECT_EQ(kept.value(), 0);

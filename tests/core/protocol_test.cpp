@@ -446,6 +446,65 @@ TEST(CloudReadPath, ProofCacheMatchesCacheOff) {
   }
 }
 
+TEST(CloudReadPath, ProofCacheSequenceIndependentOfLanes) {
+  // The lanes of one search only read the proof cache; its LRU writes
+  // follow, serially and in token order. So a fixed query stream over a
+  // cache smaller than its working set hits and misses in the same
+  // sequence on one lane and on four, run after run.
+  const metrics::ScopedMetrics metrics_on;
+  const auto& hits = metrics::counter("core.cloud.proof_cache.hits");
+  const auto& misses = metrics::counter("core.cloud.proof_cache.misses");
+  const auto& evictions = metrics::counter("core.cloud.proof_cache.evictions");
+  Rig rig = Rig::make(8, "cache-lanes", {}, 2);
+  rig.ingest(kServeRecords);
+  const Bytes snapshot = rig.cloud->serialize_state();
+  // Overlapping order queries: most share tokens with an earlier one, and
+  // one query alone has more tokens than the cache has entries.
+  std::vector<std::vector<SearchToken>> stream;
+  for (const std::uint64_t pivot : {40u, 90u, 41u, 150u, 13u, 91u, 40u, 200u,
+                                    120u, 42u})
+    for (const MatchCondition mc :
+         {MatchCondition::kGreater, MatchCondition::kLess})
+      stream.push_back(rig.user->make_tokens(pivot, mc));
+
+  // Hits and misses of each query, in stream order.
+  const auto run = [&] {
+    const CloudServer cloud = [&] {
+      const slicer::testing::ScopedEnv cache("SLICER_PROOF_CACHE", "6");
+      CloudServer fresh(rig.td_pk, rig.acc_params, rig.config.prime_bits, 2);
+      fresh.restore_state(snapshot);
+      return fresh;
+    }();
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> sequence;
+    for (const auto& tokens : stream) {
+      const std::uint64_t hits0 = hits.value();
+      const std::uint64_t misses0 = misses.value();
+      cloud.search(tokens);
+      sequence.emplace_back(hits.value() - hits0, misses.value() - misses0);
+    }
+    return sequence;
+  };
+
+  const std::uint64_t evictions0 = evictions.value();
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> reference;
+  {
+    const ThreadPool::ScopedSerial serial;
+    reference = run();
+  }
+  std::uint64_t reference_hits = 0;
+  for (const auto& [h, m] : reference) reference_hits += h;
+  EXPECT_GT(reference_hits, 0u);
+  EXPECT_GT(evictions.value(), evictions0);
+  for (int repeat = 0; repeat < 20; ++repeat) {
+    {
+      const ThreadPool::ScopedSerial serial;
+      EXPECT_EQ(run(), reference) << "serial, repeat " << repeat;
+    }
+    const ThreadPool::ScopedPool pool(4);
+    EXPECT_EQ(run(), reference) << "4 lanes, repeat " << repeat;
+  }
+}
+
 TEST(CloudReadPath, RejectedApplyLeavesCloudUnchanged) {
   // An update is checked whole before the cloud adopts any of it: a wrong
   // shard-value count or a digest that is not the fold of its shard values

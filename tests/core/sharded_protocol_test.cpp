@@ -210,8 +210,8 @@ TEST(ShardedProtocol, FrontierMatchesColdRestoredCloud) {
 }
 
 TEST(ShardedProtocol, SnapshotRoundTripAtK4) {
-  // The snapshot wire format is shard-agnostic; a K = 4 deployment restores
-  // from it by recomputing its shard values from the flat prime list.
+  // A K = 4 deployment restores by recomputing its shard values from the
+  // snapshots' primes: the owner's flat X, the cloud's lists shard by shard.
   Rig source = Rig::make(8, "shard-snap", {}, 4);
   source.cloud->apply(source.owner->insert(golden_batch1()));
   const Bytes owner_snapshot = source.owner->serialize_state();
@@ -230,6 +230,59 @@ TEST(ShardedProtocol, SnapshotRoundTripAtK4) {
   EXPECT_EQ(restored.cloud->serialize_state(), source.cloud->serialize_state());
   restored.user->refresh(restored.owner->export_user_state());
   EXPECT_TRUE(restored.query(42, MatchCondition::kLess).verified);
+}
+
+// The owner accumulates through the trapdoor (a running exponent mod φ(n)
+// per shard); the cloud recomputes publicly. After every batch, however
+// the records were split, the two must agree on every shard value.
+TEST(ShardedOwner, ValuesMatchPublicRecomputeAnySplit) {
+  for (const std::size_t k : {1u, 4u, 8u}) {
+    Rig rig = Rig::make(8, "owner-split", {}, k);
+    RecordId id = 1;
+    for (const std::size_t n : {5u, 1u, 12u, 7u}) {
+      std::vector<Record> batch;
+      for (std::size_t i = 0; i < n; ++i, ++id)
+        batch.push_back({id, (id * 53) % 256});
+      rig.owner->insert(batch);
+      adscrypto::ShardedAccumulator pub(rig.acc_params, k);
+      pub.rebuild(rig.owner->primes());
+      EXPECT_EQ(rig.owner->shard_values(), pub.shard_values())
+          << "k=" << k << " records=" << id - 1;
+      EXPECT_EQ(rig.owner->accumulator_value(), pub.digest())
+          << "k=" << k << " records=" << id - 1;
+      if (k == 1) {
+        EXPECT_EQ(rig.owner->accumulator_value(),
+                  adscrypto::RsaAccumulator(rig.acc_params)
+                      .accumulate(rig.owner->primes()));
+      }
+    }
+  }
+}
+
+// A restored owner rebuilds its exponents and values from X in one
+// accumulation; it must then continue exactly like the owner that ingested
+// batch by batch.
+TEST(ShardedOwner, RestoreMatchesIncrementalIngest) {
+  for (const std::size_t k : {1u, 4u, 8u}) {
+    Rig source = Rig::make(8, "owner-restore", {}, k);
+    source.owner->insert(golden_batch1());
+    source.owner->insert(std::vector<Record>{{70, 42}, {71, 3}});
+
+    Rig restored = Rig::make(8, "owner-restore", {}, k);
+    restored.owner->restore_state(source.owner->serialize_state());
+    EXPECT_EQ(restored.owner->shard_values(), source.owner->shard_values())
+        << "k=" << k;
+    EXPECT_EQ(restored.owner->accumulator_value(),
+              source.owner->accumulator_value())
+        << "k=" << k;
+
+    EXPECT_EQ(restored.owner->insert(golden_batch2()),
+              source.owner->insert(golden_batch2()))
+        << "k=" << k;
+    EXPECT_EQ(restored.owner->serialize_state(),
+              source.owner->serialize_state())
+        << "k=" << k;
+  }
 }
 
 }  // namespace

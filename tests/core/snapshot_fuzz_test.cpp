@@ -128,7 +128,7 @@ struct FuzzFixture : public ::testing::Test {
   }
 
   DataOwner fresh_owner() {
-    return DataOwner(config_, keys_, td_pk_, td_sk_, acc_params_, acc_td_,
+    return DataOwner(config_, keys_, td_pk_, td_sk_, acc_params_, *acc_td_,
                      crypto::Drbg(str_bytes("fuzz-owner-drbg")));
   }
   CloudServer fresh_cloud() {

@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "common/errors.hpp"
+#include "crypto/sha256.hpp"
 #include "tests/core/test_rig.hpp"
 
 namespace slicer::core {
@@ -138,7 +139,7 @@ TEST(Snapshot, TruncatedSnapshotRejected) {
   EXPECT_THROW(fresh.owner->restore_state(snap), DecodeError);
 }
 
-// At K > 1 both roles recompute their shard values from the snapshot's
+// At every K both roles recompute their shard values from the snapshot's
 // primes, so the stored digest is redundant: a snapshot whose digest is not
 // the fold of those values must be refused, not adopted.
 TEST(Snapshot, ShardedRestoreRejectsForeignDigest) {
@@ -151,7 +152,7 @@ TEST(Snapshot, ShardedRestoreRejectsForeignDigest) {
     at[static_cast<std::ptrdiff_t>(encoded.size()) - 1] ^= 0x01;
     return snapshot;
   };
-  for (const std::size_t k : {4u, 8u}) {
+  for (const std::size_t k : {1u, 4u, 8u}) {
     Rig rig = Rig::make(8, "snap-digest", {}, k);
     rig.ingest({{1, 42}, {2, 7}, {3, 99}, {4, 200}, {5, 13}});
     const bigint::BigUint& digest = rig.cloud->accumulator_value();
@@ -178,6 +179,19 @@ TEST(Snapshot, ShardedRestoreRejectsForeignDigest) {
     EXPECT_EQ(honest.owner->accumulator_value(), digest);
     EXPECT_EQ(honest.cloud->accumulator_value(), digest);
   }
+}
+
+// A K = 1 deployment's snapshot bytes, pinned by their SHA-256: stored
+// snapshots are read back with this format, so the bytes may only change
+// on purpose (with a new version byte).
+TEST(Snapshot, K1SnapshotBytesPinned) {
+  Rig rig = Rig::make(8, "snap-golden", {}, 1);
+  rig.ingest({{1, 42}, {2, 7}, {3, 99}, {4, 200}});
+  rig.ingest({{5, 42}, {6, 13}});
+  EXPECT_EQ(to_hex(crypto::Sha256::digest(rig.owner->serialize_state())),
+            "095e8761a4414013a34d21aa4be1d5347744a3fb164ad651daef6cb7a0505ba8");
+  EXPECT_EQ(to_hex(crypto::Sha256::digest(rig.cloud->serialize_state())),
+            "2590af4dedd98c416d2a591fa3ac45dad32b5a2e5b98d195d273b64dd0fb5a8c");
 }
 
 }  // namespace
