@@ -117,7 +117,7 @@ TEST_F(ShardedAccumulatorTest, SingleShardBitIdenticalToRsaAccumulator) {
   // Hard constraint of the sharded layout: K = 1 reproduces the legacy
   // accumulator byte for byte — digest and per-element witnesses. (The
   // owner's trapdoor path is pinned against the public one in
-  // ShardedOwner.ValuesMatchPublicRecomputeAnySplit.)
+  // TrapdoorPathMatchesPublicPathAnyShardCount.)
   const RsaAccumulator legacy(params_);
   const auto primes = sample_primes(23);
 
@@ -135,6 +135,34 @@ TEST_F(ShardedAccumulatorTest, SingleShardBitIdenticalToRsaAccumulator) {
     EXPECT_EQ(pos->shard, 0u);
     EXPECT_EQ(pos->index, i);
     EXPECT_EQ(pub.witness(*pos), legacy_wit[i]);
+  }
+}
+
+TEST_F(ShardedAccumulatorTest, IncrementalTrapdoorInsertsMatchFromScratch) {
+  // Batched trapdoor folds update the running exponent; the value must
+  // equal accumulating the concatenated prime list from scratch.
+  const RsaAccumulator legacy(params_);
+  Owner owner = this->owner(1);
+  std::vector<BigUint> all;
+  for (const std::size_t n : {5u, 1u, 12u, 7u}) {
+    const auto batch = sample_primes(n, all.size() + 1);
+    all.insert(all.end(), batch.begin(), batch.end());
+    owner.fold(batch);
+    ASSERT_EQ(owner.values().size(), 1u);
+    EXPECT_EQ(owner.values()[0], legacy.accumulate(all, trapdoor_));
+    EXPECT_EQ(owner.values()[0], legacy.accumulate(all));
+  }
+}
+
+TEST_F(ShardedAccumulatorTest, TrapdoorPathMatchesPublicPathAnyShardCount) {
+  for (const std::size_t k : {1u, 2u, 4u, 8u}) {
+    const auto primes = sample_primes(31, k);
+    ShardedAccumulator pub(params_, k);
+    pub.rebuild(primes);
+    Owner owner = this->owner(k);
+    owner.fold(primes);
+    EXPECT_EQ(owner.values(), pub.shard_values()) << "k=" << k;
+    EXPECT_EQ(fold_shard_digests(owner.values()), pub.digest()) << "k=" << k;
   }
 }
 
