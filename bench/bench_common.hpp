@@ -94,7 +94,7 @@ struct World {
 
 inline std::unique_ptr<World> make_world(std::size_t bits, std::size_t count,
                                          bool ingest = true,
-                                         std::size_t shard_count = 0) {
+                                         std::size_t shard_count = 1) {
   auto world = std::make_unique<World>();
   world->config.value_bits = bits;
   world->config.prime_bits = 64;

@@ -5,9 +5,10 @@
 // robustness-soak CI job and the check_bench_regression.py structural
 // gates).
 //
-// Knobs: SLICER_SOAK_SEEDS (default 20) sizes the reorg-dispute seed
-// sweep; SLICER_FINALITY_DEPTH sets the client finality tolerance the
-// dispute scenario reads at (the nightly-depth CI job sweeps {1, 3, 6}).
+// Variables: SLICER_SOAK_SEEDS (default 20) sizes the reorg-dispute seed
+// sweep; SLICER_FINALITY_DEPTH (default FinalityReader::kDefaultDepth, 3)
+// is the depth this bench hands its FinalityReader in the dispute scenario
+// (the nightly-depth CI job sweeps {1, 3, 6}).
 //
 // The correctness guarantees (0 false accepts / 0 false rejects over all
 // seeds, exactly-once escrow settlement under reorgs, bit-identical
@@ -295,7 +296,8 @@ bool soak_reorg_dispute(BenchJson& json) {
   const std::size_t seeds = env::size_knob("SLICER_SOAK_SEEDS", 20, 1, 1000);
 
   using namespace slicer::chain;
-  const std::size_t client_depth = FinalityReader::default_depth();
+  const std::size_t client_depth = env::size_knob(
+      "SLICER_FINALITY_DEPTH", FinalityReader::kDefaultDepth, 0, 32);
   const std::uint64_t settle_depth =
       std::max<std::uint64_t>(2, client_depth);
   constexpr std::uint64_t kPayment = 10'000;
@@ -617,7 +619,7 @@ bool soak_wire_flood(BenchJson& json) {
   server.add_tenant("flooder",
                     std::make_unique<core::CloudServer>(
                         adscrypto::default_trapdoor_public_key(),
-                        world->acc_params, world->config.prime_bits, 0));
+                        world->acc_params, world->config.prime_bits));
   server.start();
   const std::uint16_t port = server.port();
 

@@ -1,4 +1,4 @@
-// Wire-protocol throughput: N concurrent loopback clients driving one
+// Wire-protocol throughput: kClients concurrent loopback clients driving one
 // SlicerServer, measuring end-to-end request latency (client send → reply
 // decoded) for single-clause QUERY_PLAN requests at K ∈ {1, 4, 8} tokens
 // per request.
@@ -10,7 +10,6 @@
 // fleet, not a single-threaded loop.
 //
 // Knobs: SLICER_BENCH_SCALE scales records and request counts;
-// SLICER_BENCH_CLIENTS (default 4) sets the client fleet size;
 // SLICER_THREADS sets the pool lanes each request handler fans out over.
 #include <algorithm>
 #include <atomic>
@@ -20,7 +19,6 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
-#include "common/env.hpp"
 #include "core/verify.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
@@ -29,6 +27,9 @@ namespace slicer::bench {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Concurrent loopback clients in the fleet.
+constexpr std::size_t kClients = 4;
 
 double percentile(std::vector<double>& sorted_ms, double p) {
   if (sorted_ms.empty()) return 0;
@@ -107,7 +108,6 @@ RunResult run_fleet(std::uint16_t port, std::size_t clients,
 }
 
 int throughput_main() {
-  const std::size_t clients = env::size_knob("SLICER_BENCH_CLIENTS", 4, 1, 64);
   const std::size_t record_count = std::max<std::size_t>(
       256, static_cast<std::size_t>(2000.0 * scale()));
   const std::size_t per_client =
@@ -121,7 +121,7 @@ int throughput_main() {
   server.start();
   const std::uint16_t port = server.port();
   std::printf("throughput: %zu records, %zu clients x %zu requests, port %u\n",
-              record_count, clients, per_client, port);
+              record_count, kClients, per_client, port);
 
   BenchJson json("throughput");
   for (const std::size_t k : {1, 4, 8}) {
@@ -148,7 +148,7 @@ int throughput_main() {
       }
     }
 
-    const RunResult r = run_fleet(port, clients, per_client, requests);
+    const RunResult r = run_fleet(port, kClients, per_client, requests);
     std::printf("K=%zu  %8.1f qps  p50 %7.3f ms  p99 %7.3f ms\n", k, r.qps,
                 r.p50_ms, r.p99_ms);
     BenchRow row;
@@ -159,7 +159,7 @@ int throughput_main() {
                     {"p50_ms", r.p50_ms},
                     {"p99_ms", r.p99_ms},
                     {"tokens_per_request", static_cast<double>(k)},
-                    {"clients", static_cast<double>(clients)}};
+                    {"clients", static_cast<double>(kClients)}};
     json.add(std::move(row));
   }
   server.stop();

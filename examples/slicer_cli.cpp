@@ -14,10 +14,10 @@
 //   ./build/examples/slicer_cli --bits 16 --records 2000
 //       gt 60000 range 100 200 insert 999999 150 eq 150 stats
 //
-// With SLICER_METRICS=json in the environment, a metrics snapshot of the
-// whole run (per-phase histograms, accumulator/cache counters) is printed
-// to stdout before exit. The exit status is 1 if any printed proof is
-// INVALID (or on an error) and 2 on a usage error.
+// When metrics are on (SLICER_METRICS set to anything but empty or "0"), a
+// JSON snapshot of the whole run (per-phase histograms, accumulator/cache
+// counters) is printed to stdout before exit. The exit status is 1 if any
+// printed proof is INVALID (or on an error) and 2 on a usage error.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -52,8 +52,8 @@ bool print_result(const char* what, const core::QueryResult& r) {
 
 }  // namespace
 
-// Function-try so an injected fault (SLICER_FAULTS) or decode error exits
-// with a message instead of std::terminate.
+// Function-try so a decode or protocol error exits with a message instead
+// of std::terminate.
 int main(int argc, char** argv) try {
   std::size_t bits = 16;
   std::size_t n_records = 1000;
@@ -142,12 +142,7 @@ int main(int argc, char** argv) try {
     }
   }
 
-  // SLICER_METRICS=json: dump the run's instrumentation snapshot. Any other
-  // value that turns the knob on (non-empty, not "0") records metrics
-  // without printing (useful under a debugger or when another emitter owns
-  // the output).
-  const char* metrics_mode = std::getenv("SLICER_METRICS");
-  if (metrics_mode != nullptr && std::strcmp(metrics_mode, "json") == 0)
+  if (metrics::enabled())
     std::printf("%s\n", metrics::snapshot_json().c_str());
   if (!all_valid) {
     std::fprintf(stderr, "slicer_cli: a proof was INVALID\n");

@@ -1,9 +1,9 @@
 #include "adscrypto/sharded_accumulator.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "adscrypto/multiset_hash.hpp"
-#include "common/env.hpp"
 #include "common/errors.hpp"
 #include "common/metrics.hpp"
 #include "common/serial.hpp"
@@ -32,10 +32,11 @@ metrics::Gauge& kept_seeds_gauge() {
 
 }  // namespace
 
-std::size_t default_shard_count() {
-  // 256 shards is already far past the useful range for one process; the
-  // clamp keeps a typo from allocating thousands of prime lists and frontiers.
-  return env::size_knob("SLICER_SHARDS", 1, 1, 256);
+std::size_t checked_shard_count(std::size_t shard_count) {
+  if (shard_count == 0 || shard_count > kMaxShards)
+    throw CryptoError("shard count " + std::to_string(shard_count) +
+                      " is outside [1, " + std::to_string(kMaxShards) + "]");
+  return shard_count;
 }
 
 std::size_t shard_of(const BigUint& x, std::size_t shard_count) {
@@ -99,7 +100,7 @@ void accumulate_shards(const RsaAccumulator& acc,
 ShardedAccumulator::ShardedAccumulator(AccumulatorParams params,
                                        std::size_t shard_count)
     : acc_(std::move(params)) {
-  const std::size_t k = shard_count == 0 ? default_shard_count() : shard_count;
+  const std::size_t k = checked_shard_count(shard_count);
   primes_.resize(k);
   values_.assign(k, acc_.params().generator);
   digest_ = fold_shard_digests(values_);

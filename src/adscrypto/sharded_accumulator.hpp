@@ -23,9 +23,14 @@
 
 namespace slicer::adscrypto {
 
-/// Shard count from the `SLICER_SHARDS` environment variable (clamped to
-/// [1, 256]); 1 when unset or unparsable.
-std::size_t default_shard_count();
+/// Largest shard count K a role accepts. The owner, the cloud and the
+/// contract must agree on K, so a count outside [1, kMaxShards] throws
+/// instead of being clamped to something the other parties never chose.
+inline constexpr std::size_t kMaxShards = 256;
+
+/// Returns `shard_count`; throws CryptoError unless it is in
+/// [1, kMaxShards].
+std::size_t checked_shard_count(std::size_t shard_count);
 
 /// Deterministic shard of element `x` among `shard_count` shards. A
 /// splitmix64 finalizer folded over the normalized limb vector — fixed
@@ -67,10 +72,9 @@ class ShardedAccumulator {
     std::uint32_t index = 0;
   };
 
-  /// `shard_count` 0 resolves to default_shard_count() (the SLICER_SHARDS
-  /// environment knob).
+  /// Throws CryptoError unless `shard_count` is in [1, kMaxShards].
   explicit ShardedAccumulator(AccumulatorParams params,
-                              std::size_t shard_count = 0);
+                              std::size_t shard_count = 1);
   ShardedAccumulator(ShardedAccumulator&&) = default;
   /// Takes the kept seed values off the `kept_seeds` gauge.
   ~ShardedAccumulator();

@@ -30,7 +30,6 @@ class MerkleTree {
   explicit MerkleTree(std::vector<Bytes> leaves);
 
   const Bytes& root() const { return root_; }
-  std::size_t leaf_count() const { return leaf_count_; }
 
   /// Membership proof for the leaf at `index`. Throws CryptoError when out
   /// of range.

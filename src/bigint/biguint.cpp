@@ -229,21 +229,6 @@ BigUint& BigUint::operator*=(const BigUint& rhs) {
   return *this;
 }
 
-BigUint& BigUint::mul_u64(u64 m) {
-  if (m == 0 || is_zero()) {
-    limbs_.clear();
-    return *this;
-  }
-  u64 carry = 0;
-  for (auto& limb : limbs_) {
-    const u128 cur = static_cast<u128>(limb) * m + carry;
-    limb = static_cast<u64>(cur);
-    carry = static_cast<u64>(cur >> 64);
-  }
-  if (carry) limbs_.push_back(carry);
-  return *this;
-}
-
 BigUint& BigUint::add_u64(u64 a) {
   u64 carry = a;
   for (auto& limb : limbs_) {
@@ -384,73 +369,10 @@ BigUint BigUint::add_mod(const BigUint& a, const BigUint& b, const BigUint& m) {
   return sum;
 }
 
-BigUint BigUint::sub_mod(const BigUint& a, const BigUint& b, const BigUint& m) {
-  if (a >= b) return a - b;
-  return m - (b - a);
-}
-
-BigUint BigUint::mul_mod(const BigUint& a, const BigUint& b, const BigUint& m) {
-  return (a * b) % m;
-}
-
-namespace {
-
-/// Low `bits` bits of x — x mod 2^bits by limb masking, no division.
-BigUint low_bits(const BigUint& x, std::size_t bits) {
-  const auto& limbs = x.limbs();
-  const std::size_t whole = bits / 64;
-  const std::size_t rem = bits % 64;
-  const std::size_t count =
-      std::min(limbs.size(), whole + (rem != 0 ? 1 : 0));
-  std::vector<std::uint64_t> out(limbs.begin(),
-                                 limbs.begin() + static_cast<long>(count));
-  if (rem != 0 && count == whole + 1)
-    out[whole] &= (std::uint64_t{1} << rem) - 1;
-  return BigUint::from_limbs(std::move(out));
-}
-
-/// a^e mod 2^bits: square-and-multiply where every product is clipped to
-/// `bits`, so the whole exponentiation performs zero remainder divisions.
-BigUint pow_mod_pow2(const BigUint& a, const BigUint& e, std::size_t bits) {
-  BigUint base = low_bits(a, bits);
-  BigUint result(1);
-  result = low_bits(result, bits);  // bits == 0 would mean modulus 1
-  const std::size_t ebits = e.bit_length();
-  for (std::size_t i = 0; i < ebits; ++i) {
-    if (e.bit(i)) result = low_bits(result * base, bits);
-    base = low_bits(base * base, bits);
-  }
-  return result;
-}
-
-}  // namespace
-
 BigUint BigUint::pow_mod(const BigUint& a, const BigUint& e, const BigUint& m) {
-  if (m.is_zero()) throw CryptoError("pow_mod: zero modulus");
   if (m.is_one()) return BigUint{};
-  if (m.is_odd()) {
-    const Montgomery mont(m);
-    return mont.pow(a % m, e);
-  }
-  // Even modulus: split m = 2^s·q with q odd and recombine by CRT. The odd
-  // part still runs through Montgomery and the 2-power part truncates, so
-  // even-modulus callers no longer pay a full division per exponent bit.
-  std::size_t s = 0;
-  BigUint q = m;
-  while (!q.is_odd()) {
-    q = q >> 1;
-    ++s;
-  }
-  const BigUint r1 = pow_mod_pow2(a, e, s);
-  if (q.is_one()) return r1;  // m is a pure power of two
-  const Montgomery mont(q);
-  const BigUint r2 = mont.pow(a % q, e);
-  // x ≡ r2 (mod q) and x ≡ r1 (mod 2^s):
-  //   x = r2 + q·t,  t = (r1 − r2)·q⁻¹ mod 2^s.
-  const BigUint pow2 = BigUint(1) << s;
-  const BigUint diff = sub_mod(low_bits(r1, s), low_bits(r2, s), pow2);
-  const BigUint t = low_bits(diff * mod_inverse(low_bits(q, s), pow2), s);
-  return r2 + q * t;
+  const Montgomery mont(m);  // throws CryptoError on an even modulus
+  return mont.pow(a % m, e);
 }
 
 BigUint BigUint::gcd(BigUint a, BigUint b) {

@@ -79,7 +79,6 @@ class BigUint {
   BigUint& operator*=(const BigUint& rhs);
 
   /// Fast paths on a machine word.
-  BigUint& mul_u64(std::uint64_t m);
   BigUint& add_u64(std::uint64_t a);
   /// Divides in place by `d` and returns the remainder. `d` must be nonzero.
   std::uint64_t divmod_u64(std::uint64_t d);
@@ -90,15 +89,8 @@ class BigUint {
 
   /// (a + b) mod m, assuming a, b < m.
   static BigUint add_mod(const BigUint& a, const BigUint& b, const BigUint& m);
-  /// (a - b) mod m, assuming a, b < m.
-  static BigUint sub_mod(const BigUint& a, const BigUint& b, const BigUint& m);
-  /// (a * b) mod m.
-  static BigUint mul_mod(const BigUint& a, const BigUint& b, const BigUint& m);
-  /// a^e mod m. Odd m goes straight through Montgomery; even m is split as
-  /// m = 2^s·q and recombined by CRT, so the odd part q still uses
-  /// Montgomery and the 2-power part is truncated square-and-multiply —
-  /// no caller can hit a per-step division path. Throws CryptoError when
-  /// m is zero.
+  /// a^e mod m through Montgomery (0 when m is 1). Every modulus in the
+  /// protocol is odd; an even or zero m throws CryptoError.
   static BigUint pow_mod(const BigUint& a, const BigUint& e, const BigUint& m);
 
   /// Greatest common divisor.

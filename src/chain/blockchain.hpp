@@ -93,7 +93,7 @@ struct BlockchainConfig {
   /// Blocks buried deeper than this below the canonical tip are finalized:
   /// their state snapshots are pruned and no branch may fork from them.
   /// Bounds both memory and the worst-case reorg depth a client must
-  /// tolerate (SLICER_FINALITY_DEPTH should be well under it).
+  /// tolerate (a FinalityReader's depth should be well under it).
   std::size_t max_fork_depth = 64;
 };
 
@@ -222,7 +222,6 @@ class Blockchain {
   /// agreement between the cached tip and a fresh fork-choice run.
   bool audit() const;
 
-  const GasSchedule& gas_schedule() const { return schedule_; }
   const ChainStats& stats() const { return stats_; }
   const std::vector<Address>& validators() const { return validators_; }
   std::size_t mempool_size() const { return mempool_.size(); }

@@ -1,13 +1,8 @@
 #include "chain/finality.hpp"
 
-#include "common/env.hpp"
 #include "common/metrics.hpp"
 
 namespace slicer::chain {
-
-std::size_t FinalityReader::default_depth() {
-  return env::size_knob("SLICER_FINALITY_DEPTH", 3, 0, 32);
-}
 
 FinalityReader::FinalityReader(const Blockchain& chain,
                                const Address& contract, std::size_t depth)

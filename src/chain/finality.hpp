@@ -53,11 +53,12 @@ struct TrustedDigest {
 /// depth below the canonical tip.
 class FinalityReader {
  public:
-  /// `depth` 0 trusts the tip outright (the pre-fork behavior). The
-  /// default comes from the SLICER_FINALITY_DEPTH env knob (default 3,
-  /// clamped to [0, 32] — well inside the chain's max_fork_depth).
+  /// Default burial depth, well inside the chain's max_fork_depth.
+  static constexpr std::size_t kDefaultDepth = 3;
+
+  /// `depth` 0 trusts the tip outright (the pre-fork behavior).
   FinalityReader(const Blockchain& chain, const Address& contract,
-                 std::size_t depth = default_depth());
+                 std::size_t depth = kDefaultDepth);
 
   /// Digest as of the canonical block buried depth() blocks under the tip.
   /// Throws StaleDigest when the chain is too short to bury that deep and
@@ -70,9 +71,6 @@ class FinalityReader {
   void revalidate(const TrustedDigest& digest) const;
 
   std::size_t depth() const { return depth_; }
-
-  /// The SLICER_FINALITY_DEPTH env knob (default 3, clamped to [0, 32]).
-  static std::size_t default_depth();
 
  private:
   const Blockchain& chain_;

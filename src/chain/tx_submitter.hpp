@@ -86,7 +86,6 @@ class TxSubmitter {
   const Block& seal_with_retry();
 
   const SubmitterStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
  private:
   /// min(base << attempt, max) — capped exponential backoff.

@@ -1,6 +1,7 @@
 #include "common/env.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -13,7 +14,8 @@ namespace slicer::env {
 namespace {
 
 /// One diagnostic per knob per process: repeated reads of a misconfigured
-/// knob (some are consulted per-construction) must not flood stderr.
+/// knob (the test rig reads its variables once per Rig) must not flood
+/// stderr.
 void diagnose_once(const char* name, const std::string& message) {
   static std::mutex mu;
   static std::set<std::string>* reported = new std::set<std::string>();

@@ -1,15 +1,17 @@
 // Shared parsing for SLICER_* environment knobs.
 //
-// Seven knobs exist, each with one reader, and the README's "Knobs" table
-// lists them (tools/check_knobs.py keeps the two in step). Every integer
-// knob (SLICER_THREADS, SLICER_SHARDS, SLICER_PROOF_CACHE,
-// SLICER_FINALITY_DEPTH) goes through size_knob, and the flags
-// SLICER_METRICS and SLICER_TRACE through flag_knob, so the behaviour is
-// uniform everywhere (SLICER_FAULTS is a grammar, parsed by FaultPlan):
+// The library reads three knobs, each once: the integer SLICER_THREADS
+// through size_knob, and the flags SLICER_METRICS and SLICER_TRACE through
+// flag_knob. The README's "Knobs" table lists them, and its "Test and bench
+// variables" table lists the ones only tests and benches read (such as
+// SLICER_SHARDS, which the test rig passes to the roles it builds);
+// tools/check_knobs.py keeps both tables in step with the code. Integer and
+// flag variables are all read through these two functions, so the
+// behaviour is uniform:
 //   * unset or empty        → the documented default, silently;
 //   * a well-formed integer → clamped into [min_value, max_value] (a clamp
-//     is diagnosed once per knob on stderr — a typo like SLICER_SHARDS=2560
-//     should not silently behave like 256);
+//     is diagnosed once per knob on stderr — a typo like SLICER_THREADS=40960
+//     should not silently behave like 4096);
 //   * anything else         → the default, with a once-per-knob stderr
 //     diagnostic naming the knob and the rejected value.
 // Diagnostics go to stderr (never stdout — bench JSON is piped from stdout)

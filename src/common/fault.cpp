@@ -98,12 +98,6 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
   return plan;
 }
 
-FaultInjector::FaultInjector() {
-  if (const char* env = std::getenv("SLICER_FAULTS")) {
-    if (env[0] != '\0') configure(FaultPlan::parse(env));
-  }
-}
-
 FaultInjector& FaultInjector::instance() {
   static FaultInjector injector;
   return injector;

@@ -13,10 +13,11 @@
 //              and independent of thread interleaving
 //   always     fire on every hit
 //
-// Plans come from the SLICER_FAULTS environment variable
-// ("chain.mempool.drop=p:0.3;chain.seal.validator_down=nth:2;seed=7") or
-// from the ScopedFaultPlan API (tests, the robustness soak). Per-site hit
-// and fire counters are kept for assertions and the soak report.
+// A plan is armed only through FaultInjector::configure or ScopedFaultPlan
+// (tests, the robustness soak), from a FaultPlan or its text form
+// ("chain.mempool.drop=p:0.3;chain.seal.validator_down=nth:2;seed=7").
+// No environment variable arms one. Per-site hit and fire counters are
+// kept for assertions and the soak report.
 #pragma once
 
 #include <atomic>
@@ -51,7 +52,7 @@ struct FaultPlan {
   std::map<std::string, FaultSpec, std::less<>> sites;
   std::uint64_t seed = 0;
 
-  /// Parses the SLICER_FAULTS grammar described above. Throws DecodeError
+  /// Parses the plan grammar described above. Throws DecodeError
   /// on malformed specs (unknown trigger, bad number, missing '=').
   static FaultPlan parse(std::string_view spec);
 };
@@ -59,7 +60,7 @@ struct FaultPlan {
 /// Process-wide fault registry. Disarmed unless a plan is installed.
 class FaultInjector {
  public:
-  /// The singleton; arms itself from SLICER_FAULTS on first use.
+  /// The singleton; disarmed until a plan is configured.
   static FaultInjector& instance();
 
   /// Installs `plan` (resets all counters). An empty plan disarms.
@@ -85,7 +86,7 @@ class FaultInjector {
   FaultPlan current_plan() const;
 
  private:
-  FaultInjector();
+  FaultInjector() = default;
 
   struct SiteState {
     FaultSpec spec;

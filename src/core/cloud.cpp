@@ -6,7 +6,6 @@
 
 #include "adscrypto/hash_to_prime.hpp"
 #include "adscrypto/multiset_hash.hpp"
-#include "common/env.hpp"
 #include "common/errors.hpp"
 #include "common/fault.hpp"
 #include "common/metrics.hpp"
@@ -18,24 +17,15 @@ namespace slicer::core {
 using adscrypto::MultisetHash;
 using bigint::BigUint;
 
-namespace {
-
-/// SLICER_PROOF_CACHE: max hot-token proof cache entries (default 1024,
-/// 0 disables the cache entirely).
-std::size_t proof_cache_capacity() {
-  return env::size_knob("SLICER_PROOF_CACHE", 1024, 0, 1u << 20);
-}
-
-}  // namespace
-
 CloudServer::CloudServer(adscrypto::TrapdoorPublicKey trapdoor_pk,
                          adscrypto::AccumulatorParams accumulator_params,
-                         std::size_t prime_bits, std::size_t shard_count)
+                         std::size_t prime_bits, std::size_t shard_count,
+                         std::size_t proof_cache_capacity)
     : perm_(std::move(trapdoor_pk)),
       sharded_(std::move(accumulator_params), shard_count),
       prime_bits_(prime_bits),
       pcache_(std::make_unique<ProofCache>()) {
-  pcache_->capacity = proof_cache_capacity();
+  pcache_->capacity = proof_cache_capacity;
 }
 
 void CloudServer::apply(const UpdateOutput& update) {

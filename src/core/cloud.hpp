@@ -29,11 +29,17 @@ namespace slicer::core {
 /// The cloud role.
 class CloudServer {
  public:
-  /// `shard_count` 0 resolves to the SLICER_SHARDS environment knob
-  /// (default 1 — the unsharded legacy layout). Must match the owner's.
+  /// Default entries of the hot-token proof cache.
+  static constexpr std::size_t kDefaultProofCache = 1024;
+
+  /// `shard_count` is the accumulator's K (1, the default, is the unsharded
+  /// legacy layout). It must match the owner's and lie in
+  /// [1, adscrypto::kMaxShards], or the constructor throws CryptoError.
+  /// `proof_cache_capacity` bounds the hot-token proof cache; 0 disables it.
   CloudServer(adscrypto::TrapdoorPublicKey trapdoor_pk,
               adscrypto::AccumulatorParams accumulator_params,
-              std::size_t prime_bits = 64, std::size_t shard_count = 0);
+              std::size_t prime_bits = 64, std::size_t shard_count = 1,
+              std::size_t proof_cache_capacity = kDefaultProofCache);
 
   /// Move-constructible (the mutex-guarded cache state lives behind heap
   /// pointers); assignment and copying stay deleted.
@@ -115,7 +121,7 @@ class CloudServer {
       std::list<bigint::BigUint>::iterator lru_it;
     };
     mutable std::mutex mu;
-    std::size_t capacity = 0;        // 0 disables (SLICER_PROOF_CACHE knob)
+    std::size_t capacity = 0;        // 0 disables
     std::list<bigint::BigUint> lru;  // front = most recently used prime
     std::unordered_map<bigint::BigUint, Entry> entries;
   };

@@ -31,16 +31,18 @@ DualSlicer::DualSlicer(
     adscrypto::TrapdoorSecretKey trapdoor_sk,
     adscrypto::AccumulatorParams accumulator_params,
     adscrypto::AccumulatorTrapdoor accumulator_trapdoor,
-    crypto::Drbg rng)
+    crypto::Drbg rng, std::size_t shard_count)
     : config_(config),
       add_owner_(config, Keys::generate(rng), trapdoor_pk, trapdoor_sk,
                  accumulator_params, accumulator_trapdoor,
-                 fork_rng(rng, "add-owner")),
+                 fork_rng(rng, "add-owner"), shard_count),
       del_owner_(config, Keys::generate(rng), trapdoor_pk, trapdoor_sk,
                  accumulator_params, accumulator_trapdoor,
-                 fork_rng(rng, "del-owner")),
-      add_cloud_(trapdoor_pk, accumulator_params, config.prime_bits),
-      del_cloud_(trapdoor_pk, accumulator_params, config.prime_bits),
+                 fork_rng(rng, "del-owner"), shard_count),
+      add_cloud_(trapdoor_pk, accumulator_params, config.prime_bits,
+                 shard_count),
+      del_cloud_(trapdoor_pk, accumulator_params, config.prime_bits,
+                 shard_count),
       add_user_(add_owner_.export_user_state(), fork_rng(rng, "add-user")),
       del_user_(del_owner_.export_user_state(), fork_rng(rng, "del-user")) {}
 

@@ -33,14 +33,14 @@ struct DualQueryResult {
 /// pieces directly (see examples/fairness_dispute.cpp).
 class DualSlicer {
  public:
-  /// Both instances share the trapdoor-permutation keys and accumulator
-  /// parameters but keep fully independent state.
+  /// Both instances share the trapdoor-permutation keys, accumulator
+  /// parameters and shard count K but keep fully independent state.
   DualSlicer(Config config,
              adscrypto::TrapdoorPublicKey trapdoor_pk,
              adscrypto::TrapdoorSecretKey trapdoor_sk,
              adscrypto::AccumulatorParams accumulator_params,
              adscrypto::AccumulatorTrapdoor accumulator_trapdoor,
-             crypto::Drbg rng);
+             crypto::Drbg rng, std::size_t shard_count = 1);
 
   /// Inserts a new record. Throws ProtocolError when the id is live or was
   /// ever used.

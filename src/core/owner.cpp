@@ -35,8 +35,7 @@ DataOwner::DataOwner(
       accumulator_(std::move(accumulator_params)),
       accumulator_trapdoor_(std::move(accumulator_trapdoor)),
       rng_(std::move(rng)) {
-  const std::size_t k = shard_count == 0 ? adscrypto::default_shard_count()
-                                         : shard_count;
+  const std::size_t k = adscrypto::checked_shard_count(shard_count);
   exponents_.assign(k, BigUint(1));
   shard_values_.assign(k, accumulator_.params().generator);
   ac_ = adscrypto::fold_shard_digests(shard_values_);

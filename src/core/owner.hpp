@@ -70,14 +70,16 @@ class DataOwner {
  public:
   /// `accumulator_trapdoor` is the factorization of the accumulator
   /// modulus (the owner runs Setup): every accumulation reduces its
-  /// exponent mod φ(n). `shard_count` 0 resolves to the SLICER_SHARDS
-  /// environment knob (default 1 — the unsharded legacy layout).
+  /// exponent mod φ(n). `shard_count` is the accumulator's K (1, the
+  /// default, is the unsharded legacy layout); it must match the cloud's
+  /// and lie in [1, adscrypto::kMaxShards], or the constructor throws
+  /// CryptoError.
   DataOwner(Config config, Keys keys,
             adscrypto::TrapdoorPublicKey trapdoor_pk,
             const adscrypto::TrapdoorSecretKey& trapdoor_sk,
             adscrypto::AccumulatorParams accumulator_params,
             adscrypto::AccumulatorTrapdoor accumulator_trapdoor,
-            crypto::Drbg rng, std::size_t shard_count = 0);
+            crypto::Drbg rng, std::size_t shard_count = 1);
 
   /// Algorithm 1. Throws ProtocolError if state already exists.
   UpdateOutput build(std::span<const Record> db);

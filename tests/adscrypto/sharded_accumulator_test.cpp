@@ -595,18 +595,5 @@ TEST_F(ShardedWitnessFrontier, KeptSeedsStayBoundedWhenRunsAreTouched) {
   EXPECT_EQ(kept.value(), 0);
 }
 
-TEST(ShardedAccumulatorEnv, DefaultShardCountClampsAndParses) {
-  // Never mutates the environment: only exercises the explicit-count path
-  // plus the documented default when SLICER_SHARDS is unset in CI.
-  auto rng = crypto::Drbg(str_bytes("sharded-env"));
-  auto [params, trapdoor] = RsaAccumulator::setup(rng, 256);
-  (void)trapdoor;
-  ShardedAccumulator def(params);  // 0 → env knob → 1 in a clean env
-  EXPECT_GE(def.shard_count(), 1u);
-  EXPECT_LE(def.shard_count(), 256u);
-  ShardedAccumulator explicit_k(params, 5);
-  EXPECT_EQ(explicit_k.shard_count(), 5u);
-}
-
 }  // namespace
 }  // namespace slicer::adscrypto

@@ -342,12 +342,5 @@ TEST_F(FinalityTest, VerifyWithFinalityAcceptsHonestRepliesAndCountsRetries) {
   EXPECT_TRUE(chain_.audit());
 }
 
-TEST_F(FinalityTest, DefaultDepthComesFromTheEnvKnob) {
-  // No env set in the test harness: documented default.
-  EXPECT_EQ(FinalityReader::default_depth(), 3u);
-  FinalityReader reader(chain_, contract_addr_);
-  EXPECT_EQ(reader.depth(), FinalityReader::default_depth());
-}
-
 }  // namespace
 }  // namespace slicer::chain

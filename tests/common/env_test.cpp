@@ -1,7 +1,7 @@
 // Shared SLICER_* knob parsing: defaults, clamping, and malformed-value
-// rejection must behave identically for every integer knob (SLICER_THREADS,
-// SLICER_SHARDS, SLICER_PROOF_CACHE, SLICER_FINALITY_DEPTH) and flag knob
-// (SLICER_METRICS, SLICER_TRACE).
+// rejection must behave identically for every integer variable
+// (SLICER_THREADS and the test and bench variables such as SLICER_SHARDS)
+// and flag knob (SLICER_METRICS, SLICER_TRACE).
 #include "common/env.hpp"
 
 #include <gtest/gtest.h>

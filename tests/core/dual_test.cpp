@@ -7,12 +7,14 @@
 #include <string>
 
 #include "common/errors.hpp"
-#include "tests/common/scoped_env.hpp"
+#include "tests/core/test_rig.hpp"
 
 namespace slicer::core {
 namespace {
 
-DualSlicer make_dual(std::size_t bits = 8, const std::string& seed = "dual") {
+/// K defaults to the SLICER_SHARDS test variable, as a Rig's does.
+DualSlicer make_dual(std::size_t bits = 8, const std::string& seed = "dual",
+                     std::size_t shard_count = testing::env_shard_count()) {
   Config config;
   config.value_bits = bits;
   config.prime_bits = 64;
@@ -20,7 +22,7 @@ DualSlicer make_dual(std::size_t bits = 8, const std::string& seed = "dual") {
   auto [td_pk, td_sk] = adscrypto::TrapdoorPermutation::keygen(rng, 256);
   auto [acc_params, acc_td] = adscrypto::RsaAccumulator::setup(rng, 256);
   return DualSlicer(config, td_pk, td_sk, acc_params, acc_td,
-                    crypto::Drbg(rng.generate(32)));
+                    crypto::Drbg(rng.generate(32)), shard_count);
 }
 
 std::vector<RecordId> sorted(std::vector<RecordId> v) {
@@ -163,13 +165,10 @@ TEST(Dual, BatchInsertAndMixedWorkload) {
 }
 
 // Each instance verifies against its own cloud's per-shard values, so the
-// dual construction works at any shard count (the knob is read when the
-// instances are built).
+// dual construction works at any shard count, which it hands to all four
+// roles it builds.
 TEST(Dual, QueriesVerifyWhenSharded) {
-  DualSlicer dual = [] {
-    const slicer::testing::ScopedEnv shards("SLICER_SHARDS", "4");
-    return make_dual(8, "sharded");
-  }();
+  DualSlicer dual = make_dual(8, "sharded", 4);
 
   std::map<RecordId, std::uint64_t> live;  // the plaintext oracle
   for (RecordId id = 1; id <= 24; ++id) {

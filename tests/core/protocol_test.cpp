@@ -12,7 +12,6 @@
 #include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
 #include "core/verify.hpp"
-#include "tests/common/scoped_env.hpp"
 #include "tests/core/test_rig.hpp"
 
 namespace slicer::core {
@@ -321,10 +320,7 @@ const std::vector<Record> kServeRecords = {
 TEST(CloudReadPath, ProofCacheHitsAndPrimeCountInvalidation) {
   const metrics::ScopedMetrics metrics_on;
   // Counts cache hits, so it pins the cache on whatever the suite runs at.
-  Rig rig = [] {
-    const slicer::testing::ScopedEnv cache("SLICER_PROOF_CACHE", "1024");
-    return Rig::make(8, "agg-cache", {}, 2);
-  }();
+  Rig rig = Rig::make(8, "agg-cache", {}, 2, CloudServer::kDefaultProofCache);
   rig.ingest(kServeRecords);
   const auto tokens = rig.user->make_tokens(40, MatchCondition::kGreater);
 
@@ -360,16 +356,14 @@ TEST(CloudReadPath, ProofCacheMatchesCacheOff) {
   const metrics::ScopedMetrics metrics_on;
   const auto& hits = metrics::counter("core.cloud.proof_cache.hits");
   const auto& evictions = metrics::counter("core.cloud.proof_cache.evictions");
-  const char* const capacities[] = {"1024", "1", "0"};
+  const std::size_t capacities[] = {1024, 1, 0};
   for (const std::size_t k : {1u, 4u, 8u}) {
     Rig rig = Rig::make(8, "cache-diff", {}, k);
     std::vector<CloudServer> clouds;
     clouds.reserve(std::size(capacities));
-    for (const char* capacity : capacities) {
-      const slicer::testing::ScopedEnv cache("SLICER_PROOF_CACHE", capacity);
+    for (const std::size_t capacity : capacities)
       clouds.emplace_back(rig.td_pk, rig.acc_params, rig.config.prime_bits,
-                          k);
-    }
+                          k, capacity);
     std::vector<std::uint64_t> cloud_hits(clouds.size());
     std::vector<std::uint64_t> cloud_evictions(clouds.size());
 
@@ -469,12 +463,9 @@ TEST(CloudReadPath, ProofCacheSequenceIndependentOfLanes) {
 
   // Hits and misses of each query, in stream order.
   const auto run = [&] {
-    const CloudServer cloud = [&] {
-      const slicer::testing::ScopedEnv cache("SLICER_PROOF_CACHE", "6");
-      CloudServer fresh(rig.td_pk, rig.acc_params, rig.config.prime_bits, 2);
-      fresh.restore_state(snapshot);
-      return fresh;
-    }();
+    CloudServer cloud(rig.td_pk, rig.acc_params, rig.config.prime_bits, 2,
+                      /*proof_cache_capacity=*/6);
+    cloud.restore_state(snapshot);
     std::vector<std::pair<std::uint64_t, std::uint64_t>> sequence;
     for (const auto& tokens : stream) {
       const std::uint64_t hits0 = hits.value();

@@ -9,7 +9,6 @@
 
 #include "adscrypto/sharded_accumulator.hpp"
 #include "common/metrics.hpp"
-#include "tests/common/scoped_env.hpp"
 #include "tests/core/test_rig.hpp"
 
 namespace slicer::core {
@@ -105,10 +104,8 @@ TEST(ShardedProtocol, ShardCountsProduceIdenticalQueryResults) {
 TEST(ShardedProtocol, EntryOnlyUpdateKeepsCachedProofs) {
   const metrics::ScopedMetrics scoped;  // counters are off by default
   // Counts cache hits, so it pins the cache on whatever the suite runs at.
-  Rig rig = [] {
-    const slicer::testing::ScopedEnv cache("SLICER_PROOF_CACHE", "1024");
-    return Rig::make(8, "shard-skip", {}, 2);
-  }();
+  Rig rig =
+      Rig::make(8, "shard-skip", {}, 2, CloudServer::kDefaultProofCache);
   rig.ingest({{1, 42}, {2, 7}, {3, 99}});
   ASSERT_TRUE(rig.query(42, MatchCondition::kEqual).verified);
   const auto ac_before = rig.cloud->accumulator_value();

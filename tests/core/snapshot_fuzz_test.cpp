@@ -20,6 +20,7 @@
 #include "core/cloud.hpp"
 #include "core/messages.hpp"
 #include "core/owner.hpp"
+#include "tests/core/test_rig.hpp"
 
 namespace slicer::core {
 namespace {
@@ -127,12 +128,15 @@ struct FuzzFixture : public ::testing::Test {
     keys_ = Keys::generate(rng_);
   }
 
+  // K and the cache follow the test variables, as a Rig's do.
   DataOwner fresh_owner() {
     return DataOwner(config_, keys_, td_pk_, td_sk_, acc_params_, *acc_td_,
-                     crypto::Drbg(str_bytes("fuzz-owner-drbg")));
+                     crypto::Drbg(str_bytes("fuzz-owner-drbg")),
+                     testing::env_shard_count());
   }
   CloudServer fresh_cloud() {
-    return CloudServer(td_pk_, acc_params_, config_.prime_bits);
+    return CloudServer(td_pk_, acc_params_, config_.prime_bits,
+                       testing::env_shard_count(), testing::env_proof_cache());
   }
 
   crypto::Drbg rng_;

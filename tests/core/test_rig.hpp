@@ -1,5 +1,11 @@
 // Shared test fixture: a complete Slicer deployment with small (fast)
 // crypto parameters — 256-bit trapdoor and accumulator moduli.
+//
+// The library takes the shard count K and the proof-cache capacity only as
+// constructor arguments. A Rig built without them reads two test
+// variables instead, so CI reruns the core and chain suites unchanged at
+// other settings: SLICER_SHARDS (default 1) and SLICER_PROOF_CACHE
+// (default 1024; 0 turns the cache off).
 #pragma once
 
 #include <algorithm>
@@ -7,12 +13,25 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hpp"
 #include "core/cloud.hpp"
 #include "core/owner.hpp"
 #include "core/user.hpp"
 #include "core/verify.hpp"
 
 namespace slicer::core::testing {
+
+/// K from the SLICER_SHARDS test variable (default 1).
+inline std::size_t env_shard_count() {
+  return env::size_knob("SLICER_SHARDS", 1, 1, adscrypto::kMaxShards);
+}
+
+/// Proof-cache capacity from the SLICER_PROOF_CACHE test variable (default
+/// CloudServer::kDefaultProofCache).
+inline std::size_t env_proof_cache() {
+  return env::size_knob("SLICER_PROOF_CACHE", CloudServer::kDefaultProofCache,
+                        0, std::size_t{1} << 20);
+}
 
 struct Rig {
   Config config;
@@ -22,11 +41,14 @@ struct Rig {
   std::optional<CloudServer> cloud;
   std::optional<DataUser> user;
 
-  /// `shard_count` 0 resolves to the SLICER_SHARDS knob (default 1); the
-  /// same count is handed to the owner and the cloud, as deployment would.
+  /// An unset `shard_count` or `proof_cache` comes from env_shard_count()
+  /// or env_proof_cache(). The owner and the cloud get the same K, as
+  /// deployment would.
   static Rig make(std::size_t value_bits, const std::string& seed = "rig",
                   const std::string& attribute = {},
-                  std::size_t shard_count = 0) {
+                  std::optional<std::size_t> shard_count = std::nullopt,
+                  std::optional<std::size_t> proof_cache = std::nullopt) {
+    const std::size_t k = shard_count.value_or(env_shard_count());
     Rig rig;
     rig.config.value_bits = value_bits;
     rig.config.prime_bits = 64;
@@ -39,9 +61,9 @@ struct Rig {
     rig.acc_params = acc_params;
 
     rig.owner.emplace(rig.config, Keys::generate(rng), td_pk, td_sk,
-                      acc_params, acc_td, crypto::Drbg(rng.generate(32)),
-                      shard_count);
-    rig.cloud.emplace(td_pk, acc_params, rig.config.prime_bits, shard_count);
+                      acc_params, acc_td, crypto::Drbg(rng.generate(32)), k);
+    rig.cloud.emplace(td_pk, acc_params, rig.config.prime_bits, k,
+                      proof_cache.value_or(env_proof_cache()));
     rig.user.emplace(rig.owner->export_user_state(),
                      crypto::Drbg(rng.generate(32)));
     return rig;
