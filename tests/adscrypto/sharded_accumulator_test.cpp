@@ -595,5 +595,18 @@ TEST_F(ShardedWitnessFrontier, KeptSeedsStayBoundedWhenRunsAreTouched) {
   EXPECT_EQ(kept.value(), 0);
 }
 
+TEST(ShardedAccumulatorEnv, DefaultShardCountClampsAndParses) {
+  // K is a constructor argument: it defaults to 1, an explicit count in
+  // [1, kMaxShards] is kept, and one outside that range throws.
+  auto rng = crypto::Drbg(str_bytes("sharded-env"));
+  auto [params, trapdoor] = RsaAccumulator::setup(rng, 256);
+  (void)trapdoor;
+  EXPECT_EQ(ShardedAccumulator(params).shard_count(), 1u);
+  EXPECT_EQ(ShardedAccumulator(params, 5).shard_count(), 5u);
+  EXPECT_EQ(ShardedAccumulator(params, kMaxShards).shard_count(), kMaxShards);
+  EXPECT_THROW(ShardedAccumulator(params, 0), CryptoError);
+  EXPECT_THROW(ShardedAccumulator(params, kMaxShards + 1), CryptoError);
+}
+
 }  // namespace
 }  // namespace slicer::adscrypto

@@ -342,5 +342,13 @@ TEST_F(FinalityTest, VerifyWithFinalityAcceptsHonestRepliesAndCountsRetries) {
   EXPECT_TRUE(chain_.audit());
 }
 
+TEST_F(FinalityTest, DefaultDepthComesFromTheEnvKnob) {
+  // The default depth is the constant kDefaultDepth, whatever the
+  // environment holds.
+  EXPECT_EQ(FinalityReader::kDefaultDepth, 3u);
+  FinalityReader reader(chain_, contract_addr_);
+  EXPECT_EQ(reader.depth(), FinalityReader::kDefaultDepth);
+}
+
 }  // namespace
 }  // namespace slicer::chain
