@@ -6,6 +6,9 @@
 // FirstTouch/<n>/{comb,seeded} time the witness frontier's first touch of
 // the runs a write just created (DESIGN.md §3g): combed from g over the
 // whole shard, or started from the shard value kept at the previous write.
+// InRun/<n>/{cold,warm} time the descent of one run's complement tree: the
+// run's first witness after its W_c is current, and the mean of its other
+// witnesses, which start from the nodes the earlier ones cached.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -113,6 +116,54 @@ void first_touch_rows(BenchJson& json) {
   json.add({label + "/seeded", seeded_ms, kFills, {{"seed_speedup", speedup}}});
 }
 
+/// The witnesses of one full run in a 1024-prime shard, a fixed shape
+/// whatever SLICER_BENCH_SCALE says. The shard first holds 1023 primes; an
+/// untimed witness fills the last run's W_c, and the 1024th prime then lands
+/// in that run, which drops its cached nodes but owes W_c nothing. `cold` is
+/// the run's next witness, a descent from W_c over the run's other 15
+/// primes; `warm` is the mean of its other 15 witnesses in index order. Each
+/// row keeps the fastest of five samples, taken on fresh accumulators.
+void in_run_rows(BenchJson& json) {
+  constexpr std::size_t kShard = 1024;
+  constexpr std::size_t kRun = ShardedAccumulator::kFrontierRun;
+  constexpr std::size_t kLo = kShard - kRun;
+  const auto& [params, trapdoor] = bench_accumulator();
+  const auto primes = primes_for(kShard);
+  const std::span<const BigUint> all(primes);
+  const RsaAccumulator owner(params);
+  const std::vector<BigUint> before{
+      owner.accumulate(all.first(kShard - 1), trapdoor)};
+  const std::vector<BigUint> after{owner.accumulate(all, trapdoor)};
+  const auto ms_since = [](std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  double cold_ms = 0;
+  double warm_ms = 0;
+  for (int sample = 0; sample < 5; ++sample) {
+    ShardedAccumulator acc(params, 1);
+    acc.insert_with_values(all.first(kShard - 1), before);
+    benchmark::DoNotOptimize(acc.witness({0, kLo}));
+    acc.insert_with_values(all.last(1), after);
+    auto start = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(acc.witness({0, kLo}));
+    const double cold = ms_since(start);
+    start = std::chrono::steady_clock::now();
+    for (std::size_t i = kLo + 1; i < kShard; ++i)
+      benchmark::DoNotOptimize(acc.witness({0, static_cast<std::uint32_t>(i)}));
+    const double warm = ms_since(start) / (kRun - 1);
+    cold_ms = sample == 0 ? cold : std::min(cold_ms, cold);
+    warm_ms = sample == 0 ? warm : std::min(warm_ms, warm);
+  }
+  const double speedup = warm_ms > 0 ? cold_ms / warm_ms : 0;
+  const std::string label = "InRun/" + std::to_string(kShard);
+  std::printf("%-40s cold %.3f ms  warm %.3f ms  (%.2fx)\n", label.c_str(),
+              cold_ms, warm_ms, speedup);
+  json.add({label + "/cold", cold_ms, 1, {}});
+  json.add({label + "/warm", warm_ms, kRun - 1, {{"warm_speedup", speedup}}});
+}
+
 /// Serial-vs-parallel speedup of the product-tree all-witnesses pass at the
 /// default bench scale (the acceptance metric for the parallel layer), plus
 /// fixed-base-comb vs generic-exponentiation ratios for the same
@@ -143,6 +194,7 @@ void speedup_extra(BenchJson& json) {
       [&] { benchmark::DoNotOptimize(generic.accumulate(primes)); },
       [&] { benchmark::DoNotOptimize(acc.accumulate(primes)); });
   first_touch_rows(json);
+  in_run_rows(json);
 }
 
 void register_all() {

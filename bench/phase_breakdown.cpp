@@ -86,8 +86,10 @@ class PhaseTable {
 };
 
 void run_config(BenchJson& json, std::size_t bits, std::size_t count) {
-  const std::string tag =
-      "/" + std::to_string(bits) + "bit/" + std::to_string(count);
+  std::string tag = "/";
+  tag += std::to_string(bits);
+  tag += "bit/";
+  tag += std::to_string(count);
   PhaseTable table(json);
 
   // Build — a fresh world so DataOwner ingest instrumentation fires. One

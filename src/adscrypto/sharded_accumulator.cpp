@@ -1,6 +1,7 @@
 #include "adscrypto/sharded_accumulator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
 #include "adscrypto/multiset_hash.hpp"
@@ -23,6 +24,14 @@ namespace {
 /// and a first touch starts from a kept shard value, only while that
 /// generic modexp stays the cheaper one.
 constexpr std::size_t kGenericPerCombBit = 5;
+
+/// Depth of a frontier run's complement tree: W_c at depth 0, single
+/// witnesses at depth kRunDepth. Runs split at fixed halves, so C must be a
+/// power of two.
+constexpr std::size_t kRunDepth =
+    std::bit_width(ShardedAccumulator::kFrontierRun) - 1;
+static_assert(std::has_single_bit(ShardedAccumulator::kFrontierRun) &&
+              kRunDepth >= 1);
 
 metrics::Gauge& kept_seeds_gauge() {
   static metrics::Gauge& gauge =
@@ -211,6 +220,8 @@ BigUint ShardedAccumulator::witness(Pos pos) const {
       metrics::counter("adscrypto.sharded.frontier.folds");
   static metrics::Counter& recomputes =
       metrics::counter("adscrypto.sharded.frontier.recomputes");
+  static metrics::Counter& node_hits =
+      metrics::counter("adscrypto.sharded.frontier.node_hits");
   const metrics::ScopedTimer timer(witness_ns);
   if (pos.shard >= primes_.size() ||
       pos.index >= primes_[pos.shard].size())
@@ -222,17 +233,31 @@ BigUint ShardedAccumulator::witness(Pos pos) const {
   const std::size_t c = pos.index / kFrontierRun;
   const std::size_t lo = c * kFrontierRun;
   const std::size_t hi = std::min(lo + kFrontierRun, n);
+  const std::size_t offset = pos.index - lo;
+  // Slot in Run::nodes of the depth-d node on pos's path.
+  const auto slot = [offset](std::size_t d) {
+    return (std::size_t{1} << d) - 2 + (offset >> (kRunDepth - d));
+  };
   Frontier& frontier = frontiers_[pos.shard];
 
   BigUint value;
   std::size_t covered = 0;
+  std::size_t depth = 0;  // of `value` on pos's path; 0 is W_c itself
   {
     const std::lock_guard lock(frontier.mu);
     if (c < frontier.runs.size()) {
-      value = frontier.runs[c].value;
-      covered = frontier.runs[c].covered;
+      const Frontier::Run& run = frontier.runs[c];
+      covered = run.covered;
+      for (std::size_t d = kRunDepth - 1; covered == n && d > 0; --d)
+        if (!run.nodes[slot(d)].is_zero()) {
+          value = run.nodes[slot(d)];
+          depth = d;
+          break;
+        }
+      if (depth == 0) value = run.value;
     }
   }
+  if (depth > 0) node_hits.add();
 
   if (covered < n) {
     // Everything W_c still owes: the primes that arrived after it was last
@@ -282,14 +307,30 @@ BigUint ShardedAccumulator::witness(Pos pos) const {
     if (run.covered < n) {
       run.value = value;
       run.covered = n;
+      run.nodes = {};  // derived from the old W_c and coverage
     }
   }
 
-  // The run's other primes: C − 1 at most, so one small generic modexp.
-  if (hi - lo == 1) return value;
-  return mont.pow(value, product_tree(primes.subspan(lo, pos.index - lo)) *
-                             product_tree(primes.subspan(
-                                 pos.index + 1, hi - pos.index - 1)));
+  // Descend to the leaf: each step raises the node to the primes of its
+  // sibling block (clipped to n), so a first descent owes C − 1 primes over
+  // log2 C modexps and a sibling leaf one prime. Leaves are not stored.
+  std::array<BigUint, kRunDepth - 1> computed;
+  for (std::size_t d = depth + 1; d <= kRunDepth; ++d) {
+    const std::size_t span = kFrontierRun >> d;
+    const std::size_t sibling = lo + ((offset / span) ^ 1) * span;
+    if (sibling < hi)
+      value = mont.pow(value, product_tree(primes.subspan(
+                                  sibling, std::min(span, hi - sibling))));
+    if (d < kRunDepth) computed[d - 1] = value;
+  }
+  if (depth + 1 < kRunDepth) {
+    const std::lock_guard lock(frontier.mu);
+    Frontier::Run& run = frontier.runs[c];
+    for (std::size_t d = depth + 1; run.covered == n && d < kRunDepth; ++d)
+      if (run.nodes[slot(d)].is_zero())
+        run.nodes[slot(d)] = std::move(computed[d - 1]);
+  }
+  return value;
 }
 
 bool ShardedAccumulator::verify(const Montgomery& mont,

@@ -10,6 +10,7 @@
 // no fold), bit-identical outputs.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -122,9 +123,11 @@ class ShardedAccumulator {
   /// fills it from the newest shard value A_t kept at a write with
   /// t ≤ cC, or by a comb from g when that is cheaper; a later touch folds
   /// the primes that arrived since (or recomputes from g, whichever is
-  /// cheaper). The run value is then raised to the run's other primes.
-  /// Safe to call from many threads at once; not concurrently with a
-  /// write.
+  /// cheaper). The witness then descends the run's complement tree from
+  /// the deepest node cached on its path, raising each node to its sibling
+  /// half's primes: a run's first witness costs C − 1 primes of exponent
+  /// over log2 C modexps, a sibling's one prime. Safe to call from many
+  /// threads at once; not concurrently with a write.
   bigint::BigUint witness(Pos pos) const;
 
   /// Verifies a membership witness against the shard values: routes
@@ -165,6 +168,14 @@ class ShardedAccumulator {
   /// concurrent misses on one run may both compute — the values they store
   /// are identical, and the wider coverage wins.
   ///
+  /// runs[c].nodes is the run's complement tree below W_c. The run's C
+  /// slots split into C-aligned halves, quarters, ...; the node for the
+  /// j-th block of C/2^d slots (1 ≤ d < log2 C) sits at nodes[2^d − 2 + j]
+  /// and holds W_c raised to the run's primes outside that block, clipped
+  /// to the shard's prime count (zero = not computed). Leaves (single
+  /// witnesses) are not stored. The nodes are valid only while
+  /// covered == n, and are cleared whenever W_c is refreshed.
+  ///
   /// `seeds` holds shard values A_t = g^(∏ p_j, j < t) that a write set,
   /// in ascending t: the starting points of first-touch fills. Only the
   /// write paths write it, and they never run beside witness(), so it is
@@ -173,6 +184,7 @@ class ShardedAccumulator {
     struct Run {
       bigint::BigUint value;
       std::size_t covered = 0;
+      std::array<bigint::BigUint, kFrontierRun - 2> nodes;
     };
     struct Seed {
       std::size_t count = 0;  // t

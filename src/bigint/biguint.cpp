@@ -4,7 +4,6 @@
 #include <cassert>
 #include <limits>
 
-#include "bigint/montgomery.hpp"
 #include "common/errors.hpp"
 
 namespace slicer::bigint {
@@ -367,12 +366,6 @@ BigUint BigUint::add_mod(const BigUint& a, const BigUint& b, const BigUint& m) {
   BigUint sum = a + b;
   if (sum >= m) sum -= m;
   return sum;
-}
-
-BigUint BigUint::pow_mod(const BigUint& a, const BigUint& e, const BigUint& m) {
-  if (m.is_one()) return BigUint{};
-  const Montgomery mont(m);  // throws CryptoError on an even modulus
-  return mont.pow(a % m, e);
 }
 
 BigUint BigUint::gcd(BigUint a, BigUint b) {

@@ -89,9 +89,6 @@ class BigUint {
 
   /// (a + b) mod m, assuming a, b < m.
   static BigUint add_mod(const BigUint& a, const BigUint& b, const BigUint& m);
-  /// a^e mod m through Montgomery (0 when m is 1). Every modulus in the
-  /// protocol is odd; an even or zero m throws CryptoError.
-  static BigUint pow_mod(const BigUint& a, const BigUint& e, const BigUint& m);
 
   /// Greatest common divisor.
   static BigUint gcd(BigUint a, BigUint b);

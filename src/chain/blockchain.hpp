@@ -306,7 +306,7 @@ class Blockchain {
   /// contract_at() pointers stay stable along the happy path; replaced
   /// from the winning node's snapshot on reorg.
   ChainState live_;
-  std::map<Bytes, BlockNode> tree_;       // header hash -> node
+  std::map<Bytes, BlockNode, BytesLess> tree_;  // header hash -> node
   Bytes canonical_tip_;                   // empty before the first block
   bool manual_canonical_ = false;         // reorg_to() override in effect
 

@@ -5,6 +5,7 @@
 // them (hex codecs, big-endian integer packing, concatenation, XOR).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -18,6 +19,17 @@ using Bytes = std::vector<std::uint8_t>;
 
 /// Read-only view over a byte string.
 using BytesView = std::span<const std::uint8_t>;
+
+/// Lexicographic order on byte strings, the same order as std::less<Bytes>,
+/// for ordered containers keyed by Bytes. GCC 12 reports a false
+/// -Wstringop-overread on the memcmp that std::vector's operator<=> inlines
+/// into std::map and std::set; std::lexicographical_compare avoids it.
+struct BytesLess {
+  bool operator()(const Bytes& a, const Bytes& b) const {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
+  }
+};
 
 /// Encodes `data` as lowercase hex.
 std::string to_hex(BytesView data);

@@ -173,7 +173,7 @@ class QueryClient {
   std::size_t prime_bits_;
   std::size_t cache_capacity_;
 
-  std::map<Bytes, CachedClause> cache_;
+  std::map<Bytes, CachedClause, BytesLess> cache_;
   std::vector<Bytes> cache_order_;  // insertion order, front evicted first
 };
 

@@ -440,6 +440,83 @@ TEST_F(ShardedWitnessFrontier, ConcurrentMissesOnOneRun) {
   expect_exact(acc, 0, C + 9, "after races");
 }
 
+TEST_F(ShardedWitnessFrontier, ComplementTreeMatchesFromScratch) {
+  // Every position of a shard's last (often partial) run and of one older
+  // run, asked in a seeded random order, so descents start from W_c and
+  // from cached nodes at every depth, with sibling blocks clipped to n in
+  // the partial run. Appends between rounds land in the served partial
+  // runs or spill past them, so cached nodes must be dropped.
+  constexpr std::size_t C = ShardedAccumulator::kFrontierRun;
+  const metrics::ScopedMetrics scoped;
+  const std::uint64_t node_hits = frontier_count("node_hits");
+  for (const std::size_t k : {1u, 4u}) {
+    crypto::Drbg rng(str_bytes("complement-tree-" + std::to_string(k)));
+    const auto draw = [&](std::size_t bound) {
+      return static_cast<std::size_t>(read_be64(rng.generate(8)) % bound);
+    };
+    ShardedAccumulator acc(params_, k);
+    Owner owner = this->owner(k);
+    std::uint64_t salt = 3000 + 10 * k;
+    owner.publish(acc, sample_primes(3 * C * k + 5, ++salt));
+    for (std::size_t round = 0; round < 6; ++round) {
+      const std::string where =
+          "k=" + std::to_string(k) + " round=" + std::to_string(round);
+      for (std::uint32_t s = 0; s < k; ++s) {
+        const std::size_t n = acc.shard_primes(s).size();
+        const std::size_t last = (n - 1) / C;
+        std::vector<std::size_t> order;
+        for (const std::size_t run : {draw(last + 1), last})
+          for (std::size_t i = run * C; i < std::min(run * C + C, n); ++i)
+            if (std::find(order.begin(), order.end(), i) == order.end())
+              order.push_back(i);
+        for (std::size_t i = order.size(); i > 1; --i)
+          std::swap(order[i - 1], order[draw(i)]);
+        for (const std::size_t i : order) expect_exact(acc, s, i, where);
+      }
+      owner.publish(acc, sample_primes(
+                             draw(3) == 0 ? C * k : 1 + draw(3 * k), ++salt));
+    }
+  }
+  EXPECT_GT(frontier_count("node_hits"), node_hits);
+
+  // A fresh full run served in any order starts from W_c only for the
+  // first position in each half; the other C − 2 start below it.
+  ShardedAccumulator acc(params_, 1);
+  Owner owner = this->owner(1);
+  owner.publish(acc, sample_primes(3 * C, 3100));
+  const std::uint64_t before = frontier_count("node_hits");
+  for (std::size_t i = 0; i < C; ++i)
+    expect_exact(acc, 0, C + (7 * i + 3) % C, "full run");
+  EXPECT_EQ(frontier_count("node_hits"), before + C - 2);
+}
+
+TEST_F(ShardedWitnessFrontier, ConcurrentDescentsOnOneRun) {
+  // Four pool lanes ask for every position of one run at once, so they
+  // race to fill, refresh and extend the same run's complement tree.
+  constexpr std::size_t C = ShardedAccumulator::kFrontierRun;
+  const ThreadPool::ScopedPool pool(4);
+  Owner owner = this->owner(1);
+  ShardedAccumulator acc(params_, 1);
+  owner.publish(acc, sample_primes(3 * C + 6, 141));
+  for (std::size_t round = 0; round < 4; ++round) {
+    // Rounds alternate between a full run (fold after each append) and the
+    // partial last run the appends land in.
+    const std::size_t n = acc.shard_primes(0).size();
+    const std::size_t lo = round % 2 == 0 ? C : (n - 1) / C * C;
+    const std::size_t count = std::min(C, n - lo);
+    const std::vector<BigUint> got =
+        ThreadPool::instance().parallel_map<BigUint>(count, [&](std::size_t i) {
+          return acc.witness({0, static_cast<std::uint32_t>(lo + i)});
+        });
+    const auto primes = acc.shard_primes(0);
+    for (std::size_t i = 0; i < count; ++i)
+      EXPECT_EQ(got[i], scratch_.witness(primes, lo + i))
+          << "round=" << round << " index=" << lo + i;
+    owner.publish(acc, sample_primes(3, 142 + round));
+  }
+  expect_exact(acc, 0, C + 9, "after races");
+}
+
 TEST_F(ShardedWitnessFrontier, SeededFillsMatchFromScratch) {
   // APPLY-shaped histories started by a restore: after every batch, first
   // touches land in the newest batch's runs and in older runs nothing has

@@ -161,35 +161,6 @@ TEST(BigUint, DecimalConversion) {
   EXPECT_EQ(BigUint::from_hex("ff").to_dec(), "255");
 }
 
-TEST(BigUint, PowModSmallKnown) {
-  // 3^10 mod 1001 = 59049 - 58·1001 = 991
-  EXPECT_EQ(BigUint::pow_mod(BigUint(3), BigUint(10), BigUint(1001)),
-            BigUint(991));
-}
-
-TEST(BigUint, PowModFermat) {
-  // Fermat: a^(p-1) = 1 mod p for prime p.
-  const BigUint p = BigUint::from_hex(
-      "ffffffffffffffffffffffffffffffff" "fffffffffffffffffffffffefffffc2f");  // secp256k1 prime
-  const BigUint a = BigUint::from_hex("123456789abcdef123456789abcdef");
-  EXPECT_EQ(BigUint::pow_mod(a, p - BigUint(1), p), BigUint(1));
-}
-
-TEST(BigUint, PowModEvenModulus) {
-  // Every protocol modulus is odd, so pow_mod is Montgomery alone, and
-  // Montgomery's odd-modulus check rejects an even or zero one.
-  EXPECT_THROW(BigUint::pow_mod(BigUint(7), BigUint(13), BigUint(1) << 20),
-               CryptoError);
-  EXPECT_THROW(BigUint::pow_mod(BigUint(7), BigUint(13), BigUint(1000)),
-               CryptoError);
-  EXPECT_THROW(BigUint::pow_mod(BigUint(7), BigUint(13), BigUint{}),
-               CryptoError);
-}
-
-TEST(BigUint, PowModZeroExponent) {
-  EXPECT_EQ(BigUint::pow_mod(BigUint(5), BigUint{}, BigUint(7)), BigUint(1));
-}
-
 TEST(BigUint, Gcd) {
   EXPECT_EQ(BigUint::gcd(BigUint(48), BigUint(36)), BigUint(12));
   EXPECT_EQ(BigUint::gcd(BigUint(17), BigUint(5)), BigUint(1));

@@ -12,6 +12,9 @@ const char* kSecp256k1P =
 
 TEST(Montgomery, RejectsEvenModulus) {
   EXPECT_THROW(Montgomery(BigUint(10)), CryptoError);
+  EXPECT_THROW(Montgomery(BigUint(1000)), CryptoError);
+  EXPECT_THROW(Montgomery(BigUint(1) << 20), CryptoError);
+  EXPECT_THROW(Montgomery(BigUint{}), CryptoError);
   EXPECT_THROW(Montgomery(BigUint(1)), CryptoError);
 }
 

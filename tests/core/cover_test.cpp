@@ -122,9 +122,9 @@ TEST(DyadicCover, BlockTokensRejectIdZeroAndOversizedBlocks) {
 /// The ciphertext-tuple keywords of a cover: a block's own keyword, and for
 /// a one-value block the level-b tuple its value carries (the planner asks
 /// for that block by the equivalent value keyword instead).
-std::set<Bytes> cover_keywords(const std::vector<PlanClause>& cover,
+std::set<Bytes, BytesLess> cover_keywords(const std::vector<PlanClause>& cover,
                                std::size_t bits) {
-  std::set<Bytes> out;
+  std::set<Bytes, BytesLess> out;
   for (const PlanClause& c : cover) {
     if (c.mc == MatchCondition::kEqual) {
       out.insert(sore::encode_cipher_tuple(c.value, bits, bits));
@@ -147,11 +147,11 @@ TEST(DyadicCover, HalfLineCoversAreTheMatchableOrderTokens) {
   const auto plan_keywords = [&](const QuerySpec& spec) {
     return cover_keywords(compile_spec(spec, ctx).clauses, kBits);
   };
-  std::set<Bytes> cipher;
+  std::set<Bytes, BytesLess> cipher;
   for (std::uint64_t y = 0; y <= domain_max(kBits); ++y)
     for (Bytes& t : sore::cipher_tuples(y, kBits)) cipher.insert(std::move(t));
   const auto matchable = [&](std::uint64_t x, sore::Order oc) {
-    std::set<Bytes> out;
+    std::set<Bytes, BytesLess> out;
     for (Bytes& t : sore::token_tuples(x, kBits, oc))
       if (cipher.contains(t)) out.insert(std::move(t));
     return out;
@@ -173,7 +173,7 @@ TEST(DyadicCover, HalfLineCoversAreTheMatchableOrderTokens) {
     EXPECT_EQ(plan_keywords(Pred::value().lt(x)),
               matchable(x, sore::Order::kGreater))
         << "x=" << x;
-    std::set<Bytes> either = matchable(x, sore::Order::kLess);
+    std::set<Bytes, BytesLess> either = matchable(x, sore::Order::kLess);
     either.merge(matchable(x, sore::Order::kGreater));
     EXPECT_EQ(plan_keywords(!Pred::value().eq(x)), either) << "x=" << x;
   }

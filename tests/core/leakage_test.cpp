@@ -21,7 +21,7 @@ TEST(Leakage, IndexAddressesAreDistinctAndFixedWidth) {
   Rig rig = Rig::make(8, "leak1");
   const auto records = std::vector<Record>{{1, 5}, {2, 5}, {3, 6}, {4, 200}};
   const UpdateOutput out = rig.owner->insert(records);
-  std::set<Bytes> addresses;
+  std::set<Bytes, BytesLess> addresses;
   for (const auto& [l, d] : out.entries) {
     EXPECT_EQ(l.size(), 16u);
     EXPECT_EQ(d.size(), 16u);
@@ -57,7 +57,7 @@ TEST(Leakage, HistoryIndependenceOfIndexAddresses) {
   b.ingest(rev);
 
   auto addresses = [](const CloudServer& cloud) {
-    std::set<Bytes> out;
+    std::set<Bytes, BytesLess> out;
     for (const auto& [l, d] : cloud.index().sorted_entries()) out.insert(l);
     return out;
   };
@@ -82,7 +82,7 @@ TEST(Leakage, OrderTokensAreShuffled) {
   const auto t1 = rig.user->make_tokens(2, MatchCondition::kGreater);
   ASSERT_GE(t1.size(), 5u);
   auto keys = [](const std::vector<SearchToken>& ts) {
-    std::multiset<Bytes> out;
+    std::multiset<Bytes, BytesLess> out;
     for (const auto& t : ts) out.insert(t.g1);
     return out;
   };
@@ -187,7 +187,7 @@ TEST(Leakage, ForwardSecurityNewGenerationAddressesUnlinkable) {
   const UpdateOutput update =
       rig.owner->insert(std::vector<Record>{{2, 42}});
   // Collect the addresses reachable from the old token.
-  std::set<Bytes> reachable;
+  std::set<Bytes, BytesLess> reachable;
   {
     // Re-derive them the way the cloud would.
     for (std::uint64_t c = 0; c < 8; ++c)
@@ -203,7 +203,7 @@ TEST(Leakage, ResultPayloadsAreDistinctAcrossCounters) {
   // (each is masked by an independent PRF pad).
   Rig rig = Rig::make(8, "leak6");
   const auto out = rig.owner->insert(std::vector<Record>{{1, 3}});
-  std::set<Bytes> payloads;
+  std::set<Bytes, BytesLess> payloads;
   for (const auto& [l, d] : out.entries) payloads.insert(d);
   EXPECT_EQ(payloads.size(), out.entries.size());
 }

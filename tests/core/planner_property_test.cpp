@@ -140,7 +140,9 @@ TEST_P(PlannerProperty, RandomTreesMatchPlaintextOracle) {
 INSTANTIATE_TEST_SUITE_P(ShardCounts, PlannerProperty,
                          ::testing::Values(1, 4, 8),
                          [](const auto& info) {
-                           return "K" + std::to_string(info.param);
+                           std::string name = "K";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 /// One aggregate sweep's answers, comparable across cache settings.

@@ -15,7 +15,7 @@ crypto::Drbg test_rng() { return crypto::Drbg(str_bytes("sore-test")); }
 
 std::size_t common_tuple_count(const std::vector<Bytes>& ct,
                                const std::vector<Bytes>& tk) {
-  const std::set<Bytes> ct_set(ct.begin(), ct.end());
+  const std::set<Bytes, BytesLess> ct_set(ct.begin(), ct.end());
   std::size_t n = 0;
   for (const Bytes& t : tk) n += ct_set.count(t);
   return n;
@@ -145,8 +145,8 @@ TEST(Sore, ShuffleConcealsIndexButPreservesCompare) {
   const auto a = token(key, 12345, 16, Order::kLess, rng);
   const auto b = token(key, 12345, 16, Order::kLess, rng);
   EXPECT_NE(a, b);
-  EXPECT_EQ(std::set<Bytes>(a.begin(), a.end()),
-            std::set<Bytes>(b.begin(), b.end()));
+  using ByteSet = std::set<Bytes, BytesLess>;
+  EXPECT_EQ(ByteSet(a.begin(), a.end()), ByteSet(b.begin(), b.end()));
 }
 
 TEST(Sore, ValidationErrors) {

@@ -34,6 +34,13 @@ Structural checks ride along:
     have a fixed shape at every SLICER_BENCH_SCALE; the seeded fill raises
     the kept value to 48 primes by generic modexp where the comb covers
     1008 (~3x at 1024-bit moduli, the run's own primes included in both).
+    A second gate in that file: the mean warm witness of one frontier run
+    (InRun/1024/warm, a descent from a node an earlier witness of the run
+    cached) must be at least MIN_IN_RUN_WARM_SPEEDUP (2.5x) faster than the
+    run's cold first witness (InRun/1024/cold, a descent from W_c over 15
+    primes in four modexps). A whole run costs 4096 exponent bits against
+    16 x 960 without the cached nodes, so warm is ~4.7x cheaper in
+    exponent bits; the per-call fixed costs keep the measured ratio lower.
   * BENCH_robustness.json is checked structurally INSTEAD of by wall time:
     the soak runs under sanitizers in CI (10x+ skew vs the release-built
     baseline), so timing ratios are meaningless there. What must hold is
@@ -62,6 +69,10 @@ MIN_TRAPDOOR_CRT_SPEEDUP = 2.0
 # Same-run floor for FirstTouch/1024: seeded must be this many times faster
 # than comb in one BENCH_ablation_witness.json.
 MIN_FIRST_TOUCH_SEED_SPEEDUP = 2.0
+
+# Same-run floor for InRun/1024: warm must be this many times faster than
+# cold in one BENCH_ablation_witness.json.
+MIN_IN_RUN_WARM_SPEEDUP = 2.5
 
 
 def load_rows(path):
@@ -131,6 +142,14 @@ def check_first_touch_seed_speedup(current_path):
         current_path, "FirstTouch/1024/comb", "FirstTouch/1024/seeded",
         MIN_FIRST_TOUCH_SEED_SPEEDUP,
         "first-touch fill: seeded vs comb from g")
+
+
+def check_in_run_warm_speedup(current_path):
+    """A warm in-run witness must beat the run's cold first witness."""
+    return check_same_run_speedup(
+        current_path, "InRun/1024/cold", "InRun/1024/warm",
+        MIN_IN_RUN_WARM_SPEEDUP,
+        "in-run witness: warm vs cold descent")
 
 
 def check_throughput_structure(current_path):
@@ -327,6 +346,7 @@ def main():
             failures += check_trapdoor_crt_speedup(path)
         if name == "BENCH_ablation_witness.json":
             failures += check_first_touch_seed_speedup(path)
+            failures += check_in_run_warm_speedup(path)
         if name == "BENCH_throughput.json":
             failures += check_throughput_structure(path)
         if name == "BENCH_planner.json":
