@@ -2,9 +2,10 @@
 // modular exponentiation (fixed-base comb vs generic sliding window), the
 // owner's trapdoor inverse (CRT vs full-width y^d mod n), hash-to-prime
 // (sieved + midstate fast path vs unsieved reference, plus the memo
-// cache), and raw SHA-256 / AES-128 block throughput. These are
-// the units Fig. 3/5/7 costs decompose into; BENCH_micro.json records the
-// fast-vs-generic ratios the perf acceptance criteria check.
+// cache), and raw SHA-256 (the selected kernel and the portable one) /
+// AES-128 block throughput. These are the units Fig. 3/5/7 costs decompose
+// into; BENCH_micro.json records the fast-vs-generic ratios the perf
+// acceptance criteria check.
 #include <benchmark/benchmark.h>
 
 #include "adscrypto/hash_to_prime.hpp"
@@ -16,6 +17,7 @@
 #include "bigint/primes.hpp"
 #include "crypto/aes128.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_kernels.hpp"
 
 namespace slicer::bench {
 namespace {
@@ -143,11 +145,32 @@ void BM_HashToPrimeCached(benchmark::State& state) {
 
 // -- Raw block primitives ---------------------------------------------------
 
+/// SHA-256 of 4 KiB through the kernel Sha256 selected; the sha_ni counter
+/// says which one (1: SHA-NI, 0: portable).
 void BM_Sha256Throughput(benchmark::State& state) {
   const Bytes msg(4096, 0x5c);
   for (auto _ : state) {
     auto d = crypto::Sha256::digest(msg);
     benchmark::DoNotOptimize(d);
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations() * msg.size()));
+  state.counters["sha_ni"] =
+      crypto::detail::sha256_kernel() == &crypto::detail::sha256_blocks_shani;
+}
+
+/// The same 65 compressions (64 message blocks and the padding block) on
+/// the portable kernel, whichever kernel Sha256 selected.
+void BM_Sha256Portable(benchmark::State& state) {
+  const Bytes msg(4096, 0x5c);
+  Bytes pad(crypto::Sha256::kBlockSize, 0);
+  pad[0] = 0x80;
+  pad[62] = 0x80;  // bit length 32768, big-endian
+  for (auto _ : state) {
+    std::array<std::uint32_t, 8> h = crypto::detail::kSha256Init;
+    crypto::detail::sha256_blocks_portable(h, msg.data(), 64);
+    crypto::detail::sha256_blocks_portable(h, pad.data(), 1);
+    benchmark::DoNotOptimize(h);
   }
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations() * msg.size()));
@@ -230,6 +253,8 @@ void register_all() {
   benchmark::RegisterBenchmark("Micro/HashToPrime/Cached", BM_HashToPrimeCached)
       ->Unit(benchmark::kMicrosecond)->Iterations(256);
   benchmark::RegisterBenchmark("Micro/Sha256/4KiB", BM_Sha256Throughput)
+      ->Unit(benchmark::kMicrosecond)->Iterations(512);
+  benchmark::RegisterBenchmark("Micro/Sha256/4KiB/Portable", BM_Sha256Portable)
       ->Unit(benchmark::kMicrosecond)->Iterations(512);
   benchmark::RegisterBenchmark("Micro/Aes128Ctr/4KiB", BM_Aes128Throughput)
       ->Unit(benchmark::kMicrosecond)->Iterations(512);

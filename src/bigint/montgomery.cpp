@@ -185,7 +185,6 @@ void Montgomery::prepare(Scratch& s) const {
 void Montgomery::mont_mul_raw(const u64* a, const u64* b, u64* out,
                               u64* t) const {
   switch (k_) {
-    case 1: return mont_mul_fips<1>(a, b, out, t, n_.data(), n0inv_, k_);
     case 8: return mont_mul_fips<8>(a, b, out, t, n_.data(), n0inv_, k_);
     case 16: return mont_mul_fips<16>(a, b, out, t, n_.data(), n0inv_, k_);
     default: return mont_mul_fips<0>(a, b, out, t, n_.data(), n0inv_, k_);
@@ -194,7 +193,6 @@ void Montgomery::mont_mul_raw(const u64* a, const u64* b, u64* out,
 
 void Montgomery::mont_sqr_raw(const u64* a, u64* out, u64* t) const {
   switch (k_) {
-    case 1: return mont_sqr_fips<1>(a, out, t, n_.data(), n0inv_, k_);
     case 8: return mont_sqr_fips<8>(a, out, t, n_.data(), n0inv_, k_);
     case 16: return mont_sqr_fips<16>(a, out, t, n_.data(), n0inv_, k_);
     default: return mont_sqr_fips<0>(a, out, t, n_.data(), n0inv_, k_);

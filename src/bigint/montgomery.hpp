@@ -6,10 +6,11 @@
 // −n⁻¹ mod 2⁶⁴ once; `pow` then uses sliding windows over a dedicated
 // squaring kernel, and `FixedBase` adds a precomputed comb table for bases
 // that are exponentiated many times (the accumulator generator g). The
-// multiply and square kernels are compiled for fixed widths of 1, 8 and 16
-// limbs (64-bit Miller–Rabin candidates, the 512-bit CRT halves of the
-// trapdoor, the 1024-bit accumulator and trapdoor moduli); every other
-// width runs the same code with a run-time limb count.
+// multiply and square kernels are compiled for fixed widths of 8 and 16
+// limbs (the 512-bit CRT halves of the trapdoor, the 1024-bit accumulator
+// and trapdoor moduli); every other width runs the same code with a
+// run-time limb count. (One-limb Miller–Rabin, for 64-bit hash-to-prime
+// candidates, runs on native words in primes.cpp instead.)
 //
 // Thread-safety contract: a constructed Montgomery is immutable; every
 // method is const and touches no shared mutable state, so one instance may

@@ -155,6 +155,81 @@ BigUint random_bits(crypto::Drbg& rng, std::size_t bits) {
 
 namespace {
 
+/// Montgomery arithmetic mod an odd one-word n, on native 64-bit words
+/// with R = 2⁶⁴. Every residue stays in [0, n).
+class MontU64 {
+ public:
+  explicit MontU64(std::uint64_t n) : n_(n) {
+    inv_ = n;  // Hensel: each step doubles the correct low bits of n⁻¹
+    for (int i = 0; i < 5; ++i) inv_ *= 2 - n * inv_;
+    one_ = (0 - n) % n;  // 2⁶⁴ mod n
+    r2_ = static_cast<std::uint64_t>(
+        static_cast<unsigned __int128>(one_) * one_ % n);
+  }
+
+  /// t·R⁻¹ mod n for t < n·R. With m = t·n⁻¹ mod R, t − m·n is a multiple
+  /// of R whose low words cancel exactly, so the quotient is
+  /// hi(t) − hi(m·n) ∈ (−n, n): no sum ever needs a carry, even for n
+  /// near 2⁶⁴.
+  std::uint64_t redc(unsigned __int128 t) const {
+    const std::uint64_t m = static_cast<std::uint64_t>(t) * inv_;
+    const auto mn_hi = static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(m) * n_) >> 64);
+    const auto t_hi = static_cast<std::uint64_t>(t >> 64);
+    return t_hi >= mn_hi ? t_hi - mn_hi : t_hi - mn_hi + n_;
+  }
+  std::uint64_t mul(std::uint64_t a, std::uint64_t b) const {
+    return redc(static_cast<unsigned __int128>(a) * b);
+  }
+  std::uint64_t to_mont(std::uint64_t a) const { return mul(a % n_, r2_); }
+  std::uint64_t one() const { return one_; }
+
+  /// base^exp, base in Montgomery form; left-to-right square-and-multiply.
+  std::uint64_t pow(std::uint64_t base, std::uint64_t exp) const {
+    std::uint64_t x = one_;
+    for (int i = 63 - __builtin_clzll(exp); i >= 0; --i) {
+      x = mul(x, x);
+      if ((exp >> i) & 1) x = mul(x, base);
+    }
+    return x;
+  }
+
+ private:
+  std::uint64_t n_;
+  std::uint64_t inv_ = 0;  // n⁻¹ mod 2⁶⁴
+  std::uint64_t one_ = 0;  // R mod n
+  std::uint64_t r2_ = 0;   // R² mod n
+};
+
+/// miller_rabin for a one-limb n > 251 with no factor ≤ 251, in MontU64.
+/// Same witnesses and same comparisons as the multi-limb path, so every
+/// verdict and every DRBG draw is identical.
+bool miller_rabin_u64(std::uint64_t n, crypto::Drbg* rng, int rounds) {
+  const int r = __builtin_ctzll(n - 1);
+  const std::uint64_t d = (n - 1) >> r;
+  const MontU64 mont(n);
+  const std::uint64_t one = mont.one();
+  const std::uint64_t minus_one = n - one;  // Montgomery form of n − 1
+  const auto mr_round = [&](std::uint64_t a) {
+    std::uint64_t x = mont.pow(mont.to_mont(a), d);
+    if (x == one || x == minus_one) return true;
+    for (int i = 1; i < r; ++i) {
+      x = mont.mul(x, x);
+      if (x == minus_one) return true;
+      if (x == one) return false;  // nontrivial sqrt of 1 => composite
+    }
+    return false;
+  };
+  for (std::uint64_t w : kDeterministicWitnesses) {
+    if (!mr_round(w)) return false;
+  }
+  for (int i = 0; rng != nullptr && i < rounds; ++i) {
+    const BigUint a = random_below(*rng, BigUint(n - 3)) + BigUint(2);
+    if (!mr_round(a.low_u64())) return false;
+  }
+  return true;
+}
+
 /// Miller–Rabin on n: trial division by the small primes, the fixed
 /// witnesses, then `rounds` random witnesses in [2, n-2] when `rng` is
 /// given. Rounds run in the Montgomery domain: a witness is converted once,
@@ -165,6 +240,7 @@ bool miller_rabin(const BigUint& n, crypto::Drbg* rng, int rounds) {
   for (std::uint64_t p : kSmallPrimes) {
     if (mod_u64(n, p) == 0) return n == BigUint(p);
   }
+  if (n.limb_count() == 1) return miller_rabin_u64(n.low_u64(), rng, rounds);
   // n - 1 = d * 2^r with d odd.
   const BigUint n_minus_1 = n - BigUint(1);
   BigUint d = n_minus_1;

@@ -57,15 +57,15 @@ std::vector<Bytes> CloudServer::fetch_results_walk(
   // Decoding rejects a trapdoor of the wrong width; every generation, the
   // first included, is looked up under its canonical encoding.
   BigUint t = perm_.decode(token.trapdoor);
+  IndexPrf prf(token.g1, token.g2);
   // Walk generations newest → oldest: i = j down to 0, one permutation
   // step between generations.
   for (std::uint32_t gen = 0;; ++gen) {
-    const Bytes t_enc = perm_.encode(t);
+    prf.set_generation(perm_.encode(t));
     for (std::uint64_t c = 0;; ++c) {
-      const Bytes l = index_address(token.g1, t_enc, c);
-      const auto d = index_.get(l);
+      const auto d = index_.get(prf.address(c));
       if (!d.has_value()) break;
-      results.push_back(xor_bytes(index_pad(token.g2, t_enc, c), *d));
+      results.push_back(xor_bytes(prf.pad(c), *d));
     }
     if (gen == token.j) break;
     t = perm_.forward(t);

@@ -1,5 +1,7 @@
 #include "core/messages.hpp"
 
+#include <array>
+
 #include "adscrypto/hash_to_prime.hpp"
 #include "common/errors.hpp"
 #include "common/serial.hpp"
@@ -87,6 +89,38 @@ Bytes index_address(BytesView g1, BytesView trapdoor_enc, std::uint64_t c) {
 
 Bytes index_pad(BytesView g2, BytesView trapdoor_enc, std::uint64_t c) {
   return crypto::prf_f(g2, trapdoor_counter(trapdoor_enc, c));
+}
+
+namespace {
+/// F(key, t ‖ c) from a context with t absorbed.
+Bytes prf_f_at(const crypto::HmacSha256& f, const crypto::Sha256& with_t,
+               std::uint64_t c) {
+  crypto::Sha256 ctx = with_t;
+  std::array<std::uint8_t, 8> ctr;
+  for (std::size_t i = 0; i < 8; ++i)
+    ctr[i] = static_cast<std::uint8_t>(c >> (8 * (7 - i)));
+  ctx.update(BytesView(ctr.data(), ctr.size()));
+  const crypto::HmacSha256::Tag tag = f.finish(ctx);
+  return Bytes(tag.begin(), tag.begin() + crypto::kPrfFSize);
+}
+}  // namespace
+
+IndexPrf::IndexPrf(BytesView g1, BytesView g2)
+    : f1_(g1), f2_(g2), address_t_(f1_.begin()), pad_t_(f2_.begin()) {}
+
+void IndexPrf::set_generation(BytesView trapdoor_enc) {
+  address_t_ = f1_.begin();
+  address_t_.update(trapdoor_enc);
+  pad_t_ = f2_.begin();
+  pad_t_.update(trapdoor_enc);
+}
+
+Bytes IndexPrf::address(std::uint64_t c) const {
+  return prf_f_at(f1_, address_t_, c);
+}
+
+Bytes IndexPrf::pad(std::uint64_t c) const {
+  return prf_f_at(f2_, pad_t_, c);
 }
 
 Bytes state_key(BytesView trapdoor_enc, std::uint32_t j, BytesView g1,

@@ -12,6 +12,7 @@
 #include "adscrypto/multiset_hash.hpp"
 #include "bigint/biguint.hpp"
 #include "common/bytes.hpp"
+#include "crypto/hmac.hpp"
 
 namespace slicer::core {
 
@@ -67,6 +68,31 @@ Bytes index_address(BytesView g1, BytesView trapdoor_enc, std::uint64_t c);
 
 /// F(G2, t ‖ c): the pad XORed over Enc(K_R, R).
 Bytes index_pad(BytesView g2, BytesView trapdoor_enc, std::uint64_t c);
+
+/// index_address and index_pad for every entry of one token or keyword:
+/// F(G1, ·) and F(G2, ·) are keyed once, and each trapdoor generation t is
+/// absorbed once, so an entry costs two compressions per PRF instead of
+/// re-running the key schedule and t's blocks.
+class IndexPrf {
+ public:
+  IndexPrf(BytesView g1, BytesView g2);
+
+  /// Selects the generation t (its fixed-width encoding) that address and
+  /// pad derive from. Call before the first address or pad.
+  void set_generation(BytesView trapdoor_enc);
+
+  /// F(G1, t ‖ c), equal to index_address(g1, t, c).
+  Bytes address(std::uint64_t c) const;
+
+  /// F(G2, t ‖ c), equal to index_pad(g2, t, c).
+  Bytes pad(std::uint64_t c) const;
+
+ private:
+  crypto::HmacSha256 f1_;
+  crypto::HmacSha256 f2_;
+  crypto::Sha256 address_t_;  // f1_.begin() with t absorbed
+  crypto::Sha256 pad_t_;      // f2_.begin() with t absorbed
+};
 
 /// Preimage fed to H_prime: t_j ‖ j ‖ G1 ‖ G2 ‖ h. Identical bytes are
 /// produced by Build/Insert (owner side) and by Search/Verify (cloud and

@@ -31,6 +31,7 @@ DataOwner::DataOwner(
     crypto::Drbg rng, std::size_t shard_count)
     : config_(std::move(config)),
       keys_(std::move(keys)),
+      master_prf_(keys_.k),
       perm_(std::move(trapdoor_pk), trapdoor_sk),
       accumulator_(std::move(accumulator_params)),
       accumulator_trapdoor_(std::move(accumulator_trapdoor)),
@@ -154,7 +155,7 @@ UpdateOutput DataOwner::ingest(
     job.keyword = &keyword;
     job.ids = &keyword_ids;
     const Bytes w(keyword.begin(), keyword.end());
-    auto [g1, g2] = crypto::derive_keyword_keys(keys_.k, w);
+    auto [g1, g2] = crypto::derive_keyword_keys(master_prf_, w);
     job.g1 = std::move(g1);
     job.g2 = std::move(g2);
     job.h = MultisetHash::empty();
@@ -194,12 +195,13 @@ UpdateOutput DataOwner::ingest(
     if (job.advance) job.trapdoor = perm_.inverse(job.trapdoor);
     job.t_enc = perm_.encode(job.trapdoor);
     job.entries.reserve(job.ids->size());
+    IndexPrf prf(job.g1, job.g2);
+    prf.set_generation(job.t_enc);
     std::uint64_t c = 0;
     for (const RecordId id : *job.ids) {
       const Bytes enc_id = cipher.encrypt(id);
-      const Bytes l = index_address(job.g1, job.t_enc, c);
-      const Bytes d = xor_bytes(index_pad(job.g2, job.t_enc, c), enc_id);
-      job.entries.emplace_back(l, d);
+      job.entries.emplace_back(prf.address(c),
+                               xor_bytes(prf.pad(c), enc_id));
       job.h = MultisetHash::add(job.h, MultisetHash::hash_element(enc_id));
       ++c;
     }

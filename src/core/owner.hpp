@@ -151,6 +151,7 @@ class DataOwner {
 
   Config config_;
   Keys keys_;
+  crypto::HmacSha256 master_prf_;  // G(K, ·), keyed once
   adscrypto::TrapdoorPermutation perm_;  // built with the secret key
   adscrypto::RsaAccumulator accumulator_;  // g's comb table
   adscrypto::AccumulatorTrapdoor accumulator_trapdoor_;

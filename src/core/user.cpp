@@ -7,9 +7,14 @@
 namespace slicer::core {
 
 DataUser::DataUser(UserState state, crypto::Drbg rng)
-    : state_(std::move(state)), rng_(std::move(rng)) {}
+    : state_(std::move(state)),
+      master_prf_(state_.keys.k),
+      rng_(std::move(rng)) {}
 
-void DataUser::refresh(UserState state) { state_ = std::move(state); }
+void DataUser::refresh(UserState state) {
+  state_ = std::move(state);
+  master_prf_ = crypto::HmacSha256(state_.keys.k);
+}
 
 std::vector<SearchToken> DataUser::make_tokens(std::uint64_t value,
                                                MatchCondition mc) {
@@ -51,7 +56,7 @@ std::vector<SearchToken> DataUser::tokens_for_keywords(
     const auto it =
         state_.trapdoor_states.find(std::string(w.begin(), w.end()));
     if (it == state_.trapdoor_states.end()) continue;  // slice never indexed
-    const auto [g1, g2] = crypto::derive_keyword_keys(state_.keys.k, w);
+    const auto [g1, g2] = crypto::derive_keyword_keys(master_prf_, w);
     SearchToken token;
     token.trapdoor = it->second.trapdoor.to_bytes_be(state_.trapdoor_width);
     token.j = it->second.j;

@@ -49,6 +49,7 @@ class DataUser {
   std::vector<SearchToken> tokens_for_keywords(std::vector<Bytes> keywords);
 
   UserState state_;
+  crypto::HmacSha256 master_prf_;  // G(K, ·) under state_.keys.k
   crypto::Drbg rng_;
 };
 

@@ -39,8 +39,10 @@ void Drbg::update(BytesView provided) {
 Bytes Drbg::generate(std::size_t n) {
   Bytes out;
   out.reserve(n);
+  const HmacSha256 mac(key_);  // K is fixed until update() below
   while (out.size() < n) {
-    v_ = hmac_sha256(key_, v_);
+    const HmacSha256::Tag v = mac.tag(v_);
+    v_.assign(v.begin(), v.end());
     const std::size_t take = std::min(v_.size(), n - out.size());
     out.insert(out.end(), v_.begin(), v_.begin() + static_cast<long>(take));
   }

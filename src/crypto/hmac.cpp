@@ -1,12 +1,8 @@
 #include "crypto/hmac.hpp"
 
-#include <array>
-
-#include "crypto/sha256.hpp"
-
 namespace slicer::crypto {
 
-Bytes hmac_sha256(BytesView key, BytesView msg) {
+HmacSha256::HmacSha256(BytesView key) {
   constexpr std::size_t kBlock = Sha256::kBlockSize;
 
   std::array<std::uint8_t, kBlock> k0{};
@@ -23,16 +19,25 @@ Bytes hmac_sha256(BytesView key, BytesView msg) {
     ipad[i] = static_cast<std::uint8_t>(k0[i] ^ 0x36);
     opad[i] = static_cast<std::uint8_t>(k0[i] ^ 0x5c);
   }
+  inner_.update(BytesView(ipad.data(), ipad.size()));
+  outer_.update(BytesView(opad.data(), opad.size()));
+}
 
-  Sha256 inner;
-  inner.update(BytesView(ipad.data(), ipad.size()));
+HmacSha256::Tag HmacSha256::tag(BytesView msg) const {
+  Sha256 inner = begin();
   inner.update(msg);
-  const auto inner_digest = inner.finish();
+  return finish(inner);
+}
 
-  Sha256 outer;
-  outer.update(BytesView(opad.data(), opad.size()));
+HmacSha256::Tag HmacSha256::finish(Sha256 inner) const {
+  const auto inner_digest = inner.finish();
+  Sha256 outer = outer_;
   outer.update(BytesView(inner_digest.data(), inner_digest.size()));
-  const auto tag = outer.finish();
+  return outer.finish();
+}
+
+Bytes hmac_sha256(BytesView key, BytesView msg) {
+  const HmacSha256::Tag tag = HmacSha256(key).tag(msg);
   return Bytes(tag.begin(), tag.end());
 }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include "common/bytes.hpp"
+#include "crypto/hmac.hpp"
 
 namespace slicer::crypto {
 
@@ -28,6 +29,8 @@ struct KeywordKeys {
   Bytes g1;
   Bytes g2;
 };
-KeywordKeys derive_keyword_keys(BytesView master_key, BytesView keyword);
+/// `master` is G(K, ·) keyed once: a party holds one context for its
+/// master key K and derives every keyword's subkeys from it.
+KeywordKeys derive_keyword_keys(const HmacSha256& master, BytesView keyword);
 
 }  // namespace slicer::crypto

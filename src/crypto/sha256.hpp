@@ -1,4 +1,7 @@
-// SHA-256 (FIPS 180-4), implemented from scratch.
+// SHA-256 (FIPS 180-4), implemented from scratch, with optional SHA-NI
+// intrinsics: blocks go through the SHA-NI kernel when the CPU has the SHA
+// extensions and through the portable kernel otherwise (see
+// sha256_kernels.hpp). Digests are identical either way.
 //
 // Used as the hash behind HMAC (our PRFs F and G), the multiset hash's
 // hash-to-field, the prime-representative oracle H_prime, and the block
@@ -39,8 +42,6 @@ class Sha256 {
   static Bytes digest(BytesView data);
 
  private:
-  void compress(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, kBlockSize> buf_;
   std::size_t buf_len_ = 0;

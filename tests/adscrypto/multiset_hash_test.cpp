@@ -6,6 +6,7 @@
 
 #include "bigint/primes.hpp"
 #include "common/errors.hpp"
+#include "crypto/sha256.hpp"
 
 namespace slicer::adscrypto {
 namespace {
@@ -92,6 +93,60 @@ TEST(MultisetHash, SerializeRoundTrip) {
 
 TEST(MultisetHash, DeserializeRejectsBadWidth) {
   EXPECT_THROW(MH::deserialize(Bytes(31, 0)), DecodeError);
+}
+
+// --- Special-form reduction against BigUint divmod ------------------------
+
+using bigint::BigUint;
+
+/// H_q(elem) as specified: SHA-256 of the lo and hi lanes, hi ‖ lo read
+/// big-endian and reduced by long division.
+BigUint reference_hash_element(BytesView elem) {
+  for (std::uint64_t counter = 0;; ++counter) {
+    Bytes lo = str_bytes("slicer.mset.lo");
+    append(lo, be64(counter));
+    append(lo, elem);
+    Bytes wide = str_bytes("slicer.mset.hi");
+    append(wide, be64(counter));
+    append(wide, elem);
+    wide = crypto::Sha256::digest(wide);
+    append(wide, crypto::Sha256::digest(lo));
+    const BigUint value = BigUint::from_bytes_be(wide) % MH::field_prime();
+    if (!value.is_zero()) return value;
+  }
+}
+
+TEST(MultisetHash, SpecialFormReductionMatchesDivmod) {
+  const BigUint& q = MH::field_prime();
+  const BigUint top = (BigUint(1) << 256) - BigUint(1);
+  // Edges: 0, 1, q - 1, q and 2²⁵⁶ - 1 (the square of the last folds
+  // past 2²⁵⁶ twice), plus a value just above q.
+  const std::vector<BigUint> edges = {BigUint(0), BigUint(1),
+                                      q - BigUint(1), q, q + BigUint(5), top,
+                                      BigUint(0x1000003d1)};
+  crypto::Drbg rng(str_bytes("mh-special-form"));
+  std::vector<BigUint> values = edges;
+  for (int i = 0; i < 200; ++i)
+    values.push_back(BigUint::from_bytes_be(rng.generate(1 + i % 32)));
+  // Every value against every edge, and consecutive random pairs.
+  for (const BigUint& a : values) {
+    for (const BigUint& b : edges)
+      ASSERT_EQ(MH::add(a, b), (a * b) % q) << a.to_hex() << " " << b.to_hex();
+  }
+  for (std::size_t i = edges.size(); i + 1 < values.size(); ++i) {
+    const BigUint& a = values[i];
+    const BigUint& b = values[i + 1];
+    ASSERT_EQ(MH::add(a, b), (a * b) % q) << a.to_hex() << " " << b.to_hex();
+  }
+  // Operands wider than 256 bits take the generic path.
+  const BigUint wide = top * top;
+  EXPECT_EQ(MH::add(wide, q - BigUint(2)), (wide * (q - BigUint(2))) % q);
+  for (int i = 0; i < 200; ++i) {
+    const Bytes elem = rng.generate(static_cast<std::size_t>(i % 40));
+    ASSERT_EQ(MH::hash_element(elem), reference_hash_element(elem)) << i;
+  }
+  const BigUint h = MH::hash_element(str_bytes("r"));
+  EXPECT_EQ(MH::remove(MH::add(h, values[9]), h), values[9] % q);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/errors.hpp"
 
@@ -271,6 +272,45 @@ TEST(Primes, MillerRabinRejectsStrongPseudoprimesAndCarmichaels) {
   const BigUint wide = BigUint(118901521) * BigUint(18446744073709551557ull);
   EXPECT_FALSE(is_probable_prime_fixed(wide));
   expect_matches_reference(wide, "mr-wide");
+}
+
+TEST(Primes, OneLimbMillerRabinMatchesReference) {
+  // One-limb candidates run in native 64-bit Montgomery arithmetic; the
+  // verdict must match the divmod reference everywhere, n near 2⁶⁴ (where
+  // a carry-unsafe REDC would overflow) included.
+  auto rng = test_rng();
+  std::vector<std::uint64_t> values;
+  for (int i = 0; i < 20000; ++i) {
+    const Bytes raw = rng.generate(8);
+    std::uint64_t v = 0;
+    for (const std::uint8_t b : raw) v = (v << 8) | b;
+    // Mostly full-width, with every shorter width represented too.
+    values.push_back((i % 8 == 0 ? v >> (i / 8 % 56) : v) | 1);
+  }
+  for (std::uint64_t v = ~std::uint64_t{0}; v > ~std::uint64_t{0} - 2000;
+       v -= 2)
+    values.push_back(v);
+  values.push_back(3825123056546413051ull);  // strong pseudoprime, bases 2..23
+  values.push_back(18446744073709551557ull);  // 2⁶⁴ − 59, the largest prime
+  std::size_t primes = 0;
+  for (const std::uint64_t v : values) {
+    const BigUint n(v);
+    const bool expected = reference_is_prime(n, nullptr, 0);
+    ASSERT_EQ(is_probable_prime_fixed(n), expected) << v;
+    primes += expected ? 1 : 0;
+  }
+  EXPECT_FALSE(is_probable_prime_fixed(BigUint(3825123056546413051ull)));
+  EXPECT_TRUE(is_probable_prime_fixed(BigUint(18446744073709551557ull)));
+  EXPECT_FALSE(is_probable_prime_fixed(BigUint(~std::uint64_t{0})));
+  // About 1 in 22 odd 64-bit values is prime.
+  EXPECT_GT(primes, 500u);
+  EXPECT_LT(primes, 1500u);
+  // Two limbs, the top one all ones: the multi-limb path, with random
+  // rounds drawn from the same generator as the reference's.
+  const BigUint top128 = (BigUint(1) << 128) - BigUint(1);
+  expect_matches_reference(top128 - BigUint(158), "mr-top-prime");  // prime
+  expect_matches_reference(top128, "mr-top-composite");
+  EXPECT_TRUE(is_probable_prime_fixed(top128 - BigUint(158)));
 }
 
 }  // namespace

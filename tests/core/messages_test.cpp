@@ -68,6 +68,22 @@ TEST(Messages, PadDiffersFromAddress) {
   EXPECT_NE(index_address(g1, t, 0), index_pad(g2, t, 0));
 }
 
+TEST(Messages, IndexPrfMatchesIndexAddressAndPad) {
+  const Bytes g1(32, 0x01);
+  const Bytes g2(32, 0x02);
+  IndexPrf prf(g1, g2);
+  // Generations of a 1024-bit trapdoor's width and of odd widths; the same
+  // IndexPrf moves between them.
+  for (const std::size_t width : {128u, 32u, 0u, 71u}) {
+    const Bytes t(width, static_cast<std::uint8_t>(0xa0 + width));
+    prf.set_generation(t);
+    for (const std::uint64_t c : {0ull, 1ull, 255ull, 0x0123456789abcdefull}) {
+      EXPECT_EQ(prf.address(c), index_address(g1, t, c)) << width << "/" << c;
+      EXPECT_EQ(prf.pad(c), index_pad(g2, t, c)) << width << "/" << c;
+    }
+  }
+}
+
 TEST(Messages, PrimePreimageSensitivity) {
   const Bytes t(32, 0xaa);
   const Bytes g1(32, 0x01);

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/drbg.hpp"
+#include "crypto/sha256_kernels.hpp"
+
 namespace slicer::crypto {
 namespace {
 
@@ -102,6 +105,71 @@ TEST(Sha256, MidstateCloneMatchesFreshContext) {
           << "prefix=" << prefix_len << " counter=" << counter;
     }
   }
+}
+
+// --- Kernels, called directly -------------------------------------------
+
+/// SHA-256(msg) with every block, padding included, run through `kernel`
+/// alone: the padding is built here, independently of Sha256::finish.
+Bytes digest_with(detail::Sha256Kernel kernel, BytesView msg) {
+  std::array<std::uint32_t, 8> state = detail::kSha256Init;
+  const std::size_t whole = msg.size() / Sha256::kBlockSize;
+  kernel(state, msg.data(), whole);
+  Bytes tail(msg.begin() + static_cast<long>(whole * Sha256::kBlockSize),
+             msg.end());
+  tail.push_back(0x80);
+  while (tail.size() % Sha256::kBlockSize != 56) tail.push_back(0);
+  append(tail, be64(static_cast<std::uint64_t>(msg.size()) * 8));
+  kernel(state, tail.data(), tail.size() / Sha256::kBlockSize);
+  Bytes out;
+  for (const std::uint32_t word : state)
+    for (int shift = 24; shift >= 0; shift -= 8)
+      out.push_back(static_cast<std::uint8_t>(word >> shift));
+  return out;
+}
+
+TEST(Sha256, PortableKernelKnownAnswers) {
+  // Runs on every host, whichever kernel Sha256 selected.
+  const auto portable = [](const std::string& msg) {
+    return to_hex(digest_with(detail::sha256_blocks_portable, str_bytes(msg)));
+  };
+  EXPECT_EQ(portable(""),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(portable("abc"),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(portable("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(portable(std::string(1000000, 'a')),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256, ShaNiKernelMatchesPortable) {
+  if (!detail::sha256_shani_supported())
+    GTEST_SKIP() << "CPU has no SHA extensions";
+  Drbg rng(str_bytes("sha256-kernel-diff"));
+  const Bytes data = rng.generate(1024);
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    const BytesView msg(data.data(), len);
+    const Bytes portable = digest_with(detail::sha256_blocks_portable, msg);
+    ASSERT_EQ(digest_with(detail::sha256_blocks_shani, msg), portable)
+        << "len=" << len;
+    // The selected kernel through Sha256's buffering, fed in up to three
+    // pieces at random split points.
+    std::size_t a = static_cast<std::size_t>(rng.uniform(len + 1));
+    std::size_t b = static_cast<std::size_t>(rng.uniform(len + 1));
+    if (a > b) std::swap(a, b);
+    Sha256 ctx;
+    ctx.update(msg.subspan(0, a));
+    ctx.update(msg.subspan(a, b - a));
+    ctx.update(msg.subspan(b));
+    const auto split = ctx.finish();
+    ASSERT_EQ(Bytes(split.begin(), split.end()), portable)
+        << "len=" << len << " splits=" << a << "," << b;
+  }
+  const Bytes million(1000000, 'a');
+  EXPECT_EQ(to_hex(digest_with(detail::sha256_blocks_shani, million)),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  EXPECT_EQ(detail::sha256_kernel(), &detail::sha256_blocks_shani);
 }
 
 }  // namespace

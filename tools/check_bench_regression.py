@@ -27,6 +27,12 @@ Structural checks ride along:
     Both rows run on one machine in one process, so the ratio carries across
     hosts where the wall-time baseline does not (CRT costs ~1/3 to ~1/4 of
     the reference: two half-width exponentiations).
+    A second gate in that file: when the Micro/Sha256/4KiB row reports
+    sha_ni = 1 (Sha256 selected its SHA-NI kernel), it must be at least
+    MIN_SHA256_KERNEL_SPEEDUP (3x) faster than Micro/Sha256/4KiB/Portable,
+    the same 65 compressions on the portable kernel. A runner without the
+    SHA extensions reports sha_ni = 0 and skips the ratio (SHA-NI runs
+    ~6x faster than the portable kernel on a 2-vCPU AMD EPYC).
   * for BENCH_ablation_witness.json, the same kind of gate: a first-touch
     witness fill seeded from the shard value kept at the previous write
     (FirstTouch/1024/seeded) must be at least MIN_FIRST_TOUCH_SEED_SPEEDUP
@@ -65,6 +71,11 @@ import sys
 # Same-run floor for Micro/TrapdoorInverse: Crt must be this many times
 # faster than Reference in one BENCH_micro.json.
 MIN_TRAPDOOR_CRT_SPEEDUP = 2.0
+
+# Same-run floor for Micro/Sha256/4KiB: when the row says the SHA-NI kernel
+# was selected, it must be this many times faster than the portable kernel
+# (Micro/Sha256/4KiB/Portable) in one BENCH_micro.json.
+MIN_SHA256_KERNEL_SPEEDUP = 3.0
 
 # Same-run floor for FirstTouch/1024: seeded must be this many times faster
 # than comb in one BENCH_ablation_witness.json.
@@ -134,6 +145,21 @@ def check_trapdoor_crt_speedup(current_path):
         current_path, "Micro/TrapdoorInverse/Reference/iterations:64",
         "Micro/TrapdoorInverse/Crt/iterations:64", MIN_TRAPDOOR_CRT_SPEEDUP,
         "trapdoor inverse: CRT vs y^d mod n")
+
+
+def check_sha256_kernel_speedup(current_path):
+    """The selected SHA-NI kernel must beat the portable kernel; skipped
+    where the runner has no SHA extensions."""
+    selected = load_rows(current_path).get("Micro/Sha256/4KiB/iterations:512")
+    if selected is None:
+        return [f"{current_path}: Micro/Sha256/4KiB row missing"]
+    if float(selected.get("sha_ni", 0)) != 1:
+        print("  SHA-256 kernel: portable selected (no SHA-NI), ratio skipped")
+        return []
+    return check_same_run_speedup(
+        current_path, "Micro/Sha256/4KiB/Portable/iterations:512",
+        "Micro/Sha256/4KiB/iterations:512", MIN_SHA256_KERNEL_SPEEDUP,
+        "SHA-256: SHA-NI vs portable kernel")
 
 
 def check_first_touch_seed_speedup(current_path):
@@ -344,6 +370,7 @@ def main():
         failures = check_file(path, baseline_path, args)
         if name == "BENCH_micro.json":
             failures += check_trapdoor_crt_speedup(path)
+            failures += check_sha256_kernel_speedup(path)
         if name == "BENCH_ablation_witness.json":
             failures += check_first_touch_seed_speedup(path)
             failures += check_in_run_warm_speedup(path)
